@@ -27,6 +27,8 @@ from treecast import (
 )
 from treecast.exact import delta_from_distribution
 
+from oracles import log_space_count_laws
+
 EPS_GRID = (0.05, 0.1, 0.2, 0.3, 0.45)
 
 small_eps = st.floats(min_value=0.0, max_value=0.49)
@@ -61,6 +63,25 @@ def test_count_chain_matches_enumeration(r, n, eps):
     oracle = brute_force_counts(n, r, eps)
     d = count_distribution(n, r, eps)
     np.testing.assert_allclose(d.probs(), oracle, atol=1e-12)
+
+
+@pytest.mark.parametrize("eps", [0.01, 0.1, 0.3, 0.49, 0.5])
+@pytest.mark.parametrize("r,n", [(2, 12), (3, 7), (4, 6)])
+def test_count_laws_match_log_space_oracle(r, n, eps):
+    # Every level up to the largest support of at most 4,097 points.
+    for level, oracle in enumerate(log_space_count_laws(n, r, eps)):
+        np.testing.assert_allclose(
+            count_distribution(level, r, eps).probs(), oracle, rtol=0, atol=1e-13
+        )
+
+
+def test_count_distribution_at_default_budget():
+    eps = 0.1
+    d = count_distribution(16, 2, eps)  # support 2**16 + 1, the default budget
+    probs = d.probs()
+    assert (probs >= 0).all()
+    assert math.isclose(probs.sum(), 1.0, rel_tol=0, abs_tol=1e-10)
+    assert math.isclose(mean_level_sum(d), ((1 - 2 * eps) * 2) ** 16, rel_tol=1e-9)
 
 
 @pytest.mark.parametrize("eps", EPS_GRID)
