@@ -2,18 +2,23 @@
 
 Signals live as packed bits: one uint8 row per replicate, most significant
 bit first, bit 1 for +1 and bit 0 for -1, padding bits zero.  A generation
-step repeats each parent bit ``r`` times and XORs a Bernoulli flip mask onto
-it, so the global spin-flip symmetry is exact by construction.  Majority
-statistics reduce rows with a byte-level popcount table.
+step repeats each parent bit ``r`` times (one table lookup per byte) and
+XORs a Bernoulli flip mask onto it, so the global spin-flip symmetry is
+exact by construction.  Majority statistics reduce rows with a byte-level
+popcount table.
 
 All randomness flows through :class:`~treecast.rng.SeedSpec` streams keyed by
 (purpose, level, replicate block); every kernel draws full replicate blocks
 and slices, so a replicate's trajectory does not depend on how many other
-replicates run beside it.
+replicates run beside it.  The trajectory loop of :mod:`treecast.correction`
+calls these kernels on one replicate block at a time, from several threads;
+``first_block`` gives the global index of the rows' first block, so each
+block's streams keep the address they have in a whole-run call.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -111,7 +116,7 @@ def majority_statistic(
 
 
 def sample_root(
-    seed: SeedSpec, n_replicates: int, pin: int | None = +1
+    seed: SeedSpec, n_replicates: int, pin: int | None = +1, *, first_block: int = 0
 ) -> GenerationSignals:
     """Level-0 signals: pinned to ``pin`` for conditional-on-root experiments,
     or an independent fair sign per replicate when ``pin`` is None."""
@@ -124,25 +129,31 @@ def sample_root(
         packed[:] = 0x80 if pin == 1 else 0x00
     else:
         for block, rows_slice, rows in replicate_blocks(n_replicates):
-            gen = seed.generator("root", level=0, block=block)
+            gen = seed.generator("root", level=0, block=first_block + block)
             coins = bernoulli_bits(gen, 0.5, REPLICATE_BLOCK, 1)
             packed[rows_slice] = coins[:rows]
     return GenerationSignals(level=0, size=1, n_replicates=n_replicates, packed=packed)
+
+
+@functools.lru_cache(maxsize=None)
+def _repeat_table(r: int) -> np.ndarray:
+    """Entry ``b`` holds, as one ``r``-byte item, the bytes that byte ``b``
+    becomes when each of its bits is repeated ``r`` times (read-only)."""
+    bits = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1)
+    table = np.packbits(np.repeat(bits, r, axis=1), axis=1).view(f"V{r}")[:, 0]
+    table.flags.writeable = False
+    return table
 
 
 def repeat_packed(packed: np.ndarray, size: int, r: int) -> np.ndarray:
     """Repeat each of ``size`` bits ``r`` times within every row, repacked.
 
     Used both to seed children with their parent's sign and to propagate
-    alive masks (children of a dead vertex are dead).
+    alive masks (children of a dead vertex are dead).  Zero padding bits
+    repeat into zero bits, so the bytes past the result's width are dropped.
     """
-    n_rows = packed.shape[0]
-    out = np.empty((n_rows, packed_width(size * r)), dtype=np.uint8)
-    for start in range(0, n_rows, REPLICATE_BLOCK):
-        rows = slice(start, min(start + REPLICATE_BLOCK, n_rows))
-        bits = np.unpackbits(packed[rows], axis=1, count=size)
-        out[rows] = np.packbits(np.repeat(bits, r, axis=1), axis=1)
-    return out
+    out = _repeat_table(r)[packed].view(np.uint8).reshape(packed.shape[0], -1)
+    return np.ascontiguousarray(out[:, : packed_width(size * r)])
 
 
 def sample_next_generation(
@@ -151,6 +162,8 @@ def sample_next_generation(
     seed: SeedSpec,
     r: int,
     vertex_budget: int | None = None,
+    *,
+    first_block: int = 0,
 ) -> GenerationSignals:
     """One broadcast step: each parent spawns ``r`` children, each child
     keeping the parent's sign with probability ``1 - epsilon`` independently
@@ -163,7 +176,7 @@ def sample_next_generation(
 
     out = repeat_packed(parents.packed, parents.size, r)
     for block, rows_slice, rows in replicate_blocks(parents.n_replicates):
-        gen = seed.generator("flips", level=child_level, block=block)
+        gen = seed.generator("flips", level=child_level, block=first_block + block)
         flips = bernoulli_bits(gen, ch.epsilon, REPLICATE_BLOCK, child_size)
         out[rows_slice] ^= flips[:rows]
     return GenerationSignals(

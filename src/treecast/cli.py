@@ -46,7 +46,7 @@ from .exact import (
     fraction_scheme_delta,
     renormalized_delta,
 )
-from .fk import moment_bound_report, sample_size_ensemble
+from .fk import moment_summary, sample_size_ensemble
 from .report import EXACT, MC, ReportRow, rows_to_csv, rows_to_json
 from .rng import SeedSpec
 from .verify import SUITE_NAMES, results_to_rows, run_suite
@@ -366,12 +366,10 @@ def cmd_fk_stats(cfg: RunConfig) -> list[ReportRow]:
     if cfg.r is None or cfg.k_values is None:
         raise ValueError("fk-stats needs --r and --k")
     p = cfg.p_value
-    summaries = moment_bound_report(
-        p, cfg.r, cfg.k_values, cfg.samples, cfg.seed_spec(), require_regime=False
-    )
     rows = []
-    for summary in summaries:
-        ensemble = sample_size_ensemble(p, cfg.r, summary.k, cfg.seed_spec(), cfg.samples)
+    for k in cfg.k_values:
+        ensemble = sample_size_ensemble(p, cfg.r, k, cfg.seed_spec(), cfg.samples)
+        summary = moment_summary(ensemble)
         kp = {"k": summary.k, "regime_ok": summary.regime_ok}
         z2, z3, w = ensemble.z2_ratio, ensemble.z3_ratio, ensemble.W_k
         rows.append(

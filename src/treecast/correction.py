@@ -26,10 +26,23 @@ alive-mask per level: removed vertices keep broadcasting bits, but they are
 masked out of every statistic and their descendants are born dead.  The law
 of the alive portion is exactly the random-tree process the removal schemes
 define, and the representation keeps every kernel rectangular.
+
+:func:`run_corrected_trajectory` runs each replicate block of
+:data:`~treecast.rng.REPLICATE_BLOCK` rows through every level on its own,
+then joins the blocks' level records in block order.  Blocks run on a thread
+pool with one worker per usable CPU (Philox fills and numpy bulk operations
+release the GIL); a single block runs without a pool.  Every stream keeps its
+global ``(purpose, level, block)`` address, so neither the order of blocks
+nor the number of workers changes a single output bit.  Memory is bounded per
+block, not per run: only a block's current level is held, and the kernels
+unpack bits a bounded row slice at a time (:func:`~treecast.rng.row_slices`).
 """
 
 from __future__ import annotations
 
+import dataclasses
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -44,8 +57,15 @@ from .broadcast import (
     sample_next_generation,
     sample_root,
 )
+from .budget import check_vertices
 from .channel import ChannelParams
-from .rng import REPLICATE_BLOCK, SeedSpec, bernoulli_bits, replicate_blocks
+from .rng import (
+    REPLICATE_BLOCK,
+    SeedSpec,
+    bernoulli_bits,
+    replicate_blocks,
+    row_slices,
+)
 from .trees import (
     BlockPartition,
     DescentBlockPartition,
@@ -237,8 +257,20 @@ def _tie_bits(seed: SeedSpec, level: int, block: int, n_blocks: int) -> np.ndarr
     return np.unpackbits(packed, axis=1, count=n_blocks)
 
 
+def _shifted(sub: slice, block_rows: slice) -> slice:
+    """Rows ``sub`` of one replicate block, as rows of the whole generation."""
+    return slice(block_rows.start + sub.start, block_rows.start + sub.stop)
+
+
+def _majority(plus: np.ndarray, total: np.ndarray | int, coins: np.ndarray) -> np.ndarray:
+    """Majority bit per block from plus counts out of ``total``; coin on ties."""
+    return np.where(2 * plus > total, 1, np.where(2 * plus < total, 0, coins)).astype(
+        np.uint8
+    )
+
+
 def apply_block_majority(
-    g: GenerationSignals, part: Partition, seed: SeedSpec
+    g: GenerationSignals, part: Partition, seed: SeedSpec, *, first_block: int = 0
 ) -> CorrectedGeneration:
     """Overwrite every block with its majority sign (fair coin on ties).
 
@@ -247,18 +279,18 @@ def apply_block_majority(
     """
     _check_partition(g, part)
     B, nb, covered = part.block_size, part.n_blocks, part.covered
-    out = g.packed.copy()
+    out = np.empty_like(g.packed)
     block_packed = np.empty((g.n_replicates, packed_width(nb)), dtype=np.uint8)
-    for block, rows_slice, rows in replicate_blocks(g.n_replicates):
-        coins = _tie_bits(seed, g.level, block, nb)[:rows]
-        bits = np.unpackbits(g.packed[rows_slice], axis=1, count=g.size)
-        counts = bits[:, :covered].reshape(rows, nb, B).sum(axis=2, dtype=np.int32)
-        majority = np.where(
-            2 * counts > B, 1, np.where(2 * counts < B, 0, coins)
-        ).astype(np.uint8)
-        bits[:, :covered] = np.repeat(majority, B, axis=1)
-        out[rows_slice] = np.packbits(bits, axis=1)
-        block_packed[rows_slice] = np.packbits(majority, axis=1)
+    for block, block_rows, n_rows in replicate_blocks(g.n_replicates):
+        coins = _tie_bits(seed, g.level, first_block + block, nb)
+        for sub in row_slices(n_rows, g.size):
+            rows = _shifted(sub, block_rows)
+            bits = np.unpackbits(g.packed[rows], axis=1, count=g.size)
+            grouped = bits[:, :covered].reshape(-1, nb, B)
+            majority = _majority(grouped.sum(axis=2, dtype=np.int32), B, coins[sub])
+            grouped[...] = majority[:, :, None]
+            out[rows] = np.packbits(bits, axis=1)
+            block_packed[rows] = np.packbits(majority, axis=1)
     return CorrectedGeneration(
         signals=GenerationSignals(g.level, g.size, g.n_replicates, out),
         partition=part,
@@ -269,23 +301,24 @@ def apply_block_majority(
 
 
 def apply_fraction_identification(
-    g: GenerationSignals, part: Partition, seed: SeedSpec
+    g: GenerationSignals, part: Partition, seed: SeedSpec, *, first_block: int = 0
 ) -> CorrectedGeneration:
     """Overwrite every block with the value of one uniformly chosen member."""
     _check_partition(g, part)
     B, nb, covered = part.block_size, part.n_blocks, part.covered
-    out = g.packed.copy()
+    out = np.empty_like(g.packed)
     block_packed = np.empty((g.n_replicates, packed_width(nb)), dtype=np.uint8)
-    for block, rows_slice, rows in replicate_blocks(g.n_replicates):
-        gen = seed.generator("pick", level=g.level, block=block)
-        member = gen.integers(0, B, size=(REPLICATE_BLOCK, nb))[:rows]
-        bits = np.unpackbits(g.packed[rows_slice], axis=1, count=g.size)
-        grouped = bits[:, :covered].reshape(rows, nb, B)
-        picked = np.take_along_axis(grouped, member[:, :, None], axis=2)[:, :, 0]
-        picked = picked.astype(np.uint8)
-        bits[:, :covered] = np.repeat(picked, B, axis=1)
-        out[rows_slice] = np.packbits(bits, axis=1)
-        block_packed[rows_slice] = np.packbits(picked, axis=1)
+    for block, block_rows, n_rows in replicate_blocks(g.n_replicates):
+        gen = seed.generator("pick", level=g.level, block=first_block + block)
+        member = gen.integers(0, B, size=(REPLICATE_BLOCK, nb))
+        for sub in row_slices(n_rows, g.size):
+            rows = _shifted(sub, block_rows)
+            bits = np.unpackbits(g.packed[rows], axis=1, count=g.size)
+            grouped = bits[:, :covered].reshape(-1, nb, B)
+            picked = np.take_along_axis(grouped, member[sub, :, None], axis=2)
+            grouped[...] = picked
+            out[rows] = np.packbits(bits, axis=1)
+            block_packed[rows] = np.packbits(picked[:, :, 0], axis=1)
     return CorrectedGeneration(
         signals=GenerationSignals(g.level, g.size, g.n_replicates, out),
         partition=part,
@@ -300,6 +333,8 @@ def apply_minority_removal(
     part: Partition,
     seed: SeedSpec,
     alive: np.ndarray | None = None,
+    *,
+    first_block: int = 0,
 ) -> CorrectedGeneration:
     """Remove each block's minority members: survivors keep their signals,
     minority members die (no descendants, no further statistics).
@@ -311,36 +346,36 @@ def apply_minority_removal(
     """
     _check_partition(g, part)
     B, nb, covered = part.block_size, part.n_blocks, part.covered
-    width = packed_width(g.size)
-    if alive is None:
-        alive = np.full((g.n_replicates, width), 0xFF, dtype=np.uint8)
-        tail = g.size % 8
-        if tail:
-            alive[:, -1] = (0xFF << (8 - tail)) & 0xFF
-    elif alive.shape != g.packed.shape:
+    if alive is not None and alive.shape != g.packed.shape:
         raise ValueError(
             f"alive mask shape {alive.shape} does not match signals {g.packed.shape}"
         )
 
-    new_alive = alive.copy()
+    new_alive = np.empty_like(g.packed)
     block_packed = np.empty((g.n_replicates, packed_width(nb)), dtype=np.uint8)
     block_alive = np.empty_like(block_packed)
-    for block, rows_slice, rows in replicate_blocks(g.n_replicates):
-        coins = _tie_bits(seed, g.level, block, nb)[:rows]
-        bits = np.unpackbits(g.packed[rows_slice], axis=1, count=g.size)
-        alive_bits = np.unpackbits(alive[rows_slice], axis=1, count=g.size)
-        grouped_bits = bits[:, :covered].reshape(rows, nb, B)
-        grouped_alive = alive_bits[:, :covered].reshape(rows, nb, B)
-        plus = (grouped_bits & grouped_alive).sum(axis=2, dtype=np.int32)
-        total = grouped_alive.sum(axis=2, dtype=np.int32)
-        chosen = np.where(
-            2 * plus > total, 1, np.where(2 * plus < total, 0, coins)
-        ).astype(np.uint8)
-        survivors = grouped_alive & (grouped_bits == chosen[:, :, None])
-        alive_bits[:, :covered] = survivors.reshape(rows, covered)
-        new_alive[rows_slice] = np.packbits(alive_bits, axis=1)
-        block_packed[rows_slice] = np.packbits(chosen, axis=1)
-        block_alive[rows_slice] = np.packbits((total > 0).astype(np.uint8), axis=1)
+    for block, block_rows, n_rows in replicate_blocks(g.n_replicates):
+        coins = _tie_bits(seed, g.level, first_block + block, nb)
+        for sub in row_slices(n_rows, g.size):
+            rows = _shifted(sub, block_rows)
+            bits = np.unpackbits(g.packed[rows], axis=1, count=g.size)
+            if alive is None:
+                alive_bits = np.ones_like(bits)
+            else:
+                alive_bits = np.unpackbits(alive[rows], axis=1, count=g.size)
+            grouped_bits = bits[:, :covered].reshape(-1, nb, B)
+            grouped_alive = alive_bits[:, :covered].reshape(-1, nb, B)
+            total = grouped_alive.sum(axis=2, dtype=np.int32)
+            # Alive members keep their bit and dead ones read 0: plus-indicators.
+            np.bitwise_and(grouped_bits, grouped_alive, out=grouped_bits)
+            plus = grouped_bits.sum(axis=2, dtype=np.int32)
+            chosen = _majority(plus, total, coins[sub])
+            # Survivors are the alive members whose bit is the chosen sign.
+            np.equal(grouped_bits, chosen[:, :, None], out=grouped_bits)
+            np.bitwise_and(grouped_alive, grouped_bits, out=grouped_alive)
+            new_alive[rows] = np.packbits(alive_bits, axis=1)
+            block_packed[rows] = np.packbits(chosen, axis=1)
+            block_alive[rows] = np.packbits(total > 0, axis=1)
     return CorrectedGeneration(
         signals=g,
         partition=part,
@@ -432,13 +467,14 @@ def _apply_scheme(
     part: Partition,
     seed: SeedSpec,
     alive: np.ndarray | None,
+    first_block: int,
 ) -> CorrectedGeneration:
     if scheme.variant in ("BlockMajorityEveryStep", "WithinDescentMajority"):
-        return apply_block_majority(g, part, seed)
+        return apply_block_majority(g, part, seed, first_block=first_block)
     if scheme.variant == "FractionIdentification":
-        return apply_fraction_identification(g, part, seed)
+        return apply_fraction_identification(g, part, seed, first_block=first_block)
     if scheme.removes_minority:
-        return apply_minority_removal(g, part, seed, alive)
+        return apply_minority_removal(g, part, seed, alive, first_block=first_block)
     raise ValueError(f"scheme {scheme.variant} applies no correction")
 
 
@@ -467,6 +503,25 @@ def _make_record(
     )
 
 
+def _join_records(parts: Sequence[LevelRecord]) -> LevelRecord:
+    """One level's records of consecutive replicate blocks, joined in order."""
+    arrays = {}
+    for name in ("statistic", "alive_count", "renormalized_statistic", "alive_block_count"):
+        values = [getattr(rec, name) for rec in parts]
+        arrays[name] = None if values[0] is None else np.concatenate(values)
+    return dataclasses.replace(parts[0], **arrays)
+
+
+def _worker_count(n_blocks: int) -> int:
+    """Threads for ``n_blocks`` replicate blocks: one per usable CPU, at most
+    one per block."""
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:  # pragma: no cover - platforms without CPU affinity
+        cpus = os.cpu_count() or 1
+    return min(cpus, n_blocks)
+
+
 def run_corrected_trajectory(
     tree: RegularTreeSpec,
     scheme: CorrectionScheme,
@@ -489,6 +544,10 @@ def run_corrected_trajectory(
     ``record_levels`` selects the levels whose statistics are kept (default:
     all).  At correction levels the record carries both the raw signed sum
     and the renormalized one-vote-per-block sum, taken after correction.
+
+    Each replicate block runs through every level on its own, on a thread
+    pool, and the records are joined in block order; streams keep their
+    global block index, so the result does not depend on the worker count.
     """
     r, depth = tree.r, tree.depth
     budget = tree.vertex_budget if vertex_budget is None else vertex_budget
@@ -505,41 +564,55 @@ def run_corrected_trajectory(
                 "pin_renormalized_root is only meaningful for block schemes"
             )
         start = scheme.start_level(r)
-        g = _constant_signals(start, r**start, n_replicates)
         correction_at.discard(start)
     else:
         start = 0
-        g = sample_root(seed, n_replicates, pin=pin_root)
-    alive: np.ndarray | None = None
-
-    records: list[LevelRecord] = []
-    if start in recorded:
-        if pin_renormalized_root:
-            ones = np.ones(n_replicates, dtype=np.int64)
-            records.append(
-                LevelRecord(
-                    level=start,
-                    statistic=majority_statistic(g),
-                    renormalized_statistic=ones,
-                    n_blocks=1,
-                )
-            )
-        else:
-            records.append(_make_record(start, g, alive, None))
-
+    # Refuse an oversized level before any block allocates anything.
     for level in range(start + 1, depth + 1):
-        g = sample_next_generation(g, ch, seed, r, budget)
-        if alive is not None:
-            alive = repeat_packed(alive, g.size // r, r)
-        cg = None
-        if level in correction_at:
-            part = scheme.partition_for(level, r)
-            cg = _apply_scheme(scheme, g, part, seed, alive)
-            g = cg.signals
-            if scheme.removes_minority:
-                alive = cg.alive
-        if level in recorded:
-            records.append(_make_record(level, g, alive, cg))
+        check_vertices(r**level, budget)
+
+    def run_block(address: tuple[int, slice, int]) -> list[LevelRecord]:
+        block, _, rows = address
+        records: list[LevelRecord] = []
+        alive: np.ndarray | None = None
+        if pin_renormalized_root:
+            g = _constant_signals(start, r**start, rows)
+            if start in recorded:
+                records.append(
+                    LevelRecord(
+                        level=start,
+                        statistic=majority_statistic(g),
+                        renormalized_statistic=np.ones(rows, dtype=np.int64),
+                        n_blocks=1,
+                    )
+                )
+        else:
+            g = sample_root(seed, rows, pin=pin_root, first_block=block)
+            if start in recorded:
+                records.append(_make_record(start, g, alive, None))
+
+        for level in range(start + 1, depth + 1):
+            g = sample_next_generation(g, ch, seed, r, budget, first_block=block)
+            if alive is not None:
+                alive = repeat_packed(alive, g.size // r, r)
+            cg = None
+            if level in correction_at:
+                part = scheme.partition_for(level, r)
+                cg = _apply_scheme(scheme, g, part, seed, alive, block)
+                g = cg.signals
+                if scheme.removes_minority:
+                    alive = cg.alive
+            if level in recorded:
+                records.append(_make_record(level, g, alive, cg))
+        return records
+
+    blocks = list(replicate_blocks(n_replicates))
+    workers = _worker_count(len(blocks))
+    if workers == 1:
+        per_block = [run_block(address) for address in blocks]
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            per_block = list(pool.map(run_block, blocks))
 
     return TrajectoryResult(
         scheme=scheme,
@@ -549,5 +622,5 @@ def run_corrected_trajectory(
         n_replicates=n_replicates,
         pinned_root=None if pin_renormalized_root else pin_root,
         pinned_renormalized_root=pin_renormalized_root,
-        records=tuple(records),
+        records=tuple(_join_records(level) for level in zip(*per_block)),
     )

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.stats import norm
 
-from .broadcast import majority_statistic, sample_next_generation, sample_root
 from .channel import ChannelParams
 from .correction import CorrectionScheme, run_corrected_trajectory
 from .exact import CriticalEstimate
@@ -285,31 +284,25 @@ def mc_effective_error(
     ch = ChannelParams(epsilon=eps)
 
     if minority:
-        scheme = CorrectionScheme.within_descent_minority_removal(k)
-        traj = run_corrected_trajectory(
-            RegularTreeSpec(r=r, depth=k, vertex_budget=vertex_budget),
-            scheme,
-            ch,
-            seed,
-            replicates,
-            pin_root=+1,
-            record_levels=(k,),
-            vertex_budget=vertex_budget,
-        )
-        stat = traj.records[-1].renormalized_statistic
-        if stat is None:  # pragma: no cover - level k is always a correction level
-            raise RuntimeError("missing renormalized statistic at the period level")
+        scheme, branching, steps = CorrectionScheme.within_descent_minority_removal(k), r, k
+    elif k is not None:
+        scheme, branching, steps = CorrectionScheme.identity(), r, k
     else:
-        if k is not None:
-            branching, steps = r, k
-        else:
-            branching, steps = M, 1
-        if branching < 1 or steps < 1:
-            raise ValueError("period parameters must be positive")
-        g = sample_root(seed, replicates, pin=+1)
-        for _ in range(steps):
-            g = sample_next_generation(g, ch, seed, branching, vertex_budget)
-        stat = majority_statistic(g)
+        scheme, branching, steps = CorrectionScheme.identity(), M, 1
+    if branching < 1 or steps < 1:
+        raise ValueError("period parameters must be positive")
+    traj = run_corrected_trajectory(
+        RegularTreeSpec(r=branching, depth=steps, vertex_budget=vertex_budget),
+        scheme,
+        ch,
+        seed,
+        replicates,
+        pin_root=+1,
+        record_levels=(steps,),
+        vertex_budget=vertex_budget,
+    )
+    rec = traj.records[-1]
+    stat = rec.renormalized_statistic if minority else rec.statistic
 
     ties = int((stat == 0).sum())
     error_mass = float((stat < 0).sum()) + 0.5 * ties

@@ -47,6 +47,7 @@ __all__ = [
     "TailProbe",
     "anti_concentration_check",
     "moment_bound_report",
+    "moment_summary",
     "sample_cluster_ensemble",
     "sample_fk_level_state",
     "sample_fk_level_stats",
@@ -514,29 +515,28 @@ def moment_bound_report(
     polynomial in the cluster sizes present, not ``r**k``.
     """
     _validate_fk_args(p, r, 0)
-    regime_ok = p * p * r < 1.0 < p * r
-    if require_regime and not regime_ok:
+    if require_regime and not p * p * r < 1.0 < p * r:
         raise ValueError(
             f"moment bounds need p**2*r < 1 < p*r; got p**2*r={p * p * r:.4f}, "
             f"p*r={p * r:.4f}"
         )
-    out = []
-    floor = (1.0 - p) / 2.0
-    for k in k_range:
-        stats = sample_size_ensemble(p, r, k, seed, samples)
-        out.append(
-            MomentSummary(
-                k=k,
-                n_samples=samples,
-                z2_floor=floor,
-                min_z2_ratio=float(stats.z2_ratio.min()),
-                median_z2_ratio=float(np.median(stats.z2_ratio)),
-                median_z3_ratio=float(np.median(stats.z3_ratio)),
-                mean_W=float(stats.W_k.mean()),
-                regime_ok=regime_ok,
-            )
-        )
-    return out
+    return [moment_summary(sample_size_ensemble(p, r, k, seed, samples)) for k in k_range]
+
+
+def moment_summary(stats: FkEnsembleStats) -> MomentSummary:
+    """Moment summary of one ensemble; ``regime_ok`` records whether
+    ``p**2 * r < 1 < p * r``."""
+    p, r = stats.p, stats.r
+    return MomentSummary(
+        k=stats.k,
+        n_samples=stats.n_samples,
+        z2_floor=(1.0 - p) / 2.0,
+        min_z2_ratio=float(stats.z2_ratio.min()),
+        median_z2_ratio=float(np.median(stats.z2_ratio)),
+        median_z3_ratio=float(np.median(stats.z3_ratio)),
+        mean_W=float(stats.W_k.mean()),
+        regime_ok=p * p * r < 1.0 < p * r,
+    )
 
 
 @dataclass(frozen=True)

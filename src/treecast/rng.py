@@ -19,7 +19,10 @@ run asks for 300 or 300 000 replicates.
 
 Column draws wider than :data:`DRAW_CHUNK_COLS` are made in fixed-width
 chunks; the chunk width is part of the determinism contract and must not be
-changed casually.
+changed casually.  Within a chunk the uniforms are drawn a few rows at a
+time (:func:`row_slices`) to bound memory.  That slicing is not part of the
+contract: a stream yields its values in row-major order, so a chunk drawn in
+row slices consumes the stream exactly as one draw of the whole chunk would.
 """
 
 from __future__ import annotations
@@ -32,6 +35,9 @@ import numpy as np
 
 REPLICATE_BLOCK = 256
 DRAW_CHUNK_COLS = 1 << 17
+#: Most unpacked elements (float32 uniforms of a draw, bytes of a kernel) a
+#: row slice holds at once; bounds per-block memory, not part of the contract.
+SLICE_ELEMENTS = 1 << 18
 
 
 def _purpose_code(purpose: str) -> int:
@@ -78,13 +84,21 @@ def replicate_blocks(n_replicates: int) -> Iterator[tuple[int, slice, int]]:
         yield block, slice(start, stop), stop - start
 
 
+def row_slices(rows: int, cols: int) -> Iterator[slice]:
+    """Consecutive slices over ``rows`` rows of ``cols`` unpacked elements,
+    each at most :data:`SLICE_ELEMENTS` elements (and at least one row)."""
+    step = max(1, SLICE_ELEMENTS // max(cols, 1))
+    for start in range(0, rows, step):
+        yield slice(start, min(start + step, rows))
+
+
 def bernoulli_bits(gen: np.random.Generator, prob: float, rows: int, cols: int) -> np.ndarray:
     """Packed Bernoulli(prob) indicator bits of shape ``(rows, ceil(cols/8))``.
 
     Bit ``j`` of row ``i`` (most-significant-bit first within each byte) is 1
     with probability ``prob`` independently; padding bits beyond ``cols`` are
     zero.  Draws are float32 uniforms in fixed column chunks of
-    :data:`DRAW_CHUNK_COLS`.
+    :data:`DRAW_CHUNK_COLS`, each drawn in row slices (same stream order).
     """
     if not 0.0 <= prob <= 1.0:
         raise ValueError(f"probability must lie in [0, 1], got {prob}")
@@ -92,9 +106,10 @@ def bernoulli_bits(gen: np.random.Generator, prob: float, rows: int, cols: int) 
     threshold = np.float32(prob)
     for start in range(0, cols, DRAW_CHUNK_COLS):
         stop = min(start + DRAW_CHUNK_COLS, cols)
-        u = gen.random((rows, stop - start), dtype=np.float32)
-        bits = u < threshold
         # Chunk widths are multiples of 8 except possibly the last, so each
         # chunk packs into a byte-aligned slice of the output.
-        out[:, start // 8 : (stop + 7) // 8] = np.packbits(bits, axis=1)
+        byte_cols = slice(start // 8, (stop + 7) // 8)
+        for rs in row_slices(rows, stop - start):
+            u = gen.random((rs.stop - rs.start, stop - start), dtype=np.float32)
+            out[rs, byte_cols] = np.packbits(u < threshold, axis=1)
     return out

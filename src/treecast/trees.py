@@ -41,15 +41,19 @@ class Vertex:
 
 @dataclass(frozen=True)
 class RegularTreeSpec:
-    """A regular tree with forward branching rate ``r`` truncated at ``depth``."""
+    """A regular tree with forward branching rate ``r`` truncated at ``depth``.
+
+    ``r = 1`` is a path; it is the single-copy period of
+    :func:`~treecast.estimators.mc_effective_error` with ``M = 1``.
+    """
 
     r: int
     depth: int
     vertex_budget: int | None = None
 
     def __post_init__(self) -> None:
-        if self.r < 2:
-            raise ValueError(f"branching rate must be >= 2, got {self.r}")
+        if self.r < 1:
+            raise ValueError(f"branching rate must be >= 1, got {self.r}")
         if self.depth < 0:
             raise ValueError(f"depth must be >= 0, got {self.depth}")
         check_vertices(self.r**self.depth, self.vertex_budget)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from treecast import SeedSpec
+from treecast import rng
 from treecast.rng import REPLICATE_BLOCK, bernoulli_bits, replicate_blocks
 
 SEED = SeedSpec(master_seed=424242)
@@ -100,3 +101,15 @@ def test_replicate_prefix_is_count_independent():
     narrow = draw(300)
     wide = draw(900)
     np.testing.assert_array_equal(wide[:300], narrow)
+
+
+@pytest.mark.parametrize("cols", [1000, 1001])
+@pytest.mark.parametrize("slice_rows", [1, 3, 64])
+def test_row_sliced_draws_keep_stream_order(monkeypatch, cols, slice_rows):
+    # One whole draw of the chunk, compared with the same stream drawn in
+    # row slices: the uniforms come out in the same row-major order.
+    gen = SEED.generator("flips", level=2, block=5)
+    whole = gen.random((37, cols), dtype=np.float32) < np.float32(0.3)
+    monkeypatch.setattr(rng, "SLICE_ELEMENTS", slice_rows * cols)
+    sliced = bernoulli_bits(SEED.generator("flips", level=2, block=5), 0.3, 37, cols)
+    np.testing.assert_array_equal(sliced, np.packbits(whole, axis=1))

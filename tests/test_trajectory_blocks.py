@@ -1,0 +1,158 @@
+"""Block-outer trajectory loop: bit-identical records for any worker count,
+and peak memory that does not grow with the replicate count."""
+
+import hashlib
+import tracemalloc
+
+import pytest
+
+from treecast import ChannelParams, CorrectionScheme, RegularTreeSpec, SeedSpec
+from treecast import correction
+from treecast.correction import run_corrected_trajectory
+
+SEED = SeedSpec(master_seed=20110917)
+REPLICATES = 600  # three replicate blocks, the last one partial
+
+# (r, depth, scheme, pin_root, pin_renormalized_root)
+CASES = [
+    (2, 6, "Identity", +1, False),
+    (2, 6, "BlockMajorityEveryStep{M=3}", +1, False),
+    (2, 6, "WithinDescentMajority{k=2}", +1, False),
+    (2, 6, "FractionIdentification{k=2}", +1, False),
+    (2, 6, "MinorityRemovalEveryStep{M=3}", +1, False),
+    (2, 6, "WithinDescentMinorityRemoval{k=2}", +1, False),
+    (4, 4, "Identity", +1, False),
+    (4, 4, "BlockMajorityEveryStep{M=4}", +1, False),
+    (4, 4, "WithinDescentMajority{k=2}", +1, False),
+    (4, 4, "FractionIdentification{k=2}", +1, False),
+    (4, 4, "MinorityRemovalEveryStep{M=4}", +1, False),
+    (4, 4, "WithinDescentMinorityRemoval{k=2}", +1, False),
+    (2, 6, "BlockMajorityEveryStep{M=3}", +1, True),
+    (2, 6, "MinorityRemovalEveryStep{M=3}", +1, True),
+    (4, 4, "BlockMajorityEveryStep{M=4}", +1, True),
+    (2, 6, "Identity", None, False),
+    (2, 6, "WithinDescentMinorityRemoval{k=2}", None, False),
+    (4, 4, "FractionIdentification{k=2}", None, False),
+]
+
+# SHA-256 of every case's records, computed with the earlier level-outer loop.
+PINNED = {
+    "r2-d6-Identity-root1":
+        "c53c61f1aec9c90baef64aacc754ea3d92a1992539bc47b21ab409ec73ade673",
+    "r2-d6-BlockMajorityEveryStep{M=3}-root1":
+        "f6930f637300511a158d849fa60824774dbd6eec4594b30a99a8ba0f8114d181",
+    "r2-d6-WithinDescentMajority{k=2}-root1":
+        "216c269c97e3a8dd95aad95f940ebe5c38f10a6aab7a09fe3e8b69a7a3cf5e5b",
+    "r2-d6-FractionIdentification{k=2}-root1":
+        "936a4066b3c684f605bd907df589b176949341728f8ed2a047b0fe02efa40c0c",
+    "r2-d6-MinorityRemovalEveryStep{M=3}-root1":
+        "43f303ac98a0b32a2d7f89a03780363241a92f5c9d4bd5f898c99dd7c261a9ac",
+    "r2-d6-WithinDescentMinorityRemoval{k=2}-root1":
+        "8f325bf0b6d0630b3d17710b4e9667ad0d16457d6fa9dc768eea19b71f62ea0c",
+    "r4-d4-Identity-root1":
+        "cf53918b2f92d2fc9a12d75a2f06266893d2654928b170b2b1d3712f193f29a6",
+    "r4-d4-BlockMajorityEveryStep{M=4}-root1":
+        "c7ecc941136a59783f1086f0b5f736bb80cda353154d40209a761505b21a8c1c",
+    "r4-d4-WithinDescentMajority{k=2}-root1":
+        "95364d4e8498a1069677d1e789e7c520f935c7e8027b9e2012cf02afaf01275f",
+    "r4-d4-FractionIdentification{k=2}-root1":
+        "49608e1e7f89c7d4facee28a60466b949a941e34526fa4f57608f90120140b5e",
+    "r4-d4-MinorityRemovalEveryStep{M=4}-root1":
+        "5f3d7461cded63de2f5c5d851d7ca914863cdd4a250c99980ce077ac76355310",
+    "r4-d4-WithinDescentMinorityRemoval{k=2}-root1":
+        "6b33f509052d3c98a9eb1ffe64bca319f5ee3d79e29db7a4671914d2b651859f",
+    "r2-d6-BlockMajorityEveryStep{M=3}-renorm":
+        "3eff2d55a7921bb002d850c1a48c8b983515f48b9d18443abf6a800e2c0826fe",
+    "r2-d6-MinorityRemovalEveryStep{M=3}-renorm":
+        "fd2285e52726a6ae2c90ca3c86b00e00512a2ab9f16232cbc09d2c96fd5e4cba",
+    "r4-d4-BlockMajorityEveryStep{M=4}-renorm":
+        "a5f87a51af438edf77ae4cb8055e5339e6f3647507fe1ca7874418ac5ba7d704",
+    "r2-d6-Identity-rootNone":
+        "f70243f7bfc76cf23cc29c0f881012deff3a637f92595ee698d6650231e4c5f0",
+    "r2-d6-WithinDescentMinorityRemoval{k=2}-rootNone":
+        "ffdde489c12dbf543a53c292c3d00f702d4f974b33d0cd8766f05e1922b4cc76",
+    "r4-d4-FractionIdentification{k=2}-rootNone":
+        "11ca23ac0bc093e8750abd4982eefd491a1ea5bd3c08ad0b8aa7548afc161de0",
+}
+
+
+def case_id(case):
+    r, depth, scheme, pin_root, renormalized = case
+    pin = "renorm" if renormalized else f"root{pin_root}"
+    return f"r{r}-d{depth}-{scheme}-{pin}"
+
+
+def run_case(case):
+    r, depth, scheme, pin_root, renormalized = case
+    return run_corrected_trajectory(
+        RegularTreeSpec(r=r, depth=depth),
+        CorrectionScheme.parse(scheme),
+        ChannelParams(epsilon=0.2),
+        SEED,
+        REPLICATES,
+        pin_root=pin_root,
+        pin_renormalized_root=renormalized,
+    )
+
+
+def records_digest(traj):
+    h = hashlib.sha256()
+    for rec in traj.records:
+        h.update(repr((rec.level, rec.n_blocks, rec.excluded_count)).encode())
+        for arr in (
+            rec.statistic,
+            rec.alive_count,
+            rec.renormalized_statistic,
+            rec.alive_block_count,
+        ):
+            h.update(b"-" if arr is None else arr.dtype.str.encode() + arr.tobytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("case", CASES, ids=case_id)
+def test_records_match_pinned_digest(case):
+    assert records_digest(run_case(case)) == PINNED[case_id(case)]
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_records_do_not_depend_on_worker_count(monkeypatch, workers):
+    default = [records_digest(run_case(case)) for case in CASES]
+    monkeypatch.setattr(
+        correction, "_worker_count", lambda n_blocks: min(workers, n_blocks)
+    )
+    assert [records_digest(run_case(case)) for case in CASES] == default
+
+
+def test_peak_memory_flat_in_replicate_count(monkeypatch):
+    # Blocks in flight multiply the peak, and how many overlap depends on the
+    # CPU count and on thread timing, so run one block at a time.  The records
+    # a run returns grow with the replicate count by design; the working
+    # memory on top of them must not.
+    monkeypatch.setattr(correction, "_worker_count", lambda n_blocks: 1)
+    scheme = CorrectionScheme.within_descent_minority_removal(2)
+    tree = RegularTreeSpec(r=4, depth=6)
+    ch = ChannelParams(epsilon=0.3)
+
+    def working_peak(n_replicates):
+        tracemalloc.start()
+        try:
+            traj = run_corrected_trajectory(tree, scheme, ch, SEED, n_replicates)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        returned = sum(
+            arr.nbytes
+            for rec in traj.records
+            for arr in (
+                rec.statistic,
+                rec.alive_count,
+                rec.renormalized_statistic,
+                rec.alive_block_count,
+            )
+            if arr is not None
+        )
+        return peak - returned
+
+    working_peak(512)  # warm caches outside the comparison
+    small, large = working_peak(512), working_peak(2048)
+    assert large <= 1.10 * small, (small, large)
