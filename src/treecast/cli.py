@@ -419,9 +419,10 @@ def cmd_verify(cfg: RunConfig, suite: str, seed_given: bool) -> tuple[list[Repor
     for res in results:
         status = "PASS" if res.passed else "FAIL"
         print(f"[{status}] {res.suite}:{res.name}  measured={res.measured:.6g}  "
-              f"required: {res.requirement}")
+              f"required: {res.requirement}", file=sys.stderr)
     passed = all(res.passed for res in results)
-    print(f"suite {suite}: {'all gates passed' if passed else 'GATE FAILURE'}")
+    print(f"suite {suite}: {'all gates passed' if passed else 'GATE FAILURE'}",
+          file=sys.stderr)
     return rows, passed
 
 
@@ -633,7 +634,7 @@ def _emit(cfg: RunConfig, rows: list[ReportRow]) -> None:
     if cfg.out:
         with open(cfg.out, "w", encoding="utf-8") as fh:
             fh.write(text)
-        print(f"wrote {len(rows)} rows to {cfg.out}")
+        print(f"wrote {len(rows)} rows to {cfg.out}", file=sys.stderr)
     else:
         sys.stdout.write(text)
 

@@ -55,7 +55,6 @@ __all__ = [
     "sample_size_ensemble",
     "sample_size_histogram",
     "sample_spin_ensemble",
-    "spin_assignment_from_fk",
     "tail_probe_Rk",
 ]
 
@@ -425,25 +424,6 @@ def sample_root_cluster_chain(
     for _ in range(k):
         root = gen.binomial(root * r, p)
     return root
-
-
-def spin_assignment_from_fk(
-    state: FkLevelState, sigma0: int, seed: SeedSpec
-) -> GenerationSignals:
-    """Signals induced by a cluster labeling: the root's cluster takes
-    ``sigma0``, every other cluster an independent fair sign."""
-    if sigma0 not in (-1, 1):
-        raise ValueError(f"root sign must be +1 or -1, got {sigma0}")
-    id_end = _vertex_id_base(state.level + 1, state.r)
-    gen = seed.generator("cluster-signs", level=state.level, block=state.sample_index)
-    id_bits = np.unpackbits(
-        bernoulli_bits(gen, 0.5, 1, id_end), axis=1, count=id_end
-    )[0]
-    id_bits[0] = 1 if sigma0 == 1 else 0
-    packed = np.packbits(id_bits[state.labels][None, :], axis=1)
-    return GenerationSignals(
-        level=state.level, size=state.size, n_replicates=1, packed=packed
-    )
 
 
 def sample_spin_ensemble(

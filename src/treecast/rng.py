@@ -9,10 +9,16 @@ Every random draw in the package comes from a stream addressed by
 * ``block`` indexes a fixed-size batch of replicates (or a single heavy
   sample).
 
-Streams are derived by value — a counter-based generator keyed through
-``numpy``'s ``SeedSequence`` — never by splitting a shared sequential
+Streams are derived by value — a counter-based Philox generator whose key is
+a pure function of the address — never by splitting a shared sequential
 generator, so the bytes a replicate sees depend only on its address and not
-on scheduling, worker count, or how many other replicates run.  Replicate
+on scheduling, worker count, or how many other replicates run.  The key is
+exactly the one numpy's ``SeedSequence(entropy=master_seed,
+spawn_key=(purpose_code, level, block)).generate_state(2, np.uint64)`` gives
+(O'Neill's ``seed_seq`` mixing), computed directly in integer arithmetic:
+the mixer state after every word but the block's is cached per
+``(master_seed, purpose, level)``, so a new stream mixes in only its block.
+``tests/`` checks the keys against numpy's own ``SeedSequence``.  Replicate
 batches have the fixed width :data:`REPLICATE_BLOCK`; kernels always draw
 full batches and slice, which keeps replicate ``i`` bit-identical whether the
 run asks for 300 or 300 000 replicates.
@@ -27,11 +33,13 @@ row slices consumes the stream exactly as one draw of the whole chunk would.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, Sequence
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 REPLICATE_BLOCK = 256
 DRAW_CHUNK_COLS = 1 << 17
@@ -44,6 +52,116 @@ def _purpose_code(purpose: str) -> int:
     """Stable 64-bit code for a purpose tag (platform- and run-independent)."""
     digest = hashlib.sha256(purpose.encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "big")
+
+
+# numpy's SeedSequence constants (numpy/random/bit_generator.pyx, after
+# M. O'Neill, "Developing a seed_seq alternative", 2015).  All arithmetic is
+# on 32-bit words.
+_MASK32 = 0xFFFFFFFF
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+
+
+def _words(n: int) -> list[int]:
+    """32-bit words of ``n >= 0``, least significant first (``[0]`` for 0),
+    as ``SeedSequence`` splits an integer entropy or spawn-key entry."""
+    words = [n & _MASK32]
+    n >>= 32
+    while n:
+        words.append(n & _MASK32)
+        n >>= 32
+    return words
+
+
+def _hash_consts(init: int, mult: int, n_steps: int) -> list[int]:
+    """Hash constants of ``n_steps`` hash steps: step ``t`` xors with entry
+    ``t`` and multiplies by entry ``t + 1``."""
+    return [(init * pow(mult, t, 1 << 32)) & _MASK32 for t in range(n_steps + 1)]
+
+
+#: ``generate_state``'s constants for the four 32-bit words of a two-word
+#: ``uint64`` key; the pool is exactly that long, so it is read once.
+_OUT_CONSTS = tuple(_hash_consts(_INIT_B, _MULT_B, _POOL_SIZE))
+
+
+def _hashmix(value: int, consts: Sequence[int], t: int) -> int:
+    """``SeedSequence``'s ``hashmix`` (and output hash) as hash step ``t``."""
+    value = ((value ^ consts[t]) * consts[t + 1]) & _MASK32
+    return value ^ (value >> 16)
+
+
+def _mix(x: int, y: int) -> int:
+    result = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
+    return result ^ (result >> 16)
+
+
+def _mix_in(pool: list[int], words: list[int], consts: Sequence[int]) -> None:
+    """Mix entropy words beyond the pool into every pool word, in place,
+    with hash steps numbered from 0 in ``consts``."""
+    t = 0
+    for word in words:
+        for i in range(_POOL_SIZE):
+            pool[i] = _mix(pool[i], _hashmix(word, consts, t))
+            t += 1
+
+
+@functools.lru_cache(maxsize=1024)
+def _prefix(
+    master_seed: int, purpose: str, level: int, block_words: int
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Mixer pool after every entropy word but the block's, and the hash
+    constants for mixing in a block of ``block_words`` words.
+
+    The entropy is the master seed's words zero-padded to the pool size,
+    then the words of the purpose code, the level and the block
+    (``SeedSequence``'s assembled entropy for a non-empty spawn key).  The
+    constants depend only on how many words come before and after.
+    """
+    seed_words = _words(master_seed)
+    tail = _words(_purpose_code(purpose)) + _words(level)
+    consts = _hash_consts(
+        _INIT_A, _MULT_A, _POOL_SIZE**2 + _POOL_SIZE * (len(tail) + block_words)
+    )
+    padded = seed_words + [0] * (_POOL_SIZE - len(seed_words))
+    pool = [_hashmix(word, consts, t) for t, word in enumerate(padded)]
+    t = _POOL_SIZE
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], _hashmix(pool[src], consts, t))
+                t += 1
+    _mix_in(pool, tail, consts[t:])
+    return tuple(pool), tuple(consts[t + _POOL_SIZE * len(tail) :])
+
+
+def _philox_key(master_seed: int, purpose: str, level: int, block: int) -> np.ndarray:
+    """``SeedSequence(master_seed, spawn_key=(purpose code, level, block))
+    .generate_state(2, np.uint64)``, computed directly."""
+    words = _words(block)
+    prefix, consts = _prefix(master_seed, purpose, level, len(words))
+    pool = list(prefix)
+    _mix_in(pool, words, consts)
+    out = [_hashmix(word, _OUT_CONSTS, t) for t, word in enumerate(pool)]
+    return np.array([out[0] | out[1] << 32, out[2] | out[3] << 32], dtype=np.uint64)
+
+
+class _PhiloxKey(ISeedSequence):
+    """Seed source that hands ``Philox`` a precomputed key.
+
+    Handing the key to ``Philox`` through its ``key`` argument would first
+    seed it from OS entropy, which costs more than the whole derivation;
+    ``Philox`` asks its seed source only for ``generate_state(2, np.uint64)``.
+    """
+
+    __slots__ = ("_key",)
+
+    def __init__(self, key: np.ndarray) -> None:
+        self._key = key
+
+    def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+        return self._key
 
 
 @dataclass(frozen=True)
@@ -59,14 +177,18 @@ class SeedSpec:
             )
 
     def generator(self, purpose: str, level: int = 0, block: int = 0) -> np.random.Generator:
-        """Counter-based generator for the stream ``(purpose, level, block)``."""
+        """Counter-based generator for the stream ``(purpose, level, block)``.
+
+        A fresh Philox generator at counter 0 whose key is numpy's
+        ``SeedSequence(entropy=master_seed, spawn_key=(purpose code, level,
+        block)).generate_state(2, np.uint64)``, computed directly; the mixer
+        state up to the block is cached per ``(master_seed, purpose, level)``.
+        ``tests/`` checks the keys and draws against numpy's ``SeedSequence``.
+        """
         if level < 0 or block < 0:
             raise ValueError("stream level and block must be >= 0")
-        seq = np.random.SeedSequence(
-            entropy=self.master_seed,
-            spawn_key=(_purpose_code(purpose), level, block),
-        )
-        return np.random.Generator(np.random.Philox(seq))
+        key = _philox_key(self.master_seed, purpose, level, block)
+        return np.random.Generator(np.random.Philox(_PhiloxKey(key)))
 
 
 def replicate_blocks(n_replicates: int) -> Iterator[tuple[int, slice, int]]:

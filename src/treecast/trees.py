@@ -20,8 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterator
 
-import numpy as np
-
 from .budget import check_vertices
 
 
@@ -202,20 +200,3 @@ def descent_partition(level: int, k: int, spec: RegularTreeSpec) -> DescentBlock
     if level > spec.depth:
         raise ValueError(f"level {level} beyond tree depth {spec.depth}")
     return DescentBlockPartition(level=level, k=k, r=spec.r)
-
-
-@dataclass(frozen=True)
-class RandomTreeSample:
-    """Offspring counts of the random renormalized tree left by minority removal.
-
-    ``offspring_counts[i]`` holds, for renormalized generation ``i``, the
-    number of renormalized children of each surviving vertex (one entry per
-    survivor, in tree order).
-    """
-
-    offspring_counts: tuple[np.ndarray, ...]
-
-    def all_counts(self) -> np.ndarray:
-        if not self.offspring_counts:
-            return np.zeros(0, dtype=np.int64)
-        return np.concatenate([np.asarray(c).ravel() for c in self.offspring_counts])

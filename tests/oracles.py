@@ -6,6 +6,10 @@ vertices on a level of ``N``, the next count is
 convolution is accumulated in log space under a running global rescale (a
 vectorized log-sum-exp).  One step costs O(r**2 * N**3) in the worst case,
 so it is only usable on supports of a few thousand points.
+
+``seed_sequence_generator`` builds a stream the way numpy documents it:
+a Philox generator seeded by a ``SeedSequence`` object whose spawn key is
+the stream's address.  ``SeedSpec.generator`` computes the same key directly.
 """
 
 from __future__ import annotations
@@ -14,6 +18,8 @@ import math
 
 import numpy as np
 from scipy.stats import binom
+
+from treecast.rng import _purpose_code
 
 
 def log_space_chain_step(log_w: np.ndarray, r: int, eps: float) -> np.ndarray:
@@ -50,3 +56,14 @@ def log_space_count_laws(level: int, r: int, eps: float) -> list[np.ndarray]:
         log_w = log_space_chain_step(log_w, r, eps)
         laws.append(np.exp(log_w))
     return laws
+
+
+def seed_sequence_generator(
+    master_seed: int, purpose: str, level: int, block: int
+) -> np.random.Generator:
+    """The stream ``(purpose, level, block)`` keyed through numpy's own
+    ``SeedSequence``."""
+    seq = np.random.SeedSequence(
+        entropy=master_seed, spawn_key=(_purpose_code(purpose), level, block)
+    )
+    return np.random.Generator(np.random.Philox(seq))

@@ -192,7 +192,7 @@ def test_cli_critical_matches_exact(capsys):
 def test_cli_verify_passing_suite(capsys, tmp_path):
     out_file = tmp_path / "rows.csv"
     code = main(["verify", "lemma33", "--out", str(out_file), "--reproducible"])
-    text = capsys.readouterr().out
+    text = capsys.readouterr().err
     assert code == 0
     assert "[PASS]" in text
     assert "all gates passed" in text
@@ -212,7 +212,21 @@ def test_cli_verify_gate_failure_exits_four(capsys, monkeypatch):
     monkeypatch.setattr("treecast.cli.run_suite", fake_run_suite)
     code = main(["verify", "lemma33"])
     assert code == 4
-    assert "GATE FAILURE" in capsys.readouterr().out
+    assert "GATE FAILURE" in capsys.readouterr().err
+
+
+def test_cli_verify_csv_stdout_holds_only_rows(capsys):
+    # Status lines go to stderr, so the CSV on stdout parses as it stands.
+    code = main(["verify", "thm21", "--format", "csv", "--reproducible"])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert captured.out.splitlines()[0] == ",".join(CSV_COLUMNS)
+    reader = csv.DictReader(io.StringIO(captured.out))
+    rows = list(reader)
+    assert reader.fieldnames == list(CSV_COLUMNS)
+    assert rows and all(row["experiment"] == "verify:thm21" for row in rows)
+    assert all(None not in row and None not in row.values() for row in rows)
+    assert "[PASS]" in captured.err and "all gates passed" in captured.err
 
 
 def test_cli_sweep_grid(capsys, tmp_path):

@@ -8,6 +8,8 @@ from treecast import SeedSpec
 from treecast import rng
 from treecast.rng import REPLICATE_BLOCK, bernoulli_bits, replicate_blocks
 
+from oracles import seed_sequence_generator
+
 SEED = SeedSpec(master_seed=424242)
 
 
@@ -17,6 +19,33 @@ def test_master_seed_domain():
     with pytest.raises(ValueError):
         SeedSpec(master_seed=2**64)
     SeedSpec(master_seed=2**64 - 1)
+
+
+# Every purpose tag the package has used, including ones no sampler uses now.
+PURPOSES = (
+    "root", "flips", "tie", "pick", "fk-sizes", "fk-edges", "fk-edges-batch",
+    "fk-root", "cluster-signs", "cluster-signs-batch",
+)
+
+
+@pytest.mark.parametrize("master_seed", [0, 1, 2**32 - 1, 2**32, 2**64 - 1])
+def test_keys_match_seed_sequence_oracle(master_seed):
+    # Levels and blocks at and above 2**32 take two 32-bit words each.
+    spec = SeedSpec(master_seed)
+    for purpose in PURPOSES:
+        for level in (0, 1, 10, 2**32):
+            for block in (0, 1, 255, 2**32 - 1, 2**32, 2**40):
+                ours = spec.generator(purpose, level=level, block=block)
+                oracle = seed_sequence_generator(master_seed, purpose, level, block)
+                address = (master_seed, purpose, level, block)
+                np.testing.assert_equal(
+                    ours.bit_generator.state, oracle.bit_generator.state, err_msg=str(address)
+                )
+                np.testing.assert_array_equal(
+                    ours.random(64, dtype=np.float32),
+                    oracle.random(64, dtype=np.float32),
+                    err_msg=str(address),
+                )
 
 
 def test_same_address_same_stream():
