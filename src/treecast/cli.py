@@ -30,12 +30,11 @@ import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import norm
 
 from .budget import BudgetError
 from .channel import ChannelParams
 from .correction import CorrectionScheme
-from .estimators import McConfig, mc_delta, mc_effective_error
+from .estimators import McConfig, _ndtri, mc_delta, mc_effective_error
 from .exact import (
     block_error_rate,
     block_scheme_delta,
@@ -355,7 +354,7 @@ def _median_interval(values: np.ndarray, level: float = 0.99) -> tuple[float, fl
     """Distribution-free order-statistic interval for the median."""
     ordered = np.sort(values)
     n = ordered.size
-    half = norm.ppf(0.5 + level / 2.0) * math.sqrt(n * 0.25)
+    half = _ndtri(0.5 + level / 2.0) * math.sqrt(n * 0.25)
     lo = max(int(math.floor(n / 2.0 - half)), 0)
     hi = min(int(math.ceil(n / 2.0 + half)), n - 1)
     return float(ordered[lo]), float(ordered[hi])
@@ -392,7 +391,7 @@ def cmd_fk_stats(cfg: RunConfig) -> list[ReportRow]:
                 lo=med_lo, hi=med_hi,
             )
         )
-        spread = norm.ppf(0.995) * float(w.std(ddof=1)) / math.sqrt(w.size)
+        spread = _ndtri(0.995) * float(w.std(ddof=1)) / math.sqrt(w.size)
         rows.append(
             _row(
                 cfg, "W_mean", summary.mean_W, MC, params=kp,

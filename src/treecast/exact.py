@@ -37,7 +37,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import binom
 
 from .budget import check_support
 
@@ -243,6 +242,9 @@ def block_error_rate(M: int, eps: float) -> float:
         raise ValueError(f"block size must be >= 1, got {M}")
     if not 0.0 <= eps <= 0.5:
         raise ValueError(f"distortion rate must lie in [0, 0.5], got {eps}")
+    # Local: M reaches r**40, past any FFT support, and scipy.stats takes ~1 s to load.
+    from scipy.stats import binom
+
     wins = binom(M, 1.0 - eps)
     below = float(wins.cdf((M - 1) // 2))
     tie = 0.5 * float(wins.pmf(M // 2)) if M % 2 == 0 else 0.0
@@ -418,6 +420,9 @@ def _transition_kernel(n_parents: int, r: int, eps: float) -> np.ndarray:
     Intended for the small levels of the agreement conditionals; sizes are
     a few hundred points at most.
     """
+    # Local: only level_sum_agreement needs it, and scipy.stats takes ~1 s to load.
+    from scipy.stats import binom
+
     n_children = r * n_parents
     kernel = np.zeros((n_parents + 1, n_children + 1))
     for m in range(n_parents + 1):

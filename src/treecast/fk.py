@@ -30,8 +30,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from scipy.stats import binom
-
 from .budget import check_vertices
 from .broadcast import GenerationSignals
 from .rng import REPLICATE_BLOCK, SeedSpec, bernoulli_bits, replicate_blocks
@@ -329,6 +327,9 @@ def _spawn_pmf(trials: int, p: float, cache: dict[int, np.ndarray]) -> np.ndarra
     """Binomial(trials, p) pmf, normalized for multinomial draws."""
     pv = cache.get(trials)
     if pv is None:
+        # Local: its pmf bits decide the draws; scipy.stats takes ~1 s to load.
+        from scipy.stats import binom
+
         pv = np.clip(binom.pmf(np.arange(trials + 1), trials, p), 0.0, None)
         pv /= pv.sum()
         cache[trials] = pv
