@@ -17,116 +17,64 @@ The ``treecast`` CLI exposes the experiments; :mod:`treecast.verify` bundles
 the acceptance gates into named suites.
 """
 
-from .broadcast import (
-    GenerationSignals,
-    majority_statistic,
-    sample_next_generation,
-    sample_root,
-)
-from .budget import BudgetError, DEFAULT_SUPPORT_BUDGET, DEFAULT_VERTEX_BUDGET
+from .budget import BudgetError
 from .channel import ChannelParams
-from .correction import CorrectionScheme, LevelRecord, run_corrected_trajectory
+from .correction import CorrectionScheme
 from .estimators import (
-    DeltaEstimate,
-    ErrorRateEstimate,
     McConfig,
-    McCriticalBracket,
-    delta_confidence_interval,
     mc_critical_bracket,
     mc_delta,
     mc_effective_error,
     wilson_interval,
 )
 from .exact import (
-    CountDistribution,
-    CriticalEstimate,
-    LevelAgreementReport,
     block_error_rate,
     block_scheme_delta,
-    count_distribution,
     critical_point_k,
     delta_exact,
     effective_error_rate,
     fraction_error_rate,
     fraction_scheme_delta,
-    ks_condition_value,
     level_sum_agreement,
-    mean_level_sum,
     minimal_rescuing_block_size,
     renormalized_delta,
     t_statistic,
-    t_statistic_direct,
 )
 from .fk import (
-    ClusterSizeHistogram,
-    ClusterStats,
-    FkEnsembleStats,
     anti_concentration_check,
     moment_bound_report,
-    sample_cluster_ensemble,
-    sample_fk_level_stats,
-    sample_root_cluster_chain,
     sample_size_ensemble,
-    sample_size_histogram,
-    sample_spin_ensemble,
     tail_probe_Rk,
 )
-from .likelihood import (
-    FiniteTree,
-    loglikelihood_pair,
-    majority_delta_enumerated,
-    ml_delta_exact,
-    random_observation_pair,
-)
+from .likelihood import ml_delta_exact, random_observation_pair
 from .report import ReportRow, rows_to_csv, rows_to_json
 from .rng import SeedSpec
-from .trees import RegularTreeSpec
 from .verify import SUITE_NAMES, run_suite
 
 __version__ = "0.1.0"
 
+# The names the CLI, the verification suites and scripts/ use; everything
+# else is imported from its own module (tests/test_api.py keeps it so).
 __all__ = [
     "BudgetError",
     "ChannelParams",
-    "ClusterSizeHistogram",
-    "ClusterStats",
     "CorrectionScheme",
-    "CountDistribution",
-    "CriticalEstimate",
-    "DEFAULT_SUPPORT_BUDGET",
-    "DEFAULT_VERTEX_BUDGET",
-    "DeltaEstimate",
-    "ErrorRateEstimate",
-    "FiniteTree",
-    "FkEnsembleStats",
-    "GenerationSignals",
-    "LevelAgreementReport",
-    "LevelRecord",
     "McConfig",
-    "McCriticalBracket",
-    "RegularTreeSpec",
     "ReportRow",
     "SUITE_NAMES",
     "SeedSpec",
     "anti_concentration_check",
     "block_error_rate",
     "block_scheme_delta",
-    "count_distribution",
     "critical_point_k",
-    "delta_confidence_interval",
     "delta_exact",
     "effective_error_rate",
     "fraction_error_rate",
     "fraction_scheme_delta",
-    "ks_condition_value",
     "level_sum_agreement",
-    "loglikelihood_pair",
-    "majority_delta_enumerated",
-    "majority_statistic",
     "mc_critical_bracket",
     "mc_delta",
     "mc_effective_error",
-    "mean_level_sum",
     "minimal_rescuing_block_size",
     "ml_delta_exact",
     "moment_bound_report",
@@ -134,18 +82,9 @@ __all__ = [
     "renormalized_delta",
     "rows_to_csv",
     "rows_to_json",
-    "run_corrected_trajectory",
     "run_suite",
-    "sample_cluster_ensemble",
-    "sample_fk_level_stats",
-    "sample_next_generation",
-    "sample_root",
-    "sample_root_cluster_chain",
     "sample_size_ensemble",
-    "sample_size_histogram",
-    "sample_spin_ensemble",
     "t_statistic",
-    "t_statistic_direct",
     "tail_probe_Rk",
     "wilson_interval",
 ]

@@ -27,16 +27,6 @@ from .budget import check_vertices
 from .channel import ChannelParams
 from .rng import REPLICATE_BLOCK, SeedSpec, bernoulli_bits, replicate_blocks
 
-__all__ = [
-    "GenerationSignals",
-    "majority_statistic",
-    "packed_width",
-    "popcount_rows",
-    "repeat_packed",
-    "sample_next_generation",
-    "sample_root",
-]
-
 _POPCOUNT = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1).sum(
     axis=1, dtype=np.uint8
 )

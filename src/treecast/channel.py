@@ -43,7 +43,3 @@ class ChannelParams:
             return math.inf
         return math.atanh(self.p)
 
-
-def epsilon_from_p(p: float) -> float:
-    """Convert an error-free rate to a distortion rate."""
-    return ChannelParams.from_p(p).epsilon

@@ -17,7 +17,8 @@ Subcommands
 Every command is deterministic given its arguments and seed.  Exit codes:
 0 success, 2 argument/domain error, 3 budget error, 4 verification-gate
 failure.  A JSON config file (``--config``) supplies defaults; explicit
-flags win.  The resolved configuration is echoed into every report row.
+flags win, and a value of the wrong JSON type is an argument error.  The
+resolved configuration is echoed into every report row.
 """
 
 from __future__ import annotations
@@ -562,6 +563,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# The JSON types a config file may give each key it sets; lists hold integers.
+_CONFIG_TYPES: dict[str, tuple[type, ...]] = {
+    **dict.fromkeys(("r", "depth", "M", "budget", "replicates", "seed", "samples"), (int,)),
+    **dict.fromkeys(("eps", "p"), (int, float)),
+    "k": (str, int, list),
+    **dict.fromkeys(("scheme", "out", "format"), (str,)),
+    **dict.fromkeys(("reproducible", "exact"), (bool,)),
+}
+
+
+def _config_type_ok(value: object, kinds: tuple[type, ...]) -> bool:
+    if isinstance(value, bool):
+        return bool in kinds
+    if isinstance(value, list):
+        return list in kinds and all(_config_type_ok(v, (int,)) for v in value)
+    return isinstance(value, kinds)
+
+
 def _load_config(path: str | None) -> dict[str, object]:
     if path is None:
         return {}
@@ -569,6 +588,9 @@ def _load_config(path: str | None) -> dict[str, object]:
         loaded = json.load(fh)
     if not isinstance(loaded, dict):
         raise ValueError("config file must hold a JSON object")
+    for key, kinds in _CONFIG_TYPES.items():
+        if key in loaded and not _config_type_ok(loaded[key], kinds):
+            raise ValueError(f"config key {key!r} has the wrong JSON type: {loaded[key]!r}")
     return loaded
 
 
@@ -661,7 +683,8 @@ def main(argv: list[str] | None = None) -> int:
     except BudgetError as exc:
         print(f"budget error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, KeyError, OSError, json.JSONDecodeError,
+            argparse.ArgumentTypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     _emit(cfg, rows)

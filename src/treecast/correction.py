@@ -73,17 +73,7 @@ from .trees import (
     RegularTreeSpec,
 )
 
-__all__ = [
-    "CorrectedGeneration",
-    "CorrectionScheme",
-    "LevelRecord",
-    "TrajectoryResult",
-    "apply_block_majority",
-    "apply_fraction_identification",
-    "apply_minority_removal",
-    "renormalize",
-    "run_corrected_trajectory",
-]
+__all__ = ["CorrectionScheme"]
 
 _M_VARIANTS = frozenset({"BlockMajorityEveryStep", "MinorityRemovalEveryStep"})
 _K_VARIANTS = frozenset(
@@ -102,7 +92,6 @@ class CorrectionScheme:
     variant: str
     M: int | None = None
     k: int | None = None
-    tie_rule: str = "fair-coin"
 
     def __post_init__(self) -> None:
         if self.variant not in _VARIANTS:
@@ -110,8 +99,6 @@ class CorrectionScheme:
                 f"unknown scheme variant {self.variant!r}; expected one of "
                 f"{sorted(_VARIANTS)}"
             )
-        if self.tie_rule != "fair-coin":
-            raise ValueError(f"only the fair-coin tie rule is supported, got {self.tie_rule!r}")
         if self.variant in _M_VARIANTS:
             if self.M is None or self.M < 1:
                 raise ValueError(f"{self.variant} needs a block size M >= 1, got {self.M}")
@@ -140,10 +127,6 @@ class CorrectionScheme:
     @classmethod
     def fraction_identification(cls, k: int) -> "CorrectionScheme":
         return cls("FractionIdentification", k=k)
-
-    @classmethod
-    def minority_removal_every_step(cls, M: int) -> "CorrectionScheme":
-        return cls("MinorityRemovalEveryStep", M=M)
 
     @classmethod
     def within_descent_minority_removal(cls, k: int) -> "CorrectionScheme":
@@ -218,14 +201,6 @@ class CorrectionScheme:
         if level % self.k != 0 or level == 0:
             raise ValueError(f"level {level} is not a correction level for period {self.k}")
         return DescentBlockPartition(level=level, k=self.k, r=r)
-
-    def exact_counterpart_exists(self, r: int) -> bool:
-        """Whether the exact engine has a closed chain for this scheme."""
-        if self.variant in ("Identity", "WithinDescentMajority", "FractionIdentification"):
-            return True
-        if self.variant == "BlockMajorityEveryStep":
-            return r ** self.start_level(r) == self.M
-        return False
 
 
 @dataclass(frozen=True)
@@ -387,38 +362,6 @@ def apply_minority_removal(
     )
 
 
-def renormalize(cg: CorrectedGeneration) -> GenerationSignals:
-    """Project a corrected generation to one value per block.
-
-    Verifies the defining invariant first — every block's (surviving)
-    members share the block value — and raises if it fails, since a
-    violation signals a scheme-ordering bug.
-    """
-    g = cg.signals
-    part = cg.partition
-    B, nb, covered = part.block_size, part.n_blocks, part.covered
-    for block, rows_slice, rows in replicate_blocks(g.n_replicates):
-        bits = np.unpackbits(g.packed[rows_slice], axis=1, count=g.size)
-        grouped = bits[:, :covered].reshape(rows, nb, B)
-        values = np.unpackbits(
-            cg.block_signals.packed[rows_slice], axis=1, count=nb
-        )
-        if cg.alive is None:
-            same = grouped == values[:, :, None]
-            mask = np.ones_like(same)
-        else:
-            alive_bits = np.unpackbits(cg.alive[rows_slice], axis=1, count=g.size)
-            grouped_alive = alive_bits[:, :covered].reshape(rows, nb, B)
-            same = grouped == values[:, :, None]
-            mask = grouped_alive.astype(bool)
-        if not (same | ~mask).all():
-            raise ValueError(
-                f"generation at level {g.level} is not constant on blocks; "
-                "was a correction skipped?"
-            )
-    return cg.block_signals
-
-
 @dataclass(frozen=True)
 class LevelRecord:
     """Per-replicate statistics recorded at one level of a trajectory."""
@@ -531,7 +474,6 @@ def run_corrected_trajectory(
     pin_root: int | None = +1,
     pin_renormalized_root: bool = False,
     record_levels: Sequence[int] | None = None,
-    vertex_budget: int | None = None,
 ) -> TrajectoryResult:
     """Run the broadcast with corrections interleaved at the scheme's levels.
 
@@ -548,9 +490,10 @@ def run_corrected_trajectory(
     Each replicate block runs through every level on its own, on a thread
     pool, and the records are joined in block order; streams keep their
     global block index, so the result does not depend on the worker count.
+    A level wider than ``tree.vertex_budget`` is refused with
+    :class:`~treecast.budget.BudgetError` before any block starts.
     """
-    r, depth = tree.r, tree.depth
-    budget = tree.vertex_budget if vertex_budget is None else vertex_budget
+    r, depth, budget = tree.r, tree.depth, tree.vertex_budget
     correction_at = set(scheme.correction_levels(r, depth))
     recorded = (
         set(range(depth + 1)) if record_levels is None else set(record_levels)

@@ -25,18 +25,11 @@ from .rng import SeedSpec
 from .trees import RegularTreeSpec
 
 __all__ = [
-    "DEFAULT_CI_LEVEL",
-    "DECISION_SIGMAS",
     "McConfig",
-    "DeltaEstimate",
-    "ErrorRateEstimate",
-    "BracketPoint",
-    "McCriticalBracket",
-    "wilson_interval",
-    "delta_confidence_interval",
+    "mc_critical_bracket",
     "mc_delta",
     "mc_effective_error",
-    "mc_critical_bracket",
+    "wilson_interval",
 ]
 
 DEFAULT_CI_LEVEL = 0.99
@@ -291,7 +284,6 @@ def mc_delta(cfg: McConfig) -> list[DeltaEstimate]:
         pin_root=+1,
         pin_renormalized_root=cfg.pin_renormalized_root,
         record_levels=cfg.record_levels,
-        vertex_budget=cfg.vertex_budget,
     )
     estimates = []
     for rec in traj.records:
@@ -383,7 +375,6 @@ def mc_effective_error(
         replicates,
         pin_root=+1,
         record_levels=(steps,),
-        vertex_budget=vertex_budget,
     )
     rec = traj.records[-1]
     stat = rec.renormalized_statistic if minority else rec.statistic

@@ -41,25 +41,17 @@ import numpy as np
 from .budget import check_support
 
 __all__ = [
-    "CountDistribution",
-    "CriticalEstimate",
-    "LevelAgreementReport",
     "block_error_rate",
     "block_scheme_delta",
-    "count_distribution",
     "critical_point_k",
     "delta_exact",
-    "delta_from_distribution",
     "effective_error_rate",
     "fraction_error_rate",
     "fraction_scheme_delta",
-    "ks_condition_value",
     "level_sum_agreement",
-    "mean_level_sum",
     "minimal_rescuing_block_size",
     "renormalized_delta",
     "t_statistic",
-    "t_statistic_direct",
 ]
 
 
@@ -128,12 +120,6 @@ def count_distribution(
         return CountDistribution(level=level, size=size, log_probs=np.log(probs))
 
 
-def mean_level_sum(d: CountDistribution) -> float:
-    """Expected signed level sum ``E[2*X - size]`` of a count distribution."""
-    j = np.arange(d.size + 1, dtype=float)
-    return float(np.sum((2.0 * j - d.size) * d.probs()))
-
-
 def delta_from_distribution(d: CountDistribution) -> float:
     """Majority advantage of a count distribution; exact ties net to zero."""
     probs = d.probs()
@@ -186,21 +172,6 @@ def t_statistic(k: int, r: int, eps: float, budget: int | None = None) -> float:
     single sampled descendant at the same distance.
     """
     return fraction_error_rate(k, eps) - effective_error_rate(k, r, eps, budget)
-
-
-def t_statistic_direct(k: int, r: int, eps: float, budget: int | None = None) -> float:
-    """The same gap from its defining minority-count sum (cross-check form).
-
-    Computed as ``(1/N) * sum_l l * (P(X=l | root -1) - P(X=l | root +1))``
-    with ``l`` running over strict-minority counts; by spin-flip symmetry
-    ``P(X=l | -1) = P(X=N-l | +1)``.
-    """
-    d = count_distribution(k, r, eps, budget)
-    size = d.size
-    probs = d.probs()
-    top = (size - 1) // 2 if size % 2 == 1 else size // 2 - 1
-    l = np.arange(top + 1)
-    return float(np.sum(l * (probs[size - l] - probs[l])) / size)
 
 
 def renormalized_delta(

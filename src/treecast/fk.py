@@ -2,19 +2,14 @@
 
 Each parent-child edge of the regular tree is *open* independently with
 probability ``p``.  Clusters are the connected components of open edges; on a
-tree they form independent branching families, so a single top-down pass
-labels every level-``k`` vertex with the id of its cluster's base vertex (the
-highest vertex reachable through open edges), keeping only the current
-level's labels in memory.  The root's cluster carries the reserved label 0.
+tree they form independent branching families.  The root's cluster alone is
+a branching process with ``Binomial(r, p)`` offspring.
 
-Assigning the root's sign to the root cluster and independent fair signs to
-every other cluster reproduces the broadcast law at ``p = 1 - 2*epsilon``,
-which gives an independent oracle for the sampling kernels.
-
-For ensemble statistics the size histogram itself is advanced as a Markov
-chain — each cluster keeps a ``Binomial(r*s, p)`` slice of its potential
-children — so moment summaries reach deep levels without materializing
-``r**k`` vertices.
+For ensemble statistics the level's cluster-size histogram is advanced as a
+Markov chain — each cluster keeps a ``Binomial(r*s, p)`` slice of its
+potential children — so moment summaries reach deep levels without
+materializing ``r**k`` vertices.  The explicit per-vertex labelling sampler
+that checks this chain in law lives in ``tests/fk_labels.py``.
 
 The module also hosts the desk-scale probes used by the verification suites:
 cluster-size moment summaries (second-moment floor, third-moment decay), the
@@ -30,36 +25,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .budget import check_vertices
-from .broadcast import GenerationSignals
-from .rng import REPLICATE_BLOCK, SeedSpec, bernoulli_bits, replicate_blocks
+from .rng import SeedSpec
 
 __all__ = [
-    "AntiConcentrationCase",
-    "AntiConcentrationReport",
-    "ClusterSizeHistogram",
-    "ClusterStats",
-    "FkEnsembleStats",
-    "FkLevelState",
-    "MomentSummary",
-    "TailProbe",
     "anti_concentration_check",
     "moment_bound_report",
     "moment_summary",
-    "sample_cluster_ensemble",
-    "sample_fk_level_state",
-    "sample_fk_level_stats",
-    "sample_root_cluster_chain",
     "sample_size_ensemble",
-    "sample_size_histogram",
-    "sample_spin_ensemble",
     "tail_probe_Rk",
 ]
-
-
-def _vertex_id_base(level: int, r: int) -> int:
-    """Global id of the first vertex at ``level`` (root has id 0)."""
-    return (r**level - 1) // (r - 1)
 
 
 def _validate_fk_args(p: float, r: int, k: int) -> None:
@@ -69,105 +43,6 @@ def _validate_fk_args(p: float, r: int, k: int) -> None:
         raise ValueError(f"branching rate must be >= 2, got {r}")
     if k < 0:
         raise ValueError(f"level must be >= 0, got {k}")
-
-
-@dataclass(frozen=True)
-class FkLevelState:
-    """Cluster labels of one level: ``labels[s-1]`` is the base-vertex id of
-    the cluster containing vertex ``(level, s)``; label 0 is the root's."""
-
-    level: int
-    r: int
-    p: float
-    sample_index: int
-    labels: np.ndarray
-
-    @property
-    def size(self) -> int:
-        return self.labels.shape[0]
-
-
-@dataclass(frozen=True)
-class ClusterStats:
-    """Level-``k`` cluster statistics of one edge-configuration sample."""
-
-    k: int
-    m_k: int
-    z: np.ndarray
-    R_k: int
-    sum_z2: float
-    sum_z3: float
-    W_k: float
-
-    def __post_init__(self) -> None:
-        if self.m_k != len(self.z):
-            raise ValueError("cluster count does not match the size list")
-
-
-def _open_edge_bits(
-    gen: np.random.Generator, p: float, rows: int, cols: int
-) -> np.ndarray:
-    """Unpacked open-edge indicators of shape (rows, cols)."""
-    packed = bernoulli_bits(gen, p, rows, cols)
-    return np.unpackbits(packed, axis=1, count=cols)
-
-
-def sample_fk_level_state(
-    p: float,
-    r: int,
-    k: int,
-    seed: SeedSpec,
-    sample_index: int = 0,
-    vertex_budget: int | None = None,
-) -> FkLevelState:
-    """One top-down cluster labeling down to level ``k`` (a single sample).
-
-    Children connected through an open edge inherit the parent's label;
-    a closed edge starts a new cluster based at the child itself.
-    """
-    _validate_fk_args(p, r, k)
-    check_vertices(r**k, vertex_budget)
-    labels = np.zeros(1, dtype=np.int32)
-    for level in range(1, k + 1):
-        size = r**level
-        gen = seed.generator("fk-edges", level=level, block=sample_index)
-        open_edge = _open_edge_bits(gen, p, 1, size)[0].astype(bool)
-        own_ids = np.arange(
-            _vertex_id_base(level, r),
-            _vertex_id_base(level, r) + size,
-            dtype=np.int32,
-        )
-        labels = np.where(open_edge, np.repeat(labels, r), own_ids)
-    return FkLevelState(level=k, r=r, p=p, sample_index=sample_index, labels=labels)
-
-
-def _stats_from_counts(
-    counts: np.ndarray, k: int, r: int, p: float, keep_sizes: bool
-) -> tuple[int, np.ndarray | None, int, float, float, float]:
-    sizes = counts[counts > 0]
-    root_size = int(counts[0]) if counts.shape[0] > 0 else 0
-    as_float = sizes.astype(np.float64)
-    sum_z2 = float((as_float**2).sum())
-    sum_z3 = float((as_float**3).sum())
-    w = root_size / (p * r) ** k if p > 0 else (1.0 if k == 0 else 0.0)
-    z = np.sort(sizes) if keep_sizes else None
-    return len(sizes), z, root_size, sum_z2, sum_z3, w
-
-
-def sample_fk_level_stats(
-    p: float,
-    r: int,
-    k: int,
-    seed: SeedSpec,
-    sample_index: int = 0,
-    vertex_budget: int | None = None,
-) -> ClusterStats:
-    """Cluster statistics of one sample: sizes, count, root-cluster size,
-    moment sums, and the normalized root-cluster weight ``R_k/(pr)**k``."""
-    state = sample_fk_level_state(p, r, k, seed, sample_index, vertex_budget)
-    counts = np.bincount(state.labels, minlength=_vertex_id_base(k + 1, r))
-    m_k, z, root, s2, s3, w = _stats_from_counts(counts, k, r, p, keep_sizes=True)
-    return ClusterStats(k=k, m_k=m_k, z=z, R_k=root, sum_z2=s2, sum_z3=s3, W_k=w)
 
 
 @dataclass(frozen=True)
@@ -201,128 +76,6 @@ class FkEnsembleStats:
         return self.sum_z3 / (self.p * self.r**2) ** self.k
 
 
-_BATCH_ID_LIMIT = 1 << 16
-
-
-def _batched_labels(
-    p: float, r: int, k: int, seed: SeedSpec, block: int
-) -> np.ndarray:
-    """Labels for one replicate block, shape (REPLICATE_BLOCK, r**k)."""
-    rows = REPLICATE_BLOCK
-    labels = np.zeros((rows, 1), dtype=np.int32)
-    for level in range(1, k + 1):
-        size = r**level
-        gen = seed.generator("fk-edges-batch", level=level, block=block)
-        open_edge = _open_edge_bits(gen, p, rows, size).astype(bool)
-        base = _vertex_id_base(level, r)
-        own_ids = np.arange(base, base + size, dtype=np.int32)
-        labels = np.where(open_edge, np.repeat(labels, r, axis=1), own_ids)
-    return labels
-
-
-def sample_cluster_ensemble(
-    p: float,
-    r: int,
-    k: int,
-    seed: SeedSpec,
-    n_samples: int,
-    vertex_budget: int | None = None,
-) -> FkEnsembleStats:
-    """Cluster statistics for an ensemble of independent edge configurations.
-
-    Levels small enough to batch (id space up to 2**16) run replicate blocks
-    of vectorized samples on the "fk-edges-batch" streams; larger levels fall
-    back to one heavy "fk-edges" sample per index.  Both paths are
-    deterministic in (seed, sample index), but they are distinct ensembles.
-    """
-    _validate_fk_args(p, r, k)
-    check_vertices(r**k, vertex_budget)
-    if n_samples < 1:
-        raise ValueError(f"need at least one sample, got {n_samples}")
-    id_end = _vertex_id_base(k + 1, r)
-
-    R_k = np.empty(n_samples, dtype=np.int64)
-    m_k = np.empty(n_samples, dtype=np.int64)
-    sum_z2 = np.empty(n_samples, dtype=np.float64)
-    sum_z3 = np.empty(n_samples, dtype=np.float64)
-
-    if id_end <= _BATCH_ID_LIMIT:
-        for block, rows_slice, rows in replicate_blocks(n_samples):
-            labels = _batched_labels(p, r, k, seed, block)[:rows]
-            flat = labels + (np.arange(rows, dtype=np.int64) * id_end)[:, None]
-            counts = np.bincount(flat.ravel(), minlength=rows * id_end).reshape(
-                rows, id_end
-            )
-            R_k[rows_slice] = counts[:, 0]
-            m_k[rows_slice] = (counts > 0).sum(axis=1)
-            as_float = counts.astype(np.float64)
-            sum_z2[rows_slice] = (as_float**2).sum(axis=1)
-            sum_z3[rows_slice] = (as_float**3).sum(axis=1)
-    else:
-        for i in range(n_samples):
-            state = sample_fk_level_state(p, r, k, seed, i, vertex_budget)
-            counts = np.bincount(state.labels, minlength=id_end)
-            m, _, root, s2, s3, _ = _stats_from_counts(
-                counts, k, r, p, keep_sizes=False
-            )
-            R_k[i] = root
-            m_k[i] = m
-            sum_z2[i] = s2
-            sum_z3[i] = s3
-
-    return FkEnsembleStats(
-        p=p, r=r, k=k, n_samples=n_samples, R_k=R_k, m_k=m_k, sum_z2=sum_z2, sum_z3=sum_z3
-    )
-
-
-@dataclass(frozen=True)
-class ClusterSizeHistogram:
-    """Level-``k`` cluster sizes of one sample, kept as a histogram.
-
-    Distinct clusters grow over disjoint edge sets, so the multiset of their
-    level sizes is a Markov chain of its own: a cluster holding ``s`` of the
-    level's vertices keeps ``Binomial(r*s, p)`` of its ``r*s`` potential
-    children, the root cluster does the same, and every child cut off by a
-    closed edge founds a new singleton.  Advancing the histogram costs time
-    polynomial in the sizes present rather than ``r**k``, which keeps
-    deep-level moment ensembles affordable.
-    """
-
-    k: int
-    r: int
-    p: float
-    sample_index: int
-    R_k: int
-    sizes: np.ndarray
-    counts: np.ndarray
-
-    @property
-    def m_k(self) -> int:
-        """Number of clusters meeting the level."""
-        return int(self.counts.sum()) + (1 if self.R_k > 0 else 0)
-
-    @property
-    def level_total(self) -> int:
-        """Total vertices covered — always ``r**k``."""
-        return int((self.sizes * self.counts).sum()) + self.R_k
-
-    @property
-    def sum_z2(self) -> float:
-        as_float = self.sizes.astype(np.float64)
-        return float((self.counts * as_float**2).sum()) + float(self.R_k) ** 2
-
-    @property
-    def sum_z3(self) -> float:
-        as_float = self.sizes.astype(np.float64)
-        return float((self.counts * as_float**3).sum()) + float(self.R_k) ** 3
-
-    @property
-    def W_k(self) -> float:
-        if self.p == 0:
-            return 1.0 if self.k == 0 else 0.0
-        return self.R_k / (self.p * self.r) ** self.k
-
-
 def _spawn_pmf(trials: int, p: float, cache: dict[int, np.ndarray]) -> np.ndarray:
     """Binomial(trials, p) pmf, normalized for multinomial draws."""
     pv = cache.get(trials)
@@ -344,7 +97,15 @@ def _size_histogram_chain(
     sample_index: int,
     cache: dict[int, np.ndarray],
 ) -> tuple[np.ndarray, np.ndarray, int]:
-    """Run the size-histogram chain; returns (sizes, counts, root size)."""
+    """Run the size-histogram chain; returns (sizes, counts, root size).
+
+    Distinct clusters grow over disjoint edge sets, so the multiset of their
+    level sizes is a Markov chain of its own: a cluster holding ``s`` of the
+    level's vertices keeps ``Binomial(r*s, p)`` of its ``r*s`` potential
+    children, the root cluster does the same, and every child cut off by a
+    closed edge founds a new singleton.  ``sizes``/``counts`` exclude the
+    root cluster, whose level size is returned on its own.
+    """
     sizes = np.empty(0, dtype=np.int64)
     counts = np.empty(0, dtype=np.int64)
     root = 1
@@ -363,30 +124,13 @@ def _size_histogram_chain(
     return sizes, counts, root
 
 
-def sample_size_histogram(
-    p: float, r: int, k: int, seed: SeedSpec, sample_index: int = 0
-) -> ClusterSizeHistogram:
-    """One sample of the level-``k`` cluster-size histogram.
-
-    Same law as the size statistics of ``sample_fk_level_stats`` but drawn
-    from its own deterministic streams without labeling vertices, so deep
-    levels stay cheap.  The explicit labeling path remains the reference
-    sampler wherever per-vertex output is needed.
-    """
-    _validate_fk_args(p, r, k)
-    sizes, counts, root = _size_histogram_chain(p, r, k, seed, sample_index, {})
-    return ClusterSizeHistogram(
-        k=k, r=r, p=p, sample_index=sample_index, R_k=root, sizes=sizes, counts=counts
-    )
-
-
 def sample_size_ensemble(
     p: float, r: int, k: int, seed: SeedSpec, n_samples: int
 ) -> FkEnsembleStats:
     """Moment statistics of an ensemble drawn from the size-histogram chain.
 
-    Deterministic in (seed, sample index) on the histogram streams — a
-    distinct ensemble from ``sample_cluster_ensemble``, matching it in law.
+    Deterministic in (seed, sample index) on the "fk-sizes" streams; it
+    matches the explicit labelling sampler in law, not draw for draw.
     """
     _validate_fk_args(p, r, k)
     if n_samples < 1:
@@ -425,41 +169,6 @@ def sample_root_cluster_chain(
     for _ in range(k):
         root = gen.binomial(root * r, p)
     return root
-
-
-def sample_spin_ensemble(
-    p: float,
-    r: int,
-    k: int,
-    sigma0: int,
-    seed: SeedSpec,
-    n_samples: int,
-    vertex_budget: int | None = None,
-) -> GenerationSignals:
-    """Level-``k`` signals for an ensemble of independent cluster samples,
-    one replicate row each — the cluster-based sampler of the broadcast law."""
-    _validate_fk_args(p, r, k)
-    if sigma0 not in (-1, 1):
-        raise ValueError(f"root sign must be +1 or -1, got {sigma0}")
-    check_vertices(r**k, vertex_budget)
-    id_end = _vertex_id_base(k + 1, r)
-    if id_end > _BATCH_ID_LIMIT:
-        raise ValueError(
-            f"spin ensembles need an id space of at most {_BATCH_ID_LIMIT}, "
-            f"got {id_end}; sample states individually instead"
-        )
-    size = r**k
-    out = np.empty((n_samples, (size + 7) // 8), dtype=np.uint8)
-    for block, rows_slice, rows in replicate_blocks(n_samples):
-        labels = _batched_labels(p, r, k, seed, block)[:rows]
-        gen = seed.generator("cluster-signs-batch", level=k, block=block)
-        id_bits = np.unpackbits(
-            bernoulli_bits(gen, 0.5, REPLICATE_BLOCK, id_end), axis=1, count=id_end
-        )[:rows]
-        id_bits[:, 0] = 1 if sigma0 == 1 else 0
-        vertex_bits = np.take_along_axis(id_bits, labels, axis=1)
-        out[rows_slice] = np.packbits(vertex_bits, axis=1)
-    return GenerationSignals(level=k, size=size, n_replicates=n_samples, packed=out)
 
 
 @dataclass(frozen=True)

@@ -7,8 +7,9 @@ the advantage of a reconstruction rule is computed exactly by dynamic
 programming over every sign pattern of the observed vertices: one bottom-up
 pass yields, for each pattern, the pair of conditional probabilities given a
 +1 and a -1 root.  The maximum-likelihood advantage is the total-variation
-distance between those two pattern laws; the majority advantage reuses the
-same tables with the sign-count decision instead.
+distance between those two pattern laws.  ``tests/oracles.py`` reads the
+sign-majority advantage off the same tables, which checks the count-chain
+engine on small regular trees.
 
 Observation sets default to the leaves but may be any set of non-root
 vertices, so the advantage of watching a pruned subtree is the same call
@@ -21,14 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = [
-    "FiniteTree",
-    "ml_delta_exact",
-    "majority_delta_enumerated",
-    "loglikelihood_pair",
-    "random_leafed_tree",
-    "random_observation_pair",
-]
+__all__ = ["ml_delta_exact", "random_observation_pair"]
 
 # Hard cap on observed vertices for the pattern-table pass: 2^24 patterns is
 # the largest table that is still a desk-scale array.
@@ -130,8 +124,8 @@ def _pattern_likelihoods(
     Returns an array of shape ``(2, 2**len(observed))``: row 0 conditions on
     a +1 root, row 1 on a -1 root.  Pattern bits read 0 for +1 and 1 for -1;
     bit order is internal (root-side observations most significant) and only
-    pattern-order-invariant quantities should be derived from it, except via
-    :func:`_pattern_signs` which mirrors the same order.
+    pattern-order-invariant quantities should be derived from it, except
+    through a sign table built in the same bit order.
     """
     obs = frozenset(observed)
     tables: dict[int, np.ndarray] = {}
@@ -149,15 +143,6 @@ def _pattern_likelihoods(
             tab = own
         tables[v] = tab
     return tables[0]
-
-
-def _pattern_signs(n_observed: int) -> np.ndarray:
-    """Sign sum of every pattern, in the bit order of the likelihood table."""
-    idx = np.arange(1 << n_observed, dtype=np.int64)
-    minus = np.zeros(1 << n_observed, dtype=np.int64)
-    for b in range(n_observed):
-        minus += (idx >> b) & 1
-    return n_observed - 2 * minus
 
 
 def ml_delta_exact(
@@ -178,59 +163,6 @@ def ml_delta_exact(
     observed = _resolve_observed(tree, observed)
     lik = _pattern_likelihoods(tree, eps, observed)
     return float(0.5 * np.abs(lik[0] - lik[1]).sum())
-
-
-def majority_delta_enumerated(
-    tree: FiniteTree, eps: float, observed: tuple[int, ...] | None = None
-) -> float:
-    """Advantage of the plain sign-majority rule over the observed vertices.
-
-    Computed from the same exact pattern law as :func:`ml_delta_exact`:
-    ``P(sum > 0 | +1 root) - P(sum < 0 | +1 root)``, ties contributing zero
-    net.  On a complete regular tree with all leaves observed this equals the
-    count-chain value, which makes it an independent cross-check of that
-    engine on small instances.
-    """
-    _validate_eps(eps)
-    observed = _resolve_observed(tree, observed)
-    lik = _pattern_likelihoods(tree, eps, observed)
-    signs = _pattern_signs(len(observed))
-    positive = signs > 0
-    negative = signs < 0
-    return float(lik[0][positive].sum() - lik[0][negative].sum())
-
-
-def loglikelihood_pair(
-    tree: FiniteTree, eps: float, signs: dict[int, int]
-) -> tuple[float, float]:
-    """Log-likelihood of one observed sign pattern under a +1 and a -1 root.
-
-    ``signs`` maps observed vertex ids (non-root) to +-1.  The recursion
-    carries per-vertex likelihood pairs in log space, so it scales to far
-    deeper trees than the pattern-table pass.
-    """
-    _validate_eps(eps)
-    if not signs:
-        raise ValueError("need at least one observed vertex")
-    for v, s in signs.items():
-        if not 0 < v < tree.n_vertices:
-            raise ValueError(f"observed vertex {v} is the root or out of range")
-        if s not in (-1, 1):
-            raise ValueError(f"sign for vertex {v} must be +-1, got {s}")
-    with np.errstate(divide="ignore"):
-        log_keep = np.log(1.0 - eps)
-        log_flip = np.log(eps)
-        log_pair = np.zeros((tree.n_vertices, 2))
-        for v in reversed(range(tree.n_vertices)):
-            for c in tree.children[v]:
-                plus, minus = log_pair[c]
-                log_pair[v, 0] += np.logaddexp(log_keep + plus, log_flip + minus)
-                log_pair[v, 1] += np.logaddexp(log_flip + plus, log_keep + minus)
-            s = signs.get(v)
-            if s is not None:
-                blocked = 0 if s == -1 else 1
-                log_pair[v, blocked] = -np.inf
-    return float(log_pair[0, 0]), float(log_pair[0, 1])
 
 
 def random_leafed_tree(

@@ -18,16 +18,7 @@ from typing import Mapping
 
 import numpy as np
 
-__all__ = [
-    "CSV_COLUMNS",
-    "EXACT",
-    "MC",
-    "QUANTITIES",
-    "ReportRow",
-    "format_params",
-    "rows_to_csv",
-    "rows_to_json",
-]
+__all__ = ["EXACT", "MC", "ReportRow", "rows_to_csv", "rows_to_json"]
 
 EXACT = "exact"
 MC = "mc"

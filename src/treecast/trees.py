@@ -3,7 +3,9 @@
 Vertices are addressed by 1-based coordinates ``(level, index)`` with
 ``index`` running over ``1..r**level``; the parent of ``(n, s)`` is
 ``(n-1, ceil(s/r))``.  Internally the kernels use flat 0-based offsets, but
-every public contract speaks 1-based coordinates.
+block ranges speak 1-based indices.  The coordinate helpers that check the
+descent blocks against that parent map (``Vertex``, ``parent_of``,
+``children_range``) live in ``tests/oracles.py``.
 
 Two block structures drive the correction schemes:
 
@@ -21,20 +23,6 @@ from dataclasses import dataclass, field
 from typing import Iterator
 
 from .budget import check_vertices
-
-
-@dataclass(frozen=True)
-class Vertex:
-    """A tree vertex in 1-based ``(level, index)`` coordinates."""
-
-    level: int
-    index: int
-
-    def __post_init__(self) -> None:
-        if self.level < 0:
-            raise ValueError(f"vertex level must be >= 0, got {self.level}")
-        if self.index < 1:
-            raise ValueError(f"vertex index is 1-based, got {self.index}")
 
 
 @dataclass(frozen=True)
@@ -61,34 +49,6 @@ class RegularTreeSpec:
         if not 0 <= level <= self.depth:
             raise ValueError(f"level {level} outside 0..{self.depth}")
         return self.r**level
-
-    def contains(self, v: Vertex) -> bool:
-        return 0 <= v.level <= self.depth and 1 <= v.index <= self.r**v.level
-
-
-def parent_of(v: Vertex, spec: RegularTreeSpec) -> Vertex:
-    """Parent coordinate of ``v``: ``(level-1, ceil(index/r))``."""
-    if v.level == 0:
-        raise ValueError("the root has no parent")
-    if not spec.contains(v):
-        raise ValueError(f"{v} is not a vertex of the tree")
-    return Vertex(v.level - 1, (v.index + spec.r - 1) // spec.r)
-
-
-def children_range(v: Vertex, spec: RegularTreeSpec) -> range:
-    """The ``r`` consecutive child indices of ``v`` at level ``v.level + 1``.
-
-    The returned ``range`` contains 1-based indices ``s`` such that
-    ``parent_of((v.level+1, s)) == v``.
-    """
-    if v.level >= spec.depth:
-        raise ValueError(
-            f"level {v.level} has no children within depth {spec.depth}"
-        )
-    if not spec.contains(v):
-        raise ValueError(f"{v} is not a vertex of the tree")
-    first = spec.r * (v.index - 1) + 1
-    return range(first, first + spec.r)
 
 
 @dataclass(frozen=True)
@@ -173,30 +133,5 @@ class DescentBlockPartition:
         """Descent partitions never have a leftover."""
         return range(self.level_size + 1, self.level_size + 1)
 
-    def ancestor_of_block(self, block: int) -> Vertex:
-        """The level-``(level-k)`` vertex whose descent is block ``block``."""
-        if not 0 <= block < self.n_blocks:
-            raise ValueError(f"block {block} outside 0..{self.n_blocks - 1}")
-        return Vertex(self.level - self.k, block + 1)
-
 
 Partition = BlockPartition | DescentBlockPartition
-
-
-def partition_consecutive(level_size: int, block_size: int, level: int = 0) -> BlockPartition:
-    """Partition ``level_size`` consecutive indices into fixed-size blocks.
-
-    Produces ``level_size // block_size`` full blocks plus a leftover of
-    ``level_size % block_size`` trailing indices; blocks and leftover
-    together cover every index exactly once.
-    """
-    if block_size < 1:
-        raise ValueError(f"block size must be >= 1, got {block_size}")
-    return BlockPartition(level=level, level_size=level_size, block_size=block_size)
-
-
-def descent_partition(level: int, k: int, spec: RegularTreeSpec) -> DescentBlockPartition:
-    """Partition ``level`` into the descendant blocks of level ``level - k``."""
-    if level > spec.depth:
-        raise ValueError(f"level {level} beyond tree depth {spec.depth}")
-    return DescentBlockPartition(level=level, k=k, r=spec.r)

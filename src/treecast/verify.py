@@ -38,12 +38,7 @@ from .likelihood import ml_delta_exact, random_observation_pair
 from .report import EXACT, MC, ReportRow
 from .rng import SeedSpec
 
-__all__ = [
-    "CheckResult",
-    "SUITE_NAMES",
-    "results_to_rows",
-    "run_suite",
-]
+__all__ = ["SUITE_NAMES", "results_to_rows", "run_suite"]
 
 
 @dataclass(frozen=True)

@@ -10,16 +10,45 @@ so it is only usable on supports of a few thousand points.
 ``seed_sequence_generator`` builds a stream the way numpy documents it:
 a Philox generator seeded by a ``SeedSequence`` object whose spawn key is
 the stream's address.  ``SeedSpec.generator`` computes the same key directly.
+
+``mean_level_sum`` and ``t_statistic_direct`` read a count law by its
+definition; they check the count-law engine against the first moment
+``((1 - 2*eps) * r)**n`` and check ``exact.t_statistic``, which takes the gap
+between two error rates, against its minority-count sum.
+
+``Vertex``, ``parent_of`` and ``children_range`` are 1-based tree
+coordinates; they check that each descent block of a
+``DescentBlockPartition`` is the descendant set of one ancestor.
+
+``renormalize`` projects a corrected generation to its block values after
+checking that every (surviving) block member carries that value, which
+checks the correction kernels.
+
+``majority_delta_enumerated`` reads the sign-majority advantage off the
+exhaustive pattern tables of ``treecast.likelihood``, an independent check of
+``exact.delta_exact`` on small trees; ``loglikelihood_pair`` is the
+likelihood of one observed pattern by a log-space recursion over the tree.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.stats import binom
 
-from treecast.rng import _purpose_code
+from treecast.broadcast import GenerationSignals
+from treecast.correction import CorrectedGeneration
+from treecast.exact import CountDistribution, count_distribution
+from treecast.likelihood import (
+    FiniteTree,
+    _pattern_likelihoods,
+    _resolve_observed,
+    _validate_eps,
+)
+from treecast.rng import _purpose_code, replicate_blocks
+from treecast.trees import DescentBlockPartition, RegularTreeSpec
 
 
 def log_space_chain_step(log_w: np.ndarray, r: int, eps: float) -> np.ndarray:
@@ -67,3 +96,170 @@ def seed_sequence_generator(
         entropy=master_seed, spawn_key=(_purpose_code(purpose), level, block)
     )
     return np.random.Generator(np.random.Philox(seq))
+
+
+def mean_level_sum(d: CountDistribution) -> float:
+    """Expected signed level sum ``E[2*X - size]`` of a count distribution."""
+    j = np.arange(d.size + 1, dtype=float)
+    return float(np.sum((2.0 * j - d.size) * d.probs()))
+
+
+def t_statistic_direct(k: int, r: int, eps: float, budget: int | None = None) -> float:
+    """The fraction-pick/descent-majority gap from its defining minority-count
+    sum.
+
+    Computed as ``(1/N) * sum_l l * (P(X=l | root -1) - P(X=l | root +1))``
+    with ``l`` running over strict-minority counts; by spin-flip symmetry
+    ``P(X=l | -1) = P(X=N-l | +1)``.
+    """
+    d = count_distribution(k, r, eps, budget)
+    size = d.size
+    probs = d.probs()
+    top = (size - 1) // 2 if size % 2 == 1 else size // 2 - 1
+    l = np.arange(top + 1)
+    return float(np.sum(l * (probs[size - l] - probs[l])) / size)
+
+
+@dataclass(frozen=True)
+class Vertex:
+    """A tree vertex in 1-based ``(level, index)`` coordinates."""
+
+    level: int
+    index: int
+
+    def __post_init__(self) -> None:
+        if self.level < 0:
+            raise ValueError(f"vertex level must be >= 0, got {self.level}")
+        if self.index < 1:
+            raise ValueError(f"vertex index is 1-based, got {self.index}")
+
+
+def contains(spec: RegularTreeSpec, v: Vertex) -> bool:
+    """Whether ``v`` is a vertex of the tree ``spec``."""
+    return 0 <= v.level <= spec.depth and 1 <= v.index <= spec.r**v.level
+
+
+def parent_of(v: Vertex, spec: RegularTreeSpec) -> Vertex:
+    """Parent coordinate of ``v``: ``(level-1, ceil(index/r))``."""
+    if v.level == 0:
+        raise ValueError("the root has no parent")
+    if not contains(spec, v):
+        raise ValueError(f"{v} is not a vertex of the tree")
+    return Vertex(v.level - 1, (v.index + spec.r - 1) // spec.r)
+
+
+def children_range(v: Vertex, spec: RegularTreeSpec) -> range:
+    """The ``r`` consecutive child indices of ``v`` at level ``v.level + 1``.
+
+    The returned ``range`` contains 1-based indices ``s`` such that
+    ``parent_of((v.level+1, s)) == v``.
+    """
+    if v.level >= spec.depth:
+        raise ValueError(
+            f"level {v.level} has no children within depth {spec.depth}"
+        )
+    if not contains(spec, v):
+        raise ValueError(f"{v} is not a vertex of the tree")
+    first = spec.r * (v.index - 1) + 1
+    return range(first, first + spec.r)
+
+
+def ancestor_of_block(part: DescentBlockPartition, block: int) -> Vertex:
+    """The level-``(level-k)`` vertex whose descent is block ``block``."""
+    if not 0 <= block < part.n_blocks:
+        raise ValueError(f"block {block} outside 0..{part.n_blocks - 1}")
+    return Vertex(part.level - part.k, block + 1)
+
+
+def renormalize(cg: CorrectedGeneration) -> GenerationSignals:
+    """Project a corrected generation to one value per block.
+
+    Verifies the defining invariant first — every block's (surviving)
+    members share the block value — and raises if it fails, since a
+    violation signals a scheme-ordering bug.
+    """
+    g = cg.signals
+    part = cg.partition
+    B, nb, covered = part.block_size, part.n_blocks, part.covered
+    for block, rows_slice, rows in replicate_blocks(g.n_replicates):
+        bits = np.unpackbits(g.packed[rows_slice], axis=1, count=g.size)
+        grouped = bits[:, :covered].reshape(rows, nb, B)
+        values = np.unpackbits(
+            cg.block_signals.packed[rows_slice], axis=1, count=nb
+        )
+        if cg.alive is None:
+            same = grouped == values[:, :, None]
+            mask = np.ones_like(same)
+        else:
+            alive_bits = np.unpackbits(cg.alive[rows_slice], axis=1, count=g.size)
+            grouped_alive = alive_bits[:, :covered].reshape(rows, nb, B)
+            same = grouped == values[:, :, None]
+            mask = grouped_alive.astype(bool)
+        if not (same | ~mask).all():
+            raise ValueError(
+                f"generation at level {g.level} is not constant on blocks; "
+                "was a correction skipped?"
+            )
+    return cg.block_signals
+
+
+def _pattern_signs(n_observed: int) -> np.ndarray:
+    """Sign sum of every pattern, in the bit order of the likelihood table."""
+    idx = np.arange(1 << n_observed, dtype=np.int64)
+    minus = np.zeros(1 << n_observed, dtype=np.int64)
+    for b in range(n_observed):
+        minus += (idx >> b) & 1
+    return n_observed - 2 * minus
+
+
+def majority_delta_enumerated(
+    tree: FiniteTree, eps: float, observed: tuple[int, ...] | None = None
+) -> float:
+    """Advantage of the plain sign-majority rule over the observed vertices.
+
+    Computed from the same exact pattern law as ``ml_delta_exact``:
+    ``P(sum > 0 | +1 root) - P(sum < 0 | +1 root)``, ties contributing zero
+    net.  On a complete regular tree with all leaves observed this equals the
+    count-chain value, which makes it an independent cross-check of that
+    engine on small instances.
+    """
+    _validate_eps(eps)
+    observed = _resolve_observed(tree, observed)
+    lik = _pattern_likelihoods(tree, eps, observed)
+    signs = _pattern_signs(len(observed))
+    positive = signs > 0
+    negative = signs < 0
+    return float(lik[0][positive].sum() - lik[0][negative].sum())
+
+
+def loglikelihood_pair(
+    tree: FiniteTree, eps: float, signs: dict[int, int]
+) -> tuple[float, float]:
+    """Log-likelihood of one observed sign pattern under a +1 and a -1 root.
+
+    ``signs`` maps observed vertex ids (non-root) to +-1.  The recursion
+    carries per-vertex likelihood pairs in log space, so it scales to far
+    deeper trees than the pattern-table pass.
+    """
+    _validate_eps(eps)
+    if not signs:
+        raise ValueError("need at least one observed vertex")
+    for v, s in signs.items():
+        if not 0 < v < tree.n_vertices:
+            raise ValueError(f"observed vertex {v} is the root or out of range")
+        if s not in (-1, 1):
+            raise ValueError(f"sign for vertex {v} must be +-1, got {s}")
+    with np.errstate(divide="ignore"):
+        log_keep = np.log(1.0 - eps)
+        log_flip = np.log(eps)
+        log_pair = np.zeros((tree.n_vertices, 2))
+        for v in reversed(range(tree.n_vertices)):
+            for c in tree.children[v]:
+                plus, minus = log_pair[c]
+                log_pair[v, 0] += np.logaddexp(log_keep + plus, log_flip + minus)
+                log_pair[v, 1] += np.logaddexp(log_flip + plus, log_keep + minus)
+            s = signs.get(v)
+            if s is not None:
+                blocked = 0 if s == -1 else 1
+                log_pair[v, blocked] = -np.inf
+    return float(log_pair[0, 0]), float(log_pair[0, 1])

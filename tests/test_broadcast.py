@@ -4,16 +4,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from treecast import (
-    BudgetError,
-    ChannelParams,
+from treecast import BudgetError, ChannelParams, SeedSpec
+from treecast.broadcast import (
     GenerationSignals,
-    SeedSpec,
     majority_statistic,
+    packed_width,
+    popcount_rows,
+    repeat_packed,
     sample_next_generation,
     sample_root,
 )
-from treecast.broadcast import packed_width, popcount_rows, repeat_packed
 
 SEED = SeedSpec(master_seed=20240901)
 

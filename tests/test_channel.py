@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from treecast import ChannelParams
-from treecast.channel import epsilon_from_p
 
 
 def test_epsilon_domain():
@@ -27,7 +26,6 @@ def test_p_domain():
 def test_p_round_trip(eps):
     ch = ChannelParams(epsilon=eps)
     assert math.isclose(ChannelParams.from_p(ch.p).epsilon, eps, abs_tol=1e-15)
-    assert math.isclose(epsilon_from_p(ch.p), eps, abs_tol=1e-15)
 
 
 @given(p=st.floats(min_value=1e-6, max_value=1.0, allow_nan=False))

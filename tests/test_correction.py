@@ -3,14 +3,10 @@
 import numpy as np
 import pytest
 
-from treecast import (
-    ChannelParams,
-    CorrectionScheme,
+from treecast import ChannelParams, CorrectionScheme, SeedSpec
+from treecast.broadcast import (
     GenerationSignals,
-    RegularTreeSpec,
-    SeedSpec,
     majority_statistic,
-    run_corrected_trajectory,
     sample_next_generation,
     sample_root,
 )
@@ -19,9 +15,11 @@ from treecast.correction import (
     apply_block_majority,
     apply_fraction_identification,
     apply_minority_removal,
-    renormalize,
+    run_corrected_trajectory,
 )
-from treecast.trees import partition_consecutive
+from treecast.trees import BlockPartition, RegularTreeSpec
+
+from oracles import renormalize
 
 SEED = SeedSpec(master_seed=555111)
 
@@ -32,7 +30,7 @@ def signals_from(rows, level):
 
 def test_block_majority_overwrites_blocks():
     g = signals_from([[1, 1, -1, -1, -1, 1, 1, 1, -1]], level=2)
-    part = partition_consecutive(9, 3, level=2)
+    part = BlockPartition(level=2, level_size=9, block_size=3)
     cg = apply_block_majority(g, part, SEED)
     np.testing.assert_array_equal(
         cg.signals.to_signs(), [[1, 1, 1, -1, -1, -1, 1, 1, 1]]
@@ -43,7 +41,7 @@ def test_block_majority_overwrites_blocks():
 
 def test_block_majority_leaves_leftover_untouched():
     g = signals_from([[1, -1, -1, 1, 1]], level=1)
-    part = partition_consecutive(5, 3, level=1)
+    part = BlockPartition(level=1, level_size=5, block_size=3)
     cg = apply_block_majority(g, part, SEED)
     corrected = cg.signals.to_signs()[0]
     assert list(corrected[:3]) == [-1, -1, -1]
@@ -56,7 +54,7 @@ def test_block_majority_tie_coin_is_fair():
     g = GenerationSignals.from_signs(
         np.tile(np.array([1, -1], dtype=np.int8), (n, 1)), level=3
     )
-    part = partition_consecutive(2, 2, level=3)
+    part = BlockPartition(level=3, level_size=2, block_size=2)
     cg = apply_block_majority(g, part, SEED)
     votes = cg.block_signals.to_signs()[:, 0]
     mean = votes.mean()
@@ -66,7 +64,7 @@ def test_block_majority_tie_coin_is_fair():
 def test_block_majority_is_idempotent():
     root = sample_root(SEED, 300, pin=+1)
     g = sample_next_generation(root, ChannelParams(epsilon=0.3), SEED, r=4)
-    part = partition_consecutive(4, 2, level=1)
+    part = BlockPartition(level=1, level_size=4, block_size=2)
     once = apply_block_majority(g, part, SEED)
     twice = apply_block_majority(once.signals, part, SEED)
     np.testing.assert_array_equal(once.signals.packed, twice.signals.packed)
@@ -74,7 +72,7 @@ def test_block_majority_is_idempotent():
 
 def test_fraction_identification_copies_a_member():
     g = signals_from([[1, 1, -1, -1]], level=2)
-    part = partition_consecutive(4, 2, level=2)
+    part = BlockPartition(level=2, level_size=4, block_size=2)
     cg = apply_fraction_identification(g, part, SEED)
     out = cg.signals.to_signs()[0]
     # Each block is constant and equal to one of its original members.
@@ -87,7 +85,7 @@ def test_fraction_identification_pick_is_uniform():
     g = GenerationSignals.from_signs(
         np.tile(np.array([1, -1, -1, -1], dtype=np.int8), (n, 1)), level=1
     )
-    part = partition_consecutive(4, 4, level=1)
+    part = BlockPartition(level=1, level_size=4, block_size=4)
     cg = apply_fraction_identification(g, part, SEED)
     freq_plus = (cg.block_signals.to_signs()[:, 0] == 1).mean()
     sigma = np.sqrt(0.25 * 0.75 / n)
@@ -96,7 +94,7 @@ def test_fraction_identification_pick_is_uniform():
 
 def test_minority_removal_survivors_agree():
     g = signals_from([[1, 1, -1, 1, -1, -1]], level=1)
-    part = partition_consecutive(6, 3, level=1)
+    part = BlockPartition(level=1, level_size=6, block_size=3)
     cg = apply_minority_removal(g, part, SEED)
     alive_bits = np.unpackbits(cg.alive, axis=1, count=6)[0]
     np.testing.assert_array_equal(alive_bits, [1, 1, 0, 0, 1, 1])
@@ -107,7 +105,7 @@ def test_minority_removal_survivors_agree():
 
 def test_minority_removal_respects_prior_deaths():
     g = signals_from([[1, -1, -1, 1]], level=1)
-    part = partition_consecutive(4, 4, level=1)
+    part = BlockPartition(level=1, level_size=4, block_size=4)
     # Kill the two -1 members beforehand: the alive majority is then +1.
     alive = np.packbits(np.array([[1, 0, 0, 1]], dtype=np.uint8), axis=1)
     cg = apply_minority_removal(g, part, SEED, alive=alive)
@@ -120,7 +118,7 @@ def test_minority_removal_respects_prior_deaths():
 def test_minority_removal_keeps_at_least_half():
     root = sample_root(SEED, 500, pin=+1)
     g = sample_next_generation(root, ChannelParams(epsilon=0.4), SEED, r=4)
-    part = partition_consecutive(4, 4, level=1)
+    part = BlockPartition(level=1, level_size=4, block_size=4)
     cg = apply_minority_removal(g, part, SEED)
     alive_counts = np.unpackbits(cg.alive, axis=1, count=4).sum(axis=1)
     assert (alive_counts >= 2).all()
@@ -128,7 +126,7 @@ def test_minority_removal_keeps_at_least_half():
 
 def test_renormalize_round_trip_and_guard():
     g = signals_from([[1, 1, -1, -1]], level=2)
-    part = partition_consecutive(4, 2, level=2)
+    part = BlockPartition(level=2, level_size=4, block_size=2)
     cg = apply_block_majority(g, part, SEED)
     np.testing.assert_array_equal(renormalize(cg).to_signs(), [[1, -1]])
     # A corrupted generation that is not block-constant must be rejected.

@@ -8,18 +8,20 @@ import pytest
 from treecast import (
     ChannelParams,
     CorrectionScheme,
-    DeltaEstimate,
     McConfig,
     SeedSpec,
     block_error_rate,
-    delta_confidence_interval,
     delta_exact,
     mc_critical_bracket,
     mc_delta,
     mc_effective_error,
     wilson_interval,
 )
-from treecast.estimators import JUDGE_INCONCLUSIVE
+from treecast.estimators import (
+    JUDGE_INCONCLUSIVE,
+    DeltaEstimate,
+    delta_confidence_interval,
+)
 
 from conftest import GATE_LABELS
 

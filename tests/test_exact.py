@@ -11,23 +11,19 @@ from treecast import (
     BudgetError,
     block_error_rate,
     block_scheme_delta,
-    count_distribution,
     critical_point_k,
     delta_exact,
     effective_error_rate,
     fraction_error_rate,
     fraction_scheme_delta,
-    ks_condition_value,
     level_sum_agreement,
-    mean_level_sum,
     minimal_rescuing_block_size,
     renormalized_delta,
     t_statistic,
-    t_statistic_direct,
 )
-from treecast.exact import delta_from_distribution
+from treecast.exact import count_distribution, delta_from_distribution, ks_condition_value
 
-from oracles import log_space_count_laws
+from oracles import log_space_count_laws, mean_level_sum, t_statistic_direct
 
 EPS_GRID = (0.05, 0.1, 0.2, 0.3, 0.45)
 

@@ -10,19 +10,27 @@ from scipy.stats import binom
 from treecast import (
     SeedSpec,
     anti_concentration_check,
-    count_distribution,
-    majority_statistic,
     moment_bound_report,
-    sample_cluster_ensemble,
-    sample_fk_level_stats,
-    sample_root_cluster_chain,
     sample_size_ensemble,
-    sample_size_histogram,
-    sample_spin_ensemble,
     tail_probe_Rk,
 )
+from treecast.broadcast import majority_statistic
+from treecast.exact import count_distribution
+from treecast.fk import _size_histogram_chain, sample_root_cluster_chain
+
+from fk_labels import sample_cluster_ensemble, sample_fk_level_stats, sample_spin_ensemble
 
 SEED = SeedSpec(master_seed=77001)
+
+
+def size_histogram(p, r, k, sample_index=0):
+    """One sample of the size-histogram chain: (sizes, counts, root size),
+    the root cluster kept out of ``sizes``/``counts``."""
+    return _size_histogram_chain(p, r, k, SEED, sample_index, {})
+
+
+def cluster_count(counts, root):
+    return int(counts.sum()) + (1 if root > 0 else 0)
 
 
 def survival_probabilities(p, r, k):
@@ -52,10 +60,10 @@ def test_degenerate_edge_probabilities():
     empty = sample_fk_level_stats(0.0, 2, 3, SEED)
     assert empty.m_k == 8 and empty.R_k == 0
     np.testing.assert_array_equal(empty.z, np.ones(8))
-    hist_full = sample_size_histogram(1.0, 2, 3, SEED)
-    assert hist_full.R_k == 8 and hist_full.m_k == 1
-    hist_empty = sample_size_histogram(0.0, 2, 3, SEED)
-    assert hist_empty.R_k == 0 and hist_empty.m_k == 8
+    _, counts, root = size_histogram(1.0, 2, 3)
+    assert root == 8 and cluster_count(counts, root) == 1
+    _, counts, root = size_histogram(0.0, 2, 3)
+    assert root == 0 and cluster_count(counts, root) == 8
 
 
 def test_cluster_sizes_cover_the_level():
@@ -63,30 +71,31 @@ def test_cluster_sizes_cover_the_level():
         stats = sample_fk_level_stats(0.55, 3, 4, SEED, sample_index=i)
         assert stats.z.sum() == 3**4
         assert (stats.z >= 1).all()
-        hist = sample_size_histogram(0.55, 3, 4, SEED, sample_index=i)
-        assert hist.level_total == 3**4
-        assert (hist.sizes >= 1).all()
-        assert (hist.counts >= 1).all()
+        sizes, counts, root = size_histogram(0.55, 3, 4, sample_index=i)
+        assert (sizes * counts).sum() + root == 3**4
+        assert (sizes >= 1).all()
+        assert (counts >= 1).all()
 
 
 def test_samplers_are_deterministic():
     a = sample_fk_level_stats(0.5, 2, 5, SEED, sample_index=3)
     b = sample_fk_level_stats(0.5, 2, 5, SEED, sample_index=3)
     assert a.R_k == b.R_k and a.m_k == b.m_k and a.sum_z2 == b.sum_z2
-    ha = sample_size_histogram(0.5, 2, 5, SEED, sample_index=3)
-    hb = sample_size_histogram(0.5, 2, 5, SEED, sample_index=3)
-    np.testing.assert_array_equal(ha.sizes, hb.sizes)
-    np.testing.assert_array_equal(ha.counts, hb.counts)
+    sizes_a, counts_a, _ = size_histogram(0.5, 2, 5, sample_index=3)
+    sizes_b, counts_b, _ = size_histogram(0.5, 2, 5, sample_index=3)
+    np.testing.assert_array_equal(sizes_a, sizes_b)
+    np.testing.assert_array_equal(counts_a, counts_b)
 
 
 def test_size_ensemble_matches_per_index_histograms():
     ens = sample_size_ensemble(0.5, 3, 4, SEED, n_samples=16)
     for i in (0, 7, 15):
-        hist = sample_size_histogram(0.5, 3, 4, SEED, sample_index=i)
-        assert ens.R_k[i] == hist.R_k
-        assert ens.m_k[i] == hist.m_k
-        assert math.isclose(ens.sum_z2[i], hist.sum_z2)
-        assert math.isclose(ens.sum_z3[i], hist.sum_z3)
+        sizes, counts, root = size_histogram(0.5, 3, 4, sample_index=i)
+        as_float = sizes.astype(np.float64)
+        assert ens.R_k[i] == root
+        assert ens.m_k[i] == cluster_count(counts, root)
+        assert math.isclose(ens.sum_z2[i], (counts * as_float**2).sum() + root**2)
+        assert math.isclose(ens.sum_z3[i], (counts * as_float**3).sum() + root**3)
 
 
 def test_root_cluster_is_binomial_at_level_one():
@@ -233,7 +242,7 @@ def test_fk_argument_validation():
     with pytest.raises(ValueError):
         sample_fk_level_stats(0.5, 1, 3, SEED)
     with pytest.raises(ValueError):
-        sample_size_histogram(0.5, 2, -1, SEED)
+        sample_size_ensemble(0.5, 2, -1, SEED, 1)
     with pytest.raises(ValueError):
         sample_size_ensemble(0.5, 2, 3, SEED, 0)
 

@@ -7,18 +7,15 @@ import numpy as np
 import pytest
 from scipy.stats import binom
 
-from treecast import (
-    FiniteTree,
-    loglikelihood_pair,
-    majority_delta_enumerated,
-    ml_delta_exact,
-    delta_exact,
-)
+from treecast import delta_exact, ml_delta_exact
 from treecast.likelihood import (
     MAX_OBSERVED,
+    FiniteTree,
     random_leafed_tree,
     random_observation_pair,
 )
+
+from oracles import loglikelihood_pair, majority_delta_enumerated
 
 SINGLE_EDGE = FiniteTree(children=((1,), ()))
 ORACLE_TREES_SEED = 7

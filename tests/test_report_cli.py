@@ -281,6 +281,23 @@ def test_cli_config_file_merging(capsys, tmp_path):
     assert math.isclose(float(rows[0]["value"]), delta_exact(4, 2, 0.1), abs_tol=1e-12)
 
 
+@pytest.mark.parametrize(
+    "command,config",
+    [
+        (["critical"], {"r": "2", "k": "1..2"}),
+        (["critical"], {"r": 2, "k": "1..2", "budget": "100"}),
+        (["critical"], {"r": 2, "k": "1..x"}),
+        (["delta", "--exact"], {"r": 2, "depth": "4", "eps": 0.1}),
+    ],
+    ids=["r-string", "budget-string", "k-bad-range", "depth-string"],
+)
+def test_cli_config_of_wrong_type_exits_two(capsys, tmp_path, command, config):
+    config_path = tmp_path / "run.json"
+    config_path.write_text(json.dumps(config))
+    assert main([*command, "--config", str(config_path)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_cli_json_output(capsys):
     code, out = run_cli(
         capsys, "delta", "--r", "2", "--depth", "3", "--eps", "0.2", "--exact",

@@ -6,7 +6,8 @@ import tracemalloc
 
 import pytest
 
-from treecast import ChannelParams, CorrectionScheme, RegularTreeSpec, SeedSpec
+from treecast import ChannelParams, CorrectionScheme, SeedSpec
+from treecast.trees import RegularTreeSpec
 from treecast import correction
 from treecast.correction import run_corrected_trajectory
 

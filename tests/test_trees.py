@@ -3,14 +3,10 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from treecast import BudgetError, RegularTreeSpec
-from treecast.trees import (
-    Vertex,
-    children_range,
-    descent_partition,
-    parent_of,
-    partition_consecutive,
-)
+from treecast import BudgetError
+from treecast.trees import BlockPartition, DescentBlockPartition, RegularTreeSpec
+
+from oracles import Vertex, ancestor_of_block, children_range, contains, parent_of
 
 SMALL_TREE = RegularTreeSpec(r=3, depth=4)
 
@@ -26,9 +22,9 @@ def test_vertex_validation():
         Vertex(level=-1, index=1)
     with pytest.raises(ValueError):
         Vertex(level=2, index=0)  # indices are 1-based
-    assert SMALL_TREE.contains(Vertex(4, 81))
-    assert not SMALL_TREE.contains(Vertex(4, 82))
-    assert not SMALL_TREE.contains(Vertex(5, 1))
+    assert contains(SMALL_TREE, Vertex(4, 81))
+    assert not contains(SMALL_TREE, Vertex(4, 82))
+    assert not contains(SMALL_TREE, Vertex(5, 1))
 
 
 def test_root_has_no_parent():
@@ -65,7 +61,7 @@ def test_children_of_distinct_vertices_are_disjoint():
     block_size=st.integers(min_value=1, max_value=50),
 )
 def test_consecutive_partition_covers_level_once(level_size, block_size):
-    part = partition_consecutive(level_size, block_size)
+    part = BlockPartition(level=0, level_size=level_size, block_size=block_size)
     covered = [s for block in part.blocks() for s in block]
     assert len(covered) == part.covered == part.n_blocks * block_size
     assert covered + list(part.leftover()) == list(range(1, level_size + 1))
@@ -76,12 +72,12 @@ def test_consecutive_partition_covers_level_once(level_size, block_size):
 
 def test_descent_partition_blocks_are_descendant_sets():
     spec = RegularTreeSpec(r=2, depth=6)
-    part = descent_partition(level=4, k=2, spec=spec)
+    part = DescentBlockPartition(level=4, k=2, r=spec.r)
     assert part.block_size == 4
     assert part.n_blocks == 4
     assert len(part.leftover()) == 0
     for b, block in enumerate(part.blocks()):
-        ancestor = part.ancestor_of_block(b)
+        ancestor = ancestor_of_block(part, b)
         assert ancestor.level == 2
         for s in block:
             v = Vertex(4, s)
@@ -89,11 +85,8 @@ def test_descent_partition_blocks_are_descendant_sets():
 
 
 def test_descent_partition_rejects_misaligned_levels():
-    spec = RegularTreeSpec(r=2, depth=6)
     with pytest.raises(ValueError):
-        descent_partition(level=5, k=2, spec=spec)
-    with pytest.raises(ValueError):
-        descent_partition(level=8, k=2, spec=spec)
+        DescentBlockPartition(level=5, k=2, r=2)
 
 
 def test_vertex_budget_guard():
