@@ -17,9 +17,9 @@ import numpy as np
 from treecast import (
     ReportRow,
     SeedSpec,
-    moment_bound_report,
+    moment_summary,
     rows_to_csv,
-    sample_size_ensemble,
+    sample_size_ensembles,
     tail_probe_Rk,
     wilson_interval,
 )
@@ -55,9 +55,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     seed = SeedSpec(master_seed=args.seed)
-    summaries = moment_bound_report(
-        args.p, args.r, args.k, args.samples, seed, require_regime=False
-    )
+    ensembles = sample_size_ensembles(args.p, args.r, args.k, seed, args.samples)
 
     rows: list[ReportRow] = []
     header = (
@@ -67,8 +65,8 @@ def main(argv=None) -> int:
     print(f"p={args.p} r={args.r} samples={args.samples} seed={args.seed}")
     print(header)
     print("-" * len(header))
-    for s in summaries:
-        ensemble = sample_size_ensemble(args.p, args.r, s.k, seed, args.samples)
+    for ensemble in ensembles:
+        s = moment_summary(ensemble)
         z2, z3, w = ensemble.z2_ratio, ensemble.z3_ratio, ensemble.W_k
         w_half = 2.5758 * float(w.std(ddof=1)) / math.sqrt(w.size)
         params = {"p": args.p, "r": args.r, "k": s.k, "regime_ok": s.regime_ok}

@@ -43,7 +43,8 @@ from .exact import (
 from .fk import (
     anti_concentration_check,
     moment_bound_report,
-    sample_size_ensemble,
+    moment_summary,
+    sample_size_ensembles,
     tail_probe_Rk,
 )
 from .likelihood import ml_delta_exact, random_observation_pair
@@ -78,12 +79,13 @@ __all__ = [
     "minimal_rescuing_block_size",
     "ml_delta_exact",
     "moment_bound_report",
+    "moment_summary",
     "random_observation_pair",
     "renormalized_delta",
     "rows_to_csv",
     "rows_to_json",
     "run_suite",
-    "sample_size_ensemble",
+    "sample_size_ensembles",
     "t_statistic",
     "tail_probe_Rk",
     "wilson_interval",

@@ -17,8 +17,9 @@ Subcommands
 Every command is deterministic given its arguments and seed.  Exit codes:
 0 success, 2 argument/domain error, 3 budget error, 4 verification-gate
 failure.  A JSON config file (``--config``) supplies defaults; explicit
-flags win, and a value of the wrong JSON type is an argument error.  The
-resolved configuration is echoed into every report row.
+flags win, and a value of the wrong JSON type, there or in a sweep grid,
+is an argument error.  The resolved configuration is echoed into every
+report row.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ import dataclasses
 import json
 import math
 import sys
+import typing
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,7 +48,7 @@ from .exact import (
     fraction_scheme_delta,
     renormalized_delta,
 )
-from .fk import moment_summary, sample_size_ensemble
+from .fk import moment_summary, sample_size_ensembles
 from .report import EXACT, MC, ReportRow, rows_to_csv, rows_to_json
 from .rng import SeedSpec
 from .verify import SUITE_NAMES, results_to_rows, run_suite
@@ -367,8 +369,7 @@ def cmd_fk_stats(cfg: RunConfig) -> list[ReportRow]:
         raise ValueError("fk-stats needs --r and --k")
     p = cfg.p_value
     rows = []
-    for k in cfg.k_values:
-        ensemble = sample_size_ensemble(p, cfg.r, k, cfg.seed_spec(), cfg.samples)
+    for ensemble in sample_size_ensembles(p, cfg.r, cfg.k_values, cfg.seed_spec(), cfg.samples):
         summary = moment_summary(ensemble)
         kp = {"k": summary.k, "regime_ok": summary.regime_ok}
         z2, z3, w = ensemble.z2_ratio, ensemble.z3_ratio, ensemble.W_k
@@ -428,21 +429,18 @@ def cmd_verify(cfg: RunConfig, suite: str, seed_given: bool) -> tuple[list[Repor
 
 def cmd_sweep(cfg: RunConfig, grid_path: str, overrides: dict[str, bool]) -> list[ReportRow]:
     """Monte Carlo advantage over a (scheme, eps, depth) grid, one row per cell."""
-    with open(grid_path, encoding="utf-8") as fh:
-        grid = json.load(fh)
+    grid = _load_json_object(grid_path, "sweep grid", _GRID_TYPES)
     for key in ("r", "schemes", "eps", "depths"):
         if key not in grid:
             raise ValueError(f"sweep grid file is missing {key!r}")
-    r = int(grid["r"])
-    schemes = [str(s) for s in grid["schemes"]]
+    r, schemes, depths = grid["r"], grid["schemes"], grid["depths"]
     eps_list = [float(e) for e in grid["eps"]]
-    depths = [int(d) for d in grid["depths"]]
     if not schemes or not eps_list or not depths:
         raise ValueError("sweep grid axes must be non-empty")
-    replicates = cfg.replicates if overrides["replicates"] else int(
-        grid.get("replicates", cfg.replicates)
+    replicates = cfg.replicates if overrides["replicates"] else grid.get(
+        "replicates", cfg.replicates
     )
-    seed = cfg.seed if overrides["seed"] else int(grid.get("seed", cfg.seed))
+    seed = cfg.seed if overrides["seed"] else grid.get("seed", cfg.seed)
     base = dataclasses.replace(
         cfg, r=r, replicates=replicates, seed=seed, scheme="grid"
     )
@@ -563,35 +561,53 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# The JSON types a config file may give each key it sets; lists hold integers.
-_CONFIG_TYPES: dict[str, tuple[type, ...]] = {
+# The JSON types a config file may give each key it sets; ``list[t]`` is a
+# list of ``t``.
+_CONFIG_TYPES: dict[str, tuple[object, ...]] = {
     **dict.fromkeys(("r", "depth", "M", "budget", "replicates", "seed", "samples"), (int,)),
     **dict.fromkeys(("eps", "p"), (int, float)),
-    "k": (str, int, list),
+    "k": (str, int, list[int]),
     **dict.fromkeys(("scheme", "out", "format"), (str,)),
     **dict.fromkeys(("reproducible", "exact"), (bool,)),
 }
 
+# The JSON types of a sweep grid file's keys, in the same notation.
+_GRID_TYPES: dict[str, tuple[object, ...]] = {
+    **dict.fromkeys(("r", "replicates", "seed"), (int,)),
+    "schemes": (list[str],),
+    "eps": (list[int | float],),
+    "depths": (list[int],),
+}
 
-def _config_type_ok(value: object, kinds: tuple[type, ...]) -> bool:
+
+def _json_type_ok(value: object, kinds: tuple[object, ...]) -> bool:
     if isinstance(value, bool):
         return bool in kinds
     if isinstance(value, list):
-        return list in kinds and all(_config_type_ok(v, (int,)) for v in value)
-    return isinstance(value, kinds)
+        return any(
+            typing.get_origin(kind) is list
+            and all(_json_type_ok(v, typing.get_args(kind)) for v in value)
+            for kind in kinds
+        )
+    return any(typing.get_origin(kind) is not list and isinstance(value, kind) for kind in kinds)
 
 
-def _load_config(path: str | None) -> dict[str, object]:
-    if path is None:
-        return {}
+def _load_json_object(
+    path: str, what: str, types: dict[str, tuple[object, ...]]
+) -> dict[str, object]:
+    """Read a JSON object and check the JSON type of each key ``types`` names."""
     with open(path, encoding="utf-8") as fh:
         loaded = json.load(fh)
     if not isinstance(loaded, dict):
-        raise ValueError("config file must hold a JSON object")
-    for key, kinds in _CONFIG_TYPES.items():
-        if key in loaded and not _config_type_ok(loaded[key], kinds):
-            raise ValueError(f"config key {key!r} has the wrong JSON type: {loaded[key]!r}")
+        raise ValueError(f"{what} file must hold a JSON object")
+    for key, kinds in types.items():
+        if key in loaded and not _json_type_ok(loaded[key], kinds):
+            raise ValueError(f"{what} key {key!r} has the wrong JSON type: {loaded[key]!r}")
     return loaded
+
+
+def _load_config(path: str | None) -> dict[str, object]:
+    return {} if path is None else _load_json_object(path, "config", _CONFIG_TYPES)
 
 
 def _pick(args: argparse.Namespace, config: dict, key: str, default):

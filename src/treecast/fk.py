@@ -8,8 +8,13 @@ a branching process with ``Binomial(r, p)`` offspring.
 For ensemble statistics the level's cluster-size histogram is advanced as a
 Markov chain — each cluster keeps a ``Binomial(r*s, p)`` slice of its
 potential children — so moment summaries reach deep levels without
-materializing ``r**k`` vertices.  The explicit per-vertex labelling sampler
-that checks this chain in law lives in ``tests/fk_labels.py``.
+materializing ``r**k`` vertices.  Each sample's chain draws level ``l`` from
+its own ``("fk-sizes", level=l, block=sample)`` stream, so the ensemble at
+level ``k`` is the level-``k`` prefix of every sample's chain: a row does
+not depend on which other levels were requested, and one run of the chain
+to the deepest level gives every shallower one.  The explicit per-vertex
+labelling sampler that checks this chain in law lives in
+``tests/fk_labels.py``.
 
 The module also hosts the desk-scale probes used by the verification suites:
 cluster-size moment summaries (second-moment floor, third-moment decay), the
@@ -21,6 +26,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,7 +37,7 @@ __all__ = [
     "anti_concentration_check",
     "moment_bound_report",
     "moment_summary",
-    "sample_size_ensemble",
+    "sample_size_ensembles",
     "tail_probe_Rk",
 ]
 
@@ -92,24 +98,26 @@ def _spawn_pmf(trials: int, p: float, cache: dict[int, np.ndarray]) -> np.ndarra
 def _size_histogram_chain(
     p: float,
     r: int,
-    k: int,
+    depth: int,
     seed: SeedSpec,
     sample_index: int,
     cache: dict[int, np.ndarray],
-) -> tuple[np.ndarray, np.ndarray, int]:
-    """Run the size-histogram chain; returns (sizes, counts, root size).
+) -> Iterator[tuple[np.ndarray, np.ndarray, int]]:
+    """Run the size-histogram chain; yields (sizes, counts, root size) at
+    each level ``0..depth``.
 
     Distinct clusters grow over disjoint edge sets, so the multiset of their
     level sizes is a Markov chain of its own: a cluster holding ``s`` of the
     level's vertices keeps ``Binomial(r*s, p)`` of its ``r*s`` potential
     children, the root cluster does the same, and every child cut off by a
     closed edge founds a new singleton.  ``sizes``/``counts`` exclude the
-    root cluster, whose level size is returned on its own.
+    root cluster, whose level size is yielded on its own.
     """
     sizes = np.empty(0, dtype=np.int64)
     counts = np.empty(0, dtype=np.int64)
     root = 1
-    for level in range(1, k + 1):
+    yield sizes, counts, root
+    for level in range(1, depth + 1):
         gen = seed.generator("fk-sizes", level=level, block=sample_index)
         high = r * int(sizes[-1]) if sizes.size else 0
         acc = np.zeros(high + 2, dtype=np.int64)
@@ -121,35 +129,62 @@ def _size_histogram_chain(
         acc[0] = 0
         keep = np.nonzero(acc)[0]
         sizes, counts = keep, acc[keep]
-    return sizes, counts, root
+        yield sizes, counts, root
+
+
+def sample_size_ensembles(
+    p: float, r: int, levels: Sequence[int], seed: SeedSpec, n_samples: int
+) -> list[FkEnsembleStats]:
+    """Moment statistics of ensembles drawn from the size-histogram chain,
+    one per entry of ``levels`` (in the order given; duplicates are kept and
+    share one set of arrays).
+
+    Each sample's chain runs once, to ``max(levels)``, and its statistics are
+    taken at every requested level on the way.  The ensemble at ``k`` is the
+    level-``k`` prefix of each sample's chain, so it does not depend on which
+    other levels were requested.  Deterministic in (seed, sample index) on
+    the "fk-sizes" streams; it matches the explicit labelling sampler in law,
+    not draw for draw.
+    """
+    levels = tuple(levels)
+    _validate_fk_args(p, r, min(levels, default=0))
+    if n_samples < 1:
+        raise ValueError(f"need at least one sample, got {n_samples}")
+    if not levels:
+        return []
+    # level -> (R_k, m_k, sum_z2, sum_z3), each an array over samples
+    stats = {
+        k: (
+            np.empty(n_samples, dtype=np.int64),
+            np.empty(n_samples, dtype=np.int64),
+            np.empty(n_samples, dtype=np.float64),
+            np.empty(n_samples, dtype=np.float64),
+        )
+        for k in levels
+    }
+    depth = max(levels)
+    cache: dict[int, np.ndarray] = {}
+    for i in range(n_samples):
+        chain = _size_histogram_chain(p, r, depth, seed, i, cache)
+        for level, (sizes, counts, root) in enumerate(chain):
+            if level not in stats:
+                continue
+            R_k, m_k, sum_z2, sum_z3 = stats[level]
+            as_float = sizes.astype(np.float64)
+            R_k[i] = root
+            m_k[i] = counts.sum() + (1 if root > 0 else 0)
+            sum_z2[i] = float((counts * as_float**2).sum()) + float(root) ** 2
+            sum_z3[i] = float((counts * as_float**3).sum()) + float(root) ** 3
+    return [FkEnsembleStats(p, r, k, n_samples, *stats[k]) for k in levels]
 
 
 def sample_size_ensemble(
     p: float, r: int, k: int, seed: SeedSpec, n_samples: int
 ) -> FkEnsembleStats:
-    """Moment statistics of an ensemble drawn from the size-histogram chain.
-
-    Deterministic in (seed, sample index) on the "fk-sizes" streams; it
-    matches the explicit labelling sampler in law, not draw for draw.
-    """
-    _validate_fk_args(p, r, k)
-    if n_samples < 1:
-        raise ValueError(f"need at least one sample, got {n_samples}")
-    R_k = np.empty(n_samples, dtype=np.int64)
-    m_k = np.empty(n_samples, dtype=np.int64)
-    sum_z2 = np.empty(n_samples, dtype=np.float64)
-    sum_z3 = np.empty(n_samples, dtype=np.float64)
-    cache: dict[int, np.ndarray] = {}
-    for i in range(n_samples):
-        sizes, counts, root = _size_histogram_chain(p, r, k, seed, i, cache)
-        as_float = sizes.astype(np.float64)
-        R_k[i] = root
-        m_k[i] = counts.sum() + (1 if root > 0 else 0)
-        sum_z2[i] = float((counts * as_float**2).sum()) + float(root) ** 2
-        sum_z3[i] = float((counts * as_float**3).sum()) + float(root) ** 3
-    return FkEnsembleStats(
-        p=p, r=r, k=k, n_samples=n_samples, R_k=R_k, m_k=m_k, sum_z2=sum_z2, sum_z3=sum_z3
-    )
+    """Moment statistics of one ensemble at level ``k``: the level-``k``
+    prefix of each sample's size-histogram chain, as in
+    :func:`sample_size_ensembles`."""
+    return sample_size_ensembles(p, r, (k,), seed, n_samples)[0]
 
 
 def sample_root_cluster_chain(
@@ -210,7 +245,7 @@ def moment_bound_report(
             f"moment bounds need p**2*r < 1 < p*r; got p**2*r={p * p * r:.4f}, "
             f"p*r={p * r:.4f}"
         )
-    return [moment_summary(sample_size_ensemble(p, r, k, seed, samples)) for k in k_range]
+    return [moment_summary(s) for s in sample_size_ensembles(p, r, k_range, seed, samples)]
 
 
 def moment_summary(stats: FkEnsembleStats) -> MomentSummary:

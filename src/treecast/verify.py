@@ -233,8 +233,10 @@ def _suite_cluster_moments(seed: SeedSpec) -> list[CheckResult]:
         )
     )
 
+    # One ensemble run to k=12 gives every level the two gates below read.
+    at6, at10, at12 = moment_bound_report(0.3, 4, [6, 10, 12], 200, seed)
+
     # Second-moment floor: every one of 200 samples at k=10 clears (1-p)/2.
-    (at10,) = moment_bound_report(0.3, 4, [10], 200, seed)
     out.append(
         _mc(
             "fk-moments",
@@ -248,7 +250,6 @@ def _suite_cluster_moments(seed: SeedSpec) -> list[CheckResult]:
     )
 
     # Third-moment decay: the median normalized sum shrinks from k=6 to k=12.
-    at6, at12 = moment_bound_report(0.3, 4, [6, 12], 200, seed)
     out.append(
         _mc(
             "fk-moments",

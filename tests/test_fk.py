@@ -11,12 +11,13 @@ from treecast import (
     SeedSpec,
     anti_concentration_check,
     moment_bound_report,
-    sample_size_ensemble,
+    sample_size_ensembles,
     tail_probe_Rk,
 )
 from treecast.broadcast import majority_statistic
+from treecast.cli import main
 from treecast.exact import count_distribution
-from treecast.fk import _size_histogram_chain, sample_root_cluster_chain
+from treecast.fk import _size_histogram_chain, sample_root_cluster_chain, sample_size_ensemble
 
 from fk_labels import sample_cluster_ensemble, sample_fk_level_stats, sample_spin_ensemble
 
@@ -24,9 +25,10 @@ SEED = SeedSpec(master_seed=77001)
 
 
 def size_histogram(p, r, k, sample_index=0):
-    """One sample of the size-histogram chain: (sizes, counts, root size),
-    the root cluster kept out of ``sizes``/``counts``."""
-    return _size_histogram_chain(p, r, k, SEED, sample_index, {})
+    """One sample of the size-histogram chain at level ``k``: (sizes, counts,
+    root size), the root cluster kept out of ``sizes``/``counts``."""
+    *_, last = _size_histogram_chain(p, r, k, SEED, sample_index, {})
+    return last
 
 
 def cluster_count(counts, root):
@@ -96,6 +98,58 @@ def test_size_ensemble_matches_per_index_histograms():
         assert ens.m_k[i] == cluster_count(counts, root)
         assert math.isclose(ens.sum_z2[i], (counts * as_float**2).sum() + root**2)
         assert math.isclose(ens.sum_z3[i], (counts * as_float**3).sum() + root**3)
+
+
+def test_chain_yields_every_level_of_one_run():
+    levels = list(_size_histogram_chain(0.5, 3, 4, SEED, 2, {}))
+    assert len(levels) == 5
+    sizes, counts, root = levels[0]
+    assert sizes.size == counts.size == 0 and root == 1
+    for k, (sizes, counts, root) in enumerate(levels):
+        assert (sizes * counts).sum() + root == 3**k
+        # A shorter run of the same sample is a prefix of this one.
+        sizes_k, counts_k, root_k = size_histogram(0.5, 3, k, sample_index=2)
+        np.testing.assert_array_equal(sizes, sizes_k)
+        np.testing.assert_array_equal(counts, counts_k)
+        assert root == root_k
+
+
+def test_ensembles_equal_level_by_level_ensembles():
+    levels = (5, 0, 2, 5)
+    ensembles = sample_size_ensembles(0.3, 4, levels, SEED, 300)
+    assert [e.k for e in ensembles] == list(levels)
+    for k, ens in zip(levels, ensembles):
+        one = sample_size_ensemble(0.3, 4, k, SEED, 300)
+        assert ens.n_samples == one.n_samples == 300
+        for a, b in (
+            (ens.R_k, one.R_k),
+            (ens.m_k, one.m_k),
+            (ens.sum_z2, one.sum_z2),
+            (ens.sum_z3, one.sum_z3),
+        ):
+            assert a.dtype == b.dtype
+            np.testing.assert_array_equal(a, b)
+
+
+def test_no_levels_draw_nothing(monkeypatch):
+    def no_streams(*args, **kwargs):
+        raise AssertionError("a stream was drawn")
+
+    monkeypatch.setattr(SeedSpec, "generator", no_streams)
+    assert sample_size_ensembles(0.3, 4, (), SEED, 300) == []
+
+
+# SHA-256 of the stdout of ``fk-stats --r 4 --p 0.3 --k 5,2,5 --samples 200
+# --seed 11 --reproducible``, computed when every level ran its own chain.
+PINNED_FK_STATS = "cbbc7980096468cd7b7b768878b63815ebee156b9271c4bbc00d2d242f7566fb"
+
+
+def test_fk_stats_output_matches_pinned_digest(capsys):
+    argv = ["fk-stats", "--r", "4", "--p", "0.3", "--k", "5,2,5",
+            "--samples", "200", "--seed", "11", "--reproducible"]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_FK_STATS
 
 
 def test_root_cluster_is_binomial_at_level_one():
@@ -245,6 +299,8 @@ def test_fk_argument_validation():
         sample_size_ensemble(0.5, 2, -1, SEED, 1)
     with pytest.raises(ValueError):
         sample_size_ensemble(0.5, 2, 3, SEED, 0)
+    with pytest.raises(ValueError):
+        sample_size_ensembles(0.5, 2, (3, -1), SEED, 1)
 
 
 # SHA-256 of each sampler's output arrays at seed 77001, computed when the

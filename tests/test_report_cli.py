@@ -262,6 +262,21 @@ def test_cli_sweep_rejects_incomplete_grid(tmp_path):
     assert main(["sweep", str(tmp_path / "missing.json")]) == 2
 
 
+@pytest.mark.parametrize(
+    "bad",
+    [{"eps": 0.1}, {"schemes": "Identity"}],
+    ids=["eps-number", "schemes-string"],
+)
+def test_cli_sweep_grid_of_wrong_type_exits_two(capsys, tmp_path, bad):
+    grid = {"r": 2, "schemes": ["Identity"], "eps": [0.1], "depths": [2], **bad}
+    grid_path = tmp_path / "grid.json"
+    grid_path.write_text(json.dumps(grid))
+    assert main(["sweep", str(grid_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert f"{next(iter(bad))!r} has the wrong JSON type" in err
+
+
 def test_cli_config_file_merging(capsys, tmp_path):
     config_path = tmp_path / "run.json"
     config_path.write_text(json.dumps({"r": 2, "depth": 4, "eps": 0.3}))
