@@ -8,12 +8,12 @@ exact by construction.  Majority statistics reduce rows with a byte-level
 popcount table.
 
 All randomness flows through :class:`~treecast.rng.SeedSpec` streams keyed by
-(purpose, level, replicate block); every kernel draws full replicate blocks
-and slices, so a replicate's trajectory does not depend on how many other
-replicates run beside it.  The trajectory loop of :mod:`treecast.correction`
-calls these kernels on one replicate block at a time, from several threads;
-``first_block`` gives the global index of the rows' first block, so each
-block's streams keep the address they have in a whole-run call.
+(purpose, level, replicate block).  The sampling kernels act on one replicate
+block of at most :data:`~treecast.rng.REPLICATE_BLOCK` rows and refuse more;
+``block`` is the block's global index, its stream address.  Each kernel draws
+the full block width and slices, so a replicate's trajectory does not depend
+on how many other replicates run beside it.  The trajectory loop of
+:mod:`treecast.correction` hands the kernels one block at a time.
 """
 
 from __future__ import annotations
@@ -23,9 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .budget import check_vertices
 from .channel import ChannelParams
-from .rng import REPLICATE_BLOCK, SeedSpec, bernoulli_bits, replicate_blocks
+from .rng import REPLICATE_BLOCK, SeedSpec, bernoulli_bits, check_block_rows
 
 _POPCOUNT = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1).sum(
     axis=1, dtype=np.uint8
@@ -106,22 +105,19 @@ def majority_statistic(
 
 
 def sample_root(
-    seed: SeedSpec, n_replicates: int, pin: int | None = +1, *, first_block: int = 0
+    seed: SeedSpec, n_replicates: int, pin: int | None = +1, *, block: int = 0
 ) -> GenerationSignals:
-    """Level-0 signals: pinned to ``pin`` for conditional-on-root experiments,
-    or an independent fair sign per replicate when ``pin`` is None."""
-    if n_replicates < 1:
-        raise ValueError(f"need at least one replicate, got {n_replicates}")
-    packed = np.empty((n_replicates, 1), dtype=np.uint8)
-    if pin is not None:
-        if pin not in (-1, 1):
-            raise ValueError(f"pinned root must be +1 or -1, got {pin}")
-        packed[:] = 0x80 if pin == 1 else 0x00
+    """Level-0 signals of one replicate block: pinned to ``pin`` for
+    conditional-on-root experiments, or an independent fair sign per
+    replicate when ``pin`` is None."""
+    check_block_rows(n_replicates)
+    if pin is None:
+        gen = seed.generator("root", level=0, block=block)
+        packed = bernoulli_bits(gen, 0.5, REPLICATE_BLOCK, 1)[:n_replicates]
+    elif pin in (-1, 1):
+        packed = np.full((n_replicates, 1), 0x80 if pin == 1 else 0x00, dtype=np.uint8)
     else:
-        for block, rows_slice, rows in replicate_blocks(n_replicates):
-            gen = seed.generator("root", level=0, block=first_block + block)
-            coins = bernoulli_bits(gen, 0.5, REPLICATE_BLOCK, 1)
-            packed[rows_slice] = coins[:rows]
+        raise ValueError(f"pinned root must be +1 or -1, got {pin}")
     return GenerationSignals(level=0, size=1, n_replicates=n_replicates, packed=packed)
 
 
@@ -151,27 +147,21 @@ def sample_next_generation(
     ch: ChannelParams,
     seed: SeedSpec,
     r: int,
-    vertex_budget: int | None = None,
     *,
-    first_block: int = 0,
+    block: int = 0,
 ) -> GenerationSignals:
-    """One broadcast step: each parent spawns ``r`` children, each child
-    keeping the parent's sign with probability ``1 - epsilon`` independently
-    (child = parent XOR flip)."""
+    """One broadcast step for one replicate block: each parent spawns ``r``
+    children, each child keeping the parent's sign with probability
+    ``1 - epsilon`` independently (child = parent XOR flip)."""
     if r < 1:
         raise ValueError(f"branching rate must be >= 1, got {r}")
+    rows = check_block_rows(parents.n_replicates)
     child_size = parents.size * r
-    check_vertices(child_size, vertex_budget)
     child_level = parents.level + 1
-
+    gen = seed.generator("flips", level=child_level, block=block)
+    flips = bernoulli_bits(gen, ch.epsilon, REPLICATE_BLOCK, child_size)
     out = repeat_packed(parents.packed, parents.size, r)
-    for block, rows_slice, rows in replicate_blocks(parents.n_replicates):
-        gen = seed.generator("flips", level=child_level, block=first_block + block)
-        flips = bernoulli_bits(gen, ch.epsilon, REPLICATE_BLOCK, child_size)
-        out[rows_slice] ^= flips[:rows]
+    out ^= flips[:rows]
     return GenerationSignals(
-        level=child_level,
-        size=child_size,
-        n_replicates=parents.n_replicates,
-        packed=out,
+        level=child_level, size=child_size, n_replicates=rows, packed=out
     )

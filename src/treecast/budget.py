@@ -1,12 +1,15 @@
 """Desk-scale resource limits shared by the exact engine and the samplers.
 
-Two independent knobs:
+Two independent knobs, and where each is checked:
 
 * the *support budget* caps the number of points in any exact count
   distribution (default 65 537, overridable through the ``TREECAST_BUDGET``
-  environment variable or per call);
-* the *vertex budget* caps the number of vertices materialized per tree level
-  in sampling kernels (default 2**26).
+  environment variable or per call).  The exact engine checks it before it
+  builds a count law, a critical-point search or a level-agreement table;
+* the *vertex budget* caps the number of vertices of a tree's deepest level
+  (default 2**26).  :class:`~treecast.trees.RegularTreeSpec` checks it once,
+  when it is built, so a Monte Carlo run refuses an oversized tree before it
+  allocates anything.  No command-line option sets it.
 
 Requests beyond a budget raise :class:`BudgetError` rather than degrade.
 """

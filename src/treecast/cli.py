@@ -212,45 +212,29 @@ def cmd_eps_k(cfg: RunConfig) -> list[ReportRow]:
     eps = cfg.epsilon_value
     rows = []
     for k in cfg.k_values:
-        eps_tilde = fraction_error_rate(k, eps)
         kp = {"k": k}
+        eps_tilde = fraction_error_rate(k, eps)
         try:
             eps_k = effective_error_rate(k, cfg.r, eps, cfg.budget)
-            rows.append(
-                _row(cfg, "eps_k", eps_k, EXACT, params=kp, tolerance=_EXACT_TOL)
-            )
-            rows.append(
-                _row(cfg, "eps_tilde_k", eps_tilde, EXACT, params=kp, tolerance=_EXACT_TOL)
-            )
-            rows.append(
-                _row(cfg, "t_stat", eps_tilde - eps_k, EXACT, params=kp, tolerance=_EXACT_TOL)
-            )
-            rows.append(
-                _row(cfg, "p_k", 1.0 - 2.0 * eps_k, EXACT, params=kp, tolerance=_EXACT_TOL)
-            )
+            ci, provenance, tolerance = None, EXACT, _EXACT_TOL
         except BudgetError:
             est = mc_effective_error(
                 cfg.r, eps, k=k, replicates=cfg.replicates, seed=cfg.seed_spec()
             )
-            lo, hi = est.ci
-            rows.append(
-                _row(cfg, "eps_k", est.eps_hat, MC, params=kp, lo=lo, hi=hi)
-            )
-            rows.append(
-                _row(cfg, "eps_tilde_k", eps_tilde, EXACT, params=kp, tolerance=_EXACT_TOL)
-            )
-            rows.append(
-                _row(
-                    cfg, "t_stat", eps_tilde - est.eps_hat, MC, params=kp,
-                    lo=eps_tilde - hi, hi=eps_tilde - lo,
-                )
-            )
-            rows.append(
-                _row(
-                    cfg, "p_k", 1.0 - 2.0 * est.eps_hat, MC, params=kp,
-                    lo=1.0 - 2.0 * hi, hi=1.0 - 2.0 * lo,
-                )
-            )
+            eps_k, ci, provenance, tolerance = est.eps_hat, est.ci, MC, None
+
+        def derived(quantity: str, f) -> ReportRow:
+            """Row of ``f(eps_k)``, its interval the image of ``eps_k``'s."""
+            lo, hi = (None, None) if ci is None else sorted((f(ci[0]), f(ci[1])))
+            return _row(cfg, quantity, f(eps_k), provenance, params=kp,
+                        lo=lo, hi=hi, tolerance=tolerance)
+
+        rows += [
+            derived("eps_k", lambda x: x),
+            _row(cfg, "eps_tilde_k", eps_tilde, EXACT, params=kp, tolerance=_EXACT_TOL),
+            derived("t_stat", lambda x: eps_tilde - x),
+            derived("p_k", lambda x: 1.0 - 2.0 * x),
+        ]
     if cfg.M is not None:
         rows.append(
             _row(

@@ -27,15 +27,21 @@ masked out of every statistic and their descendants are born dead.  The law
 of the alive portion is exactly the random-tree process the removal schemes
 define, and the representation keeps every kernel rectangular.
 
-:func:`run_corrected_trajectory` runs each replicate block of
-:data:`~treecast.rng.REPLICATE_BLOCK` rows through every level on its own,
-then joins the blocks' level records in block order.  Blocks run on a thread
-pool with one worker per usable CPU (Philox fills and numpy bulk operations
-release the GIL); a single block runs without a pool.  Every stream keeps its
-global ``(purpose, level, block)`` address, so neither the order of blocks
-nor the number of workers changes a single output bit.  Memory is bounded per
-block, not per run: only a block's current level is held, and the kernels
-unpack bits a bounded row slice at a time (:func:`~treecast.rng.row_slices`).
+:func:`run_corrected_trajectory` is the one loop over replicate blocks.  It
+runs each block of at most :data:`~treecast.rng.REPLICATE_BLOCK` rows
+through every level on its own, then joins the blocks' level records in
+block order.  The kernels it calls (:func:`~treecast.broadcast.sample_root`,
+:func:`~treecast.broadcast.sample_next_generation` and the three ``apply_*``
+functions here) act on that one block, keyed by its global ``block`` index,
+and refuse more rows.  Blocks run on a thread pool with one worker per
+usable CPU (Philox fills and numpy bulk operations release the GIL); a
+single block runs without a pool.  Every stream keeps its global
+``(purpose, level, block)`` address, so neither the order of blocks nor the
+number of workers changes a single output bit.  Memory is bounded per block,
+not per run: only a block's current level is held, and the kernels unpack
+bits a bounded row slice at a time (:func:`~treecast.rng.row_slices`).  The
+vertex budget is checked once, when the :class:`~treecast.trees.RegularTreeSpec`
+is built.
 """
 
 from __future__ import annotations
@@ -57,21 +63,16 @@ from .broadcast import (
     sample_next_generation,
     sample_root,
 )
-from .budget import check_vertices
 from .channel import ChannelParams
 from .rng import (
     REPLICATE_BLOCK,
     SeedSpec,
     bernoulli_bits,
+    check_block_rows,
     replicate_blocks,
     row_slices,
 )
-from .trees import (
-    BlockPartition,
-    DescentBlockPartition,
-    Partition,
-    RegularTreeSpec,
-)
+from .trees import BlockPartition, RegularTreeSpec
 
 __all__ = ["CorrectionScheme"]
 
@@ -187,8 +188,13 @@ class CorrectionScheme:
             return tuple(range(self.start_level(r), depth + 1))
         return tuple(range(self.k, depth + 1, self.k))
 
-    def partition_for(self, level: int, r: int) -> Partition:
-        """The block partition this scheme uses at a correction level."""
+    def partition_for(self, level: int, r: int) -> BlockPartition:
+        """The block partition this scheme uses at a correction level.
+
+        A descent block is the ``r**k`` descendants of one vertex ``k``
+        levels up, so a descent partition cuts the level into blocks of
+        ``r**k`` with no leftover.
+        """
         if self.variant == "Identity":
             raise ValueError("Identity has no partitions")
         if self.variant in _M_VARIANTS:
@@ -200,7 +206,7 @@ class CorrectionScheme:
             return BlockPartition(level=level, level_size=size, block_size=block)
         if level % self.k != 0 or level == 0:
             raise ValueError(f"level {level} is not a correction level for period {self.k}")
-        return DescentBlockPartition(level=level, k=self.k, r=r)
+        return BlockPartition(level=level, level_size=r**level, block_size=r**self.k)
 
 
 @dataclass(frozen=True)
@@ -209,15 +215,16 @@ class CorrectedGeneration:
     one value per block, and (for removal schemes) survivor masks."""
 
     signals: GenerationSignals
-    partition: Partition
-    applied: str
+    partition: BlockPartition
     block_signals: GenerationSignals
     excluded: range
     alive: np.ndarray | None = None
     block_alive: np.ndarray | None = None
 
 
-def _check_partition(g: GenerationSignals, part: Partition) -> None:
+def _check_block(g: GenerationSignals, part: BlockPartition) -> None:
+    """``g`` is one replicate block and ``part`` partitions its level."""
+    check_block_rows(g.n_replicates)
     if part.level != g.level or part.level_size != g.size:
         raise ValueError(
             f"partition (level {part.level}, size {part.level_size}) does not "
@@ -232,11 +239,6 @@ def _tie_bits(seed: SeedSpec, level: int, block: int, n_blocks: int) -> np.ndarr
     return np.unpackbits(packed, axis=1, count=n_blocks)
 
 
-def _shifted(sub: slice, block_rows: slice) -> slice:
-    """Rows ``sub`` of one replicate block, as rows of the whole generation."""
-    return slice(block_rows.start + sub.start, block_rows.start + sub.stop)
-
-
 def _majority(plus: np.ndarray, total: np.ndarray | int, coins: np.ndarray) -> np.ndarray:
     """Majority bit per block from plus counts out of ``total``; coin on ties."""
     return np.where(2 * plus > total, 1, np.where(2 * plus < total, 0, coins)).astype(
@@ -245,59 +247,53 @@ def _majority(plus: np.ndarray, total: np.ndarray | int, coins: np.ndarray) -> n
 
 
 def apply_block_majority(
-    g: GenerationSignals, part: Partition, seed: SeedSpec, *, first_block: int = 0
+    g: GenerationSignals, part: BlockPartition, seed: SeedSpec, *, block: int = 0
 ) -> CorrectedGeneration:
     """Overwrite every block with its majority sign (fair coin on ties).
 
     Leftover indices past the last full block pass through unchanged and are
     flagged excluded.
     """
-    _check_partition(g, part)
+    _check_block(g, part)
     B, nb, covered = part.block_size, part.n_blocks, part.covered
     out = np.empty_like(g.packed)
     block_packed = np.empty((g.n_replicates, packed_width(nb)), dtype=np.uint8)
-    for block, block_rows, n_rows in replicate_blocks(g.n_replicates):
-        coins = _tie_bits(seed, g.level, first_block + block, nb)
-        for sub in row_slices(n_rows, g.size):
-            rows = _shifted(sub, block_rows)
-            bits = np.unpackbits(g.packed[rows], axis=1, count=g.size)
-            grouped = bits[:, :covered].reshape(-1, nb, B)
-            majority = _majority(grouped.sum(axis=2, dtype=np.int32), B, coins[sub])
-            grouped[...] = majority[:, :, None]
-            out[rows] = np.packbits(bits, axis=1)
-            block_packed[rows] = np.packbits(majority, axis=1)
+    coins = _tie_bits(seed, g.level, block, nb)
+    for rows in row_slices(g.n_replicates, g.size):
+        bits = np.unpackbits(g.packed[rows], axis=1, count=g.size)
+        grouped = bits[:, :covered].reshape(-1, nb, B)
+        majority = _majority(grouped.sum(axis=2, dtype=np.int32), B, coins[rows])
+        grouped[...] = majority[:, :, None]
+        out[rows] = np.packbits(bits, axis=1)
+        block_packed[rows] = np.packbits(majority, axis=1)
     return CorrectedGeneration(
         signals=GenerationSignals(g.level, g.size, g.n_replicates, out),
         partition=part,
-        applied=f"block-majority B={B}",
         block_signals=GenerationSignals(g.level, nb, g.n_replicates, block_packed),
         excluded=part.leftover(),
     )
 
 
 def apply_fraction_identification(
-    g: GenerationSignals, part: Partition, seed: SeedSpec, *, first_block: int = 0
+    g: GenerationSignals, part: BlockPartition, seed: SeedSpec, *, block: int = 0
 ) -> CorrectedGeneration:
     """Overwrite every block with the value of one uniformly chosen member."""
-    _check_partition(g, part)
+    _check_block(g, part)
     B, nb, covered = part.block_size, part.n_blocks, part.covered
     out = np.empty_like(g.packed)
     block_packed = np.empty((g.n_replicates, packed_width(nb)), dtype=np.uint8)
-    for block, block_rows, n_rows in replicate_blocks(g.n_replicates):
-        gen = seed.generator("pick", level=g.level, block=first_block + block)
-        member = gen.integers(0, B, size=(REPLICATE_BLOCK, nb))
-        for sub in row_slices(n_rows, g.size):
-            rows = _shifted(sub, block_rows)
-            bits = np.unpackbits(g.packed[rows], axis=1, count=g.size)
-            grouped = bits[:, :covered].reshape(-1, nb, B)
-            picked = np.take_along_axis(grouped, member[sub, :, None], axis=2)
-            grouped[...] = picked
-            out[rows] = np.packbits(bits, axis=1)
-            block_packed[rows] = np.packbits(picked[:, :, 0], axis=1)
+    gen = seed.generator("pick", level=g.level, block=block)
+    member = gen.integers(0, B, size=(REPLICATE_BLOCK, nb))
+    for rows in row_slices(g.n_replicates, g.size):
+        bits = np.unpackbits(g.packed[rows], axis=1, count=g.size)
+        grouped = bits[:, :covered].reshape(-1, nb, B)
+        picked = np.take_along_axis(grouped, member[rows, :, None], axis=2)
+        grouped[...] = picked
+        out[rows] = np.packbits(bits, axis=1)
+        block_packed[rows] = np.packbits(picked[:, :, 0], axis=1)
     return CorrectedGeneration(
         signals=GenerationSignals(g.level, g.size, g.n_replicates, out),
         partition=part,
-        applied=f"fraction-identification B={B}",
         block_signals=GenerationSignals(g.level, nb, g.n_replicates, block_packed),
         excluded=part.leftover(),
     )
@@ -305,11 +301,11 @@ def apply_fraction_identification(
 
 def apply_minority_removal(
     g: GenerationSignals,
-    part: Partition,
+    part: BlockPartition,
     seed: SeedSpec,
     alive: np.ndarray | None = None,
     *,
-    first_block: int = 0,
+    block: int = 0,
 ) -> CorrectedGeneration:
     """Remove each block's minority members: survivors keep their signals,
     minority members die (no descendants, no further statistics).
@@ -319,7 +315,7 @@ def apply_minority_removal(
     always survive.  Blocks with no alive member stay dead.  Leftover indices
     keep their incoming alive state untouched.
     """
-    _check_partition(g, part)
+    _check_block(g, part)
     B, nb, covered = part.block_size, part.n_blocks, part.covered
     if alive is not None and alive.shape != g.packed.shape:
         raise ValueError(
@@ -329,32 +325,29 @@ def apply_minority_removal(
     new_alive = np.empty_like(g.packed)
     block_packed = np.empty((g.n_replicates, packed_width(nb)), dtype=np.uint8)
     block_alive = np.empty_like(block_packed)
-    for block, block_rows, n_rows in replicate_blocks(g.n_replicates):
-        coins = _tie_bits(seed, g.level, first_block + block, nb)
-        for sub in row_slices(n_rows, g.size):
-            rows = _shifted(sub, block_rows)
-            bits = np.unpackbits(g.packed[rows], axis=1, count=g.size)
-            if alive is None:
-                alive_bits = np.ones_like(bits)
-            else:
-                alive_bits = np.unpackbits(alive[rows], axis=1, count=g.size)
-            grouped_bits = bits[:, :covered].reshape(-1, nb, B)
-            grouped_alive = alive_bits[:, :covered].reshape(-1, nb, B)
-            total = grouped_alive.sum(axis=2, dtype=np.int32)
-            # Alive members keep their bit and dead ones read 0: plus-indicators.
-            np.bitwise_and(grouped_bits, grouped_alive, out=grouped_bits)
-            plus = grouped_bits.sum(axis=2, dtype=np.int32)
-            chosen = _majority(plus, total, coins[sub])
-            # Survivors are the alive members whose bit is the chosen sign.
-            np.equal(grouped_bits, chosen[:, :, None], out=grouped_bits)
-            np.bitwise_and(grouped_alive, grouped_bits, out=grouped_alive)
-            new_alive[rows] = np.packbits(alive_bits, axis=1)
-            block_packed[rows] = np.packbits(chosen, axis=1)
-            block_alive[rows] = np.packbits(total > 0, axis=1)
+    coins = _tie_bits(seed, g.level, block, nb)
+    for rows in row_slices(g.n_replicates, g.size):
+        bits = np.unpackbits(g.packed[rows], axis=1, count=g.size)
+        if alive is None:
+            alive_bits = np.ones_like(bits)
+        else:
+            alive_bits = np.unpackbits(alive[rows], axis=1, count=g.size)
+        grouped_bits = bits[:, :covered].reshape(-1, nb, B)
+        grouped_alive = alive_bits[:, :covered].reshape(-1, nb, B)
+        total = grouped_alive.sum(axis=2, dtype=np.int32)
+        # Alive members keep their bit and dead ones read 0: plus-indicators.
+        np.bitwise_and(grouped_bits, grouped_alive, out=grouped_bits)
+        plus = grouped_bits.sum(axis=2, dtype=np.int32)
+        chosen = _majority(plus, total, coins[rows])
+        # Survivors are the alive members whose bit is the chosen sign.
+        np.equal(grouped_bits, chosen[:, :, None], out=grouped_bits)
+        np.bitwise_and(grouped_alive, grouped_bits, out=grouped_alive)
+        new_alive[rows] = np.packbits(alive_bits, axis=1)
+        block_packed[rows] = np.packbits(chosen, axis=1)
+        block_alive[rows] = np.packbits(total > 0, axis=1)
     return CorrectedGeneration(
         signals=g,
         partition=part,
-        applied=f"minority-removal B={B}",
         block_signals=GenerationSignals(g.level, nb, g.n_replicates, block_packed),
         excluded=part.leftover(),
         alive=new_alive,
@@ -379,13 +372,6 @@ class LevelRecord:
 class TrajectoryResult:
     """All recorded levels of one corrected-broadcast run."""
 
-    scheme: CorrectionScheme
-    channel: ChannelParams
-    r: int
-    depth: int
-    n_replicates: int
-    pinned_root: int | None
-    pinned_renormalized_root: bool
     records: tuple[LevelRecord, ...]
 
     def record_at(self, level: int) -> LevelRecord:
@@ -407,17 +393,17 @@ def _constant_signals(level: int, size: int, n_replicates: int) -> GenerationSig
 def _apply_scheme(
     scheme: CorrectionScheme,
     g: GenerationSignals,
-    part: Partition,
+    part: BlockPartition,
     seed: SeedSpec,
     alive: np.ndarray | None,
-    first_block: int,
+    block: int,
 ) -> CorrectedGeneration:
     if scheme.variant in ("BlockMajorityEveryStep", "WithinDescentMajority"):
-        return apply_block_majority(g, part, seed, first_block=first_block)
+        return apply_block_majority(g, part, seed, block=block)
     if scheme.variant == "FractionIdentification":
-        return apply_fraction_identification(g, part, seed, first_block=first_block)
+        return apply_fraction_identification(g, part, seed, block=block)
     if scheme.removes_minority:
-        return apply_minority_removal(g, part, seed, alive, first_block=first_block)
+        return apply_minority_removal(g, part, seed, alive, block=block)
     raise ValueError(f"scheme {scheme.variant} applies no correction")
 
 
@@ -490,10 +476,10 @@ def run_corrected_trajectory(
     Each replicate block runs through every level on its own, on a thread
     pool, and the records are joined in block order; streams keep their
     global block index, so the result does not depend on the worker count.
-    A level wider than ``tree.vertex_budget`` is refused with
-    :class:`~treecast.budget.BudgetError` before any block starts.
+    Building ``tree`` has already checked its deepest level against the
+    vertex budget.
     """
-    r, depth, budget = tree.r, tree.depth, tree.vertex_budget
+    r, depth = tree.r, tree.depth
     correction_at = set(scheme.correction_levels(r, depth))
     recorded = (
         set(range(depth + 1)) if record_levels is None else set(record_levels)
@@ -510,9 +496,6 @@ def run_corrected_trajectory(
         correction_at.discard(start)
     else:
         start = 0
-    # Refuse an oversized level before any block allocates anything.
-    for level in range(start + 1, depth + 1):
-        check_vertices(r**level, budget)
 
     def run_block(address: tuple[int, slice, int]) -> list[LevelRecord]:
         block, _, rows = address
@@ -530,12 +513,12 @@ def run_corrected_trajectory(
                     )
                 )
         else:
-            g = sample_root(seed, rows, pin=pin_root, first_block=block)
+            g = sample_root(seed, rows, pin=pin_root, block=block)
             if start in recorded:
                 records.append(_make_record(start, g, alive, None))
 
         for level in range(start + 1, depth + 1):
-            g = sample_next_generation(g, ch, seed, r, budget, first_block=block)
+            g = sample_next_generation(g, ch, seed, r, block=block)
             if alive is not None:
                 alive = repeat_packed(alive, g.size // r, r)
             cg = None
@@ -558,12 +541,5 @@ def run_corrected_trajectory(
             per_block = list(pool.map(run_block, blocks))
 
     return TrajectoryResult(
-        scheme=scheme,
-        channel=ch,
-        r=r,
-        depth=depth,
-        n_replicates=n_replicates,
-        pinned_root=None if pin_renormalized_root else pin_root,
-        pinned_renormalized_root=pin_renormalized_root,
-        records=tuple(_join_records(level) for level in zip(*per_block)),
+        records=tuple(_join_records(level) for level in zip(*per_block))
     )

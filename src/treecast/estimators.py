@@ -181,7 +181,6 @@ class McConfig:
     ci_level: float = DEFAULT_CI_LEVEL
     record_levels: tuple[int, ...] | None = None
     pin_renormalized_root: bool = False
-    vertex_budget: int | None = None
 
     def __post_init__(self) -> None:
         if self.replicates < MIN_REPLICATES:
@@ -207,9 +206,7 @@ class McConfig:
                 )
 
     def tree(self) -> RegularTreeSpec:
-        return RegularTreeSpec(
-            r=self.r, depth=self.depth, vertex_budget=self.vertex_budget
-        )
+        return RegularTreeSpec(r=self.r, depth=self.depth)
 
 
 @dataclass(frozen=True)
@@ -333,7 +330,6 @@ def mc_effective_error(
     replicates: int = 10_000,
     seed: SeedSpec | int = 0,
     ci_level: float = DEFAULT_CI_LEVEL,
-    vertex_budget: int | None = None,
 ) -> ErrorRateEstimate:
     """Estimate the error rate of one correction period from a +1 root.
 
@@ -368,7 +364,7 @@ def mc_effective_error(
     if branching < 1 or steps < 1:
         raise ValueError("period parameters must be positive")
     traj = run_corrected_trajectory(
-        RegularTreeSpec(r=branching, depth=steps, vertex_budget=vertex_budget),
+        RegularTreeSpec(r=branching, depth=steps),
         scheme,
         ch,
         seed,
@@ -437,7 +433,6 @@ def mc_critical_bracket(
     *,
     floor: float,
     ci_level: float = DEFAULT_CI_LEVEL,
-    vertex_budget: int | None = None,
 ) -> McCriticalBracket:
     """Bracket a scheme's critical error-free rate from a grid of p values.
 
@@ -476,7 +471,6 @@ def mc_critical_bracket(
             replicates=replicates,
             ci_level=ci_level,
             record_levels=(depth,),
-            vertex_budget=vertex_budget,
         )
         est = mc_delta(cfg)[-1]
         points.append(BracketPoint(p=p, estimate=est, judgement=_judge(est, floor)))

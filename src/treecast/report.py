@@ -23,17 +23,6 @@ __all__ = ["EXACT", "MC", "ReportRow", "rows_to_csv", "rows_to_json"]
 EXACT = "exact"
 MC = "mc"
 
-# Canonical quantity names; experiment-specific rows (moment summaries,
-# bracket edges, verification gates) extend the vocabulary with the same
-# snake_case convention.
-QUANTITIES = (
-    "delta_n",
-    "eps_k",
-    "eps_tilde_k",
-    "t_stat",
-    "p_c_k",
-)
-
 CSV_COLUMNS = (
     "experiment",
     "params",

@@ -206,6 +206,15 @@ def replicate_blocks(n_replicates: int) -> Iterator[tuple[int, slice, int]]:
         yield block, slice(start, stop), stop - start
 
 
+def check_block_rows(rows: int) -> int:
+    """Raise ``ValueError`` unless ``rows`` replicates fit one block."""
+    if not 1 <= rows <= REPLICATE_BLOCK:
+        raise ValueError(
+            f"a replicate block holds 1..{REPLICATE_BLOCK} rows, got {rows}"
+        )
+    return rows
+
+
 def row_slices(rows: int, cols: int) -> Iterator[slice]:
     """Consecutive slices over ``rows`` rows of ``cols`` unpacked elements,
     each at most :data:`SLICE_ELEMENTS` elements (and at least one row)."""

@@ -7,14 +7,16 @@ block ranges speak 1-based indices.  The coordinate helpers that check the
 descent blocks against that parent map (``Vertex``, ``parent_of``,
 ``children_range``) live in ``tests/oracles.py``.
 
-Two block structures drive the correction schemes:
+Every correction scheme cuts a level with one :class:`BlockPartition`:
+consecutive fixed-size blocks, with an undersized trailing *leftover* that is
+excluded from downstream statistics.  A descent scheme with period ``k``
+uses blocks of ``r**k`` vertices at levels that are multiples of ``k``; each
+block is then exactly the set of ``k``-generation descendants of one vertex
+``k`` levels up, and the leftover is empty.
 
-* :class:`BlockPartition` cuts a level into consecutive fixed-size blocks,
-  with an undersized trailing *leftover* that is excluded from downstream
-  statistics;
-* :class:`DescentBlockPartition` cuts a level that is a multiple of ``k``
-  into blocks of ``r**k`` vertices, each block being exactly the set of
-  ``k``-generation descendants of one vertex ``k`` levels up.
+:class:`RegularTreeSpec` checks its deepest level against the vertex budget
+(:func:`~treecast.budget.check_vertices`) when it is built; no sampling
+kernel checks it again.
 """
 
 from __future__ import annotations
@@ -87,51 +89,3 @@ class BlockPartition:
     def leftover(self) -> range:
         """1-based indices of the discarded trailing block (possibly empty)."""
         return range(self.covered + 1, self.level_size + 1)
-
-
-@dataclass(frozen=True)
-class DescentBlockPartition:
-    """Blocks of all ``r**k`` descendants, ``k`` generations down, per ancestor.
-
-    Defined at levels that are positive multiples of ``k``; block ``b``
-    (0-based) is exactly the descendant set of the level-``(level-k)`` vertex
-    with index ``b+1``, covering 1-based indices
-    ``b*r**k + 1 .. (b+1)*r**k``.
-    """
-
-    level: int
-    k: int
-    r: int
-    block_size: int = field(init=False)
-    n_blocks: int = field(init=False)
-
-    def __post_init__(self) -> None:
-        if self.k < 1:
-            raise ValueError(f"correction period must be >= 1, got {self.k}")
-        if self.level < 1 or self.level % self.k != 0:
-            raise ValueError(
-                f"level {self.level} is not a positive multiple of k={self.k}"
-            )
-        object.__setattr__(self, "block_size", self.r**self.k)
-        object.__setattr__(self, "n_blocks", self.r ** (self.level - self.k))
-
-    @property
-    def level_size(self) -> int:
-        return self.n_blocks * self.block_size
-
-    @property
-    def covered(self) -> int:
-        return self.level_size
-
-    def blocks(self) -> Iterator[range]:
-        """Iterate 1-based index ranges; block ``b`` descends from vertex b+1."""
-        m = self.block_size
-        for b in range(self.n_blocks):
-            yield range(b * m + 1, (b + 1) * m + 1)
-
-    def leftover(self) -> range:
-        """Descent partitions never have a leftover."""
-        return range(self.level_size + 1, self.level_size + 1)
-
-
-Partition = BlockPartition | DescentBlockPartition

