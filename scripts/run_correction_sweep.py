@@ -15,7 +15,6 @@ from pathlib import Path
 from treecast import (
     ChannelParams,
     CorrectionScheme,
-    McConfig,
     ReportRow,
     SeedSpec,
     delta_exact,
@@ -74,16 +73,9 @@ def main(argv=None) -> int:
     for scheme in schemes:
         for eps in args.eps:
             est = mc_delta(
-                McConfig(
-                    r=args.r,
-                    depth=args.depth,
-                    scheme=scheme,
-                    channel=ChannelParams(epsilon=eps),
-                    seed=seed,
-                    replicates=args.replicates,
-                    record_levels=(args.depth,),
-                )
-            )[-1]
+                scheme, args.r, args.depth, ChannelParams(epsilon=eps), seed,
+                args.replicates,
+            )
             reference = delta_exact(args.depth, args.r, eps)
             rows.append(
                 ReportRow(

@@ -21,7 +21,6 @@ from .budget import BudgetError
 from .channel import ChannelParams
 from .correction import CorrectionScheme
 from .estimators import (
-    McConfig,
     mc_critical_bracket,
     mc_delta,
     mc_effective_error,
@@ -60,7 +59,6 @@ __all__ = [
     "BudgetError",
     "ChannelParams",
     "CorrectionScheme",
-    "McConfig",
     "ReportRow",
     "SUITE_NAMES",
     "SeedSpec",

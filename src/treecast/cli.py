@@ -37,7 +37,7 @@ import numpy as np
 from .budget import BudgetError
 from .channel import ChannelParams
 from .correction import CorrectionScheme
-from .estimators import McConfig, _ndtri, mc_delta, mc_effective_error
+from .estimators import _ndtri, mc_delta, mc_effective_error
 from .exact import (
     block_error_rate,
     block_scheme_delta,
@@ -122,8 +122,8 @@ class RunConfig:
             raise ValueError(f"depth must be >= 0, got {self.depth}")
         if self.replicates < 1:
             raise ValueError(f"replicates must be >= 1, got {self.replicates}")
-        if self.samples < 1:
-            raise ValueError(f"samples must be >= 1, got {self.samples}")
+        if self.samples < 2:
+            raise ValueError(f"samples must be >= 2, got {self.samples}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.M is not None and self.M < 1:
@@ -288,16 +288,9 @@ def cmd_delta(cfg: RunConfig) -> list[ReportRow]:
             _row(cfg, "delta_n", value, EXACT, params=params, tolerance=_EXACT_TOL)
         ]
     est = mc_delta(
-        McConfig(
-            r=cfg.r,
-            depth=cfg.depth,
-            scheme=scheme,
-            channel=ChannelParams(epsilon=cfg.epsilon_value),
-            seed=cfg.seed_spec(),
-            replicates=cfg.replicates,
-            record_levels=(cfg.depth,),
-        )
-    )[-1]
+        scheme, cfg.r, cfg.depth, ChannelParams(epsilon=cfg.epsilon_value),
+        cfg.seed_spec(), cfg.replicates,
+    )
     params["renormalized"] = est.renormalized
     return [
         _row(
@@ -428,36 +421,27 @@ def cmd_sweep(cfg: RunConfig, grid_path: str, overrides: dict[str, bool]) -> lis
     base = dataclasses.replace(
         cfg, r=r, replicates=replicates, seed=seed, scheme="grid"
     )
+    cells = [
+        (scheme, ChannelParams(epsilon=eps), depth)
+        for scheme in map(CorrectionScheme.parse, schemes)
+        for eps in eps_list
+        for depth in depths
+    ]
     rows = []
-    for descriptor in schemes:
-        scheme = CorrectionScheme.parse(descriptor)
-        for eps in eps_list:
-            if not 0.0 <= eps < 0.5:
-                raise ValueError(f"grid error rate must lie in [0, 0.5), got {eps}")
-            for depth in depths:
-                est = mc_delta(
-                    McConfig(
-                        r=r,
-                        depth=depth,
-                        scheme=scheme,
-                        channel=ChannelParams(epsilon=eps),
-                        seed=SeedSpec(master_seed=seed),
-                        replicates=replicates,
-                        record_levels=(depth,),
-                    )
-                )[-1]
-                rows.append(
-                    _row(
-                        base, "delta_n", est.delta_hat, MC,
-                        params={
-                            "scheme": scheme.descriptor(),
-                            "cell_eps": eps,
-                            "level": depth,
-                            "renormalized": est.renormalized,
-                        },
-                        lo=est.ci[0], hi=est.ci[1],
-                    )
-                )
+    for scheme, ch, depth in cells:
+        est = mc_delta(scheme, r, depth, ch, base.seed_spec(), replicates)
+        rows.append(
+            _row(
+                base, "delta_n", est.delta_hat, MC,
+                params={
+                    "scheme": scheme.descriptor(),
+                    "cell_eps": ch.epsilon,
+                    "level": depth,
+                    "renormalized": est.renormalized,
+                },
+                lo=est.ci[0], hi=est.ci[1],
+            )
+        )
     return rows
 
 

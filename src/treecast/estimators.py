@@ -3,12 +3,19 @@
 The exact engine covers schemes whose corrected process reduces to a plain
 count chain.  Everything else — minority removal in particular, whose
 surviving structure is a random tree — is estimated here from replicated
-trajectories with deterministic seeding.  Estimates carry conservative
-confidence intervals built from Wilson score intervals on the underlying
-sign frequencies, and a bracket estimator localizes critical points from a
-grid of channel strengths without ever claiming a sharp threshold: grid
-points that cannot be called with a four-sigma margin widen the bracket
-instead of being guessed.
+trajectories with deterministic seeding.  Each estimator makes one estimate
+from explicit arguments and runs one trajectory per estimate, recording only
+the level it reads:
+
+* :func:`mc_delta` — the advantage of a scheme at one depth, with a
+  conservative 99% interval built from Wilson score intervals on the two
+  sign frequencies;
+* :func:`mc_effective_error` — the error rate of one ``k``-step descent
+  period, with a 99% Wilson interval;
+* :func:`mc_critical_bracket` — a bracket for a critical error-free rate
+  from a grid of :func:`mc_delta` estimates.  It never claims a sharp
+  threshold: grid points that cannot be called with a four-sigma margin
+  widen the bracket instead of being guessed.
 """
 
 from __future__ import annotations
@@ -16,16 +23,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .channel import ChannelParams
 from .correction import CorrectionScheme, run_corrected_trajectory
-from .exact import CriticalEstimate
 from .rng import SeedSpec
 from .trees import RegularTreeSpec
 
 __all__ = [
-    "McConfig",
     "mc_critical_bracket",
     "mc_delta",
     "mc_effective_error",
@@ -169,51 +172,9 @@ def delta_confidence_interval(
 
 
 @dataclass(frozen=True)
-class McConfig:
-    """One Monte Carlo run: tree, scheme, channel, seeding, and sizes."""
-
-    r: int
-    depth: int
-    scheme: CorrectionScheme
-    channel: ChannelParams
-    seed: SeedSpec
-    replicates: int
-    ci_level: float = DEFAULT_CI_LEVEL
-    record_levels: tuple[int, ...] | None = None
-    pin_renormalized_root: bool = False
-
-    def __post_init__(self) -> None:
-        if self.replicates < MIN_REPLICATES:
-            raise ValueError(
-                f"need at least {MIN_REPLICATES} replicates, got {self.replicates}"
-            )
-        if not 0.0 < self.ci_level < 1.0:
-            raise ValueError(f"ci_level must lie in (0, 1), got {self.ci_level}")
-        if self.scheme.descent_based and self.depth % self.scheme.k != 0:
-            raise ValueError(
-                f"depth {self.depth} must be a multiple of the descent period "
-                f"{self.scheme.k}"
-            )
-        if self.pin_renormalized_root:
-            if not self.scheme.block_based:
-                raise ValueError(
-                    "pin_renormalized_root is only meaningful for block schemes"
-                )
-            if self.depth <= self.scheme.start_level(self.r):
-                raise ValueError(
-                    "depth must exceed the scheme's start level to measure a "
-                    "renormalized-root advantage"
-                )
-
-    def tree(self) -> RegularTreeSpec:
-        return RegularTreeSpec(r=self.r, depth=self.depth)
-
-
-@dataclass(frozen=True)
 class DeltaEstimate:
     """Estimated reconstruction advantage at one level."""
 
-    n: int
     delta_hat: float
     ci: tuple[float, float]
     replicates: int
@@ -238,30 +199,17 @@ class DeltaEstimate:
         return math.sqrt(var)
 
 
-def _estimate_from_signs(
-    level: int,
-    stat: np.ndarray,
+def mc_delta(
+    scheme: CorrectionScheme,
+    r: int,
+    depth: int,
+    ch: ChannelParams,
+    seed: SeedSpec,
     replicates: int,
-    ci_level: float,
-    renormalized: bool,
+    *,
+    pin_renormalized_root: bool = False,
 ) -> DeltaEstimate:
-    plus = int((stat > 0).sum())
-    minus = int((stat < 0).sum())
-    delta_hat = (plus - minus) / replicates
-    ci = delta_confidence_interval(plus, minus, replicates, ci_level)
-    return DeltaEstimate(
-        n=level,
-        delta_hat=delta_hat,
-        ci=ci,
-        replicates=replicates,
-        plus_count=plus,
-        minus_count=minus,
-        renormalized=renormalized,
-    )
-
-
-def mc_delta(cfg: McConfig) -> list[DeltaEstimate]:
-    """Estimate the advantage at every recorded level of one corrected run.
+    """Estimate the advantage at level ``depth`` of one corrected run.
 
     The root is pinned to +1 and each replicate contributes the sign of the
     level's decision statistic; the estimate is the frequency difference
@@ -269,31 +217,47 @@ def mc_delta(cfg: McConfig) -> list[DeltaEstimate]:
     fair-coin convention).  The statistic is the signed sum over the level's
     vertices, with two exceptions: minority-removal schemes count one vote
     per surviving block at correction levels (the corrected process's
-    vertices are the blocks), and renormalized-root runs read the one-vote
-    statistic relative to the pinned block level.
+    vertices are the blocks), and renormalized-root runs (block schemes
+    only) read the one-vote statistic relative to the pinned block level.
     """
+    if replicates < MIN_REPLICATES:
+        raise ValueError(
+            f"need at least {MIN_REPLICATES} replicates, got {replicates}"
+        )
+    if scheme.descent_based and depth % scheme.k != 0:
+        raise ValueError(
+            f"depth {depth} must be a multiple of the descent period {scheme.k}"
+        )
+    if pin_renormalized_root and depth <= scheme.start_level(r):
+        raise ValueError(
+            "depth must exceed the scheme's start level to measure a "
+            "renormalized-root advantage"
+        )
     traj = run_corrected_trajectory(
-        cfg.tree(),
-        cfg.scheme,
-        cfg.channel,
-        cfg.seed,
-        cfg.replicates,
+        RegularTreeSpec(r=r, depth=depth),
+        scheme,
+        ch,
+        seed,
+        replicates,
         pin_root=+1,
-        pin_renormalized_root=cfg.pin_renormalized_root,
-        record_levels=cfg.record_levels,
+        pin_renormalized_root=pin_renormalized_root,
+        record_levels=(depth,),
     )
-    estimates = []
-    for rec in traj.records:
-        use_renormalized = rec.renormalized_statistic is not None and (
-            cfg.pin_renormalized_root or cfg.scheme.removes_minority
-        )
-        stat = rec.renormalized_statistic if use_renormalized else rec.statistic
-        estimates.append(
-            _estimate_from_signs(
-                rec.level, stat, cfg.replicates, cfg.ci_level, use_renormalized
-            )
-        )
-    return estimates
+    rec = traj.records[0]
+    renormalized = rec.renormalized_statistic is not None and (
+        pin_renormalized_root or scheme.removes_minority
+    )
+    stat = rec.renormalized_statistic if renormalized else rec.statistic
+    plus = int((stat > 0).sum())
+    minus = int((stat < 0).sum())
+    return DeltaEstimate(
+        delta_hat=(plus - minus) / replicates,
+        ci=delta_confidence_interval(plus, minus, replicates),
+        replicates=replicates,
+        plus_count=plus,
+        minus_count=minus,
+        renormalized=renormalized,
+    )
 
 
 @dataclass(frozen=True)
@@ -303,8 +267,6 @@ class ErrorRateEstimate:
     eps_hat: float
     ci: tuple[float, float]
     replicates: int
-    error_mass: float
-    tie_count: int
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.eps_hat <= 1.0:
@@ -321,70 +283,36 @@ class ErrorRateEstimate:
 
 
 def mc_effective_error(
-    r: int,
-    eps: float,
-    *,
-    k: int | None = None,
-    M: int | None = None,
-    minority: bool = False,
-    replicates: int = 10_000,
-    seed: SeedSpec | int = 0,
-    ci_level: float = DEFAULT_CI_LEVEL,
+    r: int, eps: float, *, k: int, replicates: int, seed: SeedSpec
 ) -> ErrorRateEstimate:
-    """Estimate the error rate of one correction period from a +1 root.
+    """Estimate the error rate of one ``k``-step descent period from a +1 root.
 
-    Exactly one of ``k`` (descent majority over the ``r**k`` descendants
-    after ``k`` generations) and ``M`` (majority over a block of ``M``
-    independent copies of one broadcast step) selects the period shape.
-    With ``minority=True`` (descent flavor only) the period instead applies
-    minority removal and reads the surviving sign, which is the same sign
-    event as the majority with the tie resolved by the scheme's coin.
-
-    Majority ties contribute error mass one half; the interval is a Wilson
-    score interval on the accumulated error mass.
+    The period's outcome is the majority over the ``r**k`` descendants after
+    ``k`` generations of plain broadcast.  Majority ties contribute error
+    mass one half; the interval is a Wilson score interval on the
+    accumulated error mass.
     """
-    if (k is None) == (M is None):
-        raise ValueError("exactly one of k and M must be given")
-    if minority and k is None:
-        raise ValueError("minority flavor is defined for the descent period only")
     if replicates < MIN_REPLICATES:
         raise ValueError(
             f"need at least {MIN_REPLICATES} replicates, got {replicates}"
         )
-    if isinstance(seed, int):
-        seed = SeedSpec(master_seed=seed)
-    ch = ChannelParams(epsilon=eps)
-
-    if minority:
-        scheme, branching, steps = CorrectionScheme.within_descent_minority_removal(k), r, k
-    elif k is not None:
-        scheme, branching, steps = CorrectionScheme.identity(), r, k
-    else:
-        scheme, branching, steps = CorrectionScheme.identity(), M, 1
-    if branching < 1 or steps < 1:
-        raise ValueError("period parameters must be positive")
+    if k < 1:
+        raise ValueError(f"correction period must be >= 1, got {k}")
     traj = run_corrected_trajectory(
-        RegularTreeSpec(r=branching, depth=steps),
-        scheme,
-        ch,
+        RegularTreeSpec(r=r, depth=k),
+        CorrectionScheme.identity(),
+        ChannelParams(epsilon=eps),
         seed,
         replicates,
         pin_root=+1,
-        record_levels=(steps,),
+        record_levels=(k,),
     )
-    rec = traj.records[-1]
-    stat = rec.renormalized_statistic if minority else rec.statistic
-
-    ties = int((stat == 0).sum())
-    error_mass = float((stat < 0).sum()) + 0.5 * ties
-    eps_hat = error_mass / replicates
-    ci = wilson_interval(error_mass, replicates, ci_level)
+    stat = traj.records[0].statistic
+    error_mass = float((stat < 0).sum()) + 0.5 * int((stat == 0).sum())
     return ErrorRateEstimate(
-        eps_hat=eps_hat,
-        ci=ci,
+        eps_hat=error_mass / replicates,
+        ci=wilson_interval(error_mass, replicates),
         replicates=replicates,
-        error_mass=error_mass,
-        tie_count=ties,
     )
 
 
@@ -403,15 +331,14 @@ class BracketPoint:
 
 
 @dataclass(frozen=True)
-class McCriticalBracket(CriticalEstimate):
-    """A Monte Carlo critical bracket with its per-point evidence.
+class McCriticalBracket:
+    """A Monte Carlo critical bracket ``[p_lo, p_hi]`` with its per-point
+    evidence; ``tolerance`` records the largest grid spacing."""
 
-    Shares the exact engine's bracket fields, so code that only reads the
-    bracket treats both flavors alike; ``tolerance`` records the largest
-    grid spacing and ``k`` is 0 for block schemes (no descent period).
-    """
-
-    points: tuple[BracketPoint, ...] = ()
+    p_lo: float
+    p_hi: float
+    tolerance: float
+    points: tuple[BracketPoint, ...]
 
 
 def _judge(est: DeltaEstimate, floor: float) -> str:
@@ -429,23 +356,21 @@ def mc_critical_bracket(
     depth: int,
     p_grid: tuple[float, ...] | list[float],
     replicates: int,
-    seed: SeedSpec | int,
+    seed: SeedSpec,
     *,
     floor: float,
-    ci_level: float = DEFAULT_CI_LEVEL,
 ) -> McCriticalBracket:
     """Bracket a scheme's critical error-free rate from a grid of p values.
 
-    Each grid point runs the full scheme to ``depth`` (deepest level only)
-    and is judged reconstructing or non-reconstructing only when its
-    advantage clears the configured ``floor`` by four standard errors;
-    anything closer is inconclusive and widens the bracket rather than
-    being guessed.  The bracket is [largest non-reconstructing p below the
-    reconstruction region, smallest reconstructing p]; with no
-    non-reconstructing point the lower edge falls back to 0 and with no
-    reconstructing point the upper edge falls back to 1 (both trivially
-    correct).  All grid points share the seed, so the comparison across p
-    uses common random numbers.
+    Each grid point is one :func:`mc_delta` estimate at level ``depth``.  It
+    is judged reconstructing or non-reconstructing only when its advantage
+    clears ``floor`` by four standard errors; anything closer is
+    inconclusive and widens the bracket rather than being guessed.  The
+    bracket is [largest non-reconstructing p below the reconstruction
+    region, smallest reconstructing p]; with no non-reconstructing point the
+    lower edge falls back to 0 and with no reconstructing point the upper
+    edge falls back to 1 (both trivially correct).  All grid points share
+    the seed, so the comparison across p uses common random numbers.
 
     Raises ``RuntimeError`` when every grid point is inconclusive: the grid
     carries no bracketing information at this depth and replicate count.
@@ -457,22 +382,10 @@ def mc_critical_bracket(
         )
     if len(set(grid)) != len(grid):
         raise ValueError("grid points must be distinct")
-    if isinstance(seed, int):
-        seed = SeedSpec(master_seed=seed)
 
     points: list[BracketPoint] = []
     for p in grid:
-        cfg = McConfig(
-            r=r,
-            depth=depth,
-            scheme=scheme,
-            channel=ChannelParams.from_p(p),
-            seed=seed,
-            replicates=replicates,
-            ci_level=ci_level,
-            record_levels=(depth,),
-        )
-        est = mc_delta(cfg)[-1]
+        est = mc_delta(scheme, r, depth, ChannelParams.from_p(p), seed, replicates)
         points.append(BracketPoint(p=p, estimate=est, judgement=_judge(est, floor)))
 
     if all(pt.judgement == JUDGE_INCONCLUSIVE for pt in points):
@@ -484,21 +397,9 @@ def mc_critical_bracket(
     non_recon = [pt.p for pt in points if pt.judgement == JUDGE_NON_RECONSTRUCTING]
     p_hi = min(recon) if recon else 1.0
     below = [p for p in non_recon if p < p_hi]
-    p_lo = max(below) if below else 0.0
-    monotone = (max(non_recon) if non_recon else -math.inf) < (
-        min(recon) if recon else math.inf
-    )
-    spacing = max(b - a for a, b in zip(grid, grid[1:]))
     return McCriticalBracket(
-        k=scheme.k if scheme.descent_based else 0,
-        r=r,
-        p_lo=p_lo,
+        p_lo=max(below) if below else 0.0,
         p_hi=p_hi,
-        decision_rule=(
-            f"MC advantage of {scheme.descriptor()} at level {depth} vs floor "
-            f"{floor:g} with {DECISION_SIGMAS:g} sigma separation"
-        ),
-        tolerance=spacing,
-        objective_monotone=monotone,
+        tolerance=max(b - a for a, b in zip(grid, grid[1:])),
         points=tuple(points),
     )

@@ -291,13 +291,10 @@ def ks_condition_value(k: int, r: int, p: float, budget: int | None = None) -> f
 
 @dataclass(frozen=True)
 class CriticalEstimate:
-    """A bracket for a critical error-free rate and the rule that produced it."""
+    """A bracket for a critical error-free rate, bisected to ``tolerance``."""
 
-    k: int
-    r: int
     p_lo: float
     p_hi: float
-    decision_rule: str
     tolerance: float
     objective_monotone: bool = True
 
@@ -310,10 +307,6 @@ class CriticalEstimate:
     @property
     def midpoint(self) -> float:
         return 0.5 * (self.p_lo + self.p_hi)
-
-    @property
-    def width(self) -> float:
-        return self.p_hi - self.p_lo
 
 
 def critical_point_k(
@@ -375,13 +368,7 @@ def critical_point_k(
             lo = mid
 
     return CriticalEstimate(
-        k=k,
-        r=r,
-        p_lo=lo,
-        p_hi=hi,
-        decision_rule="renormalized Kesten-Stigum (1-2*eps_k)^2 * r^k vs 1",
-        tolerance=tol,
-        objective_monotone=monotone,
+        p_lo=lo, p_hi=hi, tolerance=tol, objective_monotone=monotone
     )
 
 

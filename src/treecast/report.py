@@ -62,8 +62,8 @@ class ReportRow:
         if self.provenance == MC:
             if self.lo is None or self.hi is None:
                 raise ValueError(f"mc row {self.quantity!r} needs an interval")
-            if self.lo > self.hi:
-                raise ValueError(f"empty interval [{self.lo}, {self.hi}]")
+            if not self.lo <= self.hi:
+                raise ValueError(f"interval [{self.lo}, {self.hi}] is not ordered")
         if self.provenance == EXACT:
             if self.tolerance is None or self.tolerance < 0:
                 raise ValueError(

@@ -31,8 +31,7 @@ from .budget import check_vertices
 class RegularTreeSpec:
     """A regular tree with forward branching rate ``r`` truncated at ``depth``.
 
-    ``r = 1`` is a path; it is the single-copy period of
-    :func:`~treecast.estimators.mc_effective_error` with ``M = 1``.
+    ``r = 1`` is a path.
     """
 
     r: int

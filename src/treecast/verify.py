@@ -22,7 +22,7 @@ import numpy as np
 
 from .channel import ChannelParams
 from .correction import CorrectionScheme
-from .estimators import McConfig, mc_critical_bracket, mc_delta
+from .estimators import mc_critical_bracket, mc_delta
 from .exact import (
     block_error_rate,
     block_scheme_delta,
@@ -380,18 +380,10 @@ def _suite_block_rescue(seed: SeedSpec) -> list[CheckResult]:
     renorm_depth = 8
     depth = start + renorm_depth
     replicates = 10_000
+    ch = ChannelParams(epsilon=eps)
     corrected = mc_delta(
-        McConfig(
-            r=r,
-            depth=depth,
-            scheme=scheme,
-            channel=ChannelParams(epsilon=eps),
-            seed=seed,
-            replicates=replicates,
-            record_levels=(depth,),
-            pin_renormalized_root=True,
-        )
-    )[-1]
+        scheme, r, depth, ch, seed, replicates, pin_renormalized_root=True
+    )
     exact_reference = block_scheme_delta(
         m_run, renorm_depth, r, eps, pin_renormalized_root=True
     )
@@ -408,17 +400,7 @@ def _suite_block_rescue(seed: SeedSpec) -> list[CheckResult]:
         )
     )
 
-    plain = mc_delta(
-        McConfig(
-            r=r,
-            depth=depth,
-            scheme=CorrectionScheme.identity(),
-            channel=ChannelParams(epsilon=eps),
-            seed=seed,
-            replicates=replicates,
-            record_levels=(depth,),
-        )
-    )[-1]
+    plain = mc_delta(CorrectionScheme.identity(), r, depth, ch, seed, replicates)
     separation = corrected.delta_hat - plain.delta_hat
     sigma = math.hypot(corrected.sigma, plain.sigma)
     out.append(

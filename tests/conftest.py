@@ -8,7 +8,6 @@ import pytest
 from treecast import (
     ChannelParams,
     CorrectionScheme,
-    McConfig,
     SeedSpec,
     block_scheme_delta,
     delta_exact,
@@ -84,17 +83,11 @@ def _gate_cases():
 def gate_points():
     points = []
     for label, (scheme, r, eps, depth, pin, exact) in zip(GATE_LABELS, _gate_cases()):
-        cfg = McConfig(
-            r=r,
-            depth=depth,
-            scheme=scheme,
-            channel=ChannelParams(epsilon=eps),
-            seed=SeedSpec(master_seed=GATE_SEED),
-            replicates=GATE_REPLICATES,
-            record_levels=(depth,),
+        est = mc_delta(
+            scheme, r, depth, ChannelParams(epsilon=eps),
+            SeedSpec(master_seed=GATE_SEED), GATE_REPLICATES,
             pin_renormalized_root=pin,
         )
-        est = mc_delta(cfg)[-1]
         points.append(
             GatePoint(label=label, exact=exact, delta_hat=est.delta_hat, sigma=est.sigma)
         )

@@ -14,7 +14,6 @@ import pytest
 from treecast import (
     ChannelParams,
     CorrectionScheme,
-    McConfig,
     SeedSpec,
     delta_exact,
     mc_delta,
@@ -304,16 +303,9 @@ def test_criterion_13_mc_exact_cross_validation(gate_points, report):
     covered = 0
     for master_seed in range(CALIBRATION_SEEDS):
         est = mc_delta(
-            McConfig(
-                r=2,
-                depth=4,
-                scheme=CorrectionScheme.identity(),
-                channel=ChannelParams(epsilon=0.10),
-                seed=SeedSpec(master_seed=master_seed),
-                replicates=GATE_REPLICATES,
-                record_levels=(4,),
-            )
-        )[-1]
+            CorrectionScheme.identity(), 2, 4, ChannelParams(epsilon=0.10),
+            SeedSpec(master_seed=master_seed), GATE_REPLICATES,
+        )
         if est.ci[0] <= exact <= est.ci[1]:
             covered += 1
     elapsed = time.monotonic() - start

@@ -2,15 +2,12 @@
 
 import math
 
-import numpy as np
 import pytest
 
 from treecast import (
     ChannelParams,
     CorrectionScheme,
-    McConfig,
     SeedSpec,
-    block_error_rate,
     delta_exact,
     mc_critical_bracket,
     mc_delta,
@@ -64,40 +61,34 @@ def test_delta_interval_is_conservative():
     assert lo_hi_90[0] >= lo and lo_hi_90[1] <= hi
 
 
-def test_mc_config_validation():
+def test_mc_delta_validation():
     ch = ChannelParams(epsilon=0.2)
     with pytest.raises(ValueError):
-        McConfig(
-            r=2, depth=4, scheme=CorrectionScheme.identity(), channel=ch,
-            seed=SEED, replicates=50,
-        )
+        mc_delta(CorrectionScheme.identity(), 2, 4, ch, SEED, 50)
     with pytest.raises(ValueError):
-        McConfig(
-            r=2, depth=5, scheme=CorrectionScheme.within_descent_majority(2),
-            channel=ch, seed=SEED, replicates=500,
-        )
+        mc_delta(CorrectionScheme.within_descent_majority(2), 2, 5, ch, SEED, 500)
     with pytest.raises(ValueError):
-        McConfig(
-            r=2, depth=4, scheme=CorrectionScheme.identity(), channel=ch,
-            seed=SEED, replicates=500, pin_renormalized_root=True,
+        mc_delta(
+            CorrectionScheme.identity(), 2, 4, ch, SEED, 500,
+            pin_renormalized_root=True,
         )
     with pytest.raises(ValueError):
         # Depth must exceed the block scheme's start level to pin there.
-        McConfig(
-            r=2, depth=2, scheme=CorrectionScheme.block_majority_every_step(4),
-            channel=ch, seed=SEED, replicates=500, pin_renormalized_root=True,
+        mc_delta(
+            CorrectionScheme.block_majority_every_step(4), 2, 2, ch, SEED, 500,
+            pin_renormalized_root=True,
         )
 
 
 def test_delta_estimate_validation():
     with pytest.raises(ValueError):
         DeltaEstimate(
-            n=2, delta_hat=0.5, ci=(0.6, 0.7), replicates=100,
+            delta_hat=0.5, ci=(0.6, 0.7), replicates=100,
             plus_count=75, minus_count=25,
         )
     with pytest.raises(ValueError):
         DeltaEstimate(
-            n=2, delta_hat=1.5, ci=(0.0, 2.0), replicates=100,
+            delta_hat=1.5, ci=(0.0, 2.0), replicates=100,
             plus_count=100, minus_count=0,
         )
 
@@ -113,45 +104,23 @@ def test_mc_matches_exact_engine(idx, gate_points):
 
 
 def test_mc_delta_deterministic():
-    cfg = McConfig(
-        r=2, depth=4, scheme=CorrectionScheme.identity(),
-        channel=ChannelParams(epsilon=0.1), seed=SEED, replicates=500,
-        record_levels=(4,),
-    )
-    a = mc_delta(cfg)[-1]
-    b = mc_delta(cfg)[-1]
+    ch = ChannelParams(epsilon=0.1)
+    a = mc_delta(CorrectionScheme.identity(), 2, 4, ch, SEED, 500)
+    b = mc_delta(CorrectionScheme.identity(), 2, 4, ch, SEED, 500)
     assert (a.delta_hat, a.plus_count, a.minus_count) == (
         b.delta_hat, b.plus_count, b.minus_count
     )
     other = mc_delta(
-        McConfig(
-            r=2, depth=4, scheme=CorrectionScheme.identity(),
-            channel=ChannelParams(epsilon=0.1),
-            seed=SeedSpec(master_seed=271828), replicates=500,
-            record_levels=(4,),
-        )
-    )[-1]
+        CorrectionScheme.identity(), 2, 4, ch, SeedSpec(master_seed=271828), 500
+    )
     assert (a.plus_count, a.minus_count) != (other.plus_count, other.minus_count)
 
 
-def test_mc_delta_records_every_level_by_default():
-    cfg = McConfig(
-        r=2, depth=3, scheme=CorrectionScheme.identity(),
-        channel=ChannelParams(epsilon=0.2), seed=SEED, replicates=200,
-    )
-    estimates = mc_delta(cfg)
-    assert [est.n for est in estimates] == [0, 1, 2, 3]
-    assert estimates[0].delta_hat == 1.0  # the pinned root itself
-    assert all(est.ci[0] <= est.delta_hat <= est.ci[1] for est in estimates)
-
-
 def test_minority_removal_estimates_are_renormalized():
-    cfg = McConfig(
-        r=3, depth=2, scheme=CorrectionScheme.within_descent_minority_removal(1),
-        channel=ChannelParams(epsilon=0.3), seed=SEED, replicates=500,
-        record_levels=(2,),
+    est = mc_delta(
+        CorrectionScheme.within_descent_minority_removal(1), 3, 2,
+        ChannelParams(epsilon=0.3), SEED, 500,
     )
-    est = mc_delta(cfg)[-1]
     assert est.renormalized
     assert -1.0 <= est.delta_hat <= 1.0
 
@@ -160,25 +129,28 @@ def test_mc_effective_error_matches_exact_period():
     est = mc_effective_error(2, 0.2, k=1, replicates=20_000, seed=SEED)
     sigma = est.sigma
     assert abs(est.eps_hat - 0.2) < 4 * sigma
-    est_m = mc_effective_error(2, 0.2, M=3, replicates=20_000, seed=SEED)
-    assert abs(est_m.eps_hat - block_error_rate(3, 0.2)) < 4 * est_m.sigma
-    assert est_m.ci[0] < est_m.eps_hat < est_m.ci[1]
+    assert est.ci[0] < est.eps_hat < est.ci[1]
 
 
-def test_minority_flavor_matches_majority_in_law():
-    maj = mc_effective_error(3, 0.25, k=1, replicates=20_000, seed=SEED)
-    mino = mc_effective_error(3, 0.25, k=1, minority=True, replicates=20_000, seed=SEED)
-    pooled = math.hypot(maj.sigma, mino.sigma)
-    assert abs(maj.eps_hat - mino.eps_hat) < 4 * pooled
+def test_minority_removal_matches_majority_at_one_period():
+    # Over one period the surviving sign is the block majority, with a tie
+    # resolved by the same coin stream, so the sign counts agree exactly
+    # (r = 4 has ties).
+    ch = ChannelParams(epsilon=0.25)
+    majority = CorrectionScheme.within_descent_majority(1)
+    removal = CorrectionScheme.within_descent_minority_removal(1)
+    for r in (3, 4):
+        kept = mc_delta(majority, r, 1, ch, SEED, 20_000)
+        survived = mc_delta(removal, r, 1, ch, SEED, 20_000)
+        assert survived.renormalized and not kept.renormalized
+        assert (survived.plus_count, survived.minus_count) == (
+            kept.plus_count, kept.minus_count
+        )
 
 
 def test_mc_effective_error_validation():
     with pytest.raises(ValueError):
-        mc_effective_error(2, 0.2, replicates=500, seed=SEED)
-    with pytest.raises(ValueError):
-        mc_effective_error(2, 0.2, k=1, M=3, replicates=500, seed=SEED)
-    with pytest.raises(ValueError):
-        mc_effective_error(2, 0.2, M=3, minority=True, replicates=500, seed=SEED)
+        mc_effective_error(2, 0.2, k=0, replicates=500, seed=SEED)
     with pytest.raises(ValueError):
         mc_effective_error(2, 0.2, k=1, replicates=50, seed=SEED)
 

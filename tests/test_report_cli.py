@@ -1,6 +1,7 @@
 """Report rows, serialization, and the command-line surface."""
 
 import csv
+import hashlib
 import io
 import json
 import math
@@ -51,6 +52,15 @@ def test_report_row_validation():
         ReportRow(
             experiment="x", params={}, quantity="delta_n", value=0.5,
             provenance="exact",  # tolerance missing
+        )
+
+
+@pytest.mark.parametrize("lo,hi", [(math.nan, 0.7), (0.3, math.nan), (math.nan, math.nan)])
+def test_report_row_refuses_unordered_mc_bounds(lo, hi):
+    with pytest.raises(ValueError):
+        ReportRow(
+            experiment="x", params={}, quantity="W_mean", value=0.5,
+            provenance="mc", lo=lo, hi=hi,
         )
 
 
@@ -251,6 +261,63 @@ def test_cli_sweep_grid(capsys, tmp_path):
     rows = list(csv.DictReader(io.StringIO(out_a)))
     assert len(rows) == 8
     assert all(row["quantity"] == "delta_n" for row in rows)
+
+
+# One cell per scheme at r=2, eps=0.15, depth 4, 400 replicates, seed 11.
+PINNED_SWEEP_GRID = {
+    "r": 2,
+    "schemes": [
+        "Identity",
+        "WithinDescentMajority{k=2}",
+        "FractionIdentification{k=2}",
+        "WithinDescentMinorityRemoval{k=2}",
+        "BlockMajorityEveryStep{M=4}",
+        "MinorityRemovalEveryStep{M=4}",
+    ],
+    "eps": [0.15],
+    "depths": [4],
+    "replicates": 400,
+    "seed": 11,
+}
+# SHA-256 of ``sweep --reproducible --format csv`` stdout for that grid.
+PINNED_SWEEP = "6ddc5ca04b2bb360ce8973744136148b43625e3702048f0fc5adac8abc79832a"
+
+
+def test_cli_sweep_output_matches_pinned_digest(capsys, tmp_path):
+    grid_path = tmp_path / "grid.json"
+    grid_path.write_text(json.dumps(PINNED_SWEEP_GRID))
+    code, out = run_cli(
+        capsys, "sweep", str(grid_path), "--reproducible", "--format", "csv"
+    )
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_SWEEP
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [{"schemes": ["Identity", "Bogus"]}, {"eps": [0.1, 0.7]}],
+    ids=["unknown-scheme", "eps-out-of-range"],
+)
+def test_cli_sweep_checks_whole_grid_before_first_cell(capsys, tmp_path, monkeypatch, bad):
+    import treecast.cli as cli
+
+    calls = []
+    real = cli.mc_delta
+    monkeypatch.setattr(cli, "mc_delta", lambda *a, **kw: calls.append(a) or real(*a, **kw))
+    grid = {"r": 2, "schemes": ["Identity"], "eps": [0.1], "depths": [2],
+            "replicates": 200, **bad}
+    grid_path = tmp_path / "grid.json"
+    grid_path.write_text(json.dumps(grid))
+    assert main(["sweep", str(grid_path)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert calls == []
+
+
+def test_cli_fk_stats_refuses_one_sample(capsys):
+    # One sample leaves the spread of W_mean undefined (std with ddof=1).
+    argv = ["fk-stats", "--r", "4", "--p", "0.3", "--k", "2", "--samples", "1"]
+    assert main(argv) == 2
+    assert "samples must be >= 2" in capsys.readouterr().err
 
 
 def test_cli_sweep_rejects_incomplete_grid(tmp_path):
