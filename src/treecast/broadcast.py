@@ -4,8 +4,8 @@ Signals live as packed bits: one uint8 row per replicate, most significant
 bit first, bit 1 for +1 and bit 0 for -1, padding bits zero.  A generation
 step repeats each parent bit ``r`` times (one table lookup per byte) and
 XORs a Bernoulli flip mask onto it, so the global spin-flip symmetry is
-exact by construction.  Majority statistics reduce rows with a byte-level
-popcount table.
+exact by construction.  Majority statistics reduce rows with
+``np.bitwise_count``.
 
 All randomness flows through :class:`~treecast.rng.SeedSpec` streams keyed by
 (purpose, level, replicate block).  The sampling kernels act on one replicate
@@ -26,10 +26,6 @@ import numpy as np
 from .channel import ChannelParams
 from .rng import REPLICATE_BLOCK, SeedSpec, bernoulli_bits, check_block_rows
 
-_POPCOUNT = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1).sum(
-    axis=1, dtype=np.uint8
-)
-
 
 def packed_width(size: int) -> int:
     """Bytes per replicate row for ``size`` packed signal bits."""
@@ -38,7 +34,7 @@ def packed_width(size: int) -> int:
 
 def popcount_rows(packed: np.ndarray) -> np.ndarray:
     """Number of set bits per row of a packed array."""
-    return _POPCOUNT[packed].sum(axis=1, dtype=np.int64)
+    return np.bitwise_count(packed).sum(axis=1, dtype=np.int64)
 
 
 @dataclass(frozen=True)
@@ -137,7 +133,9 @@ def repeat_packed(packed: np.ndarray, size: int, r: int) -> np.ndarray:
     Used both to seed children with their parent's sign and to propagate
     alive masks (children of a dead vertex are dead).  Zero padding bits
     repeat into zero bits, so the bytes past the result's width are dropped.
+    ``packed`` may have any memory layout.
     """
+    packed = np.ascontiguousarray(packed)
     out = _repeat_table(r)[packed].view(np.uint8).reshape(packed.shape[0], -1)
     return np.ascontiguousarray(out[:, : packed_width(size * r)])
 

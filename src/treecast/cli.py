@@ -37,7 +37,7 @@ import numpy as np
 from .budget import BudgetError
 from .channel import ChannelParams
 from .correction import CorrectionScheme
-from .estimators import _ndtri, mc_delta, mc_effective_error
+from .estimators import _ndtri, check_mc_delta, mc_delta, mc_effective_error
 from .exact import (
     block_error_rate,
     block_scheme_delta,
@@ -427,6 +427,8 @@ def cmd_sweep(cfg: RunConfig, grid_path: str, overrides: dict[str, bool]) -> lis
         for eps in eps_list
         for depth in depths
     ]
+    for scheme, _, depth in cells:
+        check_mc_delta(scheme, r, depth, replicates)
     rows = []
     for scheme, ch, depth in cells:
         est = mc_delta(scheme, r, depth, ch, base.seed_spec(), replicates)

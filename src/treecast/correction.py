@@ -38,19 +38,28 @@ usable CPU (Philox fills and numpy bulk operations release the GIL); a
 single block runs without a pool.  Every stream keeps its global
 ``(purpose, level, block)`` address, so neither the order of blocks nor the
 number of workers changes a single output bit.  Memory is bounded per block,
-not per run: only a block's current level is held, and the kernels unpack
-bits a bounded row slice at a time (:func:`~treecast.rng.row_slices`).  The
-vertex budget is checked once, when the :class:`~treecast.trees.RegularTreeSpec`
-is built.
+not per run: only a block's current level is held, and the correction
+kernels work a bounded row slice at a time (:func:`~treecast.rng.row_slices`).
+The vertex budget is checked once, when the
+:class:`~treecast.trees.RegularTreeSpec` is built.
+
+The correction kernels never hold one byte per bit.  Each counts the members
+of every block from byte popcounts (:func:`_block_counts`), picks the
+majority as ``plus > minus``, or the coin when they are equal, and spreads
+the chosen bits back over the blocks' members on packed bytes
+(:func:`_spread`).  Block majority writes the spread bits, minority removal
+keeps ``alive & ~(bits ^ spread)``, and leftover members pass through under
+a mask.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -232,17 +241,138 @@ def _check_block(g: GenerationSignals, part: BlockPartition) -> None:
         )
 
 
-def _tie_bits(seed: SeedSpec, level: int, block: int, n_blocks: int) -> np.ndarray:
-    """Fair tie-break coins, one per (replicate, block), unpacked 0/1."""
+def _tie_coins(seed: SeedSpec, level: int, block: int, n_blocks: int) -> np.ndarray:
+    """Fair tie-break coins, one per (replicate, block), packed."""
     gen = seed.generator("tie", level=level, block=block)
-    packed = bernoulli_bits(gen, 0.5, REPLICATE_BLOCK, n_blocks)
-    return np.unpackbits(packed, axis=1, count=n_blocks)
+    return bernoulli_bits(gen, 0.5, REPLICATE_BLOCK, n_blocks)
+
+
+def _block_rows(g: GenerationSignals, part: BlockPartition) -> Iterator[slice]:
+    """Row slices that bound the per-block and per-byte working arrays."""
+    return row_slices(g.n_replicates, max(part.n_blocks, g.packed.shape[1]))
+
+
+#: Mask of the low field of every pair of ``width``-bit fields in a byte.
+_LOW_FIELDS = {1: 0x55, 2: 0x33}
+
+
+def _block_counts(packed: np.ndarray, part: BlockPartition) -> np.ndarray:
+    """Set bits in each full block of every packed row, shape (rows, n_blocks).
+
+    Blocks inside a byte (B of 1, 2 or 4) add neighbouring bit fields with
+    shifted masks.  Blocks of whole bytes take the popcount of a 1-, 2-, 4- or
+    8-byte word and sum the words of a block.  Any other B takes differences
+    of a prefix popcount at the block boundaries, counting the bits of the
+    byte a boundary falls in through a mask.  The counts' dtype holds B.
+    """
+    B, nb = part.block_size, part.n_blocks
+    rows = packed.shape[0]
+    if B in (1, 2, 4):
+        fields, width = packed, 1
+        while width < B:
+            low = _LOW_FIELDS[width]
+            fields = (fields & low) + ((fields >> width) & low)
+            width *= 2
+        mask = (1 << B) - 1
+        split = [(fields >> shift) & mask for shift in range(8 - B, -1, -B)]
+        return np.stack(split, axis=2).reshape(rows, -1)[:, :nb]
+    if B % 8 == 0:
+        block_bytes = B // 8
+        word = math.gcd(block_bytes, 8)
+        counts = np.bitwise_count(packed[:, : nb * block_bytes].view(f"u{word}"))
+        if word == block_bytes:
+            return counts
+        return counts.reshape(rows, nb, block_bytes // word).sum(
+            axis=2, dtype=np.min_scalar_type(B)
+        )
+    dtype = np.min_scalar_type(part.level_size)
+    prefix = np.zeros((rows, packed.shape[1] + 1), dtype=dtype)
+    np.cumsum(np.bitwise_count(packed), axis=1, dtype=dtype, out=prefix[:, 1:])
+    bounds = np.arange(nb + 1) * B
+    byte, offset = bounds // 8, bounds % 8
+    # Bits of the boundary byte that lie before the boundary (none at offset 0).
+    head = ((0xFF00 >> offset) & 0xFF).astype(np.uint8)
+    inside = np.minimum(byte, packed.shape[1] - 1)
+    at_bounds = prefix[:, byte] + np.bitwise_count(packed[:, inside] & head)
+    return np.diff(at_bounds, axis=1)
 
 
 def _majority(plus: np.ndarray, total: np.ndarray | int, coins: np.ndarray) -> np.ndarray:
     """Majority bit per block from plus counts out of ``total``; coin on ties."""
-    return np.where(2 * plus > total, 1, np.where(2 * plus < total, 0, coins)).astype(
-        np.uint8
+    minus = total - plus
+    return (plus > minus) | ((plus == minus) & coins)
+
+
+def _spread_masks(B: int, covered: int) -> tuple[np.ndarray, np.ndarray]:
+    """For each byte of the first ``covered`` bits, the blocks it overlaps and
+    the mask of its bits in each: arrays ``(T, bytes)`` of block indices and
+    uint8 masks, ``T`` the most blocks one byte can overlap."""
+    n_blocks = covered // B
+    first = np.arange(packed_width(covered)) * 8
+    blocks = first // B + np.arange((B + 6) // B + 1)[:, None]
+    # Bit offsets, within each byte, of the part of each block it holds.
+    start = np.clip(blocks * B - first, 0, 8)
+    stop = np.clip(np.minimum(blocks + 1, n_blocks) * B - first, start, 8)
+    masks = ((0xFF >> start) & ~(0xFF >> stop)).astype(np.uint8)
+    return np.minimum(blocks, n_blocks - 1), masks
+
+
+def _spread(
+    chosen: np.ndarray, block_packed: np.ndarray, part: BlockPartition
+) -> np.ndarray:
+    """Each block's chosen bit over all its members, packed to the level's
+    width; bits past the full blocks are zero."""
+    B, nb = part.block_size, part.n_blocks
+    if B in (1, 2, 4):
+        spread = repeat_packed(block_packed, nb, B)
+    elif B % 8 == 0:
+        spread = np.repeat(chosen.view(np.uint8) * np.uint8(0xFF), B // 8, axis=1)
+    else:
+        blocks, masks = _spread_masks(B, part.covered)
+        ones = chosen.view(np.uint8) * np.uint8(0xFF)
+        spread = np.bitwise_and(ones[:, blocks[0]], masks[0])
+        for idx, mask in zip(blocks[1:], masks[1:]):
+            spread |= ones[:, idx] & mask
+    width = packed_width(part.level_size)
+    if spread.shape[1] < width:
+        spread = np.pad(spread, ((0, 0), (0, width - spread.shape[1])))
+    return spread
+
+
+def _leftover_mask(part: BlockPartition) -> np.ndarray | None:
+    """Per-byte mask of the bits past the last full block, or None if the
+    blocks cover the level."""
+    if part.covered == part.level_size:
+        return None
+    keep = np.zeros(packed_width(part.level_size), dtype=np.uint8)
+    keep[part.covered // 8] = 0xFF >> (part.covered % 8)
+    keep[part.covered // 8 + 1 :] = 0xFF
+    return keep
+
+
+def _overwrite_blocks(
+    g: GenerationSignals,
+    part: BlockPartition,
+    choose: Callable[[slice, np.ndarray], np.ndarray],
+) -> CorrectedGeneration:
+    """Overwrite every full block with the bit ``choose(rows, bits)`` picks
+    for it from a row slice's packed bits; leftover bits pass through."""
+    nb = part.n_blocks
+    keep = _leftover_mask(part)
+    out = np.empty_like(g.packed)
+    block_packed = np.empty((g.n_replicates, packed_width(nb)), dtype=np.uint8)
+    for rows in _block_rows(g, part):
+        bits = g.packed[rows]
+        chosen = choose(rows, bits)
+        block_packed[rows] = np.packbits(chosen, axis=1)
+        out[rows] = _spread(chosen, block_packed[rows], part)
+        if keep is not None:
+            out[rows] |= bits & keep
+    return CorrectedGeneration(
+        signals=GenerationSignals(g.level, g.size, g.n_replicates, out),
+        partition=part,
+        block_signals=GenerationSignals(g.level, nb, g.n_replicates, block_packed),
+        excluded=part.leftover(),
     )
 
 
@@ -255,23 +385,14 @@ def apply_block_majority(
     flagged excluded.
     """
     _check_block(g, part)
-    B, nb, covered = part.block_size, part.n_blocks, part.covered
-    out = np.empty_like(g.packed)
-    block_packed = np.empty((g.n_replicates, packed_width(nb)), dtype=np.uint8)
-    coins = _tie_bits(seed, g.level, block, nb)
-    for rows in row_slices(g.n_replicates, g.size):
-        bits = np.unpackbits(g.packed[rows], axis=1, count=g.size)
-        grouped = bits[:, :covered].reshape(-1, nb, B)
-        majority = _majority(grouped.sum(axis=2, dtype=np.int32), B, coins[rows])
-        grouped[...] = majority[:, :, None]
-        out[rows] = np.packbits(bits, axis=1)
-        block_packed[rows] = np.packbits(majority, axis=1)
-    return CorrectedGeneration(
-        signals=GenerationSignals(g.level, g.size, g.n_replicates, out),
-        partition=part,
-        block_signals=GenerationSignals(g.level, nb, g.n_replicates, block_packed),
-        excluded=part.leftover(),
-    )
+    nb = part.n_blocks
+    coins = _tie_coins(seed, g.level, block, nb)
+
+    def majority(rows: slice, bits: np.ndarray) -> np.ndarray:
+        coin = np.unpackbits(coins[rows], axis=1, count=nb).view(bool)
+        return _majority(_block_counts(bits, part), part.block_size, coin)
+
+    return _overwrite_blocks(g, part, majority)
 
 
 def apply_fraction_identification(
@@ -279,24 +400,18 @@ def apply_fraction_identification(
 ) -> CorrectedGeneration:
     """Overwrite every block with the value of one uniformly chosen member."""
     _check_block(g, part)
-    B, nb, covered = part.block_size, part.n_blocks, part.covered
-    out = np.empty_like(g.packed)
-    block_packed = np.empty((g.n_replicates, packed_width(nb)), dtype=np.uint8)
+    B, nb = part.block_size, part.n_blocks
     gen = seed.generator("pick", level=g.level, block=block)
     member = gen.integers(0, B, size=(REPLICATE_BLOCK, nb))
-    for rows in row_slices(g.n_replicates, g.size):
-        bits = np.unpackbits(g.packed[rows], axis=1, count=g.size)
-        grouped = bits[:, :covered].reshape(-1, nb, B)
-        picked = np.take_along_axis(grouped, member[rows, :, None], axis=2)
-        grouped[...] = picked
-        out[rows] = np.packbits(bits, axis=1)
-        block_packed[rows] = np.packbits(picked[:, :, 0], axis=1)
-    return CorrectedGeneration(
-        signals=GenerationSignals(g.level, g.size, g.n_replicates, out),
-        partition=part,
-        block_signals=GenerationSignals(g.level, nb, g.n_replicates, block_packed),
-        excluded=part.leftover(),
-    )
+    first = np.arange(nb) * B
+
+    def pick(rows: slice, bits: np.ndarray) -> np.ndarray:
+        position = first + member[rows]
+        byte = np.take_along_axis(bits, position >> 3, axis=1)
+        # Shift the member's bit to the top of its byte.
+        return (byte << (position & 7).astype(np.uint8)) >= 0x80
+
+    return _overwrite_blocks(g, part, pick)
 
 
 def apply_minority_removal(
@@ -316,35 +431,30 @@ def apply_minority_removal(
     keep their incoming alive state untouched.
     """
     _check_block(g, part)
-    B, nb, covered = part.block_size, part.n_blocks, part.covered
-    if alive is not None and alive.shape != g.packed.shape:
+    nb = part.n_blocks
+    if alive is None:
+        alive = _constant_signals(g.level, g.size, g.n_replicates).packed
+    elif alive.shape != g.packed.shape:
         raise ValueError(
             f"alive mask shape {alive.shape} does not match signals {g.packed.shape}"
         )
-
+    keep = _leftover_mask(part)
     new_alive = np.empty_like(g.packed)
     block_packed = np.empty((g.n_replicates, packed_width(nb)), dtype=np.uint8)
     block_alive = np.empty_like(block_packed)
-    coins = _tie_bits(seed, g.level, block, nb)
-    for rows in row_slices(g.n_replicates, g.size):
-        bits = np.unpackbits(g.packed[rows], axis=1, count=g.size)
-        if alive is None:
-            alive_bits = np.ones_like(bits)
-        else:
-            alive_bits = np.unpackbits(alive[rows], axis=1, count=g.size)
-        grouped_bits = bits[:, :covered].reshape(-1, nb, B)
-        grouped_alive = alive_bits[:, :covered].reshape(-1, nb, B)
-        total = grouped_alive.sum(axis=2, dtype=np.int32)
-        # Alive members keep their bit and dead ones read 0: plus-indicators.
-        np.bitwise_and(grouped_bits, grouped_alive, out=grouped_bits)
-        plus = grouped_bits.sum(axis=2, dtype=np.int32)
-        chosen = _majority(plus, total, coins[rows])
-        # Survivors are the alive members whose bit is the chosen sign.
-        np.equal(grouped_bits, chosen[:, :, None], out=grouped_bits)
-        np.bitwise_and(grouped_alive, grouped_bits, out=grouped_alive)
-        new_alive[rows] = np.packbits(alive_bits, axis=1)
+    coins = _tie_coins(seed, g.level, block, nb)
+    for rows in _block_rows(g, part):
+        bits, live = g.packed[rows], alive[rows]
+        total = _block_counts(live, part)
+        coin = np.unpackbits(coins[rows], axis=1, count=nb).view(bool)
+        chosen = _majority(_block_counts(bits & live, part), total, coin)
         block_packed[rows] = np.packbits(chosen, axis=1)
         block_alive[rows] = np.packbits(total > 0, axis=1)
+        # Survivors are the alive members whose bit is the chosen sign.
+        dissent = bits ^ _spread(chosen, block_packed[rows], part)
+        if keep is not None:
+            dissent &= ~keep
+        new_alive[rows] = live & ~dissent
     return CorrectedGeneration(
         signals=g,
         partition=part,

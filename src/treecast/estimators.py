@@ -199,6 +199,37 @@ class DeltaEstimate:
         return math.sqrt(var)
 
 
+def check_mc_delta(
+    scheme: CorrectionScheme,
+    r: int,
+    depth: int,
+    replicates: int,
+    *,
+    pin_renormalized_root: bool = False,
+) -> RegularTreeSpec:
+    """Refuse arguments :func:`mc_delta` cannot run, before anything is drawn.
+
+    Checks the replicate floor, that a descent scheme's depth is a multiple
+    of its period, that a renormalized-root depth lies past the scheme's
+    start level, and the vertex budget of level ``depth``.  Returns the tree
+    the run uses.
+    """
+    if replicates < MIN_REPLICATES:
+        raise ValueError(
+            f"need at least {MIN_REPLICATES} replicates, got {replicates}"
+        )
+    if scheme.descent_based and depth % scheme.k != 0:
+        raise ValueError(
+            f"depth {depth} must be a multiple of the descent period {scheme.k}"
+        )
+    if pin_renormalized_root and depth <= scheme.start_level(r):
+        raise ValueError(
+            "depth must exceed the scheme's start level to measure a "
+            "renormalized-root advantage"
+        )
+    return RegularTreeSpec(r=r, depth=depth)
+
+
 def mc_delta(
     scheme: CorrectionScheme,
     r: int,
@@ -220,21 +251,11 @@ def mc_delta(
     vertices are the blocks), and renormalized-root runs (block schemes
     only) read the one-vote statistic relative to the pinned block level.
     """
-    if replicates < MIN_REPLICATES:
-        raise ValueError(
-            f"need at least {MIN_REPLICATES} replicates, got {replicates}"
-        )
-    if scheme.descent_based and depth % scheme.k != 0:
-        raise ValueError(
-            f"depth {depth} must be a multiple of the descent period {scheme.k}"
-        )
-    if pin_renormalized_root and depth <= scheme.start_level(r):
-        raise ValueError(
-            "depth must exceed the scheme's start level to measure a "
-            "renormalized-root advantage"
-        )
+    tree = check_mc_delta(
+        scheme, r, depth, replicates, pin_renormalized_root=pin_renormalized_root
+    )
     traj = run_corrected_trajectory(
-        RegularTreeSpec(r=r, depth=depth),
+        tree,
         scheme,
         ch,
         seed,

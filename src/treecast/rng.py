@@ -43,8 +43,9 @@ from numpy.random.bit_generator import ISeedSequence
 
 REPLICATE_BLOCK = 256
 DRAW_CHUNK_COLS = 1 << 17
-#: Most unpacked elements (float32 uniforms of a draw, bytes of a kernel) a
-#: row slice holds at once; bounds per-block memory, not part of the contract.
+#: Most elements (float32 uniforms of a draw; per-block counts or packed bytes
+#: of a correction kernel) a row slice holds at once; bounds per-block memory,
+#: not part of the contract.
 SLICE_ELEMENTS = 1 << 18
 
 

@@ -29,6 +29,12 @@ them to reach sample sizes beyond one replicate block.
 checking that every (surviving) block member carries that value, which
 checks the correction kernels.
 
+``unpacked_block_majority``, ``unpacked_fraction_identification`` and
+``unpacked_minority_removal`` are the correction kernels written the direct
+way: unpack every bit into a byte, sum each block, pick with ``np.where`` and
+pack again.  They draw the same tie coins and picks from the same streams, so
+the packed kernels of ``treecast.correction`` must match them bit for bit.
+
 ``majority_delta_enumerated`` reads the sign-majority advantage off the
 exhaustive pattern tables of ``treecast.likelihood``, an independent check of
 ``exact.delta_exact`` on small trees; ``loglikelihood_pair`` is the
@@ -58,7 +64,13 @@ from treecast.likelihood import (
     _resolve_observed,
     _validate_eps,
 )
-from treecast.rng import SeedSpec, _purpose_code, replicate_blocks
+from treecast.rng import (
+    REPLICATE_BLOCK,
+    SeedSpec,
+    _purpose_code,
+    bernoulli_bits,
+    replicate_blocks,
+)
 from treecast.trees import BlockPartition, RegularTreeSpec
 
 
@@ -243,6 +255,84 @@ def renormalize(cg: CorrectedGeneration) -> GenerationSignals:
             "was a correction skipped?"
         )
     return cg.block_signals
+
+
+def _unpacked_coins(
+    seed: SeedSpec, level: int, block: int, n_blocks: int
+) -> np.ndarray:
+    """The kernels' fair tie coins, one per (replicate, block), unpacked 0/1."""
+    gen = seed.generator("tie", level=level, block=block)
+    packed = bernoulli_bits(gen, 0.5, REPLICATE_BLOCK, n_blocks)
+    return np.unpackbits(packed, axis=1, count=n_blocks)
+
+
+def _unpacked_majority(plus: np.ndarray, total, coins: np.ndarray) -> np.ndarray:
+    majority = np.where(2 * plus > total, 1, np.where(2 * plus < total, 0, coins))
+    return majority.astype(np.uint8)
+
+
+def _grouped(bits: np.ndarray, part: BlockPartition) -> np.ndarray:
+    """View of the full blocks of unpacked rows, shape (rows, n_blocks, B)."""
+    return bits[:, : part.covered].reshape(-1, part.n_blocks, part.block_size)
+
+
+def unpacked_block_majority(
+    g: GenerationSignals, part: BlockPartition, seed: SeedSpec, block: int = 0
+) -> tuple[np.ndarray, np.ndarray]:
+    """Packed ``(signals, block_signals)`` of block majority, on unpacked bits."""
+    bits = g.bits()
+    grouped = _grouped(bits, part)
+    coins = _unpacked_coins(seed, g.level, block, part.n_blocks)[: g.n_replicates]
+    majority = _unpacked_majority(
+        grouped.sum(axis=2, dtype=np.int64), part.block_size, coins
+    )
+    grouped[...] = majority[:, :, None]
+    return np.packbits(bits, axis=1), np.packbits(majority, axis=1)
+
+
+def unpacked_fraction_identification(
+    g: GenerationSignals, part: BlockPartition, seed: SeedSpec, block: int = 0
+) -> tuple[np.ndarray, np.ndarray]:
+    """Packed ``(signals, block_signals)`` of fraction identification, on
+    unpacked bits."""
+    bits = g.bits()
+    grouped = _grouped(bits, part)
+    gen = seed.generator("pick", level=g.level, block=block)
+    member = gen.integers(0, part.block_size, size=(REPLICATE_BLOCK, part.n_blocks))
+    picked = np.take_along_axis(grouped, member[: g.n_replicates, :, None], axis=2)
+    grouped[...] = picked
+    return np.packbits(bits, axis=1), np.packbits(picked[:, :, 0], axis=1)
+
+
+def unpacked_minority_removal(
+    g: GenerationSignals,
+    part: BlockPartition,
+    seed: SeedSpec,
+    alive: np.ndarray | None = None,
+    block: int = 0,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Packed ``(alive, block_signals, block_alive)`` of minority removal, on
+    unpacked bits."""
+    bits = g.bits()
+    if alive is None:
+        alive_bits = np.ones_like(bits)
+    else:
+        alive_bits = np.unpackbits(alive, axis=1, count=g.size)
+    grouped_bits = _grouped(bits, part)
+    grouped_alive = _grouped(alive_bits, part)
+    coins = _unpacked_coins(seed, g.level, block, part.n_blocks)[: g.n_replicates]
+    total = grouped_alive.sum(axis=2, dtype=np.int64)
+    # Alive members keep their bit and dead ones read 0: plus-indicators.
+    grouped_bits &= grouped_alive
+    plus = grouped_bits.sum(axis=2, dtype=np.int64)
+    chosen = _unpacked_majority(plus, total, coins)
+    # Survivors are the alive members whose bit is the chosen sign.
+    grouped_alive &= grouped_bits == chosen[:, :, None]
+    return (
+        np.packbits(alive_bits, axis=1),
+        np.packbits(chosen, axis=1),
+        np.packbits(total > 0, axis=1),
+    )
 
 
 def _pattern_signs(n_observed: int) -> np.ndarray:

@@ -79,6 +79,22 @@ def test_repeat_packed_repeats_each_bit():
     np.testing.assert_array_equal(bits[0], [1, 1, 1, 0, 0, 0, 1, 1, 1])
 
 
+@pytest.mark.parametrize(
+    "layout",
+    [np.asfortranarray, lambda a: np.asfortranarray(np.repeat(a, 2, axis=0))[::2]],
+    ids=["fortran", "strided"],
+)
+def test_repeat_packed_accepts_any_layout(layout):
+    rng = np.random.default_rng(5)
+    packed = rng.integers(0, 256, size=(6, 5), dtype=np.uint8)
+    packed[:, -1] &= 0xF0  # 36 bits: the last four are padding
+    odd = layout(packed)
+    assert not odd.flags.c_contiguous
+    np.testing.assert_array_equal(
+        repeat_packed(odd, size=36, r=3), repeat_packed(packed, size=36, r=3)
+    )
+
+
 def test_sample_root_pinning():
     plus = sample_root(SEED, 10, pin=+1)
     minus = sample_root(SEED, 10, pin=-1)

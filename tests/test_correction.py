@@ -20,7 +20,15 @@ from treecast.correction import (
 from treecast.rng import REPLICATE_BLOCK
 from treecast.trees import BlockPartition, RegularTreeSpec
 
-from oracles import renormalize, root_by_blocks, split_blocks, step_by_blocks
+from oracles import (
+    renormalize,
+    root_by_blocks,
+    split_blocks,
+    step_by_blocks,
+    unpacked_block_majority,
+    unpacked_fraction_identification,
+    unpacked_minority_removal,
+)
 
 SEED = SeedSpec(master_seed=555111)
 
@@ -132,6 +140,54 @@ def test_minority_removal_keeps_at_least_half():
     ])
     alive_counts = np.unpackbits(alive, axis=1, count=4).sum(axis=1)
     assert (alive_counts >= 2).all()
+
+
+# (r, level, block size): descent blocks r**k, and M-blocks with a leftover
+# (r=2 M=3, r=3 M=5, and B = 2, 4, 16 on r=3 levels).
+PACKED_CASES = [
+    (2, 4, 2), (2, 5, 4), (2, 6, 8), (2, 8, 16), (2, 5, 3),
+    (3, 4, 3), (3, 4, 9), (3, 5, 27), (3, 4, 5), (3, 4, 2), (3, 3, 4), (3, 4, 16),
+    (4, 3, 4), (4, 4, 16),
+]
+
+
+@pytest.mark.parametrize("rows", [REPLICATE_BLOCK, 100])
+@pytest.mark.parametrize(
+    "case", PACKED_CASES, ids=lambda c: "r{}-level{}-B{}".format(*c)
+)
+def test_packed_kernels_match_unpacked_oracle(case, rows):
+    r, level, B = case
+    size = r**level
+    part = BlockPartition(level=level, level_size=size, block_size=B)
+    rng = np.random.default_rng(size * B + rows)
+    g = GenerationSignals.from_signs(rng.choice([-1, 1], size=(rows, size)), level)
+    alive_bits = (rng.random((rows, size)) < 0.6).astype(np.uint8)
+    # All-dead blocks: the first block of every row, and random others.
+    alive_bits[:, :B] = 0
+    dead = rng.random((rows, part.n_blocks)) < 0.2
+    alive_bits[:, : part.covered].reshape(rows, -1, B)[dead] = 0
+    alive = np.packbits(alive_bits, axis=1)
+    block = 3
+
+    cg = apply_block_majority(g, part, SEED, block=block)
+    signals, block_signals = unpacked_block_majority(g, part, SEED, block)
+    np.testing.assert_array_equal(cg.signals.packed, signals)
+    np.testing.assert_array_equal(cg.block_signals.packed, block_signals)
+
+    cg = apply_fraction_identification(g, part, SEED, block=block)
+    signals, block_signals = unpacked_fraction_identification(g, part, SEED, block)
+    np.testing.assert_array_equal(cg.signals.packed, signals)
+    np.testing.assert_array_equal(cg.block_signals.packed, block_signals)
+
+    for mask in (None, alive):
+        cg = apply_minority_removal(g, part, SEED, mask, block=block)
+        survivors, block_signals, block_alive = unpacked_minority_removal(
+            g, part, SEED, mask, block
+        )
+        np.testing.assert_array_equal(cg.alive, survivors)
+        np.testing.assert_array_equal(cg.block_signals.packed, block_signals)
+        np.testing.assert_array_equal(cg.block_alive, block_alive)
+        assert cg.signals is g
 
 
 KERNELS = (

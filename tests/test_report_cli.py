@@ -294,11 +294,27 @@ def test_cli_sweep_output_matches_pinned_digest(capsys, tmp_path):
 
 
 @pytest.mark.parametrize(
-    "bad",
-    [{"schemes": ["Identity", "Bogus"]}, {"eps": [0.1, 0.7]}],
-    ids=["unknown-scheme", "eps-out-of-range"],
+    ("bad", "code", "prefix"),
+    [
+        ({"schemes": ["Identity", "Bogus"]}, 2, "error: "),
+        ({"eps": [0.1, 0.7]}, 2, "error: "),
+        (
+            {"schemes": ["Identity", "WithinDescentMajority{k=2}"], "depths": [3]},
+            2,
+            "error: ",
+        ),
+        ({"depths": [2, 40]}, 3, "budget error: "),
+    ],
+    ids=[
+        "unknown-scheme",
+        "eps-out-of-range",
+        "depth-not-a-descent-multiple",
+        "depth-over-vertex-budget",
+    ],
 )
-def test_cli_sweep_checks_whole_grid_before_first_cell(capsys, tmp_path, monkeypatch, bad):
+def test_cli_sweep_checks_whole_grid_before_first_cell(
+    capsys, tmp_path, monkeypatch, bad, code, prefix
+):
     import treecast.cli as cli
 
     calls = []
@@ -308,8 +324,8 @@ def test_cli_sweep_checks_whole_grid_before_first_cell(capsys, tmp_path, monkeyp
             "replicates": 200, **bad}
     grid_path = tmp_path / "grid.json"
     grid_path.write_text(json.dumps(grid))
-    assert main(["sweep", str(grid_path)]) == 2
-    assert capsys.readouterr().err.startswith("error: ")
+    assert main(["sweep", str(grid_path)]) == code
+    assert capsys.readouterr().err.startswith(prefix)
     assert calls == []
 
 
