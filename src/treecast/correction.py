@@ -402,11 +402,13 @@ def apply_fraction_identification(
     _check_block(g, part)
     B, nb = part.block_size, part.n_blocks
     gen = seed.generator("pick", level=g.level, block=block)
-    member = gen.integers(0, B, size=(REPLICATE_BLOCK, nb))
     first = np.arange(nb) * B
 
     def pick(rows: slice, bits: np.ndarray) -> np.ndarray:
-        position = first + member[rows]
+        # Row slices come in order, so the picks drawn slice by slice are the
+        # rows of one (REPLICATE_BLOCK, nb) draw.
+        position = gen.integers(0, B, size=(rows.stop - rows.start, nb))
+        position += first
         byte = np.take_along_axis(bits, position >> 3, axis=1)
         # Shift the member's bit to the top of its byte.
         return (byte << (position & 7).astype(np.uint8)) >= 0x80

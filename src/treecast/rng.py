@@ -23,18 +23,25 @@ batches have the fixed width :data:`REPLICATE_BLOCK`; kernels always draw
 full batches and slice, which keeps replicate ``i`` bit-identical whether the
 run asks for 300 or 300 000 replicates.
 
-Column draws wider than :data:`DRAW_CHUNK_COLS` are made in fixed-width
-chunks; the chunk width is part of the determinism contract and must not be
-changed casually.  Within a chunk the uniforms are drawn a few rows at a
-time (:func:`row_slices`) to bound memory.  That slicing is not part of the
-contract: a stream yields its values in row-major order, so a chunk drawn in
-row slices consumes the stream exactly as one draw of the whole chunk would.
+Bernoulli bits (:func:`bernoulli_bits`) are defined by float32 uniforms:
+bit = ``u < float32(p)``.  Column draws wider than :data:`DRAW_CHUNK_COLS`
+are made in fixed-width chunks; the chunk width is part of the determinism
+contract and must not be changed casually.  A float32 uniform is
+``(w >> 8) * 2**-24`` of one 32-bit half-word ``w`` of the Philox output,
+low half of each 64-bit word first, so ``u < float32(p)`` is exactly
+``w < ceil(float32(p) * 2**24) << 8``: the bits are computed by comparing
+the raw words with that integer threshold, never by forming the floats.
+Within a chunk the words are drawn a few rows at a time to bound memory.
+That slicing is not part of the contract: a stream yields its values in
+row-major order, so a chunk drawn in row slices consumes the stream exactly
+as one draw of the whole chunk would.
 """
 
 from __future__ import annotations
 
 import functools
 import hashlib
+import math
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -43,7 +50,7 @@ from numpy.random.bit_generator import ISeedSequence
 
 REPLICATE_BLOCK = 256
 DRAW_CHUNK_COLS = 1 << 17
-#: Most elements (float32 uniforms of a draw; per-block counts or packed bytes
+#: Most elements (half-words of a draw; per-block counts or packed bytes
 #: of a correction kernel) a row slice holds at once; bounds per-block memory,
 #: not part of the contract.
 SLICE_ELEMENTS = 1 << 18
@@ -229,19 +236,56 @@ def bernoulli_bits(gen: np.random.Generator, prob: float, rows: int, cols: int) 
 
     Bit ``j`` of row ``i`` (most-significant-bit first within each byte) is 1
     with probability ``prob`` independently; padding bits beyond ``cols`` are
-    zero.  Draws are float32 uniforms in fixed column chunks of
-    :data:`DRAW_CHUNK_COLS`, each drawn in row slices (same stream order).
+    zero.  The bits are defined as ``u < float32(prob)`` for float32 uniforms
+    ``u = gen.random(..., dtype=np.float32)`` drawn in fixed column chunks of
+    :data:`DRAW_CHUNK_COLS`, row-major within a chunk.
+
+    They are computed from the Philox words themselves.  Each float32 uniform
+    is ``(w >> 8) * 2**-24`` of one 32-bit half-word ``w``, low half first, so
+    ``u < float32(prob)`` holds exactly when
+    ``w < ceil(float32(prob) * 2**24) << 8`` (``2**32`` when ``float32(prob)``
+    is 1.0).  Pairs of half-words come from ``random_raw``; an odd last one is
+    drawn as a float32 uniform, which leaves its high half buffered in the
+    generator as the float32 draw would.  So the bits and the generator's
+    state afterwards are those of the float32 draw.
+
+    ``gen`` must be a Philox generator with no buffered half-word (one that has
+    drawn an even number of 32-bit values, a fresh stream for one); anything
+    else is refused, since its raw words would not line up with its uniforms.
     """
     if not 0.0 <= prob <= 1.0:
         raise ValueError(f"probability must lie in [0, 1], got {prob}")
-    out = np.zeros((rows, (cols + 7) // 8), dtype=np.uint8)
+    bit_gen = gen.bit_generator
+    if not isinstance(bit_gen, np.random.Philox):
+        raise ValueError(f"need a Philox generator, got {type(bit_gen).__name__}")
+    if bit_gen.state["has_uint32"]:
+        raise ValueError(
+            "generator holds a buffered 32-bit half-word; draw from a fresh stream"
+        )
     threshold = np.float32(prob)
+    limit = math.ceil(float(threshold) * 2**24) << 8
+    out = np.zeros((rows, (cols + 7) // 8), dtype=np.uint8)
+    chunk = min(cols, DRAW_CHUNK_COLS)
+    # An even row step leaves an odd count of half-words only in the call's
+    # last slice.  The first chunk is the widest, so the buffer fits them all.
+    step = 2 * max(1, SLICE_ELEMENTS // (2 * max(chunk, 1)))
+    hits = np.empty(min(rows, step) * chunk, dtype=bool)
     for start in range(0, cols, DRAW_CHUNK_COLS):
         stop = min(start + DRAW_CHUNK_COLS, cols)
+        width = stop - start
         # Chunk widths are multiples of 8 except possibly the last, so each
         # chunk packs into a byte-aligned slice of the output.
         byte_cols = slice(start // 8, (stop + 7) // 8)
-        for rs in row_slices(rows, stop - start):
-            u = gen.random((rs.stop - rs.start, stop - start), dtype=np.float32)
-            out[rs, byte_cols] = np.packbits(u < threshold, axis=1)
+        for first in range(0, rows, step):
+            last = min(first + step, rows)
+            n = (last - first) * width
+            # Little-endian words viewed as little-endian halves: low half
+            # first on any host.
+            words = bit_gen.random_raw(n // 2).astype("<u8", copy=False)
+            np.less(words.view("<u4"), limit, out=hits[: n - n % 2])
+            if n % 2:
+                hits[n - 1] = gen.random(dtype=np.float32) < threshold
+            out[first:last, byte_cols] = np.packbits(
+                hits[:n].reshape(-1, width), axis=1
+            )
     return out

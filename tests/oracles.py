@@ -11,6 +11,12 @@ so it is only usable on supports of a few thousand points.
 a Philox generator seeded by a ``SeedSequence`` object whose spawn key is
 the stream's address.  ``SeedSpec.generator`` computes the same key directly.
 
+``float32_bernoulli_bits`` draws Bernoulli bits the way their contract
+defines them: float32 uniforms from ``gen.random``, compared with
+``float32(prob)``.  ``rng.bernoulli_bits`` compares the raw Philox words with
+an integer threshold instead, and must give the same bits and leave the
+generator in the same state.
+
 ``mean_level_sum`` and ``t_statistic_direct`` read a count law by its
 definition; they check the count-law engine against the first moment
 ``((1 - 2*eps) * r)**n`` and check ``exact.t_statistic``, which takes the gap
@@ -65,11 +71,13 @@ from treecast.likelihood import (
     _validate_eps,
 )
 from treecast.rng import (
+    DRAW_CHUNK_COLS,
     REPLICATE_BLOCK,
     SeedSpec,
     _purpose_code,
     bernoulli_bits,
     replicate_blocks,
+    row_slices,
 )
 from treecast.trees import BlockPartition, RegularTreeSpec
 
@@ -119,6 +127,22 @@ def seed_sequence_generator(
         entropy=master_seed, spawn_key=(_purpose_code(purpose), level, block)
     )
     return np.random.Generator(np.random.Philox(seq))
+
+
+def float32_bernoulli_bits(
+    gen: np.random.Generator, prob: float, rows: int, cols: int
+) -> np.ndarray:
+    """Packed ``u < float32(prob)`` bits of float32 uniforms ``u``, drawn in
+    column chunks of ``DRAW_CHUNK_COLS`` and row slices (same stream order)."""
+    out = np.zeros((rows, (cols + 7) // 8), dtype=np.uint8)
+    threshold = np.float32(prob)
+    for start in range(0, cols, DRAW_CHUNK_COLS):
+        stop = min(start + DRAW_CHUNK_COLS, cols)
+        byte_cols = slice(start // 8, (stop + 7) // 8)
+        for rs in row_slices(rows, stop - start):
+            u = gen.random((rs.stop - rs.start, stop - start), dtype=np.float32)
+            out[rs, byte_cols] = np.packbits(u < threshold, axis=1)
+    return out
 
 
 def mean_level_sum(d: CountDistribution) -> float:

@@ -17,6 +17,7 @@ from treecast.correction import (
     apply_minority_removal,
     run_corrected_trajectory,
 )
+from treecast import rng
 from treecast.rng import REPLICATE_BLOCK
 from treecast.trees import BlockPartition, RegularTreeSpec
 
@@ -188,6 +189,24 @@ def test_packed_kernels_match_unpacked_oracle(case, rows):
         np.testing.assert_array_equal(cg.block_signals.packed, block_signals)
         np.testing.assert_array_equal(cg.block_alive, block_alive)
         assert cg.signals is g
+
+
+@pytest.mark.parametrize("case", [(2, 5, 4), (3, 4, 5), (3, 4, 9), (2, 8, 16), (3, 5, 27)],
+                         ids=lambda c: "r{}-level{}-B{}".format(*c))
+def test_fraction_identification_row_sliced_picks_match_oracle(monkeypatch, case):
+    # Slices of a few rows each: the picks drawn slice by slice must be the
+    # rows of the oracle's one whole-block draw.
+    r, level, B = case
+    size = r**level
+    part = BlockPartition(level=level, level_size=size, block_size=B)
+    g = GenerationSignals.from_signs(
+        np.random.default_rng(B).choice([-1, 1], size=(REPLICATE_BLOCK - 3, size)), level
+    )
+    monkeypatch.setattr(rng, "SLICE_ELEMENTS", 3 * max(part.n_blocks, g.packed.shape[1]))
+    cg = apply_fraction_identification(g, part, SEED, block=2)
+    signals, block_signals = unpacked_fraction_identification(g, part, SEED, 2)
+    np.testing.assert_array_equal(cg.signals.packed, signals)
+    np.testing.assert_array_equal(cg.block_signals.packed, block_signals)
 
 
 KERNELS = (

@@ -8,7 +8,7 @@ from treecast import SeedSpec
 from treecast import rng
 from treecast.rng import REPLICATE_BLOCK, bernoulli_bits, replicate_blocks
 
-from oracles import seed_sequence_generator
+from oracles import float32_bernoulli_bits, seed_sequence_generator
 
 SEED = SeedSpec(master_seed=424242)
 
@@ -142,3 +142,63 @@ def test_row_sliced_draws_keep_stream_order(monkeypatch, cols, slice_rows):
     monkeypatch.setattr(rng, "SLICE_ELEMENTS", slice_rows * cols)
     sliced = bernoulli_bits(SEED.generator("flips", level=2, block=5), 0.3, 37, cols)
     np.testing.assert_array_equal(sliced, np.packbits(whole, axis=1))
+
+
+# 0, a tiny p, three ordinary ones, the largest double below 1 (float32 rounds
+# it to 1.0) and 1.
+ORACLE_PROBS = [0.0, 1e-10, 0.1, 0.3, 0.5, float(np.nextafter(1.0, 0.0)), 1.0]
+# An odd element count (5 x 13, 37 x 6561, 3 x 13 in the last chunk), a
+# sweep-sized block and a draw of two DRAW_CHUNK_COLS chunks.
+ORACLE_SHAPES = [(5, 13), (37, 6561), (REPLICATE_BLOCK, 3**9), (3, 2**17 + 13)]
+
+
+@pytest.mark.parametrize("shape", ORACLE_SHAPES, ids=lambda s: "{}x{}".format(*s))
+@pytest.mark.parametrize("prob", ORACLE_PROBS)
+def test_bernoulli_bits_match_float32_oracle(prob, shape):
+    assert float(np.float32(ORACLE_PROBS[-2])) == 1.0
+    ours = SEED.generator("flips", level=4, block=9)
+    oracle = SEED.generator("flips", level=4, block=9)
+    np.testing.assert_array_equal(
+        bernoulli_bits(ours, prob, *shape), float32_bernoulli_bits(oracle, prob, *shape)
+    )
+    # The stream goes on where the float32 draw leaves it.
+    np.testing.assert_array_equal(
+        ours.random(4, dtype=np.float32), oracle.random(4, dtype=np.float32)
+    )
+
+
+def test_bernoulli_bits_refuse_a_buffered_half_word():
+    gen = SEED.generator("flips")
+    gen.random(dtype=np.float32)  # one 32-bit draw buffers the word's high half
+    with pytest.raises(ValueError, match="buffered"):
+        bernoulli_bits(gen, 0.3, rows=2, cols=8)
+    # A second 32-bit draw uses it up, and the stream lines up again.
+    gen.random(dtype=np.float32)
+    oracle = SEED.generator("flips")
+    oracle.random(2, dtype=np.float32)
+    np.testing.assert_array_equal(
+        bernoulli_bits(gen, 0.3, rows=2, cols=8),
+        float32_bernoulli_bits(oracle, 0.3, rows=2, cols=8),
+    )
+
+
+def test_bernoulli_bits_refuse_other_bit_generators():
+    with pytest.raises(ValueError, match="Philox"):
+        bernoulli_bits(np.random.default_rng(0), 0.3, rows=2, cols=8)
+
+
+def test_bernoulli_bits_at_the_threshold():
+    # A uniform equal to float32(p) gives 0 and one just below it gives 1.
+    # p is set from a half-word the stream really draws, so the integer
+    # threshold's rounding is checked where it matters.
+    words = SEED.generator("flips").bit_generator.random_raw(8)
+    tops = words.astype("<u8").view("<u4") >> 8
+    i = int(np.flatnonzero(tops < 2**23)[0])  # (m + 0.5) * 2**-24 is a float32
+    m = int(tops[i])
+    for prob, bit in ((m * 2.0**-24, 0), ((m + 0.5) * 2.0**-24, 1)):
+        assert float(np.float32(prob)) == prob
+        bits = np.unpackbits(bernoulli_bits(SEED.generator("flips"), prob, 1, 16))
+        assert bits[i] == bit
+        np.testing.assert_array_equal(
+            bits, np.unpackbits(float32_bernoulli_bits(SEED.generator("flips"), prob, 1, 16))
+        )
