@@ -18,16 +18,17 @@ the chain follow, exactly at desk scale:
   renormalized Kesten-Stigum condition;
 * the level-sum agreement conditionals (``level_sum_agreement``).
 
-Count laws come from the two-type generating-function recursion, evaluated
-pointwise on roots of unity and inverted with one FFT (see
-:func:`count_distribution`); a level of ``N`` vertices costs
-``O(level*N + N log N)``.  The accuracy contract is absolute: every
+Every count law comes from one routine: the two-type generating-function
+recursion, evaluated pointwise on roots of unity and inverted with one FFT
+per law (see :func:`count_distribution`); a level of ``N`` vertices costs
+``O(level*N + N log N)``.  The same routine gives the laws ``lag`` levels
+below a level with a given plus count, which is all that
+:func:`level_sum_agreement` needs.  The accuracy contract is absolute: every
 probability is within about 1e-14 of its exact value (measured up to the
 default 65,537-point support budget).  Probabilities smaller than that carry
-no relative accuracy.  They are round-off, and those that came out at or
-below zero are stored as 0, so their ``log_probs`` entries are ``-inf``.
-Every quantity exposed here sums probabilities at the scale of the mode and
-inherits the absolute error.
+no relative accuracy; they are round-off, and those that came out below zero
+are returned as 0.  Every quantity exposed here sums probabilities at the
+scale of the mode and inherits the absolute error.
 """
 
 from __future__ import annotations
@@ -39,6 +40,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .budget import check_support
+
+# Largest block exponent j (M = r**j) that minimal_rescuing_block_size tries.
+_MAX_BLOCK_EXPONENT = 40
+# critical_point_k: bisection steps at most, and grid points of the monotonicity scan.
+_MAX_BISECTIONS = 200
+_SCAN_POINTS = 9
 
 __all__ = [
     "block_error_rate",
@@ -55,31 +62,6 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class CountDistribution:
-    """Distribution of the number of +1 vertices on one level, given a +1 root.
-
-    ``log_probs[j] = log P(X_level = j | root = +1)`` over the full support
-    ``0..size``.  Each probability is accurate to about 1e-14 absolute, not
-    relative: entries below that level are round-off, and those at or below
-    zero are stored as probability 0 (``-inf`` here).
-    """
-
-    level: int
-    size: int
-    log_probs: np.ndarray
-
-    def __post_init__(self) -> None:
-        if self.log_probs.shape != (self.size + 1,):
-            raise ValueError(
-                f"support must have {self.size + 1} points, got {self.log_probs.shape}"
-            )
-
-    def probs(self) -> np.ndarray:
-        """Linear-space probabilities (exponentiated once, on demand)."""
-        return np.exp(self.log_probs)
-
-
 def _validate_channel(r: int, eps: float) -> None:
     if r < 2:
         raise ValueError(f"branching rate must be >= 2, got {r}")
@@ -87,45 +69,74 @@ def _validate_channel(r: int, eps: float) -> None:
         raise ValueError(f"distortion rate must lie in [0, 0.5], got {eps}")
 
 
+def _count_laws(
+    level: int, lag: int, r: int, eps: float, plus_counts: np.ndarray | list[int],
+    budget: int | None,
+) -> np.ndarray:
+    """``P(X_{level+lag} = j | X_level = m)``, one row per ``m`` in
+    ``plus_counts`` and one column per ``j = 0..r**(level+lag)``.
+
+    ``F`` and ``G``, the generating functions of one vertex's plus-descendants
+    ``lag`` levels down when it is +1 and when it is -1, start as ``z`` and
+    ``1`` and compose once per level as
+    ``F, G <- ((1-eps)*F + eps*G)**r, (eps*F + (1-eps)*G)**r``.  A level of
+    ``N`` vertices with ``m`` plus vertices has the law ``F**m * G**(N-m)``.
+    All are evaluated at ``z = exp(-2*pi*i*k/M)`` with ``M > r**(level+lag)``
+    a power of two (``k <= M/2`` only: the rest are complex conjugates), and
+    one inverse real FFT per row recovers the probabilities.
+    """
+    parents, size = r**level, r ** (level + lag)
+    check_support(size + 1, budget)
+    m = np.asarray(plus_counts)[:, None]
+    if lag == 0 or eps == 0.0:
+        # Every vertex copies its ancestor: point masses.
+        laws = np.zeros((len(m), size + 1))
+        np.put_along_axis(laws, m * r**lag, 1.0, axis=1)
+        return laws
+    grid = 1 << size.bit_length()
+    f = np.exp(-2j * np.pi * np.arange(grid // 2 + 1) / grid)
+    g = np.ones_like(f)
+    for _ in range(lag):
+        f, g = ((1.0 - eps) * f + eps * g) ** r, (eps * f + (1.0 - eps) * g) ** r
+    if parents == 1:
+        # A lone vertex: each row is F or G itself, without complex powers.
+        values = np.where(m == 1, f, g)
+    else:
+        values = f**m
+        values *= g ** (parents - m)
+    laws = np.fft.irfft(values, grid)[:, : size + 1]
+    np.maximum(laws, 0.0, out=laws)
+    return laws
+
+
 def count_distribution(
     level: int, r: int, eps: float, budget: int | None = None
-) -> CountDistribution:
-    """Count distribution at ``level`` on a branching-``r`` tree with a +1 root.
+) -> np.ndarray:
+    """Count law ``probs[j] = P(X_level = j | root = +1)``, ``j = 0..r**level``,
+    on a branching-``r`` tree.
 
-    ``F`` and ``G``, the generating functions of the plus-count under a +1 and
-    a -1 root, start as ``z`` and ``1`` and compose once per level as
-    ``F, G <- ((1-eps)*F + eps*G)**r, (eps*F + (1-eps)*G)**r``.  They are
-    evaluated pointwise at ``z = exp(-2*pi*i*k/M)`` with ``M > size`` a power
-    of two (``k <= M/2`` only: the rest are complex conjugates), and one
-    inverse real FFT of ``F`` recovers the probabilities.
+    It is :func:`_count_laws` with the root as the only parent: ``F``
+    composed ``level`` times and inverted with one inverse real FFT.  Each
+    entry is within about 1e-14 of its exact value, absolute, not relative;
+    round-off below zero is returned as 0.  ``eps == 0`` and ``level == 0``
+    give the exact point mass at ``r**level``.
     """
     if level < 0:
         raise ValueError(f"level must be >= 0, got {level}")
     _validate_channel(r, eps)
-    size = r**level
-    check_support(size + 1, budget)
-    if level == 0 or eps == 0.0:
-        # Every vertex copies the root: a point mass at the full level.
-        probs = np.zeros(size + 1)
-        probs[size] = 1.0
-    else:
-        m = 1 << size.bit_length()
-        f = np.exp(-2j * np.pi * np.arange(m // 2 + 1) / m)
-        g = np.ones_like(f)
-        for _ in range(level):
-            f, g = ((1.0 - eps) * f + eps * g) ** r, (eps * f + (1.0 - eps) * g) ** r
-        probs = np.fft.irfft(f, m)[: size + 1]
-        np.maximum(probs, 0.0, out=probs)
-    with np.errstate(divide="ignore"):
-        return CountDistribution(level=level, size=size, log_probs=np.log(probs))
+    return _count_laws(0, level, r, eps, [1], budget)[0]
 
 
-def delta_from_distribution(d: CountDistribution) -> float:
-    """Majority advantage of a count distribution; exact ties net to zero."""
-    probs = d.probs()
-    half = d.size / 2.0
-    j = np.arange(d.size + 1)
-    return float(probs[j > half].sum() - probs[j < half].sum())
+def _majority_split(laws: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``P(X > size/2)`` and ``P(X < size/2)`` of count laws on the last axis."""
+    size = laws.shape[-1] - 1
+    return laws[..., size // 2 + 1 :].sum(axis=-1), laws[..., : (size + 1) // 2].sum(axis=-1)
+
+
+def delta_from_distribution(probs: np.ndarray) -> float:
+    """Majority advantage of a count law; exact ties net to zero."""
+    above, below = _majority_split(probs)
+    return float(above - below)
 
 
 def delta_exact(n: int, r: int, eps: float, budget: int | None = None) -> float:
@@ -143,9 +154,8 @@ def effective_error_rate(k: int, r: int, eps: float, budget: int | None = None) 
     """
     if k < 0:
         raise ValueError(f"distance must be >= 0, got {k}")
-    d = count_distribution(k, r, eps, budget)
-    probs = d.probs()
-    size = d.size
+    probs = count_distribution(k, r, eps, budget)
+    size = len(probs) - 1
     below = float(probs[: (size + 1) // 2].sum())
     tie = 0.5 * float(probs[size // 2]) if size % 2 == 0 else 0.0
     return below + tie
@@ -261,18 +271,16 @@ def block_scheme_delta(
     return head * delta_exact(depth, r, block_error_rate(M, eps), budget)
 
 
-def minimal_rescuing_block_size(
-    r: int, eps: float, max_exponent: int = 40
-) -> int:
+def minimal_rescuing_block_size(r: int, eps: float) -> int:
     """Smallest block size ``M = r**j`` whose renormalized channel clears the
     Kesten-Stigum condition ``(1 - 2*block_error_rate)**2 * r > 1``."""
     _validate_channel(r, eps)
-    for j in range(0, max_exponent + 1):
+    for j in range(_MAX_BLOCK_EXPONENT + 1):
         M = r**j
         if (1.0 - 2.0 * block_error_rate(M, eps)) ** 2 * r > 1.0:
             return M
     raise RuntimeError(
-        f"no rescuing block size up to r**{max_exponent} at eps={eps}"
+        f"no rescuing block size up to r**{_MAX_BLOCK_EXPONENT} at eps={eps}"
     )
 
 
@@ -310,12 +318,7 @@ class CriticalEstimate:
 
 
 def critical_point_k(
-    k: int,
-    r: int,
-    tol: float = 1e-9,
-    budget: int | None = None,
-    max_iter: int = 200,
-    scan_points: int = 9,
+    k: int, r: int, tol: float = 1e-9, budget: int | None = None
 ) -> CriticalEstimate:
     """Bisect the renormalized Kesten-Stigum condition for the critical
     error-free rate of the k-step descent-majority scheme.
@@ -347,7 +350,7 @@ def critical_point_k(
             f"p={lo:.6f} and {f_hi:.3e} at p={hi:.6f}"
         )
 
-    grid = np.linspace(lo, hi, scan_points)
+    grid = np.linspace(lo, hi, _SCAN_POINTS)
     values = [ks_condition_value(k, r, p, budget) for p in grid]
     monotone = all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
     if not monotone:
@@ -358,7 +361,7 @@ def critical_point_k(
             stacklevel=2,
         )
 
-    for _ in range(max_iter):
+    for _ in range(_MAX_BISECTIONS):
         if hi - lo <= tol:
             break
         mid = 0.5 * (lo + hi)
@@ -370,24 +373,6 @@ def critical_point_k(
     return CriticalEstimate(
         p_lo=lo, p_hi=hi, tolerance=tol, objective_monotone=monotone
     )
-
-
-def _transition_kernel(n_parents: int, r: int, eps: float) -> np.ndarray:
-    """Linear-space kernel ``K[m, j] = P(X_next = j | X = m)`` for one step.
-
-    Intended for the small levels of the agreement conditionals; sizes are
-    a few hundred points at most.
-    """
-    # Local: only level_sum_agreement needs it, and scipy.stats takes ~1 s to load.
-    from scipy.stats import binom
-
-    n_children = r * n_parents
-    kernel = np.zeros((n_parents + 1, n_children + 1))
-    for m in range(n_parents + 1):
-        a = binom.pmf(np.arange(r * m + 1), r * m, 1.0 - eps)
-        b = binom.pmf(np.arange(r * (n_parents - m) + 1), r * (n_parents - m), eps)
-        kernel[m] = np.convolve(a, b)
-    return kernel
 
 
 @dataclass(frozen=True)
@@ -431,50 +416,27 @@ def level_sum_agreement(
     if n < 1:
         raise ValueError(f"need depth >= 1, got {n}")
     _validate_channel(r, eps)
-    check_support(r**n + 1, budget)
-
-    # Plus-root count distributions for levels 0..n, one-step kernels below them.
-    dists = [count_distribution(level, r, eps, budget).probs() for level in range(n + 1)]
-    kernels = [_transition_kernel(r**level, r, eps) for level in range(n)]
-
-    def unconditioned(level: int) -> np.ndarray:
-        plus = dists[level]
-        return 0.5 * (plus + plus[::-1])
-
-    def split_pos_neg(kernel: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Per parent count: P(final sum > 0) and P(final sum < 0)."""
-        size = kernel.shape[1] - 1
-        j = np.arange(size + 1)
-        return kernel[:, j > size / 2].sum(axis=1), kernel[:, j < size / 2].sum(axis=1)
-
-    # Advantage of the level-(n-lag) sum sign given a positive final sum.
     lagged: dict[int, float] = {}
-    kernel_to_final = np.eye(kernels[-1].shape[1])
     for lag in range(1, n + 1):
         level = n - lag
-        kernel_to_final = kernels[level] @ kernel_to_final
-        q_pos, _ = split_pos_neg(kernel_to_final)
-        u = unconditioned(level)
-        size = len(u) - 1
-        m = np.arange(size + 1)
+        parents = r**level
+        m = np.arange(parents + 1)
+        # Per plus count m at this level: P(final sum > 0) and P(final sum < 0).
+        q_pos, q_neg = _majority_split(_count_laws(level, lag, r, eps, m, budget))
+        # The level's count law under a fair root.
+        plus = count_distribution(level, r, eps, budget)
+        u = 0.5 * (plus + plus[::-1])
+
+        # Advantage of the level sum sign given a positive final sum.
         joint_pos = u * q_pos
-        p_final_pos = float(joint_pos.sum())
-        numerator = float(joint_pos[m > size / 2].sum() - joint_pos[m < size / 2].sum())
-        lagged[lag] = numerator / p_final_pos
-
-    # One-step conditionals from level n-1.
-    one_step = kernels[n - 1]
-    q_pos, q_neg = split_pos_neg(one_step)
-    u_prev = unconditioned(n - 1)
-    size_prev = len(u_prev) - 1
-    m = np.arange(size_prev + 1)
-    prev_pos = m > size_prev / 2
-    p_prev_pos = float(u_prev[prev_pos].sum())
-    final_given_prev = float((u_prev[prev_pos] * (q_pos - q_neg)[prev_pos]).sum()) / p_prev_pos
-
-    fixed: dict[int, float] = {}
-    for a in np.flatnonzero(prev_pos):
-        fixed[int(2 * a - size_prev)] = float(q_pos[a] - q_neg[a])
+        above, below = _majority_split(joint_pos)
+        lagged[lag] = float((above - below) / joint_pos.sum())
+        if lag == 1:
+            # One-step conditionals given the previous level's plus count.
+            prev_pos = m > parents / 2
+            advantage = (q_pos - q_neg)[prev_pos]
+            final_given_prev = float((u[prev_pos] * advantage).sum() / u[prev_pos].sum())
+            fixed = {int(2 * a - parents): float(v) for a, v in zip(m[prev_pos], advantage)}
 
     return LevelAgreementReport(
         n=n,

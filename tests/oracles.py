@@ -4,8 +4,12 @@
 vertices on a level of ``N``, the next count is
 ``Binomial(r*m, 1-eps) + Binomial(r*(N-m), eps)``.  Each parent count's
 convolution is accumulated in log space under a running global rescale (a
-vectorized log-sum-exp).  One step costs O(r**2 * N**3) in the worst case,
-so it is only usable on supports of a few thousand points.
+vectorized log-sum-exp); each binomial factor enters it only over its
+entries within ``TRIM_NATS`` of its peak.  One step costs O(r**2 * N**3) in
+the worst case, so it is only usable on supports of a few thousand points.
+
+``level_sum_agreement_enumerated`` reads every agreement conditional of
+``exact.level_sum_agreement`` off all edge-flip patterns of a small tree.
 
 ``seed_sequence_generator`` builds a stream the way numpy documents it:
 a Philox generator seeded by a ``SeedSequence`` object whose spawn key is
@@ -63,7 +67,7 @@ from treecast.broadcast import (
 )
 from treecast.channel import ChannelParams
 from treecast.correction import CorrectedGeneration
-from treecast.exact import CountDistribution, count_distribution
+from treecast.exact import count_distribution
 from treecast.likelihood import (
     FiniteTree,
     _pattern_likelihoods,
@@ -82,6 +86,19 @@ from treecast.rng import (
 from treecast.trees import BlockPartition, RegularTreeSpec
 
 
+# Binomial factors are convolved only over their entries within this many
+# nats of their peak; what is dropped is below exp(-80) of the largest term.
+TRIM_NATS = 80.0
+
+
+def _peak_window(log_p: np.ndarray) -> tuple[float, int, int]:
+    """Peak of a unimodal log-law and the slice of entries within
+    ``TRIM_NATS`` of it."""
+    peak = log_p.max()
+    kept = np.flatnonzero(log_p >= peak - TRIM_NATS)
+    return peak, kept[0], kept[-1] + 1
+
+
 def log_space_chain_step(log_w: np.ndarray, r: int, eps: float) -> np.ndarray:
     """Log-probabilities of the next level's count from this level's."""
     n_parents = len(log_w) - 1
@@ -93,16 +110,18 @@ def log_space_chain_step(log_w: np.ndarray, r: int, eps: float) -> np.ndarray:
         n_plus, n_minus = r * m, r * (n_parents - m)
         la = binom.logpmf(np.arange(n_plus + 1), n_plus, 1.0 - eps)
         lb = binom.logpmf(np.arange(n_minus + 1), n_minus, eps)
-        sa, sb = la.max(), lb.max()
-        term = np.convolve(np.exp(la - sa), np.exp(lb - sb))
+        sa, a0, a1 = _peak_window(la)
+        sb, b0, b1 = _peak_window(lb)
+        term = np.convolve(np.exp(la[a0:a1] - sa), np.exp(lb[b0:b1] - sb))
+        at = slice(a0 + b0, a0 + b0 + len(term))
         scale = log_w[m] + sa + sb
         if scale > acc_scale:
             if acc_scale > -np.inf:
                 acc *= math.exp(acc_scale - scale)
             acc_scale = scale
-            acc += term
+            acc[at] += term
         else:
-            acc += term * math.exp(scale - acc_scale)
+            acc[at] += term * math.exp(scale - acc_scale)
 
     with np.errstate(divide="ignore"):
         return np.log(acc) + acc_scale
@@ -116,6 +135,50 @@ def log_space_count_laws(level: int, r: int, eps: float) -> list[np.ndarray]:
         log_w = log_space_chain_step(log_w, r, eps)
         laws.append(np.exp(log_w))
     return laws
+
+
+def level_sum_agreement_enumerated(n: int, r: int, eps: float) -> dict:
+    """Every field of ``exact.LevelAgreementReport`` by its definition.
+
+    Enumerates every edge-flip pattern of the depth-``n`` tree under either
+    root sign (fair root), so it is only usable for about 16 edges.  Returns
+    the report's fields by name, except that ``fixed_sum_advantage[l]`` is the
+    list of advantages over every previous-level configuration summing to
+    ``l > 0``, one per configuration, so a caller can check that they agree.
+    """
+    n_edges = sum(r**level for level in range(1, n + 1))
+    flips = (np.arange(1 << n_edges)[:, None] >> np.arange(n_edges)) & 1 == 1
+    weight = np.where(flips, eps, 1.0 - eps).prod(axis=1)
+    signs = [np.ones((len(weight), 1), dtype=np.int64)]
+    start = 0
+    for level in range(1, n + 1):
+        parents = np.repeat(signs[-1], r, axis=1)
+        edges = flips[:, start : start + r**level]
+        signs.append(np.where(edges, -parents, parents))
+        start += r**level
+    # A -1 root negates every sign of a pattern and keeps its weight.
+    signs = [np.concatenate([s, -s]) for s in signs]
+    weight = np.concatenate([weight, weight]) / 2.0
+    sums = [s.sum(axis=1) for s in signs]
+
+    def advantage(given: np.ndarray, level_sum: np.ndarray) -> float:
+        w = weight[given]
+        return float((w[level_sum[given] > 0].sum() - w[level_sum[given] < 0].sum()) / w.sum())
+
+    final, previous = sums[n], sums[n - 1]
+    fixed: dict[int, list[float]] = {}
+    configs = signs[n - 1]
+    for config in np.unique(configs[previous > 0], axis=0):
+        same = (configs == config).all(axis=1)
+        fixed.setdefault(int(config.sum()), []).append(advantage(same, final))
+    return {
+        "previous_given_final_positive": advantage(final > 0, previous),
+        "final_given_previous_positive": advantage(previous > 0, final),
+        "fixed_sum_advantage": dict(sorted(fixed.items())),
+        "lagged_given_final_positive": {
+            lag: advantage(final > 0, sums[n - lag]) for lag in range(1, n + 1)
+        },
+    }
 
 
 def seed_sequence_generator(
@@ -145,10 +208,12 @@ def float32_bernoulli_bits(
     return out
 
 
-def mean_level_sum(d: CountDistribution) -> float:
-    """Expected signed level sum ``E[2*X - size]`` of a count distribution."""
-    j = np.arange(d.size + 1, dtype=float)
-    return float(np.sum((2.0 * j - d.size) * d.probs()))
+def mean_level_sum(probs: np.ndarray) -> float:
+    """Expected signed level sum ``E[2*X - size]`` of a count law
+    ``probs[j] = P(X = j)``, ``j = 0..size``."""
+    size = len(probs) - 1
+    j = np.arange(size + 1, dtype=float)
+    return float(np.sum((2.0 * j - size) * probs))
 
 
 def t_statistic_direct(k: int, r: int, eps: float, budget: int | None = None) -> float:
@@ -159,9 +224,8 @@ def t_statistic_direct(k: int, r: int, eps: float, budget: int | None = None) ->
     with ``l`` running over strict-minority counts; by spin-flip symmetry
     ``P(X=l | -1) = P(X=N-l | +1)``.
     """
-    d = count_distribution(k, r, eps, budget)
-    size = d.size
-    probs = d.probs()
+    probs = count_distribution(k, r, eps, budget)
+    size = len(probs) - 1
     top = (size - 1) // 2 if size % 2 == 1 else size // 2 - 1
     l = np.arange(top + 1)
     return float(np.sum(l * (probs[size - l] - probs[l])) / size)

@@ -23,7 +23,12 @@ from treecast import (
 )
 from treecast.exact import count_distribution, delta_from_distribution, ks_condition_value
 
-from oracles import log_space_count_laws, mean_level_sum, t_statistic_direct
+from oracles import (
+    level_sum_agreement_enumerated,
+    log_space_count_laws,
+    mean_level_sum,
+    t_statistic_direct,
+)
 
 EPS_GRID = (0.05, 0.1, 0.2, 0.3, 0.45)
 
@@ -57,8 +62,7 @@ def brute_force_counts(n, r, eps):
 @pytest.mark.parametrize("eps", [0.1, 0.3])
 def test_count_chain_matches_enumeration(r, n, eps):
     oracle = brute_force_counts(n, r, eps)
-    d = count_distribution(n, r, eps)
-    np.testing.assert_allclose(d.probs(), oracle, atol=1e-12)
+    np.testing.assert_allclose(count_distribution(n, r, eps), oracle, atol=1e-12)
 
 
 @pytest.mark.parametrize("eps", [0.01, 0.1, 0.3, 0.49, 0.5])
@@ -67,17 +71,16 @@ def test_count_laws_match_log_space_oracle(r, n, eps):
     # Every level up to the largest support of at most 4,097 points.
     for level, oracle in enumerate(log_space_count_laws(n, r, eps)):
         np.testing.assert_allclose(
-            count_distribution(level, r, eps).probs(), oracle, rtol=0, atol=1e-13
+            count_distribution(level, r, eps), oracle, rtol=0, atol=1e-13
         )
 
 
 def test_count_distribution_at_default_budget():
     eps = 0.1
-    d = count_distribution(16, 2, eps)  # support 2**16 + 1, the default budget
-    probs = d.probs()
+    probs = count_distribution(16, 2, eps)  # support 2**16 + 1, the default budget
     assert (probs >= 0).all()
     assert math.isclose(probs.sum(), 1.0, rel_tol=0, abs_tol=1e-10)
-    assert math.isclose(mean_level_sum(d), ((1 - 2 * eps) * 2) ** 16, rel_tol=1e-9)
+    assert math.isclose(mean_level_sum(probs), ((1 - 2 * eps) * 2) ** 16, rel_tol=1e-9)
 
 
 @pytest.mark.parametrize("eps", EPS_GRID)
@@ -90,7 +93,7 @@ def test_mean_level_sum_identity(r, n, eps):
 @settings(max_examples=30)
 @given(eps=small_eps, r=st.integers(2, 4), n=st.integers(0, 4))
 def test_count_distribution_is_a_distribution(eps, r, n):
-    probs = count_distribution(n, r, eps).probs()
+    probs = count_distribution(n, r, eps)
     assert probs.shape == (r**n + 1,)
     assert (probs >= 0).all()
     assert math.isclose(probs.sum(), 1.0, rel_tol=1e-10)
@@ -118,10 +121,9 @@ def test_delta_monotone_in_distortion(r, n):
 
 def test_delta_from_distribution_nets_ties():
     # A two-point even level: counts {0, 1, 2} with a tie at 1.
-    d = count_distribution(1, 2, 0.5)
-    probs = d.probs()
+    probs = count_distribution(1, 2, 0.5)
     assert math.isclose(probs[1], 0.5, rel_tol=1e-12)
-    assert abs(delta_from_distribution(d)) < 1e-12
+    assert abs(delta_from_distribution(probs)) < 1e-12
 
 
 def test_effective_error_rate_closed_forms():
@@ -257,6 +259,28 @@ def test_level_sum_agreement_small_distortion_saturates():
     assert report.final_given_previous_positive > 0.9
 
 
+@pytest.mark.parametrize("r,n", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2)])
+@pytest.mark.parametrize("eps", [0.1, 0.3, 0.45])
+def test_level_sum_agreement_matches_enumeration(r, n, eps):
+    report = level_sum_agreement(n, r, eps)
+    oracle = level_sum_agreement_enumerated(n, r, eps)
+    for field in ("previous_given_final_positive", "final_given_previous_positive"):
+        assert math.isclose(getattr(report, field), oracle[field], rel_tol=0, abs_tol=1e-12)
+    assert list(report.lagged_given_final_positive) == list(range(1, n + 1))
+    np.testing.assert_allclose(
+        list(report.lagged_given_final_positive.values()),
+        list(oracle["lagged_given_final_positive"].values()),
+        rtol=0,
+        atol=1e-12,
+    )
+    # Every configuration with the same positive sum has the reported advantage.
+    assert list(report.fixed_sum_advantage) == list(oracle["fixed_sum_advantage"])
+    for total, values in oracle["fixed_sum_advantage"].items():
+        np.testing.assert_allclose(
+            values, report.fixed_sum_advantage[total], rtol=0, atol=1e-12
+        )
+
+
 def test_support_budget_guard():
     with pytest.raises(BudgetError):
         count_distribution(17, 2, 0.1)  # support 2**17 + 1 > 65537
@@ -264,7 +288,7 @@ def test_support_budget_guard():
     # one rejects a level the default would allow, a matching one is inclusive.
     with pytest.raises(BudgetError):
         count_distribution(10, 2, 0.1, budget=100)
-    assert count_distribution(5, 2, 0.1, budget=33).size == 32
+    assert count_distribution(5, 2, 0.1, budget=33).shape == (33,)
 
 
 def test_support_budget_env_override(monkeypatch):
@@ -272,7 +296,7 @@ def test_support_budget_env_override(monkeypatch):
     with pytest.raises(BudgetError):
         count_distribution(7, 2, 0.1)  # support 129 > 100
     # An explicit per-call budget wins over the environment.
-    assert count_distribution(7, 2, 0.1, budget=200).size == 128
+    assert count_distribution(7, 2, 0.1, budget=200).shape == (129,)
     monkeypatch.setenv("TREECAST_BUDGET", "not-a-number")
     with pytest.raises(ValueError):
         count_distribution(7, 2, 0.1)

@@ -212,7 +212,7 @@ def test_spin_ensemble_matches_count_chain_law():
     p, r, k, n = 0.6, 2, 3, 8_000
     g = sample_spin_ensemble(p, r, k, +1, SEED, n)
     counts = (majority_statistic(g) + r**k) // 2
-    probs = count_distribution(k, r, (1 - p) / 2).probs()
+    probs = count_distribution(k, r, (1 - p) / 2)
     observed = np.array([(counts == j).sum() for j in range(r**k + 1)])
     expected = n * probs
     # Pool the thin tail cells so every chi-square cell expects >= 5 counts.

@@ -2,7 +2,7 @@
 
 ``import scipy.stats`` takes about a second, several times a whole exact
 pass, so only the paths that need scipy's binomial (``fk-stats``, the
-block-scheme exact paths, ``level_sum_agreement``) may load it.  Each case
+block-scheme exact paths) may load it.  Each case
 runs in a fresh interpreter and reports the scipy modules it left behind.
 """
 
@@ -39,6 +39,7 @@ CASES = {
     "delta-exact": RUN_MAIN.format(
         argv=["delta", "--exact", "--r", "2", "--depth", "4", "--eps", "0.1"]
     ),
+    "verify-lemma22": RUN_MAIN.format(argv=["verify", "lemma22"]),
     "delta-mc": RUN_MAIN.format(
         argv=["delta", "--r", "2", "--depth", "4", "--eps", "0.1",
               "--replicates", "200", "--reproducible"]
