@@ -23,20 +23,17 @@ from .correction import CorrectionScheme
 from .estimators import (
     mc_critical_bracket,
     mc_delta,
-    mc_effective_error,
     wilson_interval,
 )
 from .exact import (
     block_error_rate,
-    block_scheme_delta,
     critical_point_k,
     delta_exact,
     effective_error_rate,
     fraction_error_rate,
-    fraction_scheme_delta,
     level_sum_agreement,
     minimal_rescuing_block_size,
-    renormalized_delta,
+    scheme_delta,
     t_statistic,
 )
 from .fk import (
@@ -64,26 +61,23 @@ __all__ = [
     "SeedSpec",
     "anti_concentration_check",
     "block_error_rate",
-    "block_scheme_delta",
     "critical_point_k",
     "delta_exact",
     "effective_error_rate",
     "fraction_error_rate",
-    "fraction_scheme_delta",
     "level_sum_agreement",
     "mc_critical_bracket",
     "mc_delta",
-    "mc_effective_error",
     "minimal_rescuing_block_size",
     "ml_delta_exact",
     "moment_bound_report",
     "moment_summary",
     "random_observation_pair",
-    "renormalized_delta",
     "rows_to_csv",
     "rows_to_json",
     "run_suite",
     "sample_size_ensembles",
+    "scheme_delta",
     "t_statistic",
     "tail_probe_Rk",
     "wilson_interval",

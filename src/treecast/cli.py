@@ -37,16 +37,13 @@ import numpy as np
 from .budget import BudgetError
 from .channel import ChannelParams
 from .correction import CorrectionScheme
-from .estimators import _ndtri, check_mc_delta, mc_delta, mc_effective_error
+from .estimators import _ndtri, check_mc_delta, mc_delta, wilson_interval
 from .exact import (
     block_error_rate,
-    block_scheme_delta,
     critical_point_k,
-    delta_exact,
     effective_error_rate,
     fraction_error_rate,
-    fraction_scheme_delta,
-    renormalized_delta,
+    scheme_delta,
 )
 from .fk import moment_summary, sample_size_ensembles
 from .report import EXACT, MC, ReportRow, rows_to_csv, rows_to_json
@@ -218,10 +215,16 @@ def cmd_eps_k(cfg: RunConfig) -> list[ReportRow]:
             eps_k = effective_error_rate(k, cfg.r, eps, cfg.budget)
             ci, provenance, tolerance = None, EXACT, _EXACT_TOL
         except BudgetError:
-            est = mc_effective_error(
-                cfg.r, eps, k=k, replicates=cfg.replicates, seed=cfg.seed_spec()
+            # The majority of level k from a +1 root errs on a minus sign and
+            # half the time on a tie.
+            n = cfg.replicates
+            est = mc_delta(
+                CorrectionScheme.identity(), cfg.r, k, ChannelParams(epsilon=eps),
+                cfg.seed_spec(), n,
             )
-            eps_k, ci, provenance, tolerance = est.eps_hat, est.ci, MC, None
+            error_mass = est.minus_count + 0.5 * (n - est.plus_count - est.minus_count)
+            eps_k, ci = error_mass / n, wilson_interval(error_mass, n)
+            provenance, tolerance = MC, None
 
         def derived(quantity: str, f) -> ReportRow:
             """Row of ``f(eps_k)``, its interval the image of ``eps_k``'s."""
@@ -245,32 +248,6 @@ def cmd_eps_k(cfg: RunConfig) -> list[ReportRow]:
     return rows
 
 
-def _exact_scheme_delta(cfg: RunConfig, scheme: CorrectionScheme) -> float:
-    r, depth, eps = cfg.r, cfg.depth, cfg.epsilon_value
-    if scheme.removes_minority:
-        raise ValueError(
-            "minority-removal schemes have no exact engine; drop --exact"
-        )
-    if scheme.variant == "Identity":
-        return delta_exact(depth, r, eps, cfg.budget)
-    if scheme.descent_based:
-        if depth % scheme.k != 0 or depth < scheme.k:
-            raise ValueError(
-                f"depth {depth} must be a positive multiple of the period {scheme.k}"
-            )
-        m_levels = depth // scheme.k - 1
-        if scheme.variant == "WithinDescentMajority":
-            return renormalized_delta(scheme.k, m_levels, r, eps, cfg.budget)
-        return fraction_scheme_delta(scheme.k, m_levels, r, eps, cfg.budget)
-    start = scheme.start_level(r)
-    if depth < start:
-        raise ValueError(
-            f"depth {depth} is above the first corrected level {start} "
-            f"of block size {scheme.M}"
-        )
-    return block_scheme_delta(scheme.M, depth - start, r, eps, budget=cfg.budget)
-
-
 def cmd_delta(cfg: RunConfig) -> list[ReportRow]:
     """Reconstruction advantage of one scheme at one depth."""
     if cfg.r is None or cfg.depth is None:
@@ -282,15 +259,13 @@ def cmd_delta(cfg: RunConfig) -> list[ReportRow]:
         descriptor = f"BlockMajorityEveryStep{{M={cfg.M}}}"
     scheme = CorrectionScheme.parse(descriptor)
     params = {"scheme": scheme.descriptor(), "level": cfg.depth}
+    ch = ChannelParams(epsilon=cfg.epsilon_value)
     if cfg.exact:
-        value = _exact_scheme_delta(cfg, scheme)
+        value = scheme_delta(scheme, cfg.r, cfg.depth, ch, cfg.budget)
         return [
             _row(cfg, "delta_n", value, EXACT, params=params, tolerance=_EXACT_TOL)
         ]
-    est = mc_delta(
-        scheme, cfg.r, cfg.depth, ChannelParams(epsilon=cfg.epsilon_value),
-        cfg.seed_spec(), cfg.replicates,
-    )
+    est = mc_delta(scheme, cfg.r, cfg.depth, ch, cfg.seed_spec(), cfg.replicates)
     params["renormalized"] = est.renormalized
     return [
         _row(
@@ -633,11 +608,7 @@ def _build_run_config(args: argparse.Namespace) -> tuple[RunConfig, dict[str, bo
 
 
 def _emit(cfg: RunConfig, rows: list[ReportRow]) -> None:
-    text = (
-        rows_to_csv(rows, cfg.reproducible)
-        if cfg.fmt == "csv"
-        else rows_to_json(rows, cfg.reproducible)
-    )
+    text = rows_to_csv(rows, cfg.reproducible) if cfg.fmt == "csv" else rows_to_json(rows)
     if cfg.out:
         with open(cfg.out, "w", encoding="utf-8") as fh:
             fh.write(text)

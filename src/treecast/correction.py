@@ -131,14 +131,6 @@ class CorrectionScheme:
         return cls("BlockMajorityEveryStep", M=M)
 
     @classmethod
-    def within_descent_majority(cls, k: int) -> "CorrectionScheme":
-        return cls("WithinDescentMajority", k=k)
-
-    @classmethod
-    def fraction_identification(cls, k: int) -> "CorrectionScheme":
-        return cls("FractionIdentification", k=k)
-
-    @classmethod
     def within_descent_minority_removal(cls, k: int) -> "CorrectionScheme":
         return cls("WithinDescentMinorityRemoval", k=k)
 

@@ -1,17 +1,17 @@
-"""Monte Carlo estimation of reconstruction advantage and error rates.
+"""Monte Carlo estimation of reconstruction advantage.
 
-The exact engine covers schemes whose corrected process reduces to a plain
-count chain.  Everything else — minority removal in particular, whose
-surviving structure is a random tree — is estimated here from replicated
-trajectories with deterministic seeding.  Each estimator makes one estimate
-from explicit arguments and runs one trajectory per estimate, recording only
-the level it reads:
+The exact engine (:func:`~treecast.exact.scheme_delta`) covers schemes whose
+corrected process reduces to a plain count chain, and takes the same
+arguments as :func:`mc_delta`.  Everything else — minority removal in
+particular, whose surviving structure is a random tree — is estimated here
+from replicated trajectories with deterministic seeding.  Each estimator
+makes one estimate from explicit arguments and runs one trajectory per
+estimate, recording only the level it reads:
 
-* :func:`mc_delta` — the advantage of a scheme at one depth, with a
-  conservative 99% interval built from Wilson score intervals on the two
-  sign frequencies;
-* :func:`mc_effective_error` — the error rate of one ``k``-step descent
-  period, with a 99% Wilson interval;
+* :func:`mc_delta` — the advantage of a scheme at one depth, with its sign
+  counts and a conservative 99% interval built from Wilson score intervals
+  on the two sign frequencies (``eps-k`` reads a level-``k`` error rate
+  from the counts of an ``Identity`` run);
 * :func:`mc_critical_bracket` — a bracket for a critical error-free rate
   from a grid of :func:`mc_delta` estimates.  It never claims a sharp
   threshold: grid points that cannot be called with a four-sigma margin
@@ -31,7 +31,6 @@ from .trees import RegularTreeSpec
 __all__ = [
     "mc_critical_bracket",
     "mc_delta",
-    "mc_effective_error",
     "wilson_interval",
 ]
 
@@ -278,62 +277,6 @@ def mc_delta(
         plus_count=plus,
         minus_count=minus,
         renormalized=renormalized,
-    )
-
-
-@dataclass(frozen=True)
-class ErrorRateEstimate:
-    """Estimated one-period effective error rate (ties weighted one half)."""
-
-    eps_hat: float
-    ci: tuple[float, float]
-    replicates: int
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.eps_hat <= 1.0:
-            raise ValueError(f"error rate {self.eps_hat} outside [0, 1]")
-        if not self.ci[0] <= self.eps_hat <= self.ci[1]:
-            raise ValueError(
-                f"interval {self.ci} does not contain the estimate {self.eps_hat}"
-            )
-
-    @property
-    def sigma(self) -> float:
-        var = max(self.eps_hat * (1.0 - self.eps_hat), 0.0) / self.replicates
-        return math.sqrt(var)
-
-
-def mc_effective_error(
-    r: int, eps: float, *, k: int, replicates: int, seed: SeedSpec
-) -> ErrorRateEstimate:
-    """Estimate the error rate of one ``k``-step descent period from a +1 root.
-
-    The period's outcome is the majority over the ``r**k`` descendants after
-    ``k`` generations of plain broadcast.  Majority ties contribute error
-    mass one half; the interval is a Wilson score interval on the
-    accumulated error mass.
-    """
-    if replicates < MIN_REPLICATES:
-        raise ValueError(
-            f"need at least {MIN_REPLICATES} replicates, got {replicates}"
-        )
-    if k < 1:
-        raise ValueError(f"correction period must be >= 1, got {k}")
-    traj = run_corrected_trajectory(
-        RegularTreeSpec(r=r, depth=k),
-        CorrectionScheme.identity(),
-        ChannelParams(epsilon=eps),
-        seed,
-        replicates,
-        pin_root=+1,
-        record_levels=(k,),
-    )
-    stat = traj.records[0].statistic
-    error_mass = float((stat < 0).sum()) + 0.5 * int((stat == 0).sum())
-    return ErrorRateEstimate(
-        eps_hat=error_mass / replicates,
-        ci=wilson_interval(error_mass, replicates),
-        replicates=replicates,
     )
 
 

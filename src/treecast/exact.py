@@ -12,8 +12,11 @@ the chain follow, exactly at desk scale:
 * the effective error rate of a k-step descent majority;
 * the noise of the fraction-pick transform (closed form);
 * the separation statistic between the two (``t_statistic``);
-* renormalized advantages of the correction schemes that admit an exact
-  counterpart;
+* the advantage of a corrected run, :func:`scheme_delta`: the question
+  Monte Carlo's ``mc_delta`` answers, asked with the same arguments, for
+  every scheme whose corrected process reduces to a plain count chain
+  (``Identity``, ``WithinDescentMajority``, ``FractionIdentification`` and
+  ``BlockMajorityEveryStep`` with a power-of-``r`` block);
 * critical error-free rates ``critical_point_k`` via bisection of the
   renormalized Kesten-Stigum condition;
 * the level-sum agreement conditionals (``level_sum_agreement``).
@@ -40,6 +43,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .budget import check_support
+from .channel import ChannelParams
+from .correction import CorrectionScheme
 
 # Largest block exponent j (M = r**j) that minimal_rescuing_block_size tries.
 _MAX_BLOCK_EXPONENT = 40
@@ -49,15 +54,13 @@ _SCAN_POINTS = 9
 
 __all__ = [
     "block_error_rate",
-    "block_scheme_delta",
     "critical_point_k",
     "delta_exact",
     "effective_error_rate",
     "fraction_error_rate",
-    "fraction_scheme_delta",
     "level_sum_agreement",
     "minimal_rescuing_block_size",
-    "renormalized_delta",
+    "scheme_delta",
     "t_statistic",
 ]
 
@@ -184,35 +187,6 @@ def t_statistic(k: int, r: int, eps: float, budget: int | None = None) -> float:
     return fraction_error_rate(k, eps) - effective_error_rate(k, r, eps, budget)
 
 
-def renormalized_delta(
-    k: int, m_levels: int, r: int, eps: float, budget: int | None = None
-) -> float:
-    """Majority advantage of the k-step descent-majority scheme.
-
-    After each correction the block values form a broadcast with error rate
-    ``effective_error_rate(k)`` on a tree that branches once (root to the
-    first block) and ``r**k`` ways thereafter.  The value returned is the
-    advantage at original level ``(m_levels + 1) * k``: the single-edge
-    factor ``1 - 2*eps_k`` times the depth-``m_levels`` majority advantage on
-    the branching-``r**k`` tree.
-    """
-    if m_levels < 0:
-        raise ValueError(f"renormalized depth must be >= 0, got {m_levels}")
-    eps_k = effective_error_rate(k, r, eps, budget)
-    return (1.0 - 2.0 * eps_k) * delta_exact(m_levels, r**k, eps_k, budget)
-
-
-def fraction_scheme_delta(
-    k: int, m_levels: int, r: int, eps: float, budget: int | None = None
-) -> float:
-    """Majority advantage of the fraction-pick scheme, same tree geometry as
-    :func:`renormalized_delta` but with the fraction-pick noise per edge."""
-    if m_levels < 0:
-        raise ValueError(f"renormalized depth must be >= 0, got {m_levels}")
-    eps_t = fraction_error_rate(k, eps)
-    return (1.0 - 2.0 * eps_t) * delta_exact(m_levels, r**k, eps_t, budget)
-
-
 def block_error_rate(M: int, eps: float) -> float:
     """Renormalized error rate of a majority over ``M`` independent copies.
 
@@ -232,43 +206,72 @@ def block_error_rate(M: int, eps: float) -> float:
     return below + tie
 
 
-def _power_exponent(M: int, r: int) -> int:
-    """Return ``j`` with ``M == r**j`` or raise."""
-    j = 0
-    value = 1
-    while value < M:
-        value *= r
-        j += 1
-    if value != M:
+def scheme_delta(
+    scheme: CorrectionScheme,
+    r: int,
+    depth: int,
+    ch: ChannelParams,
+    budget: int | None = None,
+    *,
+    pin_renormalized_root: bool = False,
+) -> float:
+    """Majority advantage at level ``depth`` of one corrected run, exactly.
+
+    This is the question :func:`~treecast.estimators.mc_delta` answers by
+    sampling, with the same ``scheme``, ``r``, ``depth``, ``ch`` and
+    ``pin_renormalized_root``.  Four schemes reduce to a plain count chain:
+
+    * ``Identity``: the majority advantage of level ``depth``.
+    * ``WithinDescentMajority{k}`` and ``FractionIdentification{k}``: after
+      each correction the block values form a broadcast on a tree that
+      branches once (root to the first block) and ``r**k`` ways thereafter,
+      with error rate ``effective_error_rate(k)`` or ``fraction_error_rate(k)``
+      per edge.  ``depth`` must be a positive multiple of ``k``; the
+      advantage is the single-edge factor ``1 - 2*eps_k`` times the majority
+      advantage ``depth/k - 1`` levels down the branching-``r**k`` tree.
+    * ``BlockMajorityEveryStep{M}`` with ``M = r**j``, ``j`` the scheme's
+      start level: blocks nest inside descents, so the block values form a
+      plain branching-``r`` broadcast with error rate
+      ``block_error_rate(M, eps)``, started from block 0 (the whole level
+      ``j``) and read ``depth - j`` levels below it.  With
+      ``pin_renormalized_root`` the advantage is measured from block 0;
+      otherwise from the true root, through the majority-of-level-``j``
+      channel.
+
+    Minority-removal schemes, a pin on any other scheme, and a depth the
+    scheme cannot be read at raise ``ValueError``.
+    """
+    eps = ch.epsilon
+    _validate_channel(r, eps)
+    if scheme.removes_minority:
+        raise ValueError("minority-removal schemes have no exact engine; drop --exact")
+    if pin_renormalized_root and not scheme.block_based:
+        raise ValueError(
+            f"a renormalized-root advantage needs a block scheme, got {scheme.descriptor()}"
+        )
+    if scheme.variant == "Identity":
+        return delta_exact(depth, r, eps, budget)
+    if scheme.descent_based:
+        k = scheme.k
+        if depth % k != 0 or depth < k:
+            raise ValueError(f"depth {depth} must be a positive multiple of the period {k}")
+        if scheme.variant == "WithinDescentMajority":
+            eps_k = effective_error_rate(k, r, eps, budget)
+        else:
+            eps_k = fraction_error_rate(k, eps)
+        return (1.0 - 2.0 * eps_k) * delta_exact(depth // k - 1, r**k, eps_k, budget)
+    j = scheme.start_level(r)
+    if scheme.M != r**j:
         raise ValueError(
             f"exact block-majority analysis needs a block size that is a power "
-            f"of the branching rate; got M={M}, r={r}"
+            f"of the branching rate; got M={scheme.M}, r={r}"
         )
-    return j
-
-
-def block_scheme_delta(
-    M: int,
-    depth: int,
-    r: int,
-    eps: float,
-    pin_renormalized_root: bool = False,
-    budget: int | None = None,
-) -> float:
-    """Majority advantage of the every-step block-majority scheme, exact mode.
-
-    Requires ``M = r**j`` so blocks nest inside descents and the block values
-    form a plain branching-``r`` broadcast with error rate
-    ``block_error_rate(M, eps)`` started from block 0 (the whole level ``j``).
-    ``depth`` counts renormalized levels below block 0.  With
-    ``pin_renormalized_root`` the advantage is measured from block 0 itself;
-    otherwise from the true root, through the majority-of-level-``j`` channel.
-    """
-    if depth < 0:
-        raise ValueError(f"renormalized depth must be >= 0, got {depth}")
-    j = _power_exponent(M, r)
+    if depth < j:
+        raise ValueError(
+            f"depth {depth} is above the first corrected level {j} of block size {scheme.M}"
+        )
     head = 1.0 if pin_renormalized_root else 1.0 - 2.0 * effective_error_rate(j, r, eps, budget)
-    return head * delta_exact(depth, r, block_error_rate(M, eps), budget)
+    return head * delta_exact(depth - j, r, block_error_rate(scheme.M, eps), budget)
 
 
 def minimal_rescuing_block_size(r: int, eps: float) -> int:
@@ -446,4 +449,30 @@ def level_sum_agreement(
         final_given_previous_positive=final_given_prev,
         fixed_sum_advantage=fixed,
         lagged_given_final_positive=lagged,
+    )
+
+
+# ``perfbench/make_reference.py`` computes its sweep truths with these two
+# older spellings; each is :func:`scheme_delta` with the level written out.
+def renormalized_delta(
+    k: int, m_levels: int, r: int, eps: float, budget: int | None = None
+) -> float:
+    """``WithinDescentMajority{k}`` read at level ``(m_levels + 1) * k``."""
+    scheme = CorrectionScheme("WithinDescentMajority", k=k)
+    return scheme_delta(scheme, r, (m_levels + 1) * k, ChannelParams(eps), budget)
+
+
+def block_scheme_delta(
+    M: int,
+    depth: int,
+    r: int,
+    eps: float,
+    pin_renormalized_root: bool = False,
+    budget: int | None = None,
+) -> float:
+    """``BlockMajorityEveryStep{M}`` read ``depth`` levels below block 0."""
+    scheme = CorrectionScheme.block_majority_every_step(M)
+    return scheme_delta(
+        scheme, r, scheme.start_level(r) + depth, ChannelParams(eps), budget,
+        pin_renormalized_root=pin_renormalized_root,
     )

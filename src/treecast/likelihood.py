@@ -28,6 +28,9 @@ __all__ = ["ml_delta_exact", "random_observation_pair"]
 # the largest table that is still a desk-scale array.
 MAX_OBSERVED = 24
 
+# Child counts a vertex of random_leafed_tree draws from, uniformly.
+_CHILD_COUNTS = (1, 2, 3)
+
 
 @dataclass(frozen=True)
 class FiniteTree:
@@ -166,23 +169,18 @@ def ml_delta_exact(
 
 
 def random_leafed_tree(
-    rng: np.random.Generator,
-    depth: int,
-    max_leaves: int,
-    branching: tuple[int, ...] = (1, 2, 3),
+    rng: np.random.Generator, depth: int, max_leaves: int
 ) -> FiniteTree:
     """A random tree in which every leaf sits at the same depth.
 
-    Each vertex above the bottom level draws its child count from
-    ``branching``, clamped so the level (and hence the leaf set) never
-    exceeds ``max_leaves``.
+    Each vertex above the bottom level draws its child count uniformly from
+    :data:`_CHILD_COUNTS`, clamped so the level (and hence the leaf set)
+    never exceeds ``max_leaves``.
     """
     if depth < 1:
         raise ValueError(f"need depth >= 1, got {depth}")
     if max_leaves < 1:
         raise ValueError(f"need max_leaves >= 1, got {max_leaves}")
-    if min(branching) < 1:
-        raise ValueError("branching choices must be >= 1")
     children: list[list[int]] = [[]]
     frontier = [0]
     for _ in range(depth):
@@ -190,7 +188,7 @@ def random_leafed_tree(
         for i, v in enumerate(frontier):
             still_waiting = len(frontier) - i - 1
             room = max_leaves - len(next_frontier) - still_waiting
-            count = min(int(rng.choice(branching)), room)
+            count = min(int(rng.choice(_CHILD_COUNTS)), room)
             for _ in range(max(count, 1)):
                 child = len(children)
                 children.append([])
@@ -201,10 +199,7 @@ def random_leafed_tree(
 
 
 def random_observation_pair(
-    rng: np.random.Generator,
-    depth: int,
-    max_leaves: int = 12,
-    branching: tuple[int, ...] = (1, 2, 3),
+    rng: np.random.Generator, depth: int, max_leaves: int = 12
 ) -> tuple[FiniteTree, tuple[int, ...]]:
     """A random tree plus a proper nonempty subset of its leaves.
 
@@ -212,10 +207,10 @@ def random_observation_pair(
     shares the root, so comparing the full and the subset observation tests
     that watching more of the tree never hurts the optimal rule.  Trees with
     a single leaf admit no proper subset, so the draw is retried (the
-    branching choices make that a rare event).
+    child counts make that a rare event).
     """
     for _ in range(64):
-        tree = random_leafed_tree(rng, depth, max_leaves, branching)
+        tree = random_leafed_tree(rng, depth, max_leaves)
         leaves = tree.leaves
         if len(leaves) >= 2:
             size = int(rng.integers(1, len(leaves)))

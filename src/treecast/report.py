@@ -128,13 +128,12 @@ def rows_to_csv(rows: list[ReportRow], reproducible: bool = False) -> str:
     return buf.getvalue()
 
 
-def rows_to_json(rows: list[ReportRow], reproducible: bool = False) -> str:
+def rows_to_json(rows: list[ReportRow]) -> str:
     """Serialize rows to a JSON array of objects mirroring the CSV rows.
 
-    The array itself carries no timestamp, so JSON output is always
-    byte-deterministic; ``reproducible`` is accepted for interface symmetry.
+    The array carries no timestamp, so JSON output is always
+    byte-deterministic.
     """
-    del reproducible
     payload = [
         {
             "experiment": row.experiment,

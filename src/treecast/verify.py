@@ -25,12 +25,12 @@ from .correction import CorrectionScheme
 from .estimators import mc_critical_bracket, mc_delta
 from .exact import (
     block_error_rate,
-    block_scheme_delta,
     critical_point_k,
     effective_error_rate,
     fraction_error_rate,
     level_sum_agreement,
     minimal_rescuing_block_size,
+    scheme_delta,
     t_statistic,
 )
 from .fk import anti_concentration_check, moment_bound_report
@@ -384,9 +384,7 @@ def _suite_block_rescue(seed: SeedSpec) -> list[CheckResult]:
     corrected = mc_delta(
         scheme, r, depth, ch, seed, replicates, pin_renormalized_root=True
     )
-    exact_reference = block_scheme_delta(
-        m_run, renorm_depth, r, eps, pin_renormalized_root=True
-    )
+    exact_reference = scheme_delta(scheme, r, depth, ch, pin_renormalized_root=True)
     out.append(
         _mc(
             "thm21",

@@ -271,7 +271,7 @@ def test_scheme_levels():
     block = CorrectionScheme.block_majority_every_step(4)
     assert block.start_level(2) == 2
     assert block.correction_levels(2, 5) == (2, 3, 4, 5)
-    descent = CorrectionScheme.within_descent_majority(2)
+    descent = CorrectionScheme.parse("WithinDescentMajority{k=2}")
     assert descent.correction_levels(2, 7) == (2, 4, 6)
     assert CorrectionScheme.identity().correction_levels(2, 9) == ()
 
@@ -279,7 +279,7 @@ def test_scheme_levels():
 def test_trajectory_records_requested_levels():
     traj = run_corrected_trajectory(
         RegularTreeSpec(r=2, depth=5),
-        CorrectionScheme.within_descent_majority(2),
+        CorrectionScheme.parse("WithinDescentMajority{k=2}"),
         ChannelParams(epsilon=0.2),
         SEED,
         n_replicates=300,
@@ -359,7 +359,7 @@ def test_renormalized_root_pinning_requires_block_scheme():
     with pytest.raises(ValueError):
         run_corrected_trajectory(
             RegularTreeSpec(r=2, depth=4),
-            CorrectionScheme.within_descent_majority(2),
+            CorrectionScheme.parse("WithinDescentMajority{k=2}"),
             ChannelParams(epsilon=0.2),
             SEED,
             n_replicates=300,

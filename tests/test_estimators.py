@@ -11,7 +11,6 @@ from treecast import (
     delta_exact,
     mc_critical_bracket,
     mc_delta,
-    mc_effective_error,
     wilson_interval,
 )
 from treecast.estimators import (
@@ -66,7 +65,7 @@ def test_mc_delta_validation():
     with pytest.raises(ValueError):
         mc_delta(CorrectionScheme.identity(), 2, 4, ch, SEED, 50)
     with pytest.raises(ValueError):
-        mc_delta(CorrectionScheme.within_descent_majority(2), 2, 5, ch, SEED, 500)
+        mc_delta(CorrectionScheme.parse("WithinDescentMajority{k=2}"), 2, 5, ch, SEED, 500)
     with pytest.raises(ValueError):
         mc_delta(
             CorrectionScheme.identity(), 2, 4, ch, SEED, 500,
@@ -125,19 +124,12 @@ def test_minority_removal_estimates_are_renormalized():
     assert -1.0 <= est.delta_hat <= 1.0
 
 
-def test_mc_effective_error_matches_exact_period():
-    est = mc_effective_error(2, 0.2, k=1, replicates=20_000, seed=SEED)
-    sigma = est.sigma
-    assert abs(est.eps_hat - 0.2) < 4 * sigma
-    assert est.ci[0] < est.eps_hat < est.ci[1]
-
-
 def test_minority_removal_matches_majority_at_one_period():
     # Over one period the surviving sign is the block majority, with a tie
     # resolved by the same coin stream, so the sign counts agree exactly
     # (r = 4 has ties).
     ch = ChannelParams(epsilon=0.25)
-    majority = CorrectionScheme.within_descent_majority(1)
+    majority = CorrectionScheme.parse("WithinDescentMajority{k=1}")
     removal = CorrectionScheme.within_descent_minority_removal(1)
     for r in (3, 4):
         kept = mc_delta(majority, r, 1, ch, SEED, 20_000)
@@ -146,13 +138,6 @@ def test_minority_removal_matches_majority_at_one_period():
         assert (survived.plus_count, survived.minus_count) == (
             kept.plus_count, kept.minus_count
         )
-
-
-def test_mc_effective_error_validation():
-    with pytest.raises(ValueError):
-        mc_effective_error(2, 0.2, k=0, replicates=500, seed=SEED)
-    with pytest.raises(ValueError):
-        mc_effective_error(2, 0.2, k=1, replicates=50, seed=SEED)
 
 
 def test_critical_bracket_localizes_identity_threshold():

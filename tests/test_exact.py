@@ -9,19 +9,25 @@ from hypothesis import given, settings, strategies as st
 
 from treecast import (
     BudgetError,
+    ChannelParams,
+    CorrectionScheme,
     block_error_rate,
-    block_scheme_delta,
     critical_point_k,
     delta_exact,
     effective_error_rate,
     fraction_error_rate,
-    fraction_scheme_delta,
     level_sum_agreement,
     minimal_rescuing_block_size,
-    renormalized_delta,
+    scheme_delta,
     t_statistic,
 )
-from treecast.exact import count_distribution, delta_from_distribution, ks_condition_value
+from treecast.exact import (
+    block_scheme_delta,
+    count_distribution,
+    delta_from_distribution,
+    ks_condition_value,
+    renormalized_delta,
+)
 
 from oracles import (
     level_sum_agreement_enumerated,
@@ -215,19 +221,26 @@ def test_critical_point_sequence_r2():
 
 
 def test_renormalized_delta_boundary():
-    # Zero renormalized levels leave just the root-to-block channel.
+    # At the first correction level only the root-to-block channel is left.
     for k, r, eps in ((1, 2, 0.2), (2, 2, 0.1), (2, 3, 0.3)):
+        scheme = CorrectionScheme.parse(f"WithinDescentMajority{{k={k}}}")
         expected = 1.0 - 2.0 * effective_error_rate(k, r, eps)
-        assert math.isclose(renormalized_delta(k, 0, r, eps), expected, rel_tol=1e-12)
-        with pytest.raises(ValueError):
-            renormalized_delta(k, -1, r, eps)
+        assert math.isclose(
+            scheme_delta(scheme, r, k, ChannelParams(eps)), expected, rel_tol=1e-12
+        )
+        with pytest.raises(ValueError, match="positive multiple of the period"):
+            scheme_delta(scheme, r, 0, ChannelParams(eps))
+    descent = CorrectionScheme.parse("WithinDescentMajority{k=2}")
+    with pytest.raises(ValueError, match="positive multiple of the period 2"):
+        scheme_delta(descent, 2, 5, ChannelParams(0.1))
 
 
 @settings(max_examples=30)
 @given(eps=small_eps, k=st.integers(1, 4))
 def test_fraction_scheme_delta_closed_form_at_depth_zero(eps, k):
+    scheme = CorrectionScheme.parse(f"FractionIdentification{{k={k}}}")
     assert math.isclose(
-        fraction_scheme_delta(k, 0, 2, eps),
+        scheme_delta(scheme, 2, k, ChannelParams(eps)),
         (1.0 - 2.0 * eps) ** k,
         rel_tol=1e-12,
         abs_tol=1e-12,
@@ -235,12 +248,40 @@ def test_fraction_scheme_delta_closed_form_at_depth_zero(eps, k):
 
 
 def test_block_scheme_delta_requires_power_blocks():
-    with pytest.raises(ValueError):
-        block_scheme_delta(3, 2, 2, 0.1)
-    value = block_scheme_delta(2, 3, 2, 0.1)
+    ch = ChannelParams(0.1)
+    with pytest.raises(ValueError, match="power of the branching rate"):
+        scheme_delta(CorrectionScheme.block_majority_every_step(3), 2, 3, ch)
+    block = CorrectionScheme.block_majority_every_step(2)
     # M=r: block 0 is level 1, and the renormalized channel keeps eps.
     expected = (1 - 2 * effective_error_rate(1, 2, 0.1)) * delta_exact(3, 2, 0.1)
-    assert math.isclose(value, expected, rel_tol=1e-12)
+    assert math.isclose(scheme_delta(block, 2, 4, ch), expected, rel_tol=1e-12)
+    pinned = scheme_delta(block, 2, 4, ch, pin_renormalized_root=True)
+    assert math.isclose(pinned, delta_exact(3, 2, 0.1), rel_tol=1e-12)
+    with pytest.raises(ValueError, match="above the first corrected level"):
+        scheme_delta(CorrectionScheme.block_majority_every_step(4), 2, 1, ch)
+
+
+@pytest.mark.parametrize(
+    "descriptor", ["Identity", "WithinDescentMajority{k=1}", "FractionIdentification{k=1}"]
+)
+def test_scheme_delta_pins_only_block_schemes(descriptor):
+    with pytest.raises(ValueError, match="needs a block scheme"):
+        scheme_delta(
+            CorrectionScheme.parse(descriptor), 2, 4, ChannelParams(0.1),
+            pin_renormalized_root=True,
+        )
+
+
+def test_level_spellings_are_scheme_delta():
+    # The level-counting spellings perfbench/make_reference.py calls.
+    ch = ChannelParams(0.1)
+    descent = CorrectionScheme.parse("WithinDescentMajority{k=2}")
+    block = CorrectionScheme.block_majority_every_step(4)
+    assert renormalized_delta(2, 4, 2, 0.1) == scheme_delta(descent, 2, 10, ch)
+    assert block_scheme_delta(4, 8, 2, 0.1) == scheme_delta(block, 2, 10, ch)
+    assert block_scheme_delta(4, 8, 2, 0.1, pin_renormalized_root=True) == scheme_delta(
+        block, 2, 10, ch, pin_renormalized_root=True
+    )
 
 
 def test_level_sum_agreement_is_positive_and_complete():

@@ -139,6 +139,43 @@ def test_cli_eps_k_falls_back_to_mc_when_over_budget(capsys):
     eps_rows = [row for row in rows if row["quantity"] == "eps_k"]
     assert eps_rows and all(row["provenance"] == "mc" for row in eps_rows)
     assert all(row["lo"] != "" and row["hi"] != "" for row in eps_rows)
+    # The Monte Carlo rows, byte for byte: seed 0, 400 replicates at k=5.
+    mc_rows = {row["quantity"]: (row["value"], row["lo"], row["hi"])
+               for row in rows if row["provenance"] == "mc"}
+    assert mc_rows == {
+        "eps_k": ("0.365", "0.30566713517282834", "0.42873834526490556"),
+        "t_stat": ("0.09612000000000004", "0.03238165473509447", "0.1554528648271717"),
+        "p_k": ("0.27", "0.14252330947018887", "0.3886657296543433"),
+    }
+
+
+def test_cli_eps_k_mc_fallback_matches_exact_period(capsys):
+    # A budget of 2 support points forces k=1 to Monte Carlo, whose error
+    # rate is then the edge's own eps.
+    code, out = run_cli(
+        capsys, "eps-k", "--r", "2", "--k", "1", "--eps", "0.2", "--budget", "2",
+        "--replicates", "20000", "--seed", "314159", "--reproducible",
+    )
+    assert code == 0
+    row = next(row for row in csv.DictReader(io.StringIO(out)) if row["quantity"] == "eps_k")
+    assert row["provenance"] == "mc"
+    eps_hat, lo, hi = float(row["value"]), float(row["lo"]), float(row["hi"])
+    sigma = math.sqrt(eps_hat * (1.0 - eps_hat) / 20_000)
+    assert abs(eps_hat - 0.2) < 4 * sigma
+    assert lo < eps_hat < hi
+
+
+def test_cli_eps_k_mc_fallback_refusals(capsys, tmp_path):
+    # Too few replicates for the forced Monte Carlo run, and a period of 0.
+    config_path = tmp_path / "k0.json"
+    config_path.write_text(json.dumps({"k": [0]}))
+    for argv, message in (
+        (["--k", "1", "--replicates", "50"], "need at least 100 replicates"),
+        (["--config", str(config_path)], "periods must be >= 1"),
+    ):
+        assert main(["eps-k", "--r", "2", "--eps", "0.2", "--budget", "2", *argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
 
 
 def test_cli_output_is_byte_deterministic(capsys):
@@ -162,6 +199,42 @@ def test_cli_exact_delta(capsys):
     rows = list(csv.DictReader(io.StringIO(out)))
     assert math.isclose(float(rows[0]["value"]), delta_exact(4, 2, 0.1), abs_tol=1e-12)
     assert rows[0]["provenance"] == "exact"
+
+
+@pytest.mark.parametrize(
+    ("argv", "value"),
+    [
+        (["--depth", "8", "--scheme", "WithinDescentMajority{k=2}"], "0.6762908961130016"),
+        (["--depth", "8", "--scheme", "FractionIdentification{k=2}"], "0.4789735038860728"),
+        (["--depth", "6", "--M", "4"], "0.708489323669206"),
+    ],
+    ids=["descent", "fraction", "block"],
+)
+def test_cli_exact_delta_per_scheme(capsys, argv, value):
+    code, out = run_cli(
+        capsys, "delta", "--r", "2", "--eps", "0.1", *argv, "--exact", "--reproducible",
+    )
+    assert code == 0
+    (row,) = csv.DictReader(io.StringIO(out))
+    assert (row["value"], row["provenance"]) == (value, "exact")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--depth", "8", "--scheme", "WithinDescentMinorityRemoval{k=2}"],
+        ["--depth", "8", "--scheme", "MinorityRemovalEveryStep{M=4}"],
+        ["--depth", "7", "--scheme", "WithinDescentMajority{k=2}"],
+        ["--depth", "0", "--scheme", "WithinDescentMajority{k=2}"],
+        ["--depth", "8", "--scheme", "BlockMajorityEveryStep{M=3}"],
+        ["--depth", "1", "--M", "4"],
+    ],
+    ids=["descent-removal", "block-removal", "depth-not-a-multiple", "depth-zero",
+         "block-not-a-power", "depth-above-block-0"],
+)
+def test_cli_exact_delta_refusals(capsys, argv):
+    assert main(["delta", "--r", "2", "--eps", "0.1", *argv, "--exact"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_cli_rejects_bad_channel(capsys):

@@ -72,7 +72,7 @@ def test_consecutive_partition_covers_level_once(level_size, block_size):
 
 def test_descent_partition_blocks_are_descendant_sets():
     spec = RegularTreeSpec(r=2, depth=6)
-    part = CorrectionScheme.within_descent_majority(2).partition_for(4, spec.r)
+    part = CorrectionScheme.parse("WithinDescentMajority{k=2}").partition_for(4, spec.r)
     assert part.block_size == 4
     assert part.n_blocks == 4
     assert len(part.leftover()) == 0
@@ -86,7 +86,7 @@ def test_descent_partition_blocks_are_descendant_sets():
 
 def test_descent_partition_rejects_misaligned_levels():
     with pytest.raises(ValueError):
-        CorrectionScheme.within_descent_majority(2).partition_for(5, 2)
+        CorrectionScheme.parse("WithinDescentMajority{k=2}").partition_for(5, 2)
 
 
 def test_vertex_budget_guard():
