@@ -23,6 +23,7 @@ from .correction import CorrectionScheme
 from .estimators import (
     mc_critical_bracket,
     mc_delta,
+    mc_deltas,
     wilson_interval,
 )
 from .exact import (
@@ -68,6 +69,7 @@ __all__ = [
     "level_sum_agreement",
     "mc_critical_bracket",
     "mc_delta",
+    "mc_deltas",
     "minimal_rescuing_block_size",
     "ml_delta_exact",
     "moment_bound_report",

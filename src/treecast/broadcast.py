@@ -3,15 +3,18 @@
 Signals live as packed bits: one uint8 row per replicate, most significant
 bit first, bit 1 for +1 and bit 0 for -1, padding bits zero.  A generation
 step repeats each parent bit ``r`` times (one table lookup per byte) and
-XORs a Bernoulli flip mask onto it, so the global spin-flip symmetry is
-exact by construction.  Majority statistics reduce rows with
-``np.bitwise_count``.
+XORs it into a Bernoulli flip mask, so the global spin-flip symmetry is
+exact by construction.  The mask (:func:`flip_mask`) depends only on its
+stream address, so schemes run on common random numbers draw it once and
+each build their children from their own parents and a copy of it
+(:func:`sample_next_generation` writes the children into the mask it is
+given).  Majority statistics reduce rows with ``np.bitwise_count``.
 
 All randomness flows through :class:`~treecast.rng.SeedSpec` streams keyed by
 (purpose, level, replicate block).  The sampling kernels act on one replicate
 block of at most :data:`~treecast.rng.REPLICATE_BLOCK` rows and refuse more;
-``block`` is the block's global index, its stream address.  Each kernel draws
-the full block width and slices, so a replicate's trajectory does not depend
+``block`` is the block's global index, its stream address.  Each draw covers
+the full block width and is sliced, so a replicate's trajectory does not depend
 on how many other replicates run beside it.  The trajectory loop of
 :mod:`treecast.correction` hands the kernels one block at a time.
 """
@@ -24,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ChannelParams
-from .rng import REPLICATE_BLOCK, SeedSpec, bernoulli_bits, check_block_rows
+from .rng import REPLICATE_BLOCK, SeedSpec, bernoulli_bits, check_block_rows, row_slices
 
 
 def packed_width(size: int) -> int:
@@ -32,9 +35,16 @@ def packed_width(size: int) -> int:
     return (size + 7) // 8
 
 
-def popcount_rows(packed: np.ndarray) -> np.ndarray:
-    """Number of set bits per row of a packed array."""
-    return np.bitwise_count(packed).sum(axis=1, dtype=np.int64)
+def popcount_rows(packed: np.ndarray, mask: np.ndarray | None = None) -> np.ndarray:
+    """Number of set bits per row of a packed array, or of ``packed & mask``.
+
+    Rows are counted a slice at a time, so the per-byte counts never take a
+    whole level's memory."""
+    out = np.empty(packed.shape[0], dtype=np.int64)
+    for rows in row_slices(packed.shape[0], packed.shape[1]):
+        bits = packed[rows] if mask is None else packed[rows] & mask[rows]
+        out[rows] = np.bitwise_count(bits).sum(axis=1, dtype=np.int64)
+    return out
 
 
 @dataclass(frozen=True)
@@ -97,7 +107,7 @@ def majority_statistic(
         raise ValueError(
             f"alive mask shape {alive.shape} does not match signals {g.packed.shape}"
         )
-    return 2 * popcount_rows(g.packed & alive) - popcount_rows(alive)
+    return 2 * popcount_rows(g.packed, alive) - popcount_rows(alive)
 
 
 def sample_root(
@@ -140,26 +150,41 @@ def repeat_packed(packed: np.ndarray, size: int, r: int) -> np.ndarray:
     return np.ascontiguousarray(out[:, : packed_width(size * r)])
 
 
+def flip_mask(
+    ch: ChannelParams, seed: SeedSpec, level: int, size: int, *, block: int = 0
+) -> np.ndarray:
+    """Packed flip bits of one replicate block's ``size`` vertices at
+    ``level``: all :data:`~treecast.rng.REPLICATE_BLOCK` rows of the stream
+    ``("flips", level, block)``, each bit 1 with probability ``epsilon``."""
+    gen = seed.generator("flips", level=level, block=block)
+    return bernoulli_bits(gen, ch.epsilon, REPLICATE_BLOCK, size)
+
+
 def sample_next_generation(
-    parents: GenerationSignals,
-    ch: ChannelParams,
-    seed: SeedSpec,
-    r: int,
-    *,
-    block: int = 0,
+    parents: GenerationSignals, r: int, flips: np.ndarray
 ) -> GenerationSignals:
     """One broadcast step for one replicate block: each parent spawns ``r``
-    children, each child keeping the parent's sign with probability
-    ``1 - epsilon`` independently (child = parent XOR flip)."""
+    children, each child keeping the parent's sign unless its bit of the
+    flip mask is set (child = parent XOR flip).
+
+    ``flips`` is the step's mask as :func:`flip_mask` draws it for the child
+    level, with all :data:`~treecast.rng.REPLICATE_BLOCK` rows.  The children
+    are written into it, a row slice at a time, so the step allocates no
+    level of its own: the mask is consumed, and runs that share one draw on
+    common random numbers pass a copy to all but the last of them.
+    """
     if r < 1:
         raise ValueError(f"branching rate must be >= 1, got {r}")
     rows = check_block_rows(parents.n_replicates)
     child_size = parents.size * r
-    child_level = parents.level + 1
-    gen = seed.generator("flips", level=child_level, block=block)
-    flips = bernoulli_bits(gen, ch.epsilon, REPLICATE_BLOCK, child_size)
-    out = repeat_packed(parents.packed, parents.size, r)
-    out ^= flips[:rows]
+    if flips.shape != (REPLICATE_BLOCK, packed_width(child_size)):
+        raise ValueError(
+            f"flip mask shape {flips.shape} does not fit a block of "
+            f"{child_size}-vertex levels"
+        )
+    out = flips[:rows]
+    for part in row_slices(rows, out.shape[1]):
+        out[part] ^= repeat_packed(parents.packed[part], parents.size, r)
     return GenerationSignals(
-        level=child_level, size=child_size, n_replicates=rows, packed=out
+        level=parents.level + 1, size=child_size, n_replicates=rows, packed=out
     )

@@ -37,7 +37,7 @@ import numpy as np
 from .budget import BudgetError
 from .channel import ChannelParams
 from .correction import CorrectionScheme
-from .estimators import _ndtri, check_mc_delta, mc_delta, wilson_interval
+from .estimators import _ndtri, check_mc_delta, mc_delta, mc_deltas, wilson_interval
 from .exact import (
     block_error_rate,
     critical_point_k,
@@ -380,7 +380,11 @@ def cmd_verify(cfg: RunConfig, suite: str, seed_given: bool) -> tuple[list[Repor
 
 
 def cmd_sweep(cfg: RunConfig, grid_path: str, overrides: dict[str, bool]) -> list[ReportRow]:
-    """Monte Carlo advantage over a (scheme, eps, depth) grid, one row per cell."""
+    """Monte Carlo advantage over a (scheme, eps, depth) grid, one row per cell.
+
+    The schemes of each (eps, depth) pair run as one :func:`mc_deltas` group,
+    which draws every flip mask once for all of them; the rows keep the
+    grid's (scheme, eps, depth) order."""
     grid = _load_json_object(grid_path, "sweep grid", _GRID_TYPES)
     for key in ("r", "schemes", "eps", "depths"):
         if key not in grid:
@@ -396,29 +400,33 @@ def cmd_sweep(cfg: RunConfig, grid_path: str, overrides: dict[str, bool]) -> lis
     base = dataclasses.replace(
         cfg, r=r, replicates=replicates, seed=seed, scheme="grid"
     )
-    cells = [
-        (scheme, ChannelParams(epsilon=eps), depth)
-        for scheme in map(CorrectionScheme.parse, schemes)
-        for eps in eps_list
-        for depth in depths
-    ]
-    for scheme, _, depth in cells:
-        check_mc_delta(scheme, r, depth, replicates)
+    parsed = [CorrectionScheme.parse(text) for text in schemes]
+    channels = [ChannelParams(epsilon=eps) for eps in eps_list]
+    for scheme in parsed:
+        for depth in depths:
+            check_mc_delta(scheme, r, depth, replicates)
+    # groups[e, d][i] is scheme i's estimate at eps e and depth d.
+    groups = {}
+    for e, ch in enumerate(channels):
+        for d, depth in enumerate(depths):
+            groups[e, d] = mc_deltas(parsed, r, depth, ch, base.seed_spec(), replicates)
     rows = []
-    for scheme, ch, depth in cells:
-        est = mc_delta(scheme, r, depth, ch, base.seed_spec(), replicates)
-        rows.append(
-            _row(
-                base, "delta_n", est.delta_hat, MC,
-                params={
+    for i, scheme in enumerate(parsed):
+        for e, ch in enumerate(channels):
+            for d, depth in enumerate(depths):
+                est = groups[e, d][i]
+                params = {
                     "scheme": scheme.descriptor(),
                     "cell_eps": ch.epsilon,
                     "level": depth,
                     "renormalized": est.renormalized,
-                },
-                lo=est.ci[0], hi=est.ci[1],
-            )
-        )
+                }
+                rows.append(
+                    _row(
+                        base, "delta_n", est.delta_hat, MC, params=params,
+                        lo=est.ci[0], hi=est.ci[1],
+                    )
+                )
     return rows
 
 

@@ -27,21 +27,36 @@ masked out of every statistic and their descendants are born dead.  The law
 of the alive portion is exactly the random-tree process the removal schemes
 define, and the representation keeps every kernel rectangular.
 
-:func:`run_corrected_trajectory` is the one loop over replicate blocks.  It
-runs each block of at most :data:`~treecast.rng.REPLICATE_BLOCK` rows
-through every level on its own, then joins the blocks' level records in
-block order.  The kernels it calls (:func:`~treecast.broadcast.sample_root`,
+:func:`run_corrected_trajectory` is the one loop over replicate blocks, for
+a group of schemes that share the tree, channel, seed, replicate count, root
+options and recorded levels (a group of one is a single run).  It runs each
+block of at most :data:`~treecast.rng.REPLICATE_BLOCK` rows through every
+level on its own and writes the block's rows of every scheme's level records
+into arrays allocated up front.  At each level the block's flip mask is
+drawn once (:func:`~treecast.broadcast.flip_mask`) and every scheme builds
+its children from its own parents and that mask, so each scheme sees exactly
+the bits a run of it alone would and the mask's random words are drawn once
+per group, not once per scheme.  The kernels it calls
+(:func:`~treecast.broadcast.sample_root`,
 :func:`~treecast.broadcast.sample_next_generation` and the three ``apply_*``
 functions here) act on that one block, keyed by its global ``block`` index,
 and refuse more rows.  Blocks run on a thread pool with one worker per
 usable CPU (Philox fills and numpy bulk operations release the GIL); a
 single block runs without a pool.  Every stream keeps its global
-``(purpose, level, block)`` address, so neither the order of blocks nor the
-number of workers changes a single output bit.  Memory is bounded per block,
-not per run: only a block's current level is held, and the correction
-kernels work a bounded row slice at a time (:func:`~treecast.rng.row_slices`).
-The vertex budget is checked once, when the
-:class:`~treecast.trees.RegularTreeSpec` is built.
+``(purpose, level, block)`` address, so neither the order of blocks, the
+number of workers nor the other schemes of a group change a single output
+bit.
+
+Memory is bounded per block, not per run.  A block holds each scheme's
+current level (and alive mask) plus one flip mask.  The kernels consume
+their level arrays instead of allocating new ones: a broadcast step writes
+the children into the flip mask it is given (every scheme but the last gets
+a copy), block majority and fraction identification overwrite the child they
+are given, and minority removal writes the new alive mask into the one it is
+given.  A scheme's deepest level is dropped as soon as it is recorded, and
+the kernels and statistics work a bounded row slice at a time
+(:func:`~treecast.rng.row_slices`).  The vertex budget is checked once, when
+the :class:`~treecast.trees.RegularTreeSpec` is built.
 
 The correction kernels never hold one byte per bit.  Each counts the members
 of every block from byte popcounts (:func:`_block_counts`), picks the
@@ -54,7 +69,6 @@ a mask.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -65,6 +79,7 @@ import numpy as np
 
 from .broadcast import (
     GenerationSignals,
+    flip_mask,
     majority_statistic,
     packed_width,
     popcount_rows,
@@ -171,8 +186,14 @@ class CorrectionScheme:
     def start_level(self, r: int) -> int:
         """First level the scheme touches: for block schemes the largest
         level whose whole generation fits in one block (block 0); for
-        descent schemes the first correction level ``k``; 0 for Identity."""
+        descent schemes the first correction level ``k``; 0 for Identity.
+
+        A block scheme needs ``r >= 2``: at ``r = 1`` every level holds one
+        vertex and no level ever outgrows a block, so it raises ``ValueError``.
+        """
         if self.variant in _M_VARIANTS:
+            if r < 2:
+                raise ValueError(f"{self.variant} needs r >= 2, got r={r}")
             level = 0
             while r ** (level + 1) <= self.M:
                 level += 1
@@ -348,20 +369,23 @@ def _overwrite_blocks(
     choose: Callable[[slice, np.ndarray], np.ndarray],
 ) -> CorrectedGeneration:
     """Overwrite every full block with the bit ``choose(rows, bits)`` picks
-    for it from a row slice's packed bits; leftover bits pass through."""
+    for it from a row slice's packed bits; leftover bits pass through.
+
+    The blocks are written into ``g.packed`` itself, a row slice at a time:
+    ``g`` is consumed and becomes the corrected signals."""
     nb = part.n_blocks
     keep = _leftover_mask(part)
-    out = np.empty_like(g.packed)
     block_packed = np.empty((g.n_replicates, packed_width(nb)), dtype=np.uint8)
     for rows in _block_rows(g, part):
         bits = g.packed[rows]
         chosen = choose(rows, bits)
         block_packed[rows] = np.packbits(chosen, axis=1)
-        out[rows] = _spread(chosen, block_packed[rows], part)
+        spread = _spread(chosen, block_packed[rows], part)
         if keep is not None:
-            out[rows] |= bits & keep
+            spread |= bits & keep
+        bits[...] = spread
     return CorrectedGeneration(
-        signals=GenerationSignals(g.level, g.size, g.n_replicates, out),
+        signals=g,
         partition=part,
         block_signals=GenerationSignals(g.level, nb, g.n_replicates, block_packed),
         excluded=part.leftover(),
@@ -374,7 +398,8 @@ def apply_block_majority(
     """Overwrite every block with its majority sign (fair coin on ties).
 
     Leftover indices past the last full block pass through unchanged and are
-    flagged excluded.
+    flagged excluded.  The corrected bits are written into ``g.packed``:
+    ``g`` is consumed.
     """
     _check_block(g, part)
     nb = part.n_blocks
@@ -390,7 +415,9 @@ def apply_block_majority(
 def apply_fraction_identification(
     g: GenerationSignals, part: BlockPartition, seed: SeedSpec, *, block: int = 0
 ) -> CorrectedGeneration:
-    """Overwrite every block with the value of one uniformly chosen member."""
+    """Overwrite every block with the value of one uniformly chosen member.
+
+    The corrected bits are written into ``g.packed``: ``g`` is consumed."""
     _check_block(g, part)
     B, nb = part.block_size, part.n_blocks
     gen = seed.generator("pick", level=g.level, block=block)
@@ -422,7 +449,9 @@ def apply_minority_removal(
     The majority is taken over the block's *alive* members; on an exact tie
     a fair coin picks which sign survives, so at least half the alive members
     always survive.  Blocks with no alive member stay dead.  Leftover indices
-    keep their incoming alive state untouched.
+    keep their incoming alive state untouched.  The new mask is written into
+    the ``alive`` given (a fresh all-alive mask when None), which is consumed
+    and returned as the result's ``alive``; the signals are left as they are.
     """
     _check_block(g, part)
     nb = part.n_blocks
@@ -433,7 +462,6 @@ def apply_minority_removal(
             f"alive mask shape {alive.shape} does not match signals {g.packed.shape}"
         )
     keep = _leftover_mask(part)
-    new_alive = np.empty_like(g.packed)
     block_packed = np.empty((g.n_replicates, packed_width(nb)), dtype=np.uint8)
     block_alive = np.empty_like(block_packed)
     coins = _tie_coins(seed, g.level, block, nb)
@@ -448,13 +476,13 @@ def apply_minority_removal(
         dissent = bits ^ _spread(chosen, block_packed[rows], part)
         if keep is not None:
             dissent &= ~keep
-        new_alive[rows] = live & ~dissent
+        live &= ~dissent
     return CorrectedGeneration(
         signals=g,
         partition=part,
         block_signals=GenerationSignals(g.level, nb, g.n_replicates, block_packed),
         excluded=part.leftover(),
-        alive=new_alive,
+        alive=alive,
         block_alive=block_alive,
     )
 
@@ -511,38 +539,121 @@ def _apply_scheme(
     raise ValueError(f"scheme {scheme.variant} applies no correction")
 
 
-def _make_record(
-    level: int,
+@dataclass(frozen=True)
+class _Plan:
+    """One scheme of a trajectory group: the partition of every level it
+    corrects and its level records, allocated for all replicates."""
+
+    scheme: CorrectionScheme
+    partitions: dict[int, BlockPartition]
+    records: dict[int, LevelRecord]
+
+
+def _plan(
+    scheme: CorrectionScheme,
+    r: int,
+    depth: int,
+    start: int,
+    recorded: Sequence[int],
+    n_replicates: int,
+    pin_renormalized_root: bool,
+) -> _Plan:
+    """The partitions of the levels past ``start`` that the scheme corrects
+    (the start level itself is never corrected), and one empty record per
+    recorded level with the columns the run will fill."""
+    partitions = {
+        level: scheme.partition_for(level, r)
+        for level in scheme.correction_levels(r, depth)
+        if level > start
+    }
+    removal = scheme.removes_minority
+    first_removal = min(partitions, default=depth + 1) if removal else depth + 1
+
+    def column(present: bool) -> np.ndarray | None:
+        return np.empty(n_replicates, dtype=np.int64) if present else None
+
+    records = {}
+    for level in recorded:
+        part = partitions.get(level)
+        alive = level >= first_removal
+        if part is not None:
+            rec = LevelRecord(
+                level=level,
+                statistic=column(True),
+                alive_count=column(alive),
+                renormalized_statistic=column(True),
+                n_blocks=part.n_blocks,
+                alive_block_count=column(removal),
+                excluded_count=len(part.leftover()),
+            )
+        elif pin_renormalized_root and level == start:
+            rec = LevelRecord(
+                level=level,
+                statistic=column(True),
+                renormalized_statistic=np.ones(n_replicates, dtype=np.int64),
+                n_blocks=1,
+            )
+        else:
+            rec = LevelRecord(
+                level=level, statistic=column(True), alive_count=column(alive)
+            )
+        records[level] = rec
+    return _Plan(scheme, partitions, records)
+
+
+def _write_record(
+    rec: LevelRecord,
+    out: slice,
     g: GenerationSignals,
     alive: np.ndarray | None,
     cg: CorrectedGeneration | None,
-) -> LevelRecord:
-    statistic = majority_statistic(g, alive)
-    alive_count = popcount_rows(alive) if alive is not None else None
-    if cg is None:
-        return LevelRecord(level=level, statistic=statistic, alive_count=alive_count)
-    renorm = majority_statistic(cg.block_signals, cg.block_alive)
-    blocks_alive = (
-        popcount_rows(cg.block_alive) if cg.block_alive is not None else None
-    )
-    return LevelRecord(
-        level=level,
-        statistic=statistic,
-        alive_count=alive_count,
-        renormalized_statistic=renorm,
-        n_blocks=cg.partition.n_blocks,
-        alive_block_count=blocks_alive,
-        excluded_count=len(cg.excluded),
-    )
+) -> None:
+    """Fill one replicate block's rows ``out`` of a level record."""
+    rec.statistic[out] = majority_statistic(g, alive)
+    if rec.alive_count is not None:
+        rec.alive_count[out] = popcount_rows(alive)
+    if cg is not None:
+        rec.renormalized_statistic[out] = majority_statistic(
+            cg.block_signals, cg.block_alive
+        )
+        if rec.alive_block_count is not None:
+            rec.alive_block_count[out] = popcount_rows(cg.block_alive)
 
 
-def _join_records(parts: Sequence[LevelRecord]) -> LevelRecord:
-    """One level's records of consecutive replicate blocks, joined in order."""
-    arrays = {}
-    for name in ("statistic", "alive_count", "renormalized_statistic", "alive_block_count"):
-        values = [getattr(rec, name) for rec in parts]
-        arrays[name] = None if values[0] is None else np.concatenate(values)
-    return dataclasses.replace(parts[0], **arrays)
+class _Lineage:
+    """One scheme's current level, and alive mask, in one replicate block."""
+
+    __slots__ = ("signals", "alive")
+
+    def __init__(self, signals: GenerationSignals) -> None:
+        self.signals = signals
+        self.alive: np.ndarray | None = None
+
+
+def _step(
+    plan: _Plan,
+    line: _Lineage,
+    flips: np.ndarray,
+    seed: SeedSpec,
+    r: int,
+    block: int,
+    out: slice,
+) -> None:
+    """Advance one scheme's lineage by a level: broadcast into ``flips``
+    (consumed), correct in place at the scheme's levels, record."""
+    g = sample_next_generation(line.signals, r, flips)
+    # The parent goes as soon as the child exists.
+    line.signals = g
+    if line.alive is not None:
+        line.alive = repeat_packed(line.alive, g.size // r, r)
+    cg = None
+    part = plan.partitions.get(g.level)
+    if part is not None:
+        cg = _apply_scheme(plan.scheme, g, part, seed, line.alive, block)
+        line.alive = cg.alive
+    rec = plan.records.get(g.level)
+    if rec is not None:
+        _write_record(rec, out, g, line.alive, cg)
 
 
 def _worker_count(n_blocks: int) -> int:
@@ -557,93 +668,101 @@ def _worker_count(n_blocks: int) -> int:
 
 def run_corrected_trajectory(
     tree: RegularTreeSpec,
-    scheme: CorrectionScheme,
+    schemes: Sequence[CorrectionScheme],
     ch: ChannelParams,
     seed: SeedSpec,
     n_replicates: int,
     pin_root: int | None = +1,
     pin_renormalized_root: bool = False,
     record_levels: Sequence[int] | None = None,
-) -> TrajectoryResult:
-    """Run the broadcast with corrections interleaved at the scheme's levels.
+) -> tuple[TrajectoryResult, ...]:
+    """Run the broadcast with corrections interleaved at each scheme's
+    levels, for a group of schemes on common random numbers; one result per
+    scheme, in order.
 
     The root is pinned to ``pin_root`` (or left a fair sign when None).  With
-    ``pin_renormalized_root`` — block schemes only — the run instead starts
-    at the scheme's block-0 level with the whole generation set to +1,
-    measuring advantages relative to the renormalized root rather than the
-    true one.
+    ``pin_renormalized_root`` — block schemes only, all with the same start
+    level — the run instead starts at the schemes' block-0 level with the
+    whole generation set to +1, measuring advantages relative to the
+    renormalized root rather than the true one.
 
     ``record_levels`` selects the levels whose statistics are kept (default:
     all).  At correction levels the record carries both the raw signed sum
     and the renormalized one-vote-per-block sum, taken after correction.
 
     Each replicate block runs through every level on its own, on a thread
-    pool, and the records are joined in block order; streams keep their
-    global block index, so the result does not depend on the worker count.
-    Building ``tree`` has already checked its deepest level against the
-    vertex budget.
+    pool, and writes its rows of every record.  At each level the block's
+    flip mask is drawn once and every scheme's children are its own parents
+    XOR that mask, so a scheme's records are those of a run of it alone.
+    Streams keep their global block index, so the result depends neither on
+    the worker count nor on the other schemes of the group.  Building
+    ``tree`` has already checked its deepest level against the vertex budget.
     """
     r, depth = tree.r, tree.depth
-    correction_at = set(scheme.correction_levels(r, depth))
-    recorded = (
+    schemes = tuple(schemes)
+    if not schemes:
+        raise ValueError("a trajectory group needs at least one scheme")
+    recorded = sorted(
         set(range(depth + 1)) if record_levels is None else set(record_levels)
     )
-    if recorded and (min(recorded) < 0 or max(recorded) > depth):
-        raise ValueError(f"record levels must lie in 0..{depth}, got {sorted(recorded)}")
+    if recorded and (recorded[0] < 0 or recorded[-1] > depth):
+        raise ValueError(f"record levels must lie in 0..{depth}, got {recorded}")
 
     if pin_renormalized_root:
-        if not scheme.block_based:
+        if not all(scheme.block_based for scheme in schemes):
             raise ValueError(
                 "pin_renormalized_root is only meaningful for block schemes"
             )
-        start = scheme.start_level(r)
-        correction_at.discard(start)
+        starts = sorted({scheme.start_level(r) for scheme in schemes})
+        if len(starts) > 1:
+            raise ValueError(
+                f"a renormalized-root group needs one start level, got {starts}"
+            )
+        start = starts[0]
     else:
         start = 0
+    # A renormalized-root run records nothing shallower than its start.
+    recorded = [level for level in recorded if level >= start]
+    plans = [
+        _plan(s, r, depth, start, recorded, n_replicates, pin_renormalized_root)
+        for s in schemes
+    ]
 
-    def run_block(address: tuple[int, slice, int]) -> list[LevelRecord]:
-        block, _, rows = address
-        records: list[LevelRecord] = []
-        alive: np.ndarray | None = None
+    def run_block(address: tuple[int, slice, int]) -> None:
+        block, out, rows = address
         if pin_renormalized_root:
-            g = _constant_signals(start, r**start, rows)
-            if start in recorded:
-                records.append(
-                    LevelRecord(
-                        level=start,
-                        statistic=majority_statistic(g),
-                        renormalized_statistic=np.ones(rows, dtype=np.int64),
-                        n_blocks=1,
-                    )
-                )
+            root = _constant_signals(start, r**start, rows)
         else:
-            g = sample_root(seed, rows, pin=pin_root, block=block)
-            if start in recorded:
-                records.append(_make_record(start, g, alive, None))
-
+            root = sample_root(seed, rows, pin=pin_root, block=block)
+        lines: list[_Lineage | None] = []
+        for plan in plans:
+            if start in plan.records:
+                _write_record(plan.records[start], out, root, None, None)
+            lines.append(_Lineage(root))
         for level in range(start + 1, depth + 1):
-            g = sample_next_generation(g, ch, seed, r, block=block)
-            if alive is not None:
-                alive = repeat_packed(alive, g.size // r, r)
-            cg = None
-            if level in correction_at:
-                part = scheme.partition_for(level, r)
-                cg = _apply_scheme(scheme, g, part, seed, alive, block)
-                g = cg.signals
-                if scheme.removes_minority:
-                    alive = cg.alive
-            if level in recorded:
-                records.append(_make_record(level, g, alive, cg))
-        return records
+            flips = flip_mask(ch, seed, level, r**level, block=block)
+            for i, plan in enumerate(plans):
+                # Each step writes its children into the mask it is given;
+                # the last scheme takes the drawn buffer itself.
+                mask = flips if i == len(plans) - 1 else flips.copy()
+                _step(plan, lines[i], mask, seed, r, block, out)
+                del mask
+                if level == depth:
+                    # Recorded: free the deepest level before the next
+                    # scheme builds its own.
+                    lines[i] = None
+            del flips
 
     blocks = list(replicate_blocks(n_replicates))
     workers = _worker_count(len(blocks))
     if workers == 1:
-        per_block = [run_block(address) for address in blocks]
+        for address in blocks:
+            run_block(address)
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            per_block = list(pool.map(run_block, blocks))
+            list(pool.map(run_block, blocks))
 
-    return TrajectoryResult(
-        records=tuple(_join_records(level) for level in zip(*per_block))
+    return tuple(
+        TrajectoryResult(records=tuple(plan.records[level] for level in recorded))
+        for plan in plans
     )

@@ -4,14 +4,15 @@ The exact engine (:func:`~treecast.exact.scheme_delta`) covers schemes whose
 corrected process reduces to a plain count chain, and takes the same
 arguments as :func:`mc_delta`.  Everything else — minority removal in
 particular, whose surviving structure is a random tree — is estimated here
-from replicated trajectories with deterministic seeding.  Each estimator
-makes one estimate from explicit arguments and runs one trajectory per
-estimate, recording only the level it reads:
+from replicated trajectories with deterministic seeding.  The estimators
+take explicit arguments and record only the level they read:
 
-* :func:`mc_delta` — the advantage of a scheme at one depth, with its sign
-  counts and a conservative 99% interval built from Wilson score intervals
-  on the two sign frequencies (``eps-k`` reads a level-``k`` error rate
-  from the counts of an ``Identity`` run);
+* :func:`mc_deltas` — the advantage of each of a group of schemes at one
+  depth, from one trajectory run that draws every flip mask once for the
+  whole group, each with its sign counts and a conservative 99% interval
+  built from Wilson score intervals on the two sign frequencies;
+* :func:`mc_delta` — the same for one scheme (``eps-k`` reads a level-``k``
+  error rate from the counts of an ``Identity`` run);
 * :func:`mc_critical_bracket` — a bracket for a critical error-free rate
   from a grid of :func:`mc_delta` estimates.  It never claims a sharp
   threshold: grid points that cannot be called with a four-sigma margin
@@ -22,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 from .channel import ChannelParams
 from .correction import CorrectionScheme, run_corrected_trajectory
@@ -31,6 +33,7 @@ from .trees import RegularTreeSpec
 __all__ = [
     "mc_critical_bracket",
     "mc_delta",
+    "mc_deltas",
     "wilson_interval",
 ]
 
@@ -208,25 +211,94 @@ def check_mc_delta(
 ) -> RegularTreeSpec:
     """Refuse arguments :func:`mc_delta` cannot run, before anything is drawn.
 
-    Checks the replicate floor, that a descent scheme's depth is a multiple
-    of its period, that a renormalized-root depth lies past the scheme's
-    start level, and the vertex budget of level ``depth``.  Returns the tree
-    the run uses.
+    Checks the replicate floor, that a block scheme has ``r >= 2``, that a
+    descent scheme's depth is a multiple of its period, that a
+    renormalized-root depth lies past the scheme's start level, and the
+    vertex budget of level ``depth``.  Returns the tree the run uses.
     """
     if replicates < MIN_REPLICATES:
         raise ValueError(
             f"need at least {MIN_REPLICATES} replicates, got {replicates}"
         )
+    start = scheme.start_level(r)
     if scheme.descent_based and depth % scheme.k != 0:
         raise ValueError(
             f"depth {depth} must be a multiple of the descent period {scheme.k}"
         )
-    if pin_renormalized_root and depth <= scheme.start_level(r):
+    if pin_renormalized_root and depth <= start:
         raise ValueError(
             "depth must exceed the scheme's start level to measure a "
             "renormalized-root advantage"
         )
     return RegularTreeSpec(r=r, depth=depth)
+
+
+def mc_deltas(
+    schemes: Sequence[CorrectionScheme],
+    r: int,
+    depth: int,
+    ch: ChannelParams,
+    seed: SeedSpec,
+    replicates: int,
+    *,
+    pin_renormalized_root: bool = False,
+) -> tuple[DeltaEstimate, ...]:
+    """Estimate the advantage at level ``depth`` of each scheme of a group,
+    one estimate per scheme in order.
+
+    The root is pinned to +1 and each replicate contributes the sign of the
+    level's decision statistic; the estimate is the frequency difference
+    ``freq(> 0) - freq(< 0)`` (ties contribute zero net, matching the
+    fair-coin convention).  The statistic is the signed sum over the level's
+    vertices, with two exceptions: minority-removal schemes count one vote
+    per surviving block at correction levels (the corrected process's
+    vertices are the blocks), and renormalized-root runs (block schemes
+    only, sharing one start level) read the one-vote statistic relative to
+    the pinned block level.
+
+    The group runs as one trajectory that draws each flip mask once; every
+    estimate is the one :func:`mc_delta` gives for its scheme alone.  Every
+    scheme is checked before anything is drawn.
+    """
+    schemes = tuple(schemes)
+    if not schemes:
+        raise ValueError("need at least one scheme")
+    trees = [
+        check_mc_delta(
+            scheme, r, depth, replicates, pin_renormalized_root=pin_renormalized_root
+        )
+        for scheme in schemes
+    ]
+    trajectories = run_corrected_trajectory(
+        trees[0],
+        schemes,
+        ch,
+        seed,
+        replicates,
+        pin_root=+1,
+        pin_renormalized_root=pin_renormalized_root,
+        record_levels=(depth,),
+    )
+    estimates = []
+    for scheme, traj in zip(schemes, trajectories):
+        rec = traj.records[0]
+        renormalized = rec.renormalized_statistic is not None and (
+            pin_renormalized_root or scheme.removes_minority
+        )
+        stat = rec.renormalized_statistic if renormalized else rec.statistic
+        plus = int((stat > 0).sum())
+        minus = int((stat < 0).sum())
+        estimates.append(
+            DeltaEstimate(
+                delta_hat=(plus - minus) / replicates,
+                ci=delta_confidence_interval(plus, minus, replicates),
+                replicates=replicates,
+                plus_count=plus,
+                minus_count=minus,
+                renormalized=renormalized,
+            )
+        )
+    return tuple(estimates)
 
 
 def mc_delta(
@@ -239,45 +311,12 @@ def mc_delta(
     *,
     pin_renormalized_root: bool = False,
 ) -> DeltaEstimate:
-    """Estimate the advantage at level ``depth`` of one corrected run.
-
-    The root is pinned to +1 and each replicate contributes the sign of the
-    level's decision statistic; the estimate is the frequency difference
-    ``freq(> 0) - freq(< 0)`` (ties contribute zero net, matching the
-    fair-coin convention).  The statistic is the signed sum over the level's
-    vertices, with two exceptions: minority-removal schemes count one vote
-    per surviving block at correction levels (the corrected process's
-    vertices are the blocks), and renormalized-root runs (block schemes
-    only) read the one-vote statistic relative to the pinned block level.
-    """
-    tree = check_mc_delta(
-        scheme, r, depth, replicates, pin_renormalized_root=pin_renormalized_root
-    )
-    traj = run_corrected_trajectory(
-        tree,
-        scheme,
-        ch,
-        seed,
-        replicates,
-        pin_root=+1,
+    """Estimate the advantage at level ``depth`` of one corrected run: the
+    one-scheme group of :func:`mc_deltas`."""
+    return mc_deltas(
+        (scheme,), r, depth, ch, seed, replicates,
         pin_renormalized_root=pin_renormalized_root,
-        record_levels=(depth,),
-    )
-    rec = traj.records[0]
-    renormalized = rec.renormalized_statistic is not None and (
-        pin_renormalized_root or scheme.removes_minority
-    )
-    stat = rec.renormalized_statistic if renormalized else rec.statistic
-    plus = int((stat > 0).sum())
-    minus = int((stat < 0).sum())
-    return DeltaEstimate(
-        delta_hat=(plus - minus) / replicates,
-        ci=delta_confidence_interval(plus, minus, replicates),
-        replicates=replicates,
-        plus_count=plus,
-        minus_count=minus,
-        renormalized=renormalized,
-    )
+    )[0]
 
 
 JUDGE_RECONSTRUCTING = "reconstructing"

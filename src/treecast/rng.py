@@ -31,10 +31,17 @@ contract and must not be changed casually.  A float32 uniform is
 low half of each 64-bit word first, so ``u < float32(p)`` is exactly
 ``w < ceil(float32(p) * 2**24) << 8``: the bits are computed by comparing
 the raw words with that integer threshold, never by forming the floats.
-Within a chunk the words are drawn a few rows at a time to bound memory.
-That slicing is not part of the contract: a stream yields its values in
-row-major order, so a chunk drawn in row slices consumes the stream exactly
-as one draw of the whole chunk would.
+Within a chunk the words are drawn a few rows at a time
+(:data:`SLICE_ELEMENTS` half-words at most) to bound memory.  That slicing
+is not part of the contract: a stream yields its values in row-major order,
+so a chunk drawn in row slices consumes the stream exactly as one draw of
+the whole chunk would.
+
+Because a stream depends on nothing but its address, a draw may be shared
+by every consumer of that address: the trajectory loop of
+:mod:`treecast.correction` draws each ``("flips", level, block)`` mask once
+for a whole group of schemes run on common random numbers, and every scheme
+sees the bits a run of it alone would draw.
 """
 
 from __future__ import annotations
@@ -50,10 +57,13 @@ from numpy.random.bit_generator import ISeedSequence
 
 REPLICATE_BLOCK = 256
 DRAW_CHUNK_COLS = 1 << 17
-#: Most elements (half-words of a draw; per-block counts or packed bytes
-#: of a correction kernel) a row slice holds at once; bounds per-block memory,
-#: not part of the contract.
-SLICE_ELEMENTS = 1 << 18
+#: Most elements a row slice holds at once: half-words of a draw, packed
+#: bytes of a broadcast step or a popcount, per-block counts or packed bytes
+#: of a correction kernel.  It bounds the scratch memory of every kernel, on
+#: top of the whole levels a replicate block holds (each scheme's level and
+#: the shared flip mask), to a fraction of one wide level.  Not part of the
+#: contract: any value gives the same bits.
+SLICE_ELEMENTS = 1 << 16
 
 
 def _purpose_code(purpose: str) -> int:

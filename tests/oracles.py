@@ -62,6 +62,7 @@ from scipy.stats import binom
 
 from treecast.broadcast import (
     GenerationSignals,
+    flip_mask,
     sample_next_generation,
     sample_root,
 )
@@ -313,9 +314,12 @@ def root_by_blocks(seed: SeedSpec, n_replicates: int, pin: int | None) -> Genera
 def step_by_blocks(
     g: GenerationSignals, ch: ChannelParams, seed: SeedSpec, r: int
 ) -> GenerationSignals:
-    """``sample_next_generation`` over all of ``g``'s rows, one call per block."""
+    """``sample_next_generation`` over all of ``g``'s rows, one call per
+    block, each on its block's own flip mask."""
     return join_blocks([
-        sample_next_generation(part, ch, seed, r, block=block)
+        sample_next_generation(
+            part, r, flip_mask(ch, seed, g.level + 1, g.size * r, block=block)
+        )
         for block, part in split_blocks(g)
     ])
 

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from treecast import BudgetError, ChannelParams, SeedSpec
 from treecast.broadcast import (
     GenerationSignals,
+    flip_mask,
     majority_statistic,
     packed_width,
     popcount_rows,
@@ -14,6 +15,7 @@ from treecast.broadcast import (
     sample_next_generation,
     sample_root,
 )
+from treecast.rng import REPLICATE_BLOCK
 from treecast.trees import RegularTreeSpec
 
 from oracles import root_by_blocks, step_by_blocks
@@ -112,11 +114,50 @@ def test_sample_root_fair_when_unpinned():
 
 def test_noiseless_step_copies_parent():
     parents = GenerationSignals.from_signs(np.array([[1, -1], [-1, -1]]), level=1)
-    kids = sample_next_generation(parents, ChannelParams(epsilon=0.0), SEED, r=3)
+    flips = flip_mask(ChannelParams(epsilon=0.0), SEED, 2, 6)
+    kids = sample_next_generation(parents, 3, flips)
     assert kids.level == 2
     assert kids.size == 6
     np.testing.assert_array_equal(
         kids.to_signs(), [[1, 1, 1, -1, -1, -1], [-1, -1, -1, -1, -1, -1]]
+    )
+
+
+@pytest.mark.parametrize("rows", [REPLICATE_BLOCK, 37])
+def test_step_writes_children_into_its_flip_mask(monkeypatch, rows):
+    # Children are each parent's sign repeated r times XOR the mask, written
+    # into the mask a few rows at a time.
+    from treecast import rng
+
+    monkeypatch.setattr(rng, "SLICE_ELEMENTS", 5 * 11)
+    parents = GenerationSignals.from_signs(
+        np.random.default_rng(rows).choice([-1, 1], size=(rows, 27)), level=3
+    )
+    flips = flip_mask(ChannelParams(epsilon=0.2), SEED, 4, 81, block=5)
+    expected = np.packbits(
+        np.repeat(parents.bits(), 3, axis=1)
+        ^ np.unpackbits(flips[:rows], axis=1, count=81),
+        axis=1,
+    )
+    kids = sample_next_generation(parents, 3, flips)
+    assert (kids.level, kids.size, kids.n_replicates) == (4, 81, rows)
+    np.testing.assert_array_equal(kids.packed, expected)
+    assert np.shares_memory(kids.packed, flips)
+    with pytest.raises(ValueError, match="flip mask shape"):
+        sample_next_generation(parents, 2, flips)
+
+
+def test_popcounts_are_row_slice_independent(monkeypatch):
+    from treecast import rng
+
+    bits = np.random.default_rng(3).integers(0, 256, size=(50, 40), dtype=np.uint8)
+    mask = np.random.default_rng(4).integers(0, 256, size=(50, 40), dtype=np.uint8)
+    whole = popcount_rows(bits), popcount_rows(bits, mask)
+    monkeypatch.setattr(rng, "SLICE_ELEMENTS", 3 * 40)
+    np.testing.assert_array_equal(popcount_rows(bits), whole[0])
+    np.testing.assert_array_equal(popcount_rows(bits, mask), whole[1])
+    np.testing.assert_array_equal(
+        whole[1], np.unpackbits(bits & mask, axis=1).sum(axis=1)
     )
 
 

@@ -6,6 +6,7 @@ import pytest
 from treecast import ChannelParams, CorrectionScheme, SeedSpec
 from treecast.broadcast import (
     GenerationSignals,
+    flip_mask,
     majority_statistic,
     sample_next_generation,
     sample_root,
@@ -36,6 +37,11 @@ SEED = SeedSpec(master_seed=555111)
 
 def signals_from(rows, level):
     return GenerationSignals.from_signs(np.array(rows, dtype=np.int8), level=level)
+
+
+def copied(g):
+    """A copy of ``g`` for a kernel that consumes its level arrays."""
+    return GenerationSignals(g.level, g.size, g.n_replicates, g.packed.copy())
 
 
 def test_block_majority_overwrites_blocks():
@@ -79,8 +85,18 @@ def test_block_majority_is_idempotent():
     part = BlockPartition(level=1, level_size=4, block_size=2)
     for b, g_b in split_blocks(g):
         once = apply_block_majority(g_b, part, SEED, block=b)
+        snapshot = once.signals.packed.copy()
         twice = apply_block_majority(once.signals, part, SEED, block=b)
-        np.testing.assert_array_equal(once.signals.packed, twice.signals.packed)
+        np.testing.assert_array_equal(snapshot, twice.signals.packed)
+
+
+def test_kernels_write_into_the_arrays_they_are_given():
+    g = signals_from([[1, 1, -1, -1, -1, 1, 1, 1, -1]], level=2)
+    part = BlockPartition(level=2, level_size=9, block_size=3)
+    assert apply_block_majority(g, part, SEED).signals.packed is g.packed
+    assert apply_fraction_identification(g, part, SEED).signals.packed is g.packed
+    alive = np.packbits(np.ones((1, 9), dtype=np.uint8), axis=1)
+    assert apply_minority_removal(g, part, SEED, alive).alive is alive
 
 
 def test_fraction_identification_copies_a_member():
@@ -111,12 +127,14 @@ def test_fraction_identification_pick_is_uniform():
 def test_minority_removal_survivors_agree():
     g = signals_from([[1, 1, -1, 1, -1, -1]], level=1)
     part = BlockPartition(level=1, level_size=6, block_size=3)
+    before = g.packed.copy()
     cg = apply_minority_removal(g, part, SEED)
     alive_bits = np.unpackbits(cg.alive, axis=1, count=6)[0]
     np.testing.assert_array_equal(alive_bits, [1, 1, 0, 0, 1, 1])
     np.testing.assert_array_equal(cg.block_signals.to_signs(), [[1, -1]])
     # Signals themselves are untouched; only the alive mask shrinks.
-    np.testing.assert_array_equal(cg.signals.packed, g.packed)
+    assert cg.signals is g
+    np.testing.assert_array_equal(cg.signals.packed, before)
 
 
 def test_minority_removal_respects_prior_deaths():
@@ -170,18 +188,19 @@ def test_packed_kernels_match_unpacked_oracle(case, rows):
     alive = np.packbits(alive_bits, axis=1)
     block = 3
 
-    cg = apply_block_majority(g, part, SEED, block=block)
+    cg = apply_block_majority(copied(g), part, SEED, block=block)
     signals, block_signals = unpacked_block_majority(g, part, SEED, block)
     np.testing.assert_array_equal(cg.signals.packed, signals)
     np.testing.assert_array_equal(cg.block_signals.packed, block_signals)
 
-    cg = apply_fraction_identification(g, part, SEED, block=block)
+    cg = apply_fraction_identification(copied(g), part, SEED, block=block)
     signals, block_signals = unpacked_fraction_identification(g, part, SEED, block)
     np.testing.assert_array_equal(cg.signals.packed, signals)
     np.testing.assert_array_equal(cg.block_signals.packed, block_signals)
 
     for mask in (None, alive):
-        cg = apply_minority_removal(g, part, SEED, mask, block=block)
+        given = None if mask is None else mask.copy()
+        cg = apply_minority_removal(g, part, SEED, given, block=block)
         survivors, block_signals, block_alive = unpacked_minority_removal(
             g, part, SEED, mask, block
         )
@@ -203,7 +222,7 @@ def test_fraction_identification_row_sliced_picks_match_oracle(monkeypatch, case
         np.random.default_rng(B).choice([-1, 1], size=(REPLICATE_BLOCK - 3, size)), level
     )
     monkeypatch.setattr(rng, "SLICE_ELEMENTS", 3 * max(part.n_blocks, g.packed.shape[1]))
-    cg = apply_fraction_identification(g, part, SEED, block=2)
+    cg = apply_fraction_identification(copied(g), part, SEED, block=2)
     signals, block_signals = unpacked_fraction_identification(g, part, SEED, 2)
     np.testing.assert_array_equal(cg.signals.packed, signals)
     np.testing.assert_array_equal(cg.block_signals.packed, block_signals)
@@ -224,7 +243,8 @@ def run_kernel(kernel, n):
         return sample_root(SEED, n, pin=None)
     g = GenerationSignals.from_signs(np.ones((n, 4), dtype=np.int8), level=2)
     if kernel is sample_next_generation:
-        return sample_next_generation(g, ChannelParams(epsilon=0.1), SEED, r=2)
+        flips = flip_mask(ChannelParams(epsilon=0.1), SEED, 3, 8)
+        return sample_next_generation(g, 2, flips)
     return kernel(g, BlockPartition(level=2, level_size=4, block_size=2), SEED)
 
 
@@ -277,9 +297,9 @@ def test_scheme_levels():
 
 
 def test_trajectory_records_requested_levels():
-    traj = run_corrected_trajectory(
+    (traj,) = run_corrected_trajectory(
         RegularTreeSpec(r=2, depth=5),
-        CorrectionScheme.parse("WithinDescentMajority{k=2}"),
+        (CorrectionScheme.parse("WithinDescentMajority{k=2}"),),
         ChannelParams(epsilon=0.2),
         SEED,
         n_replicates=300,
@@ -292,7 +312,7 @@ def test_trajectory_records_requested_levels():
     with pytest.raises(ValueError):
         run_corrected_trajectory(
             RegularTreeSpec(r=2, depth=5),
-            CorrectionScheme.identity(),
+            (CorrectionScheme.identity(),),
             ChannelParams(epsilon=0.2),
             SEED,
             n_replicates=300,
@@ -303,9 +323,9 @@ def test_trajectory_records_requested_levels():
 def test_identity_trajectory_matches_plain_broadcast():
     # With no corrections the trajectory is exactly the broadcast kernel run.
     ch = ChannelParams(epsilon=0.25)
-    traj = run_corrected_trajectory(
+    (traj,) = run_corrected_trajectory(
         RegularTreeSpec(r=2, depth=4),
-        CorrectionScheme.identity(),
+        (CorrectionScheme.identity(),),
         ch,
         SEED,
         n_replicates=400,
@@ -325,8 +345,8 @@ def test_trajectory_is_deterministic_and_prefix_stable():
     ch = ChannelParams(epsilon=0.2)
 
     def stat(n):
-        traj = run_corrected_trajectory(
-            tree, scheme, ch, SEED, n, record_levels=(4,)
+        (traj,) = run_corrected_trajectory(
+            tree, (scheme,), ch, SEED, n, record_levels=(4,)
         )
         return traj.record_at(4).statistic
 
@@ -337,9 +357,9 @@ def test_trajectory_is_deterministic_and_prefix_stable():
 
 
 def test_minority_trajectory_tracks_survivors():
-    traj = run_corrected_trajectory(
+    (traj,) = run_corrected_trajectory(
         RegularTreeSpec(r=3, depth=2),
-        CorrectionScheme.within_descent_minority_removal(1),
+        (CorrectionScheme.within_descent_minority_removal(1),),
         ChannelParams(epsilon=0.3),
         SEED,
         n_replicates=500,
@@ -359,7 +379,7 @@ def test_renormalized_root_pinning_requires_block_scheme():
     with pytest.raises(ValueError):
         run_corrected_trajectory(
             RegularTreeSpec(r=2, depth=4),
-            CorrectionScheme.parse("WithinDescentMajority{k=2}"),
+            (CorrectionScheme.parse("WithinDescentMajority{k=2}"),),
             ChannelParams(epsilon=0.2),
             SEED,
             n_replicates=300,

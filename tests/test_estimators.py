@@ -11,8 +11,10 @@ from treecast import (
     delta_exact,
     mc_critical_bracket,
     mc_delta,
+    mc_deltas,
     wilson_interval,
 )
+from treecast import estimators
 from treecast.estimators import (
     JUDGE_INCONCLUSIVE,
     DeltaEstimate,
@@ -77,6 +79,56 @@ def test_mc_delta_validation():
             CorrectionScheme.block_majority_every_step(4), 2, 2, ch, SEED, 500,
             pin_renormalized_root=True,
         )
+
+
+def test_block_scheme_at_r1_is_refused_before_drawing(monkeypatch):
+    # At r = 1 every level holds one vertex, so no level ever outgrows a
+    # block and a block scheme has no start level.
+    def never(*args, **kwargs):
+        raise AssertionError("the trajectory ran")
+
+    monkeypatch.setattr(estimators, "run_corrected_trajectory", never)
+    with pytest.raises(ValueError, match="r >= 2"):
+        CorrectionScheme.block_majority_every_step(4).start_level(1)
+    with pytest.raises(ValueError, match="r >= 2"):
+        mc_delta(
+            CorrectionScheme.block_majority_every_step(4), 1, 4,
+            ChannelParams(epsilon=0.1), SEED, 200,
+        )
+    with pytest.raises(ValueError, match="r >= 2"):
+        mc_deltas(
+            (
+                CorrectionScheme.identity(),
+                CorrectionScheme.parse("MinorityRemovalEveryStep{M=4}"),
+            ),
+            1, 4, ChannelParams(epsilon=0.1), SEED, 200,
+        )
+    with pytest.raises(ValueError, match="at least one scheme"):
+        mc_deltas((), 2, 4, ChannelParams(epsilon=0.1), SEED, 200)
+
+
+def test_mc_deltas_match_one_scheme_runs():
+    schemes = [
+        CorrectionScheme.parse(text)
+        for text in (
+            "Identity",
+            "WithinDescentMajority{k=2}",
+            "BlockMajorityEveryStep{M=4}",
+            "WithinDescentMinorityRemoval{k=2}",
+        )
+    ]
+    ch = ChannelParams(epsilon=0.15)
+    group = mc_deltas(schemes, 2, 6, ch, SEED, 300)
+    assert group == tuple(mc_delta(s, 2, 6, ch, SEED, 300) for s in schemes)
+    # Both start at level 2 on r = 2, so they can share a renormalized root.
+    pinned = [
+        CorrectionScheme.parse(text)
+        for text in ("BlockMajorityEveryStep{M=4}", "MinorityRemovalEveryStep{M=5}")
+    ]
+    group = mc_deltas(pinned, 2, 6, ch, SEED, 300, pin_renormalized_root=True)
+    assert group == tuple(
+        mc_delta(s, 2, 6, ch, SEED, 300, pin_renormalized_root=True) for s in pinned
+    )
 
 
 def test_delta_estimate_validation():

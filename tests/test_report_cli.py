@@ -391,8 +391,8 @@ def test_cli_sweep_checks_whole_grid_before_first_cell(
     import treecast.cli as cli
 
     calls = []
-    real = cli.mc_delta
-    monkeypatch.setattr(cli, "mc_delta", lambda *a, **kw: calls.append(a) or real(*a, **kw))
+    real = cli.mc_deltas
+    monkeypatch.setattr(cli, "mc_deltas", lambda *a, **kw: calls.append(a) or real(*a, **kw))
     grid = {"r": 2, "schemes": ["Identity"], "eps": [0.1], "depths": [2],
             "replicates": 200, **bad}
     grid_path = tmp_path / "grid.json"

@@ -1,15 +1,19 @@
-"""Block-outer trajectory loop: bit-identical records for any worker count,
-and peak memory that does not grow with the replicate count."""
+"""Block-outer trajectory loop: bit-identical records for any worker count
+and for any group of schemes run together, and peak memory that does not
+grow with the replicate count."""
 
 import hashlib
+import sys
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from treecast import ChannelParams, CorrectionScheme, SeedSpec
 from treecast.trees import RegularTreeSpec
 from treecast import correction
 from treecast.correction import run_corrected_trajectory
+from treecast.rng import REPLICATE_BLOCK
 
 SEED = SeedSpec(master_seed=20110917)
 REPLICATES = 600  # three replicate blocks, the last one partial
@@ -85,15 +89,16 @@ def case_id(case):
 
 def run_case(case):
     r, depth, scheme, pin_root, renormalized = case
-    return run_corrected_trajectory(
+    (traj,) = run_corrected_trajectory(
         RegularTreeSpec(r=r, depth=depth),
-        CorrectionScheme.parse(scheme),
+        (CorrectionScheme.parse(scheme),),
         ChannelParams(epsilon=0.2),
         SEED,
         REPLICATES,
         pin_root=pin_root,
         pin_renormalized_root=renormalized,
     )
+    return traj
 
 
 def records_digest(traj):
@@ -137,7 +142,7 @@ def test_peak_memory_flat_in_replicate_count(monkeypatch):
     def working_peak(n_replicates):
         tracemalloc.start()
         try:
-            traj = run_corrected_trajectory(tree, scheme, ch, SEED, n_replicates)
+            (traj,) = run_corrected_trajectory(tree, (scheme,), ch, SEED, n_replicates)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -157,3 +162,117 @@ def test_peak_memory_flat_in_replicate_count(monkeypatch):
     working_peak(512)  # warm caches outside the comparison
     small, large = working_peak(512), working_peak(2048)
     assert large <= 1.10 * small, (small, large)
+
+
+# One group per branching factor: all six variants, block schemes with
+# leftover members (M=3 at r=2, M=5 and M=4 at r=3), and depths holding
+# several correction levels.
+GROUPS = {
+    2: (6, ("Identity", "BlockMajorityEveryStep{M=3}", "WithinDescentMajority{k=2}",
+            "FractionIdentification{k=2}", "MinorityRemovalEveryStep{M=3}",
+            "WithinDescentMinorityRemoval{k=2}")),
+    3: (4, ("Identity", "BlockMajorityEveryStep{M=5}", "WithinDescentMajority{k=2}",
+            "FractionIdentification{k=1}", "MinorityRemovalEveryStep{M=4}",
+            "WithinDescentMinorityRemoval{k=2}")),
+    4: (4, ("Identity", "BlockMajorityEveryStep{M=4}", "WithinDescentMajority{k=2}",
+            "FractionIdentification{k=2}", "MinorityRemovalEveryStep{M=4}",
+            "WithinDescentMinorityRemoval{k=2}")),
+}
+GROUP_REPLICATES = 300  # two replicate blocks, the last one partial
+
+
+def assert_records_equal(got, want):
+    assert [rec.level for rec in got.records] == [rec.level for rec in want.records]
+    for a, b in zip(got.records, want.records):
+        assert (a.n_blocks, a.excluded_count) == (b.n_blocks, b.excluded_count)
+        for name in ("statistic", "alive_count", "renormalized_statistic",
+                     "alive_block_count"):
+            x, y = getattr(a, name), getattr(b, name)
+            assert (x is None) == (y is None), (a.level, name)
+            if x is not None:
+                assert x.dtype == y.dtype and np.array_equal(x, y), (a.level, name)
+
+
+def run_group(r, depth, schemes, **kwargs):
+    return run_corrected_trajectory(
+        RegularTreeSpec(r=r, depth=depth), schemes, ChannelParams(epsilon=0.2),
+        SEED, GROUP_REPLICATES, **kwargs,
+    )
+
+
+@pytest.mark.parametrize("reverse", [False, True], ids=["forward", "reversed"])
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("r", sorted(GROUPS))
+def test_group_records_equal_one_scheme_runs(monkeypatch, r, workers, reverse):
+    monkeypatch.setattr(
+        correction, "_worker_count", lambda n_blocks: min(workers, n_blocks)
+    )
+    depth, names = GROUPS[r]
+    schemes = [CorrectionScheme.parse(name) for name in names]
+    if reverse:
+        schemes.reverse()
+    group = run_group(r, depth, schemes)
+    assert len(group) == len(schemes)
+    for scheme, traj in zip(schemes, group):
+        (alone,) = run_group(r, depth, (scheme,))
+        assert_records_equal(traj, alone)
+
+
+def test_group_records_survive_thread_stress(monkeypatch):
+    # Worker threads write their blocks' rows of the shared record arrays:
+    # with more workers than cores and a short switch interval no row may be
+    # lost or crossed.
+    schemes = [CorrectionScheme.parse(name) for name in GROUPS[2][1]]
+    tree = RegularTreeSpec(r=2, depth=6)
+    ch = ChannelParams(epsilon=0.2)
+    n = 8 * REPLICATE_BLOCK - 5
+    monkeypatch.setattr(correction, "_worker_count", lambda n_blocks: 1)
+    serial = run_corrected_trajectory(tree, schemes, ch, SEED, n)
+    monkeypatch.setattr(correction, "_worker_count", lambda n_blocks: min(8, n_blocks))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threaded = run_corrected_trajectory(tree, schemes, ch, SEED, n)
+    finally:
+        sys.setswitchinterval(interval)
+    for got, want in zip(threaded, serial):
+        assert_records_equal(got, want)
+
+
+@pytest.mark.parametrize("pin", ["free-root", "renormalized-root"])
+def test_group_with_root_options_equals_one_scheme_runs(pin):
+    if pin == "free-root":
+        names, kwargs = GROUPS[2][1], {"pin_root": None}
+    else:
+        # Both start at level 1 on r = 2.
+        names = ("BlockMajorityEveryStep{M=3}", "MinorityRemovalEveryStep{M=2}")
+        kwargs = {"pin_renormalized_root": True}
+    schemes = [CorrectionScheme.parse(name) for name in names]
+    group = run_group(2, 6, schemes, record_levels=(0, 3, 6), **kwargs)
+    for scheme, traj in zip(schemes, group):
+        (alone,) = run_group(2, 6, (scheme,), record_levels=(0, 3, 6), **kwargs)
+        assert_records_equal(traj, alone)
+
+
+def test_groups_that_cannot_share_a_run_are_refused(monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("a block was drawn")
+
+    monkeypatch.setattr(correction, "sample_root", never)
+    monkeypatch.setattr(correction, "flip_mask", never)
+    block = CorrectionScheme.parse("BlockMajorityEveryStep{M=3}")
+    with pytest.raises(ValueError, match="at least one scheme"):
+        run_group(2, 6, ())
+    # A renormalized root is a block scheme's option: a descent scheme has no
+    # block level to pin.
+    with pytest.raises(ValueError, match="block schemes"):
+        run_group(
+            2, 6, (block, CorrectionScheme.parse("WithinDescentMajority{k=2}")),
+            pin_renormalized_root=True,
+        )
+    # M=3 starts at level 1 and M=4 at level 2 on r = 2.
+    with pytest.raises(ValueError, match="one start level"):
+        run_group(
+            2, 6, (block, CorrectionScheme.block_majority_every_step(4)),
+            pin_renormalized_root=True,
+        )
