@@ -39,7 +39,6 @@ from .exact import (
 )
 from .fk import (
     anti_concentration_check,
-    moment_bound_report,
     moment_summary,
     sample_size_ensembles,
     tail_probe_Rk,
@@ -72,7 +71,6 @@ __all__ = [
     "mc_deltas",
     "minimal_rescuing_block_size",
     "ml_delta_exact",
-    "moment_bound_report",
     "moment_summary",
     "random_observation_pair",
     "rows_to_csv",

@@ -37,7 +37,7 @@ import numpy as np
 from .budget import BudgetError
 from .channel import ChannelParams
 from .correction import CorrectionScheme
-from .estimators import _ndtri, check_mc_delta, mc_delta, mc_deltas, wilson_interval
+from .estimators import Z_99, check_mc_delta, mc_delta, mc_deltas, wilson_interval
 from .exact import (
     block_error_rate,
     critical_point_k,
@@ -58,6 +58,7 @@ EXIT_BUDGET = 3
 EXIT_GATE = 4
 
 _EXACT_TOL = 1e-12
+_K_VALUES_HINT = "expected positive integers, a range like 1..4, or a comma list"
 _FORMATS = ("csv", "json")
 
 
@@ -78,10 +79,7 @@ def parse_k_values(text: str) -> tuple[int, ...]:
         if not values or min(values) < 1:
             raise ValueError
     except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected positive integers, a range like 1..4, or a comma list, "
-            f"got {text!r}"
-        ) from None
+        raise argparse.ArgumentTypeError(f"{_K_VALUES_HINT}, got {text!r}") from None
     return tuple(values)
 
 
@@ -129,6 +127,8 @@ class RunConfig:
             raise ValueError(f"budget must be >= 2, got {self.budget}")
         if self.fmt not in _FORMATS:
             raise ValueError(f"format must be one of {_FORMATS}, got {self.fmt!r}")
+        if self.k_values is not None and not self.k_values:
+            raise ValueError(f"{_K_VALUES_HINT}, got []")
         if self.k_values is not None and any(k < 1 for k in self.k_values):
             raise ValueError(f"periods must be >= 1, got {self.k_values}")
 
@@ -305,11 +305,11 @@ def cmd_critical(cfg: RunConfig) -> list[ReportRow]:
     return rows
 
 
-def _median_interval(values: np.ndarray, level: float = 0.99) -> tuple[float, float]:
-    """Distribution-free order-statistic interval for the median."""
+def _median_interval(values: np.ndarray) -> tuple[float, float]:
+    """Distribution-free 99% order-statistic interval for the median."""
     ordered = np.sort(values)
     n = ordered.size
-    half = _ndtri(0.5 + level / 2.0) * math.sqrt(n * 0.25)
+    half = Z_99 * math.sqrt(n * 0.25)
     lo = max(int(math.floor(n / 2.0 - half)), 0)
     hi = min(int(math.ceil(n / 2.0 + half)), n - 1)
     return float(ordered[lo]), float(ordered[hi])
@@ -345,7 +345,7 @@ def cmd_fk_stats(cfg: RunConfig) -> list[ReportRow]:
                 lo=med_lo, hi=med_hi,
             )
         )
-        spread = _ndtri(0.995) * float(w.std(ddof=1)) / math.sqrt(w.size)
+        spread = Z_99 * float(w.std(ddof=1)) / math.sqrt(w.size)
         rows.append(
             _row(
                 cfg, "W_mean", summary.mean_W, MC, params=kp,

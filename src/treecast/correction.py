@@ -202,6 +202,38 @@ class CorrectionScheme:
             return self.k
         return 0
 
+    def check_depth(
+        self, r: int, depth: int, *, pin_renormalized_root: bool = False
+    ) -> None:
+        """Refuse a level the scheme's advantage cannot be read at, in
+        either engine.
+
+        A descent scheme is read at a positive multiple of its period, a
+        block scheme no shallower than block 0 (its start level), and a
+        renormalized root — block schemes only — strictly below block 0.
+        Raises ``ValueError``.
+        """
+        if pin_renormalized_root and not self.block_based:
+            raise ValueError(
+                f"a renormalized-root advantage needs a block scheme, got {self.descriptor()}"
+            )
+        if self.descent_based and (depth < self.k or depth % self.k != 0):
+            raise ValueError(
+                f"depth {depth} must be a positive multiple of the period {self.k}"
+            )
+        if self.block_based:
+            start = self.start_level(r)
+            if depth < start:
+                raise ValueError(
+                    f"depth {depth} is above the first corrected level {start} "
+                    f"of block size {self.M}"
+                )
+            if pin_renormalized_root and depth == start:
+                raise ValueError(
+                    f"depth {depth} must exceed the start level {start} to measure "
+                    f"a renormalized-root advantage"
+                )
+
     def correction_levels(self, r: int, depth: int) -> tuple[int, ...]:
         """All levels at which the scheme corrects, within ``0..depth``."""
         if self.variant == "Identity":

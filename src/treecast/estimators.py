@@ -17,6 +17,10 @@ take explicit arguments and record only the level they read:
   from a grid of :func:`mc_delta` estimates.  It never claims a sharp
   threshold: grid points that cannot be called with a four-sigma margin
   widen the bracket instead of being guessed.
+
+Every interval is at the one 99% level, so the module keeps the two normal
+quantiles it needs as constants (:data:`Z_99`, :data:`Z_99_PER_SIGN`)
+rather than a quantile function.
 """
 
 from __future__ import annotations
@@ -37,8 +41,6 @@ __all__ = [
     "wilson_interval",
 ]
 
-DEFAULT_CI_LEVEL = 0.99
-
 MIN_REPLICATES = 100
 
 MIN_GRID_POINTS = 5
@@ -47,129 +49,51 @@ MIN_GRID_POINTS = 5
 #: by before a grid point is judged rather than reported inconclusive.
 DECISION_SIGMAS = 4.0
 
-
-#: Cephes ``ndtri`` coefficients: ``P0/Q0`` for the centre ``|y - 0.5| <= 3/8``,
-#: ``P1/Q1`` and ``P2/Q2`` for tails with ``z = sqrt(-2 log y)`` in ``[2, 8)`` and
-#: ``[8, 64]``.  The ``Q`` polynomials have an implicit leading coefficient 1.
-_NDTRI_P0 = (
-    -5.99633501014107895267e1, 9.80010754185999661536e1,
-    -5.66762857469070293439e1, 1.39312609387279679503e1,
-    -1.23916583867381258016e0,
-)
-_NDTRI_Q0 = (
-    1.95448858338141759834e0, 4.67627912898881538453e0,
-    8.63602421390890590575e1, -2.25462687854119370527e2,
-    2.00260212380060660359e2, -8.20372256168333339912e1,
-    1.59056225126211695515e1, -1.18331621121330003142e0,
-)
-_NDTRI_P1 = (
-    4.05544892305962419923e0, 3.15251094599893866154e1,
-    5.71628192246421288162e1, 4.40805073893200834700e1,
-    1.46849561928858024014e1, 2.18663306850790267539e0,
-    -1.40256079171354495875e-1, -3.50424626827848203418e-2,
-    -8.57456785154685413611e-4,
-)
-_NDTRI_Q1 = (
-    1.57799883256466749731e1, 4.53907635128879210584e1,
-    4.13172038254672030440e1, 1.50425385692907503408e1,
-    2.50464946208309415979e0, -1.42182922854787788574e-1,
-    -3.80806407691578277194e-2, -9.33259480895457427372e-4,
-)
-_NDTRI_P2 = (
-    3.23774891776946035970e0, 6.91522889068984211695e0,
-    3.93881025292474443415e0, 1.33303460815807542389e0,
-    2.01485389549179081538e-1, 1.23716634817820021358e-2,
-    3.01581553508235416007e-4, 2.65806974686737550832e-6,
-    6.23974539184983293730e-9,
-)
-_NDTRI_Q2 = (
-    6.02427039364742014255e0, 3.67983563856160859403e0,
-    1.37702099489081330271e0, 2.16236993594496635890e-1,
-    1.34204006088543189037e-2, 3.28014464682127739104e-4,
-    2.89247864745380683936e-6, 6.79019408009981274425e-9,
-)
-_EXP_MINUS_2 = 0.13533528323661269189
-_SQRT_2PI = 2.50662827463100050242e0
+#: Standard normal quantiles ``ndtri(0.995)`` and ``ndtri(0.9975)``: the
+#: two-sided 99% quantile, and the one each sign frequency of a 99% advantage
+#: interval gets (half the miss probability per sign).  The floats are those
+#: ``scipy.special.ndtri`` returns, so bounds do not depend on loading scipy.
+Z_99 = 2.5758293035489004
+Z_99_PER_SIGN = 2.807033768343811
 
 
-def _polevl(x: float, coef: tuple[float, ...], monic: bool = False) -> float:
-    """Horner evaluation; ``monic`` prepends an implicit leading 1 (``p1evl``)."""
-    ans = x + coef[0] if monic else coef[0]
-    for c in coef[1:]:
-        ans = ans * x + c
-    return ans
-
-
-def _ndtri(y: float) -> float:
-    """Standard normal quantile, a line-for-line port of Cephes ``ndtri``.
-
-    Moshier, *Methods and Programs for Mathematical Functions* (1989).  This
-    is the routine behind ``scipy.special.ndtri`` and ``scipy.stats.norm.ppf``,
-    and the port returns the same bits, so confidence bounds do not depend on
-    whether scipy is loaded.  ``statistics.NormalDist().inv_cdf`` is Wichura's
-    AS 241 instead; it differs from this by up to 6 ulp, which would change
-    the ``lo``/``hi`` columns of reproducible output.  ``0`` and ``1`` map to
-    ``-inf`` and ``+inf``; anything outside ``[0, 1]`` gives ``nan``.
-    """
-    if y == 0.0:
-        return -math.inf
-    if y == 1.0:
-        return math.inf
-    if not 0.0 < y < 1.0:
-        return math.nan
-    upper = y > 1.0 - _EXP_MINUS_2
-    if upper:
-        y = 1.0 - y
-    if y > _EXP_MINUS_2:
-        y -= 0.5
-        y2 = y * y
-        x = y + y * (y2 * _polevl(y2, _NDTRI_P0) / _polevl(y2, _NDTRI_Q0, monic=True))
-        return x * _SQRT_2PI
-    x = math.sqrt(-2.0 * math.log(y))
-    x0 = x - math.log(x) / x
-    z = 1.0 / x
-    p, q = (_NDTRI_P1, _NDTRI_Q1) if x < 8.0 else (_NDTRI_P2, _NDTRI_Q2)
-    x = x0 - z * _polevl(z, p) / _polevl(z, q, monic=True)
-    return x if upper else -x
-
-
-def wilson_interval(
-    successes: float, trials: int, ci_level: float = DEFAULT_CI_LEVEL
-) -> tuple[float, float]:
-    """Wilson score interval for a binomial frequency.
-
-    ``successes`` may be fractional: tie outcomes enter several estimators
-    with weight one half, and the score interval is well defined for any
-    success mass in ``[0, trials]``.
-    """
+def _score_interval(successes: float, trials: int, z: float) -> tuple[float, float]:
+    """Wilson score interval at normal quantile ``z``.  An end the counts
+    reach (no successes, or all) is its exact bound, 0 or 1."""
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
     if not 0.0 <= successes <= trials:
         raise ValueError(f"successes {successes} outside [0, {trials}]")
-    if not 0.0 < ci_level < 1.0:
-        raise ValueError(f"ci_level must lie in (0, 1), got {ci_level}")
-    z = _ndtri(0.5 + 0.5 * ci_level)
     n = float(trials)
     p_hat = successes / n
     denom = 1.0 + z * z / n
     center = (p_hat + z * z / (2.0 * n)) / denom
     half = z * math.sqrt(p_hat * (1.0 - p_hat) / n + z * z / (4.0 * n * n)) / denom
-    return max(0.0, center - half), min(1.0, center + half)
+    lo = 0.0 if successes == 0 else max(0.0, center - half)
+    hi = 1.0 if successes == trials else min(1.0, center + half)
+    return lo, hi
 
 
-def delta_confidence_interval(
-    plus: float, minus: float, trials: int, ci_level: float = DEFAULT_CI_LEVEL
-) -> tuple[float, float]:
-    """Conservative interval for a frequency difference ``f(+) - f(-)``.
+def wilson_interval(successes: float, trials: int) -> tuple[float, float]:
+    """99% Wilson score interval for a binomial frequency.
 
-    Each frequency gets its own Wilson interval at level ``1 - (1-ci)/2``,
-    and the difference interval is the worst-case combination, so joint
-    coverage is at least ``ci_level`` without any independence assumption
-    between the two sign counts.
+    ``successes`` may be fractional: tie outcomes enter several estimators
+    with weight one half, and the score interval is well defined for any
+    success mass in ``[0, trials]``.
     """
-    each = 1.0 - 0.5 * (1.0 - ci_level)
-    lo_p, hi_p = wilson_interval(plus, trials, each)
-    lo_m, hi_m = wilson_interval(minus, trials, each)
+    return _score_interval(successes, trials, Z_99)
+
+
+def delta_confidence_interval(plus: float, minus: float, trials: int) -> tuple[float, float]:
+    """Conservative 99% interval for a frequency difference ``f(+) - f(-)``.
+
+    Each frequency gets its own Wilson interval at level 99.5%, and the
+    difference interval is the worst-case combination, so joint coverage is
+    at least 99% without any independence assumption between the two sign
+    counts.
+    """
+    lo_p, hi_p = _score_interval(plus, trials, Z_99_PER_SIGN)
+    lo_m, hi_m = _score_interval(minus, trials, Z_99_PER_SIGN)
     return max(lo_p - hi_m, -1.0), min(hi_p - lo_m, 1.0)
 
 
@@ -211,25 +135,16 @@ def check_mc_delta(
 ) -> RegularTreeSpec:
     """Refuse arguments :func:`mc_delta` cannot run, before anything is drawn.
 
-    Checks the replicate floor, that a block scheme has ``r >= 2``, that a
-    descent scheme's depth is a multiple of its period, that a
-    renormalized-root depth lies past the scheme's start level, and the
-    vertex budget of level ``depth``.  Returns the tree the run uses.
+    Checks the replicate floor, the scheme's depth domain
+    (:meth:`~treecast.correction.CorrectionScheme.check_depth`, shared with
+    the exact engine) and the vertex budget of level ``depth``.  Returns the
+    tree the run uses.
     """
     if replicates < MIN_REPLICATES:
         raise ValueError(
             f"need at least {MIN_REPLICATES} replicates, got {replicates}"
         )
-    start = scheme.start_level(r)
-    if scheme.descent_based and depth % scheme.k != 0:
-        raise ValueError(
-            f"depth {depth} must be a multiple of the descent period {scheme.k}"
-        )
-    if pin_renormalized_root and depth <= start:
-        raise ValueError(
-            "depth must exceed the scheme's start level to measure a "
-            "renormalized-root advantage"
-        )
+    scheme.check_depth(r, depth, pin_renormalized_root=pin_renormalized_root)
     return RegularTreeSpec(r=r, depth=depth)
 
 

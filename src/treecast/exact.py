@@ -238,23 +238,21 @@ def scheme_delta(
       otherwise from the true root, through the majority-of-level-``j``
       channel.
 
-    Minority-removal schemes, a pin on any other scheme, and a depth the
-    scheme cannot be read at raise ``ValueError``.
+    A depth outside the scheme's domain
+    (:meth:`~treecast.correction.CorrectionScheme.check_depth`, shared with
+    Monte Carlo) raises ``ValueError``, and so do the two cases only this
+    engine refuses: minority-removal schemes, and a block size that is not
+    a power of ``r``.
     """
     eps = ch.epsilon
     _validate_channel(r, eps)
     if scheme.removes_minority:
         raise ValueError("minority-removal schemes have no exact engine; drop --exact")
-    if pin_renormalized_root and not scheme.block_based:
-        raise ValueError(
-            f"a renormalized-root advantage needs a block scheme, got {scheme.descriptor()}"
-        )
+    scheme.check_depth(r, depth, pin_renormalized_root=pin_renormalized_root)
     if scheme.variant == "Identity":
         return delta_exact(depth, r, eps, budget)
     if scheme.descent_based:
         k = scheme.k
-        if depth % k != 0 or depth < k:
-            raise ValueError(f"depth {depth} must be a positive multiple of the period {k}")
         if scheme.variant == "WithinDescentMajority":
             eps_k = effective_error_rate(k, r, eps, budget)
         else:
@@ -265,10 +263,6 @@ def scheme_delta(
         raise ValueError(
             f"exact block-majority analysis needs a block size that is a power "
             f"of the branching rate; got M={scheme.M}, r={r}"
-        )
-    if depth < j:
-        raise ValueError(
-            f"depth {depth} is above the first corrected level {j} of block size {scheme.M}"
         )
     head = 1.0 if pin_renormalized_root else 1.0 - 2.0 * effective_error_rate(j, r, eps, budget)
     return head * delta_exact(depth - j, r, block_error_rate(scheme.M, eps), budget)

@@ -35,7 +35,6 @@ from .rng import SeedSpec
 
 __all__ = [
     "anti_concentration_check",
-    "moment_bound_report",
     "moment_summary",
     "sample_size_ensembles",
     "tail_probe_Rk",
@@ -152,6 +151,12 @@ def sample_size_ensembles(
         raise ValueError(f"need at least one sample, got {n_samples}")
     if not levels:
         return []
+    depth = max(levels)
+    if r**depth >= 2**63:
+        raise ValueError(
+            f"level {depth} holds {r}**{depth} vertices, past the int64 counts "
+            f"of the size histogram"
+        )
     # level -> (R_k, m_k, sum_z2, sum_z3), each an array over samples
     stats = {
         k: (
@@ -162,7 +167,6 @@ def sample_size_ensembles(
         )
         for k in levels
     }
-    depth = max(levels)
     cache: dict[int, np.ndarray] = {}
     for i in range(n_samples):
         chain = _size_histogram_chain(p, r, depth, seed, i, cache)
@@ -218,34 +222,6 @@ class MomentSummary:
     median_z3_ratio: float
     mean_W: float
     regime_ok: bool
-
-
-def moment_bound_report(
-    p: float,
-    r: int,
-    k_range: list[int] | tuple[int, ...] | range,
-    samples: int,
-    seed: SeedSpec,
-    require_regime: bool = True,
-) -> list[MomentSummary]:
-    """Per-level moment summaries across an ensemble.
-
-    The second-moment ratio ``sum(z**2)/r**k`` is expected to stay above the
-    ``(1-p)/2`` floor; the third-moment ratio ``sum(z**3)/(p*r**2)**k`` to
-    decay geometrically in ``k``.  Both statements live in the regime
-    ``p**2 * r < 1 < p * r``, which is enforced unless ``require_regime`` is
-    switched off (the summaries then carry ``regime_ok=False``).
-
-    Ensembles come from the size-histogram chain, so deep levels cost time
-    polynomial in the cluster sizes present, not ``r**k``.
-    """
-    _validate_fk_args(p, r, 0)
-    if require_regime and not p * p * r < 1.0 < p * r:
-        raise ValueError(
-            f"moment bounds need p**2*r < 1 < p*r; got p**2*r={p * p * r:.4f}, "
-            f"p*r={p * r:.4f}"
-        )
-    return [moment_summary(s) for s in sample_size_ensembles(p, r, k_range, seed, samples)]
 
 
 def moment_summary(stats: FkEnsembleStats) -> MomentSummary:

@@ -33,7 +33,7 @@ from .exact import (
     scheme_delta,
     t_statistic,
 )
-from .fk import anti_concentration_check, moment_bound_report
+from .fk import anti_concentration_check, moment_summary, sample_size_ensembles
 from .likelihood import ml_delta_exact, random_observation_pair
 from .report import EXACT, MC, ReportRow
 from .rng import SeedSpec
@@ -234,7 +234,9 @@ def _suite_cluster_moments(seed: SeedSpec) -> list[CheckResult]:
     )
 
     # One ensemble run to k=12 gives every level the two gates below read.
-    at6, at10, at12 = moment_bound_report(0.3, 4, [6, 10, 12], 200, seed)
+    at6, at10, at12 = (
+        moment_summary(e) for e in sample_size_ensembles(0.3, 4, [6, 10, 12], seed, 200)
+    )
 
     # Second-moment floor: every one of 200 samples at k=10 clears (1-p)/2.
     out.append(

@@ -1,6 +1,7 @@
 """Monte Carlo estimators against the exact engine and interval invariants."""
 
 import math
+import re
 
 import pytest
 
@@ -12,6 +13,7 @@ from treecast import (
     mc_critical_bracket,
     mc_delta,
     mc_deltas,
+    scheme_delta,
     wilson_interval,
 )
 from treecast import estimators
@@ -28,7 +30,7 @@ Z_99 = 2.5758293035489004  # two-sided 99% normal quantile
 
 
 def test_wilson_interval_formula():
-    lo, hi = wilson_interval(80, 100, ci_level=0.99)
+    lo, hi = wilson_interval(80, 100)
     n, p_hat = 100.0, 0.8
     denom = 1 + Z_99**2 / n
     center = (p_hat + Z_99**2 / (2 * n)) / denom
@@ -50,16 +52,25 @@ def test_wilson_interval_boundaries():
     with pytest.raises(ValueError):
         wilson_interval(11, 10)
     with pytest.raises(ValueError):
-        wilson_interval(5, 10, ci_level=1.0)
+        wilson_interval(0, 0)
+    # The ends are exact at every trial count; the score formula alone lands
+    # one ulp inside for about a third of them.
+    for n in range(1, 20_001):
+        assert wilson_interval(0, n)[0] == 0.0
+        assert wilson_interval(n, n)[1] == 1.0
+        assert delta_confidence_interval(n, 0, n)[1] == 1.0
+        assert delta_confidence_interval(0, n, n)[0] == -1.0
 
 
 def test_delta_interval_is_conservative():
     lo, hi = delta_confidence_interval(700, 100, 1000)
     assert lo <= 0.6 <= hi
     assert -1.0 <= lo < hi <= 1.0
-    # Wider nominal level gives a wider interval.
-    lo_hi_90 = delta_confidence_interval(700, 100, 1000, ci_level=0.90)
-    assert lo_hi_90[0] >= lo and lo_hi_90[1] <= hi
+    # Each sign's interval is at 99.5%, so the difference interval is wider
+    # than the worst-case combination of two 99% intervals.
+    lo_p, hi_p = wilson_interval(700, 1000)
+    lo_m, hi_m = wilson_interval(100, 1000)
+    assert lo < lo_p - hi_m and hi > hi_p - lo_m
 
 
 def test_mc_delta_validation():
@@ -79,6 +90,45 @@ def test_mc_delta_validation():
             CorrectionScheme.block_majority_every_step(4), 2, 2, ch, SEED, 500,
             pin_renormalized_root=True,
         )
+
+
+@pytest.mark.parametrize(
+    ("descriptor", "depth", "pin"),
+    [
+        ("WithinDescentMajority{k=2}", 0, False),
+        ("WithinDescentMajority{k=2}", 5, False),
+        ("WithinDescentMinorityRemoval{k=2}", 0, False),
+        ("BlockMajorityEveryStep{M=4}", 1, False),
+        ("BlockMajorityEveryStep{M=4}", 2, True),
+        ("Identity", 4, True),
+    ],
+    ids=["descent-depth-zero", "descent-not-a-multiple", "removal-depth-zero",
+         "block-above-block-0", "pinned-at-block-0", "pinned-identity"],
+)
+def test_both_engines_share_one_depth_domain(monkeypatch, descriptor, depth, pin):
+    def never(*args, **kwargs):
+        raise AssertionError("the trajectory ran")
+
+    scheme, ch = CorrectionScheme.parse(descriptor), ChannelParams(epsilon=0.1)
+    monkeypatch.setattr(estimators, "run_corrected_trajectory", never)
+    with pytest.raises(ValueError) as refused:
+        mc_delta(scheme, 2, depth, ch, SEED, 200, pin_renormalized_root=pin)
+    if not scheme.removes_minority:
+        with pytest.raises(ValueError, match=re.escape(str(refused.value))):
+            scheme_delta(scheme, 2, depth, ch, pin_renormalized_root=pin)
+
+
+def test_both_engines_answer_at_the_domain_edges():
+    ch = ChannelParams(epsilon=0.1)
+    for descriptor, depth, pin in (
+        ("WithinDescentMajority{k=2}", 2, False),
+        ("BlockMajorityEveryStep{M=4}", 2, False),
+        ("BlockMajorityEveryStep{M=4}", 3, True),
+    ):
+        scheme = CorrectionScheme.parse(descriptor)
+        exact = scheme_delta(scheme, 2, depth, ch, pin_renormalized_root=pin)
+        est = mc_delta(scheme, 2, depth, ch, SEED, 4000, pin_renormalized_root=pin)
+        assert abs(est.delta_hat - exact) < 5 * est.sigma
 
 
 def test_block_scheme_at_r1_is_refused_before_drawing(monkeypatch):

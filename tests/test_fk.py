@@ -10,7 +10,7 @@ from scipy.stats import binom
 from treecast import (
     SeedSpec,
     anti_concentration_check,
-    moment_bound_report,
+    moment_summary,
     sample_size_ensembles,
     tail_probe_Rk,
 )
@@ -238,17 +238,26 @@ def test_spin_ensemble_root_sign_symmetry():
 
 
 def test_moment_report_regime_handling():
-    with pytest.raises(ValueError):
-        moment_bound_report(0.8, 2, [2], 50, SEED)  # p**2 * r >= 1
-    with pytest.raises(ValueError):
-        moment_bound_report(0.2, 2, [2], 50, SEED)  # p * r <= 1
-    summaries = moment_bound_report(0.8, 2, [2], 50, SEED, require_regime=False)
-    assert summaries[0].regime_ok is False
-    good = moment_bound_report(0.3, 4, [2, 4], 100, SEED)
+    # p**2 * r >= 1 and p * r <= 1 lie outside the moment bounds' regime.
+    for p, r in ((0.8, 2), (0.2, 2)):
+        (outside,) = sample_size_ensembles(p, r, [2], SEED, 50)
+        assert moment_summary(outside).regime_ok is False
+    good = [moment_summary(e) for e in sample_size_ensembles(0.3, 4, [2, 4], SEED, 100)]
     assert [s.k for s in good] == [2, 4]
     assert all(s.regime_ok for s in good)
     assert all(s.z2_floor == 0.35 for s in good)
     assert all(s.min_z2_ratio > 0 for s in good)
+
+
+def test_ensembles_refuse_levels_past_int64_counts(monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("a stream was built")
+
+    monkeypatch.setattr(SeedSpec, "generator", never)
+    with pytest.raises(ValueError, match="int64"):
+        sample_size_ensembles(0.3, 4, [2, 32], SEED, 2)
+    with pytest.raises(ValueError, match="int64"):
+        sample_size_ensembles(0.5, 2, [63], SEED, 2)
 
 
 def test_tail_probe_validation_and_decay():

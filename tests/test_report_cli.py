@@ -220,21 +220,61 @@ def test_cli_exact_delta_per_scheme(capsys, argv, value):
 
 
 @pytest.mark.parametrize(
-    "argv",
+    ("argv", "monte_carlo_refuses"),
     [
-        ["--depth", "8", "--scheme", "WithinDescentMinorityRemoval{k=2}"],
-        ["--depth", "8", "--scheme", "MinorityRemovalEveryStep{M=4}"],
-        ["--depth", "7", "--scheme", "WithinDescentMajority{k=2}"],
-        ["--depth", "0", "--scheme", "WithinDescentMajority{k=2}"],
-        ["--depth", "8", "--scheme", "BlockMajorityEveryStep{M=3}"],
-        ["--depth", "1", "--M", "4"],
+        (["--depth", "8", "--scheme", "WithinDescentMinorityRemoval{k=2}"], False),
+        (["--depth", "8", "--scheme", "MinorityRemovalEveryStep{M=4}"], False),
+        (["--depth", "7", "--scheme", "WithinDescentMajority{k=2}"], True),
+        (["--depth", "0", "--scheme", "WithinDescentMajority{k=2}"], True),
+        (["--depth", "8", "--scheme", "BlockMajorityEveryStep{M=3}"], False),
+        (["--depth", "1", "--M", "4"], True),
     ],
     ids=["descent-removal", "block-removal", "depth-not-a-multiple", "depth-zero",
          "block-not-a-power", "depth-above-block-0"],
 )
-def test_cli_exact_delta_refusals(capsys, argv):
+def test_cli_exact_delta_refusals(capsys, argv, monte_carlo_refuses):
+    # Depth refusals hold for both engines; the rest only for the exact one.
     assert main(["delta", "--r", "2", "--eps", "0.1", *argv, "--exact"]) == 2
-    assert capsys.readouterr().err.startswith("error: ")
+    exact_err = capsys.readouterr().err
+    assert exact_err.startswith("error: ")
+    if monte_carlo_refuses:
+        assert main(["delta", "--r", "2", "--eps", "0.1", *argv, "--replicates", "200"]) == 2
+        assert capsys.readouterr().err == exact_err
+
+
+@pytest.mark.parametrize(
+    ("argv", "code"),
+    [
+        (["delta", "--r", "2", "--depth", "3", "--eps", "0", "--replicates", "1000"], 0),
+        (["sweep", "GRID"], 0),
+        (["fk-stats", "--r", "4", "--p", "0.3", "--k", "32"], 2),
+        (["fk-stats", "--r", "4", "--p", "0.3", "--k", "31", "--samples", "2"], 0),
+        (["critical", "--r", "2", "--config", "EMPTY_K"], 2),
+        (["fk-stats", "--r", "4", "--p", "0.3", "--config", "EMPTY_K"], 2),
+        (["delta", "--r", "2", "--depth", "0", "--eps", "0.1",
+          "--scheme", "WithinDescentMajority{k=2}"], 2),
+        (["delta", "--r", "2", "--depth", "1", "--eps", "0.1", "--M", "4"], 2),
+    ],
+    ids=["noiseless-delta", "one-sign-sweep", "fk-level-past-int64", "fk-level-31",
+         "critical-empty-k", "fk-stats-empty-k", "descent-depth-zero",
+         "block-above-block-0"],
+)
+def test_cli_edge_cases_exit_cleanly(capsys, tmp_path, argv, code):
+    grid_path, empty_k_path = tmp_path / "grid.json", tmp_path / "empty_k.json"
+    grid_path.write_text(json.dumps({
+        "r": 2, "schemes": ["Identity", "WithinDescentMajority{k=1}"],
+        "eps": [0.0], "depths": [3], "replicates": 1000,
+    }))
+    empty_k_path.write_text(json.dumps({"k": []}))
+    paths = {"GRID": str(grid_path), "EMPTY_K": str(empty_k_path)}
+    argv = [paths.get(a, a) for a in argv]
+    assert main([*argv, "--reproducible"]) == code
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    if code == 0:
+        assert captured.out.count("\n") > 1
+    else:
+        assert captured.err.startswith("error: ") and captured.out == ""
 
 
 def test_cli_rejects_bad_channel(capsys):
