@@ -11,12 +11,18 @@ import pytest
 from scipy.special import ndtri as scipy_ndtri
 
 from treecast.cli import main
-from treecast.estimators import Z_99, Z_99_PER_SIGN
+from treecast.estimators import (
+    Z_99,
+    Z_99_PER_SIGN,
+    delta_confidence_interval,
+    wilson_interval,
+)
 
 
-def test_quantile_constants_match_scipy_bit_for_bit():
-    # The probability each constant stands for, built from the 99% level as
-    # the Wilson, advantage, median and W_mean intervals build it.
+def test_port_matches_scipy_bit_for_bit():
+    # The Cephes port is reduced to the two floats it returned for the
+    # probabilities ``src/`` asks for, built from the 99% level as the Wilson,
+    # advantage, median and W_mean intervals build it.
     ci = 0.99
     built = {
         Z_99: (0.5 + 0.5 * ci, 0.5 + ci / 2.0, 0.995),
@@ -25,6 +31,25 @@ def test_quantile_constants_match_scipy_bit_for_bit():
     for z, probabilities in built.items():
         for y in probabilities:
             assert float(scipy_ndtri(y)).hex() == z.hex()
+
+
+def test_port_end_points_and_domain():
+    # The intervals each constant feeds reach 0 and 1 exactly at the ends of
+    # the count range (n = 1..100 holds counts where the score formula alone
+    # lands one ulp inside, for both constants), are symmetric about 0 when
+    # the two signs are equally frequent, and refuse counts outside the range.
+    for n in range(1, 101):
+        assert wilson_interval(0, n)[0] == 0.0
+        assert wilson_interval(n, n)[1] == 1.0
+        assert delta_confidence_interval(n, 0, n)[1] == 1.0
+        assert delta_confidence_interval(0, n, n)[0] == -1.0
+        lo, hi = delta_confidence_interval(n, n, 2 * n)
+        assert lo == -hi
+    for successes, trials in ((-1, 10), (11, 10), (0, 0)):
+        with pytest.raises(ValueError):
+            wilson_interval(successes, trials)
+        with pytest.raises(ValueError):
+            delta_confidence_interval(successes, 0, trials)
 
 
 # SHA-256 of the ``--reproducible`` CSV stdout, computed while the quantile
