@@ -11,12 +11,15 @@ each build their children from their own parents and a copy of it
 given).  Majority statistics reduce rows with ``np.bitwise_count``.
 
 All randomness flows through :class:`~treecast.rng.SeedSpec` streams keyed by
-(purpose, level, replicate block).  The sampling kernels act on one replicate
-block of at most :data:`~treecast.rng.REPLICATE_BLOCK` rows and refuse more;
-``block`` is the block's global index, its stream address.  Each draw covers
-the full block width and is sliced, so a replicate's trajectory does not depend
-on how many other replicates run beside it.  The trajectory loop of
-:mod:`treecast.correction` hands the kernels one block at a time.
+(purpose, level, replicate block).  The sampling kernels act on a run of
+``blocks`` consecutive replicate blocks of :data:`~treecast.rng.REPLICATE_BLOCK`
+rows (one block by default) and refuse rows that do not fill exactly those
+blocks; ``block`` is the first block's global index, its stream address.
+Each block's draw covers the full block width, the run's draws are stacked
+in block order, and the result is sliced, so a replicate's trajectory
+depends neither on how many other replicates run beside it nor on how many
+blocks share one call.  The trajectory loop of :mod:`treecast.correction`
+hands the kernels batches of blocks.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ChannelParams
-from .rng import REPLICATE_BLOCK, SeedSpec, bernoulli_bits, check_block_rows, row_slices
+from .rng import REPLICATE_BLOCK, SeedSpec, block_bits, check_block_rows, row_slices
 
 
 def packed_width(size: int) -> int:
@@ -101,25 +104,34 @@ def majority_statistic(
     With an ``alive`` packed mask of the same shape, the sum runs over alive
     vertices only.
     """
-    if alive is None:
-        return 2 * popcount_rows(g.packed) - g.size
-    if alive.shape != g.packed.shape:
+    if alive is not None and alive.shape != g.packed.shape:
         raise ValueError(
             f"alive mask shape {alive.shape} does not match signals {g.packed.shape}"
         )
-    return 2 * popcount_rows(g.packed, alive) - popcount_rows(alive)
+    # In place: on a narrow level of a many-block batch these per-replicate
+    # columns outweigh the level itself.
+    stat = popcount_rows(g.packed, alive)
+    stat *= 2
+    stat -= g.size if alive is None else popcount_rows(alive)
+    return stat
 
 
 def sample_root(
-    seed: SeedSpec, n_replicates: int, pin: int | None = +1, *, block: int = 0
+    seed: SeedSpec,
+    n_replicates: int,
+    pin: int | None = +1,
+    *,
+    block: int = 0,
+    blocks: int = 1,
 ) -> GenerationSignals:
-    """Level-0 signals of one replicate block: pinned to ``pin`` for
+    """Level-0 signals of ``blocks`` consecutive replicate blocks from
+    ``block`` on (one block by default): pinned to ``pin`` for
     conditional-on-root experiments, or an independent fair sign per
     replicate when ``pin`` is None."""
-    check_block_rows(n_replicates)
+    check_block_rows(n_replicates, blocks)
     if pin is None:
-        gen = seed.generator("root", level=0, block=block)
-        packed = bernoulli_bits(gen, 0.5, REPLICATE_BLOCK, 1)[:n_replicates]
+        bits = block_bits(seed, "root", 0, 0.5, 1, block=block, blocks=blocks)
+        packed = bits[:n_replicates]
     elif pin in (-1, 1):
         packed = np.full((n_replicates, 1), 0x80 if pin == 1 else 0x00, dtype=np.uint8)
     else:
@@ -151,37 +163,48 @@ def repeat_packed(packed: np.ndarray, size: int, r: int) -> np.ndarray:
 
 
 def flip_mask(
-    ch: ChannelParams, seed: SeedSpec, level: int, size: int, *, block: int = 0
+    ch: ChannelParams,
+    seed: SeedSpec,
+    level: int,
+    size: int,
+    *,
+    block: int = 0,
+    blocks: int = 1,
 ) -> np.ndarray:
-    """Packed flip bits of one replicate block's ``size`` vertices at
-    ``level``: all :data:`~treecast.rng.REPLICATE_BLOCK` rows of the stream
-    ``("flips", level, block)``, each bit 1 with probability ``epsilon``."""
-    gen = seed.generator("flips", level=level, block=block)
-    return bernoulli_bits(gen, ch.epsilon, REPLICATE_BLOCK, size)
+    """Packed flip bits of the ``size`` vertices at ``level`` of ``blocks``
+    consecutive replicate blocks from ``block`` on (one block by default):
+    all :data:`~treecast.rng.REPLICATE_BLOCK` rows of each block's stream
+    ``("flips", level, block)``, stacked, each bit 1 with probability
+    ``epsilon``."""
+    return block_bits(
+        seed, "flips", level, ch.epsilon, size, block=block, blocks=blocks
+    )
 
 
 def sample_next_generation(
     parents: GenerationSignals, r: int, flips: np.ndarray
 ) -> GenerationSignals:
-    """One broadcast step for one replicate block: each parent spawns ``r``
-    children, each child keeping the parent's sign unless its bit of the
-    flip mask is set (child = parent XOR flip).
+    """One broadcast step for a run of consecutive replicate blocks: each
+    parent spawns ``r`` children, each child keeping the parent's sign unless
+    its bit of the flip mask is set (child = parent XOR flip).
 
     ``flips`` is the step's mask as :func:`flip_mask` draws it for the child
-    level, with all :data:`~treecast.rng.REPLICATE_BLOCK` rows.  The children
+    level, with all :data:`~treecast.rng.REPLICATE_BLOCK` rows of each of its
+    blocks; the parents' rows must fill that many blocks.  The children
     are written into it, a row slice at a time, so the step allocates no
     level of its own: the mask is consumed, and runs that share one draw on
     common random numbers pass a copy to all but the last of them.
     """
     if r < 1:
         raise ValueError(f"branching rate must be >= 1, got {r}")
-    rows = check_block_rows(parents.n_replicates)
     child_size = parents.size * r
-    if flips.shape != (REPLICATE_BLOCK, packed_width(child_size)):
+    blocks, extra = divmod(flips.shape[0], REPLICATE_BLOCK)
+    if blocks < 1 or extra or flips.shape[1:] != (packed_width(child_size),):
         raise ValueError(
-            f"flip mask shape {flips.shape} does not fit a block of "
+            f"flip mask shape {flips.shape} does not fit replicate blocks of "
             f"{child_size}-vertex levels"
         )
+    rows = check_block_rows(parents.n_replicates, blocks)
     out = flips[:rows]
     for part in row_slices(rows, out.shape[1]):
         out[part] ^= repeat_packed(parents.packed[part], parents.size, r)

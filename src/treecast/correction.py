@@ -19,7 +19,9 @@ Six scheme variants act on a generation's blocks:
 Exact ties are resolved by an independent fair coin per block ("fair-coin"
 tie rule); the coins are drawn for every block on every application, tied or
 not, from a dedicated stream purpose, so trajectories with and without ties
-consume identical stream positions and stay comparable across schemes.
+consume identical stream positions and stay comparable across schemes.  The
+coins depend only on the level, the replicate block and the partition's
+block count, so schemes run together share one draw.
 
 Minority removal is represented on the full regular tree with a packed
 alive-mask per level: removed vertices keep broadcasting bits, but they are
@@ -27,34 +29,46 @@ masked out of every statistic and their descendants are born dead.  The law
 of the alive portion is exactly the random-tree process the removal schemes
 define, and the representation keeps every kernel rectangular.
 
-:func:`run_corrected_trajectory` is the one loop over replicate blocks, for
-a group of schemes that share the tree, channel, seed, replicate count, root
-options and recorded levels (a group of one is a single run).  It runs each
-block of at most :data:`~treecast.rng.REPLICATE_BLOCK` rows through every
-level on its own and writes the block's rows of every scheme's level records
-into arrays allocated up front.  At each level the block's flip mask is
-drawn once (:func:`~treecast.broadcast.flip_mask`) and every scheme builds
-its children from its own parents and that mask, so each scheme sees exactly
-the bits a run of it alone would and the mask's random words are drawn once
-per group, not once per scheme.  The kernels it calls
+:func:`run_corrected_trajectory` is the one trajectory loop, for a group
+of schemes that share the tree, channel, seed, replicate count, root options
+and recorded levels (a group of one is a single run).  It cuts the replicate
+blocks into one run of consecutive blocks per worker thread, one per usable
+CPU (Philox fills and numpy bulk operations release the GIL; a single run
+needs no pool), and carries each run down the tree in batches of consecutive
+blocks.  A batch steps through a level as one while that level fits
+:data:`BATCH_BYTES`; when its next level would not fit, it splits into
+batches that do, and each runs to the depth before the next starts.  So the
+narrow top of the tree takes few large kernel calls and a wide level one
+call per block.  The batches are a pure function of the replicate count,
+the level widths, the bound and the worker count.  Each batch writes its
+rows of every scheme's level records into arrays allocated up front.
+
+At each level a batch's flip mask is drawn once
+(:func:`~treecast.broadcast.flip_mask`) and every scheme builds its children
+from its own parents and that mask; likewise each tie-coin array is drawn
+once for every scheme that corrects the level on a partition of the same
+block count.  The kernels
 (:func:`~treecast.broadcast.sample_root`,
 :func:`~treecast.broadcast.sample_next_generation` and the three ``apply_*``
-functions here) act on that one block, keyed by its global ``block`` index,
-and refuse more rows.  Blocks run on a thread pool with one worker per
-usable CPU (Philox fills and numpy bulk operations release the GIL); a
-single block runs without a pool.  Every stream keeps its global
-``(purpose, level, block)`` address, so neither the order of blocks, the
-number of workers nor the other schemes of a group change a single output
-bit.
+functions here) act on a run of ``blocks`` consecutive replicate blocks from
+the global index ``block`` on (one block by default) and refuse rows that
+do not fill them.  Every block's draws come from its own streams, at their
+global ``(purpose, level, block)`` addresses, stacked by rows, so each
+scheme sees exactly the bits a run of it alone would, and neither the order
+of blocks, the number of workers, the batches nor the other schemes of a
+group change a single output bit.
 
-Memory is bounded per block, not per run.  A block holds each scheme's
-current level (and alive mask) plus one flip mask.  The kernels consume
-their level arrays instead of allocating new ones: a broadcast step writes
-the children into the flip mask it is given (every scheme but the last gets
-a copy), block majority and fraction identification overwrite the child they
-are given, and minority removal writes the new alive mask into the one it is
-given.  A scheme's deepest level is dropped as soon as it is recorded, and
-the kernels and statistics work a bounded row slice at a time
+Memory is bounded per batch, not per run.  A batch holds each scheme's
+current level (and alive mask) plus one flip mask, each within
+:data:`BATCH_BYTES` or one block, and at every level where a batch above it
+split, the parts not yet started hold copies of their rows.  The kernels
+consume their level arrays instead of allocating new ones: a broadcast step
+writes the children into the flip mask it is given (every scheme but the
+last gets a copy), block majority and fraction identification overwrite the
+child they are given, and minority removal writes the new alive mask into
+the one it is given; tie coins they are handed are only read.  A scheme's
+deepest level is dropped as soon as it is recorded, and the kernels and
+statistics work a bounded row slice at a time
 (:func:`~treecast.rng.row_slices`).  The vertex budget is checked once, when
 the :class:`~treecast.trees.RegularTreeSpec` is built.
 
@@ -69,6 +83,7 @@ a mask.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -91,9 +106,8 @@ from .channel import ChannelParams
 from .rng import (
     REPLICATE_BLOCK,
     SeedSpec,
-    bernoulli_bits,
+    block_bits,
     check_block_rows,
-    replicate_blocks,
     row_slices,
 )
 from .trees import BlockPartition, RegularTreeSpec
@@ -108,6 +122,13 @@ _REMOVAL_VARIANTS = frozenset(
     {"MinorityRemovalEveryStep", "WithinDescentMinorityRemoval"}
 )
 _VARIANTS = frozenset({"Identity"}) | _M_VARIANTS | _K_VARIANTS
+
+#: Most bytes of one level that a batch of consecutive replicate blocks steps
+#: through as one: a batch whose next level would hold more splits into
+#: batches that fit, down to single blocks.  Larger batches make fewer,
+#: larger kernel calls and hold more scratch memory.  Not part of the
+#: contract: any value gives the same records.
+BATCH_BYTES = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -276,9 +297,10 @@ class CorrectedGeneration:
     block_alive: np.ndarray | None = None
 
 
-def _check_block(g: GenerationSignals, part: BlockPartition) -> None:
-    """``g`` is one replicate block and ``part`` partitions its level."""
-    check_block_rows(g.n_replicates)
+def _check_block(g: GenerationSignals, part: BlockPartition, blocks: int) -> None:
+    """``g`` fills ``blocks`` replicate blocks and ``part`` partitions its
+    level."""
+    check_block_rows(g.n_replicates, blocks)
     if part.level != g.level or part.level_size != g.size:
         raise ValueError(
             f"partition (level {part.level}, size {part.level_size}) does not "
@@ -286,10 +308,32 @@ def _check_block(g: GenerationSignals, part: BlockPartition) -> None:
         )
 
 
-def _tie_coins(seed: SeedSpec, level: int, block: int, n_blocks: int) -> np.ndarray:
-    """Fair tie-break coins, one per (replicate, block), packed."""
-    gen = seed.generator("tie", level=level, block=block)
-    return bernoulli_bits(gen, 0.5, REPLICATE_BLOCK, n_blocks)
+def _tie_coins(
+    seed: SeedSpec, level: int, block: int, n_blocks: int, *, blocks: int = 1
+) -> np.ndarray:
+    """Fair tie-break coins, one per (replicate, partition block), packed, for
+    ``blocks`` replicate blocks from ``block`` on: all
+    :data:`~treecast.rng.REPLICATE_BLOCK` rows of each one's stream
+    ``("tie", level, block)``."""
+    return block_bits(seed, "tie", level, 0.5, n_blocks, block=block, blocks=blocks)
+
+
+def _given_coins(
+    coins: np.ndarray | None,
+    seed: SeedSpec,
+    g: GenerationSignals,
+    part: BlockPartition,
+    block: int,
+    blocks: int,
+) -> np.ndarray:
+    """The tie coins a kernel was given, checked against its blocks, or its
+    own draw of them when None."""
+    if coins is None:
+        return _tie_coins(seed, g.level, block, part.n_blocks, blocks=blocks)
+    expected = (blocks * REPLICATE_BLOCK, packed_width(part.n_blocks))
+    if coins.shape != expected:
+        raise ValueError(f"tie coins shape {coins.shape} does not match {expected}")
+    return coins
 
 
 def _block_rows(g: GenerationSignals, part: BlockPartition) -> Iterator[slice]:
@@ -297,15 +341,22 @@ def _block_rows(g: GenerationSignals, part: BlockPartition) -> Iterator[slice]:
     return row_slices(g.n_replicates, max(part.n_blocks, g.packed.shape[1]))
 
 
-#: Mask of the low field of every pair of ``width``-bit fields in a byte.
-_LOW_FIELDS = {1: 0x55, 2: 0x33}
+@functools.lru_cache(maxsize=None)
+def _field_counts_table(B: int) -> np.ndarray:
+    """Entry ``b`` holds, as one ``8 // B``-byte item, the set bits of each
+    ``B``-bit field of byte ``b``, first field first (read-only)."""
+    bits = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1)
+    counts = bits.reshape(256, 8 // B, B).sum(axis=2, dtype=np.uint8)
+    table = counts.view(f"V{8 // B}")[:, 0]
+    table.flags.writeable = False
+    return table
 
 
 def _block_counts(packed: np.ndarray, part: BlockPartition) -> np.ndarray:
     """Set bits in each full block of every packed row, shape (rows, n_blocks).
 
-    Blocks inside a byte (B of 1, 2 or 4) add neighbouring bit fields with
-    shifted masks.  Blocks of whole bytes take the popcount of a 1-, 2-, 4- or
+    Blocks inside a byte (B of 1, 2 or 4) look each byte's field counts up in
+    a table.  Blocks of whole bytes take the popcount of a 1-, 2-, 4- or
     8-byte word and sum the words of a block.  Any other B takes differences
     of a prefix popcount at the block boundaries, counting the bits of the
     byte a boundary falls in through a mask.  The counts' dtype holds B.
@@ -313,14 +364,8 @@ def _block_counts(packed: np.ndarray, part: BlockPartition) -> np.ndarray:
     B, nb = part.block_size, part.n_blocks
     rows = packed.shape[0]
     if B in (1, 2, 4):
-        fields, width = packed, 1
-        while width < B:
-            low = _LOW_FIELDS[width]
-            fields = (fields & low) + ((fields >> width) & low)
-            width *= 2
-        mask = (1 << B) - 1
-        split = [(fields >> shift) & mask for shift in range(8 - B, -1, -B)]
-        return np.stack(split, axis=2).reshape(rows, -1)[:, :nb]
+        counts = _field_counts_table(B)[packed].view(np.uint8)
+        return counts.reshape(rows, -1)[:, :nb]
     if B % 8 == 0:
         block_bytes = B // 8
         word = math.gcd(block_bytes, 8)
@@ -425,17 +470,25 @@ def _overwrite_blocks(
 
 
 def apply_block_majority(
-    g: GenerationSignals, part: BlockPartition, seed: SeedSpec, *, block: int = 0
+    g: GenerationSignals,
+    part: BlockPartition,
+    seed: SeedSpec,
+    *,
+    block: int = 0,
+    blocks: int = 1,
+    coins: np.ndarray | None = None,
 ) -> CorrectedGeneration:
     """Overwrite every block with its majority sign (fair coin on ties).
 
     Leftover indices past the last full block pass through unchanged and are
     flagged excluded.  The corrected bits are written into ``g.packed``:
-    ``g`` is consumed.
+    ``g`` is consumed.  It fills ``blocks`` replicate blocks from ``block``
+    on; ``coins``, if given, are their tie coins as :func:`_tie_coins` draws
+    them, and are only read.
     """
-    _check_block(g, part)
+    _check_block(g, part, blocks)
     nb = part.n_blocks
-    coins = _tie_coins(seed, g.level, block, nb)
+    coins = _given_coins(coins, seed, g, part, block, blocks)
 
     def majority(rows: slice, bits: np.ndarray) -> np.ndarray:
         coin = np.unpackbits(coins[rows], axis=1, count=nb).view(bool)
@@ -444,21 +497,44 @@ def apply_block_majority(
     return _overwrite_blocks(g, part, majority)
 
 
+def _rows_by_block(rows: slice) -> Iterator[tuple[int, int]]:
+    """``(b, n)``: the ``n`` rows of the slice that fall in replicate block
+    ``b`` of a run, for each block the slice meets, in order."""
+    start = rows.start
+    while start < rows.stop:
+        b = start // REPLICATE_BLOCK
+        stop = min(rows.stop, (b + 1) * REPLICATE_BLOCK)
+        yield b, stop - start
+        start = stop
+
+
 def apply_fraction_identification(
-    g: GenerationSignals, part: BlockPartition, seed: SeedSpec, *, block: int = 0
+    g: GenerationSignals,
+    part: BlockPartition,
+    seed: SeedSpec,
+    *,
+    block: int = 0,
+    blocks: int = 1,
 ) -> CorrectedGeneration:
     """Overwrite every block with the value of one uniformly chosen member.
 
-    The corrected bits are written into ``g.packed``: ``g`` is consumed."""
-    _check_block(g, part)
+    The corrected bits are written into ``g.packed``: ``g`` is consumed.
+    ``g`` fills ``blocks`` replicate blocks from ``block`` on, and each one's
+    rows draw their picks from its own stream ``("pick", level, block)``."""
+    _check_block(g, part, blocks)
     B, nb = part.block_size, part.n_blocks
-    gen = seed.generator("pick", level=g.level, block=block)
+    gens = [
+        seed.generator("pick", level=g.level, block=b)
+        for b in range(block, block + blocks)
+    ]
     first = np.arange(nb) * B
 
     def pick(rows: slice, bits: np.ndarray) -> np.ndarray:
-        # Row slices come in order, so the picks drawn slice by slice are the
-        # rows of one (REPLICATE_BLOCK, nb) draw.
-        position = gen.integers(0, B, size=(rows.stop - rows.start, nb))
+        # Row slices come in order, so the picks each replicate block draws
+        # slice by slice are the rows of one (REPLICATE_BLOCK, nb) draw.
+        position = np.concatenate([
+            gens[b].integers(0, B, size=(n, nb)) for b, n in _rows_by_block(rows)
+        ])
         position += first
         byte = np.take_along_axis(bits, position >> 3, axis=1)
         # Shift the member's bit to the top of its byte.
@@ -474,6 +550,8 @@ def apply_minority_removal(
     alive: np.ndarray | None = None,
     *,
     block: int = 0,
+    blocks: int = 1,
+    coins: np.ndarray | None = None,
 ) -> CorrectedGeneration:
     """Remove each block's minority members: survivors keep their signals,
     minority members die (no descendants, no further statistics).
@@ -484,8 +562,11 @@ def apply_minority_removal(
     keep their incoming alive state untouched.  The new mask is written into
     the ``alive`` given (a fresh all-alive mask when None), which is consumed
     and returned as the result's ``alive``; the signals are left as they are.
+    ``g`` fills ``blocks`` replicate blocks from ``block`` on; ``coins``, if
+    given, are their tie coins as :func:`_tie_coins` draws them, and are only
+    read.
     """
-    _check_block(g, part)
+    _check_block(g, part, blocks)
     nb = part.n_blocks
     if alive is None:
         alive = _constant_signals(g.level, g.size, g.n_replicates).packed
@@ -496,7 +577,7 @@ def apply_minority_removal(
     keep = _leftover_mask(part)
     block_packed = np.empty((g.n_replicates, packed_width(nb)), dtype=np.uint8)
     block_alive = np.empty_like(block_packed)
-    coins = _tie_coins(seed, g.level, block, nb)
+    coins = _given_coins(coins, seed, g, part, block, blocks)
     for rows in _block_rows(g, part):
         bits, live = g.packed[rows], alive[rows]
         total = _block_counts(live, part)
@@ -561,13 +642,25 @@ def _apply_scheme(
     seed: SeedSpec,
     alive: np.ndarray | None,
     block: int,
+    blocks: int,
+    coins: dict[int, np.ndarray],
 ) -> CorrectedGeneration:
-    if scheme.variant in ("BlockMajorityEveryStep", "WithinDescentMajority"):
-        return apply_block_majority(g, part, seed, block=block)
+    """Correct one batch's level by the scheme's kernel.
+
+    ``coins`` holds the level's tie coins by partition block count: the
+    first scheme of the group to need an array draws it, and every scheme
+    with the same block count reads it."""
     if scheme.variant == "FractionIdentification":
-        return apply_fraction_identification(g, part, seed, block=block)
+        return apply_fraction_identification(g, part, seed, block=block, blocks=blocks)
+    if part.n_blocks not in coins:
+        coins[part.n_blocks] = _tie_coins(
+            seed, g.level, block, part.n_blocks, blocks=blocks
+        )
+    kwargs = {"block": block, "blocks": blocks, "coins": coins[part.n_blocks]}
+    if scheme.variant in ("BlockMajorityEveryStep", "WithinDescentMajority"):
+        return apply_block_majority(g, part, seed, **kwargs)
     if scheme.removes_minority:
-        return apply_minority_removal(g, part, seed, alive, block=block)
+        return apply_minority_removal(g, part, seed, alive, **kwargs)
     raise ValueError(f"scheme {scheme.variant} applies no correction")
 
 
@@ -640,7 +733,7 @@ def _write_record(
     alive: np.ndarray | None,
     cg: CorrectedGeneration | None,
 ) -> None:
-    """Fill one replicate block's rows ``out`` of a level record."""
+    """Fill one batch's rows ``out`` of a level record."""
     rec.statistic[out] = majority_statistic(g, alive)
     if rec.alive_count is not None:
         rec.alive_count[out] = popcount_rows(alive)
@@ -653,13 +746,53 @@ def _write_record(
 
 
 class _Lineage:
-    """One scheme's current level, and alive mask, in one replicate block."""
+    """One scheme's current level, and alive mask, in one batch."""
 
     __slots__ = ("signals", "alive")
 
     def __init__(self, signals: GenerationSignals) -> None:
         self.signals = signals
         self.alive: np.ndarray | None = None
+
+    def rows(self, part: slice) -> "_Lineage":
+        """The lineage of the sub-batch of rows ``part``, copied."""
+        g = self.signals
+        packed = g.packed[part].copy()
+        line = _Lineage(GenerationSignals(g.level, g.size, len(packed), packed))
+        if self.alive is not None:
+            line.alive = self.alive[part].copy()
+        return line
+
+
+@dataclass(frozen=True)
+class _Run:
+    """What every batch of one trajectory group shares."""
+
+    plans: tuple[_Plan, ...]
+    ch: ChannelParams
+    seed: SeedSpec
+    r: int
+    depth: int
+    start: int
+    n_replicates: int
+    pin_root: int | None
+    pin_renormalized_root: bool
+
+
+def _batches(block: int, blocks: int, size: int) -> list[tuple[int, int]]:
+    """Cut the ``blocks`` replicate blocks from ``block`` on into consecutive
+    batches ``(first, count)`` whose levels of ``size`` vertices fit
+    :data:`BATCH_BYTES`, or of one block where none fits."""
+    fit = max(1, BATCH_BYTES // (REPLICATE_BLOCK * packed_width(size)))
+    stop = block + blocks
+    return [(first, min(fit, stop - first)) for first in range(block, stop, fit)]
+
+
+def _rows(run: _Run, block: int, blocks: int) -> slice:
+    """The run's rows of ``blocks`` replicate blocks from ``block`` on (only
+    the run's last block may be partial)."""
+    stop = min(run.n_replicates, (block + blocks) * REPLICATE_BLOCK)
+    return slice(block * REPLICATE_BLOCK, stop)
 
 
 def _step(
@@ -669,6 +802,8 @@ def _step(
     seed: SeedSpec,
     r: int,
     block: int,
+    blocks: int,
+    coins: dict[int, np.ndarray],
     out: slice,
 ) -> None:
     """Advance one scheme's lineage by a level: broadcast into ``flips``
@@ -681,11 +816,76 @@ def _step(
     cg = None
     part = plan.partitions.get(g.level)
     if part is not None:
-        cg = _apply_scheme(plan.scheme, g, part, seed, line.alive, block)
+        cg = _apply_scheme(plan.scheme, g, part, seed, line.alive, block, blocks, coins)
         line.alive = cg.alive
     rec = plan.records.get(g.level)
     if rec is not None:
         _write_record(rec, out, g, line.alive, cg)
+
+
+def _step_batch(
+    run: _Run, lines: list[_Lineage | None], block: int, blocks: int, out: slice
+) -> None:
+    """Advance every scheme's lineage of one batch by a level.  The flip mask
+    is drawn once and every scheme but the last broadcasts into a copy of
+    it; each tie-coin array is drawn once for the schemes that share it."""
+    level = lines[0].signals.level + 1
+    flips = flip_mask(run.ch, run.seed, level, run.r**level, block=block, blocks=blocks)
+    coins: dict[int, np.ndarray] = {}
+    last = len(run.plans) - 1
+    for i, plan in enumerate(run.plans):
+        mask = flips if i == last else flips.copy()
+        _step(plan, lines[i], mask, run.seed, run.r, block, blocks, coins, out)
+        del mask
+        if level == run.depth:
+            # Recorded: free the deepest level before the next scheme builds
+            # its own.
+            lines[i] = None
+
+
+def _run_batch(
+    run: _Run, block: int, blocks: int, lines: list[_Lineage | None]
+) -> None:
+    """Carry one batch, whose lineages all hold one level, to the run's depth.
+
+    The batch steps as one while its next level fits :data:`BATCH_BYTES`;
+    when it would not, it splits into batches that fit, and each runs to the
+    depth before the next starts.  The parts take copies of their rows and
+    ``lines`` is emptied, so the level is freed a part at a time."""
+    out = _rows(run, block, blocks)
+    level = lines[0].signals.level
+    while level < run.depth:
+        batches = _batches(block, blocks, run.r ** (level + 1))
+        if len(batches) > 1:
+            parts = []
+            for first, count in reversed(batches):
+                rows = _rows(run, first, count)
+                part = slice(rows.start - out.start, rows.stop - out.start)
+                parts.append((first, count, [line.rows(part) for line in lines]))
+            lines.clear()
+            while parts:
+                _run_batch(run, *parts.pop())
+            return
+        _step_batch(run, lines, block, blocks, out)
+        level += 1
+
+
+def _run_task(run: _Run, block: int, blocks: int) -> None:
+    """Root one worker's blocks, a batch at a time that fits the first level
+    below the start, record the start level and carry each batch down."""
+    for first, count in _batches(block, blocks, run.r ** (run.start + 1)):
+        out = _rows(run, first, count)
+        rows = out.stop - out.start
+        if run.pin_renormalized_root:
+            root = _constant_signals(run.start, run.r**run.start, rows)
+        else:
+            root = sample_root(
+                run.seed, rows, pin=run.pin_root, block=first, blocks=count
+            )
+        for plan in run.plans:
+            if run.start in plan.records:
+                _write_record(plan.records[run.start], out, root, None, None)
+        _run_batch(run, first, count, [_Lineage(root) for _ in run.plans])
 
 
 def _worker_count(n_blocks: int) -> int:
@@ -722,18 +922,22 @@ def run_corrected_trajectory(
     all).  At correction levels the record carries both the raw signed sum
     and the renormalized one-vote-per-block sum, taken after correction.
 
-    Each replicate block runs through every level on its own, on a thread
-    pool, and writes its rows of every record.  At each level the block's
-    flip mask is drawn once and every scheme's children are its own parents
-    XOR that mask, so a scheme's records are those of a run of it alone.
-    Streams keep their global block index, so the result depends neither on
-    the worker count nor on the other schemes of the group.  Building
-    ``tree`` has already checked its deepest level against the vertex budget.
+    The replicate blocks are cut into one run of consecutive blocks per
+    worker thread, and each run goes down the tree in batches of blocks
+    (:data:`BATCH_BYTES`), writing its rows of every record.  At each level
+    a batch's flip mask is drawn once and every scheme's children are its
+    own parents XOR that mask, so a scheme's records are those of a run of
+    it alone.  Streams keep their global block index, so the result depends
+    neither on the worker count, nor on the batches, nor on the other
+    schemes of the group.  Building ``tree`` has already checked its deepest
+    level against the vertex budget.
     """
     r, depth = tree.r, tree.depth
     schemes = tuple(schemes)
     if not schemes:
         raise ValueError("a trajectory group needs at least one scheme")
+    if n_replicates < 1:
+        raise ValueError(f"need at least one replicate, got {n_replicates}")
     recorded = sorted(
         set(range(depth + 1)) if record_levels is None else set(record_levels)
     )
@@ -755,44 +959,24 @@ def run_corrected_trajectory(
         start = 0
     # A renormalized-root run records nothing shallower than its start.
     recorded = [level for level in recorded if level >= start]
-    plans = [
+    plans = tuple(
         _plan(s, r, depth, start, recorded, n_replicates, pin_renormalized_root)
         for s in schemes
-    ]
+    )
+    run = _Run(
+        plans, ch, seed, r, depth, start, n_replicates, pin_root, pin_renormalized_root
+    )
 
-    def run_block(address: tuple[int, slice, int]) -> None:
-        block, out, rows = address
-        if pin_renormalized_root:
-            root = _constant_signals(start, r**start, rows)
-        else:
-            root = sample_root(seed, rows, pin=pin_root, block=block)
-        lines: list[_Lineage | None] = []
-        for plan in plans:
-            if start in plan.records:
-                _write_record(plan.records[start], out, root, None, None)
-            lines.append(_Lineage(root))
-        for level in range(start + 1, depth + 1):
-            flips = flip_mask(ch, seed, level, r**level, block=block)
-            for i, plan in enumerate(plans):
-                # Each step writes its children into the mask it is given;
-                # the last scheme takes the drawn buffer itself.
-                mask = flips if i == len(plans) - 1 else flips.copy()
-                _step(plan, lines[i], mask, seed, r, block, out)
-                del mask
-                if level == depth:
-                    # Recorded: free the deepest level before the next
-                    # scheme builds its own.
-                    lines[i] = None
-            del flips
-
-    blocks = list(replicate_blocks(n_replicates))
-    workers = _worker_count(len(blocks))
+    n_blocks = -(-n_replicates // REPLICATE_BLOCK)
+    workers = _worker_count(n_blocks)
     if workers == 1:
-        for address in blocks:
-            run_block(address)
+        _run_task(run, 0, n_blocks)
     else:
+        share, extra = divmod(n_blocks, workers)
+        counts = [share + (i < extra) for i in range(workers)]
+        firsts = [i * share + min(i, extra) for i in range(workers)]
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(run_block, blocks))
+            list(pool.map(_run_task, [run] * workers, firsts, counts))
 
     return tuple(
         TrajectoryResult(records=tuple(plan.records[level] for level in recorded))

@@ -19,9 +19,11 @@ spawn_key=(purpose_code, level, block)).generate_state(2, np.uint64)`` gives
 the mixer state after every word but the block's is cached per
 ``(master_seed, purpose, level)``, so a new stream mixes in only its block.
 ``tests/`` checks the keys against numpy's own ``SeedSequence``.  Replicate
-batches have the fixed width :data:`REPLICATE_BLOCK`; kernels always draw
-full batches and slice, which keeps replicate ``i`` bit-identical whether the
-run asks for 300 or 300 000 replicates.
+blocks have the fixed width :data:`REPLICATE_BLOCK`; kernels always draw
+full blocks and slice, which keeps replicate ``i`` bit-identical whether the
+run asks for 300 or 300 000 replicates.  A kernel called on a run of
+consecutive blocks stacks each block's own draw (:func:`block_bits`), so how
+many blocks share one call is not part of the contract either.
 
 Bernoulli bits (:func:`bernoulli_bits`) are defined by float32 uniforms:
 bit = ``u < float32(p)``.  Column draws wider than :data:`DRAW_CHUNK_COLS`
@@ -40,8 +42,10 @@ the whole chunk would.
 Because a stream depends on nothing but its address, a draw may be shared
 by every consumer of that address: the trajectory loop of
 :mod:`treecast.correction` draws each ``("flips", level, block)`` mask once
-for a whole group of schemes run on common random numbers, and every scheme
-sees the bits a run of it alone would draw.
+for a whole group of schemes run on common random numbers, and each
+``("tie", level, block)`` coin array once for every scheme of the group that
+draws it with the same width, and every scheme sees the bits a run of it
+alone would draw.
 """
 
 from __future__ import annotations
@@ -224,12 +228,16 @@ def replicate_blocks(n_replicates: int) -> Iterator[tuple[int, slice, int]]:
         yield block, slice(start, stop), stop - start
 
 
-def check_block_rows(rows: int) -> int:
-    """Raise ``ValueError`` unless ``rows`` replicates fit one block."""
-    if not 1 <= rows <= REPLICATE_BLOCK:
-        raise ValueError(
-            f"a replicate block holds 1..{REPLICATE_BLOCK} rows, got {rows}"
+def check_block_rows(rows: int, blocks: int = 1) -> int:
+    """Raise ``ValueError`` unless ``rows`` replicates fill ``blocks``
+    consecutive replicate blocks: every block but the last full, the last
+    holding at least one row."""
+    low, high = REPLICATE_BLOCK * (blocks - 1) + 1, REPLICATE_BLOCK * blocks
+    if blocks < 1 or not low <= rows <= high:
+        what = "a replicate block holds" if blocks == 1 else (
+            f"a run of {blocks} replicate blocks holds"
         )
+        raise ValueError(f"{what} {low}..{high} rows, got {rows}")
     return rows
 
 
@@ -299,3 +307,26 @@ def bernoulli_bits(gen: np.random.Generator, prob: float, rows: int, cols: int) 
                 hits[:n].reshape(-1, width), axis=1
             )
     return out
+
+
+def block_bits(
+    seed: SeedSpec,
+    purpose: str,
+    level: int,
+    prob: float,
+    cols: int,
+    *,
+    block: int = 0,
+    blocks: int = 1,
+) -> np.ndarray:
+    """Packed Bernoulli(prob) bits of ``blocks`` consecutive replicate blocks
+    from ``block`` on, shape ``(blocks * REPLICATE_BLOCK, ceil(cols/8))``:
+    all :data:`REPLICATE_BLOCK` rows of each block's stream ``(purpose,
+    level, block)`` (:func:`bernoulli_bits`), stacked in block order."""
+    draws = [
+        bernoulli_bits(
+            seed.generator(purpose, level=level, block=b), prob, REPLICATE_BLOCK, cols
+        )
+        for b in range(block, block + blocks)
+    ]
+    return draws[0] if blocks == 1 else np.concatenate(draws)

@@ -32,8 +32,9 @@ the descendant set of one ancestor.
 
 ``split_blocks``, ``join_blocks``, ``root_by_blocks`` and ``step_by_blocks``
 drive the one-block sampling kernels over any number of replicates, block by
-block with each block's global index, as the trajectory loop does; tests use
-them to reach sample sizes beyond one replicate block.
+block with each block's global index; tests use them to reach sample sizes
+beyond one replicate block, and to check that a kernel called on a run of
+blocks equals its one-block calls.
 
 ``renormalize`` projects a corrected generation to its block values after
 checking that every (surviving) block member carries that value, which

@@ -11,6 +11,7 @@ from treecast.broadcast import (
     sample_next_generation,
     sample_root,
 )
+from treecast import correction
 from treecast.correction import (
     CorrectedGeneration,
     apply_block_majority,
@@ -23,6 +24,7 @@ from treecast.rng import REPLICATE_BLOCK
 from treecast.trees import BlockPartition, RegularTreeSpec
 
 from oracles import (
+    join_blocks,
     renormalize,
     root_by_blocks,
     split_blocks,
@@ -93,10 +95,16 @@ def test_block_majority_is_idempotent():
 def test_kernels_write_into_the_arrays_they_are_given():
     g = signals_from([[1, 1, -1, -1, -1, 1, 1, 1, -1]], level=2)
     part = BlockPartition(level=2, level_size=9, block_size=3)
-    assert apply_block_majority(g, part, SEED).signals.packed is g.packed
+    # Tie coins a group shares are only read: a write would raise.
+    coins = correction._tie_coins(SEED, 2, 0, part.n_blocks)
+    drawn = coins.copy()
+    coins.flags.writeable = False
+    cg = apply_block_majority(g, part, SEED, coins=coins)
+    assert cg.signals.packed is g.packed
     assert apply_fraction_identification(g, part, SEED).signals.packed is g.packed
     alive = np.packbits(np.ones((1, 9), dtype=np.uint8), axis=1)
-    assert apply_minority_removal(g, part, SEED, alive).alive is alive
+    assert apply_minority_removal(g, part, SEED, alive, coins=coins).alive is alive
+    np.testing.assert_array_equal(coins, drawn)
 
 
 def test_fraction_identification_copies_a_member():
@@ -385,3 +393,100 @@ def test_renormalized_root_pinning_requires_block_scheme():
             n_replicates=300,
             pin_renormalized_root=True,
         )
+
+
+def run_kernel_on_blocks(kernel, n, blocks):
+    """Call one of the five kernels on ``n`` rows of ``blocks`` replicate
+    blocks from block 1 on."""
+    if kernel is sample_root:
+        return sample_root(SEED, n, pin=None, block=1, blocks=blocks)
+    g = GenerationSignals.from_signs(np.ones((n, 4), dtype=np.int8), level=2)
+    if kernel is sample_next_generation:
+        ch = ChannelParams(epsilon=0.1)
+        flips = flip_mask(ch, SEED, 3, 8, block=1, blocks=blocks)
+        return sample_next_generation(g, 2, flips)
+    part = BlockPartition(level=2, level_size=4, block_size=2)
+    return kernel(g, part, SEED, block=1, blocks=blocks)
+
+
+@pytest.mark.parametrize("kernel", KERNELS, ids=lambda kernel: kernel.__name__)
+def test_kernels_refuse_rows_that_do_not_fill_their_blocks(kernel):
+    # Every block of a run but the last is full, and the last holds a row.
+    for n in (REPLICATE_BLOCK + 1, 2 * REPLICATE_BLOCK):
+        run_kernel_on_blocks(kernel, n, 2)
+    for n in (REPLICATE_BLOCK, 2 * REPLICATE_BLOCK + 1):
+        with pytest.raises(ValueError, match="run of 2 replicate blocks"):
+            run_kernel_on_blocks(kernel, n, 2)
+
+
+def test_kernels_refuse_tie_coins_of_other_blocks():
+    g = GenerationSignals.from_signs(
+        np.ones((REPLICATE_BLOCK + 1, 4), dtype=np.int8), level=2
+    )
+    part = BlockPartition(level=2, level_size=4, block_size=2)
+    one_block = correction._tie_coins(SEED, 2, 1, part.n_blocks)
+    for kernel in (apply_block_majority, apply_minority_removal):
+        with pytest.raises(ValueError, match="tie coins shape"):
+            kernel(g, part, SEED, block=1, blocks=2, coins=one_block)
+
+
+def test_draws_of_a_run_of_blocks_stack_the_blocks_draws():
+    ch = ChannelParams(epsilon=0.3)
+    np.testing.assert_array_equal(
+        flip_mask(ch, SEED, 4, 81, block=2, blocks=3),
+        np.concatenate([flip_mask(ch, SEED, 4, 81, block=b) for b in (2, 3, 4)]),
+    )
+    np.testing.assert_array_equal(
+        correction._tie_coins(SEED, 4, 2, 27, blocks=3),
+        np.concatenate([correction._tie_coins(SEED, 4, b, 27) for b in (2, 3, 4)]),
+    )
+    rows = 2 * REPLICATE_BLOCK + 7
+    np.testing.assert_array_equal(
+        sample_root(SEED, rows, pin=None, block=2, blocks=3).packed,
+        np.concatenate([
+            sample_root(SEED, n, pin=None, block=2 + b).packed
+            for b, n in ((0, REPLICATE_BLOCK), (1, REPLICATE_BLOCK), (2, 7))
+        ]),
+    )
+
+
+@pytest.mark.parametrize("slice_rows", [None, 7], ids=["whole-rows", "7-row-slices"])
+@pytest.mark.parametrize("case", [(2, 5, 4), (3, 4, 9), (3, 4, 5)],
+                         ids=lambda c: "r{}-level{}-B{}".format(*c))
+def test_a_run_of_blocks_equals_its_blocks_one_by_one(monkeypatch, case, slice_rows):
+    # Three blocks from block 2 on, the last partial: the run's rows must be
+    # its blocks' rows, each drawn from its own streams, also when a row
+    # slice straddles a block boundary.
+    r, level, B = case
+    size = r**level
+    part = BlockPartition(level=level, level_size=size, block_size=B)
+    rows = 2 * REPLICATE_BLOCK + 44
+    gen = np.random.default_rng(size * B)
+    g = GenerationSignals.from_signs(gen.choice([-1, 1], size=(rows, size)), level)
+    alive = np.packbits(gen.random((rows, size)) < 0.7, axis=1)
+    if slice_rows is not None:
+        monkeypatch.setattr(
+            rng, "SLICE_ELEMENTS", slice_rows * max(part.n_blocks, g.packed.shape[1])
+        )
+    blocks = [slice(b * REPLICATE_BLOCK, (b + 1) * REPLICATE_BLOCK) for b in range(3)]
+    for kernel in (apply_block_majority, apply_fraction_identification,
+                   apply_minority_removal):
+        removal = kernel is apply_minority_removal
+
+        def call(rows, **where):
+            packed = g.packed[rows].copy()
+            given = GenerationSignals(level, size, len(packed), packed)
+            extra = (alive[rows].copy(),) if removal else ()
+            return kernel(given, part, SEED, *extra, **where)
+
+        whole = call(slice(None), block=2, blocks=3)
+        one_by_one = [call(rows, block=2 + b) for b, rows in enumerate(blocks)]
+        for name in ("signals", "block_signals"):
+            np.testing.assert_array_equal(
+                getattr(whole, name).packed,
+                join_blocks([getattr(cg, name) for cg in one_by_one]).packed,
+            )
+        if removal:
+            np.testing.assert_array_equal(
+                whole.alive, np.concatenate([cg.alive for cg in one_by_one])
+            )

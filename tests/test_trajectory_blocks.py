@@ -1,10 +1,13 @@
-"""Block-outer trajectory loop: bit-identical records for any worker count
-and for any group of schemes run together, and peak memory that does not
-grow with the replicate count."""
+"""Block-outer trajectory loop: bit-identical records for any worker count,
+any batch bound and any group of schemes run together, tie coins drawn once
+per group, and peak memory that does not grow with the replicate count."""
 
+import collections
+import gc
 import hashlib
 import sys
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -118,6 +121,23 @@ def records_digest(traj):
 @pytest.mark.parametrize("case", CASES, ids=case_id)
 def test_records_match_pinned_digest(case):
     assert records_digest(run_case(case)) == PINNED[case_id(case)]
+
+
+BOUNDS = {"one-block-batches": 1, "one-batch-per-task": 1 << 40}
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("bound", sorted(BOUNDS))
+def test_records_do_not_depend_on_the_batch_bound(monkeypatch, bound, workers):
+    # Six variants at r = 2 and 4, a free and a renormalized root, and three
+    # blocks whose last is partial: a batch straddles it unless batches are
+    # single blocks.
+    monkeypatch.setattr(correction, "BATCH_BYTES", BOUNDS[bound])
+    monkeypatch.setattr(
+        correction, "_worker_count", lambda n_blocks: min(workers, n_blocks)
+    )
+    for case in CASES:
+        assert records_digest(run_case(case)) == PINNED[case_id(case)], case_id(case)
 
 
 @pytest.mark.parametrize("workers", [1, 3])
@@ -276,3 +296,76 @@ def test_groups_that_cannot_share_a_run_are_refused(monkeypatch):
             2, 6, (block, CorrectionScheme.block_majority_every_step(4)),
             pin_renormalized_root=True,
         )
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("bound", sorted(BOUNDS))
+@pytest.mark.parametrize("r", sorted(GROUPS))
+def test_group_records_do_not_depend_on_the_batch_bound(monkeypatch, r, bound, workers):
+    depth, names = GROUPS[r]
+    schemes = [CorrectionScheme.parse(name) for name in names]
+    for kwargs in ({}, {"pin_root": None}):
+        want = run_group(r, depth, schemes, **kwargs)
+        with monkeypatch.context() as patch:
+            patch.setattr(correction, "BATCH_BYTES", BOUNDS[bound])
+            patch.setattr(
+                correction, "_worker_count", lambda n_blocks: min(workers, n_blocks)
+            )
+            got = run_group(r, depth, schemes, **kwargs)
+        for a, b in zip(got, want):
+            assert_records_equal(a, b)
+
+
+MC_NARROW = ("Identity", "WithinDescentMajority{k=2}", "BlockMajorityEveryStep{M=4}",
+             "WithinDescentMinorityRemoval{k=2}")
+
+
+def test_group_draws_each_tie_coin_stream_once(monkeypatch):
+    # The benchmark's narrow group: at every even level three schemes
+    # correct on identical partitions, at odd levels block majority alone.
+    schemes = [CorrectionScheme.parse(name) for name in MC_NARROW]
+    r, depth, n = 2, 10, 600
+    n_blocks = -(-n // REPLICATE_BLOCK)
+    ties = collections.Counter()
+    generator = SeedSpec.generator
+
+    def counting(self, purpose, level=0, block=0):
+        if purpose == "tie":
+            ties[level, block] += 1
+        return generator(self, purpose, level, block)
+
+    monkeypatch.setattr(SeedSpec, "generator", counting)
+    run_corrected_trajectory(
+        RegularTreeSpec(r=r, depth=depth), schemes, ChannelParams(epsilon=0.1), SEED, n
+    )
+    # One stream per (level, block, distinct partition block count) among
+    # the schemes that break ties at that level.
+    expected = collections.Counter()
+    for level in range(1, depth + 1):
+        counts = {
+            scheme.partition_for(level, r).n_blocks
+            for scheme in schemes
+            if level in scheme.correction_levels(r, depth)
+        }
+        for block in range(n_blocks):
+            if counts:
+                expected[level, block] = len(counts)
+    assert ties == expected
+    assert sum(ties.values()) == 9 * n_blocks  # one scheme at a time would draw 19
+
+
+def test_records_are_freed_without_the_cycle_collector(monkeypatch):
+    # Nothing a run leaves behind may hold its records on a reference cycle,
+    # so they go as soon as the caller drops them.
+    monkeypatch.setattr(correction, "_worker_count", lambda n_blocks: min(2, n_blocks))
+    monkeypatch.setattr(correction, "BATCH_BYTES", 1)
+    schemes = [CorrectionScheme.parse(name) for name in GROUPS[2][1]]
+    gc.collect()
+    gc.disable()
+    try:
+        group = run_group(2, 6, schemes)
+        refs = [weakref.ref(rec.statistic) for traj in group for rec in traj.records]
+        del group
+        assert [ref() for ref in refs] == [None] * len(refs)
+    finally:
+        gc.enable()
