@@ -1,7 +1,8 @@
 """Exact critical-rate table for k-step descent majority correction.
 
-For each branching factor the script bisects the critical error-free rate of
-the period-k scheme and prints it next to the two reference points it
+For each branching factor the script brackets the critical error-free rate of
+the period-k scheme (``critical_point_k``: a grid scan, then an ITP search of
+its sign-change cell) and prints it next to the two reference points it
 interpolates between: the plain-channel threshold 1/sqrt(r) at k=1 and the
 deep-correction limit 1/r.  With ``--out`` the rows are written as CSV.
 """

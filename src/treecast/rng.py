@@ -213,21 +213,6 @@ class SeedSpec:
         return np.random.Generator(np.random.Philox(_PhiloxKey(key)))
 
 
-def replicate_blocks(n_replicates: int) -> Iterator[tuple[int, slice, int]]:
-    """Yield ``(block_index, output_slice, rows_in_block)`` batches.
-
-    Every batch has the fixed stream width :data:`REPLICATE_BLOCK`; the final
-    slice may cover fewer output rows, but callers must still draw the full
-    batch width so replicate addressing stays count-independent.
-    """
-    if n_replicates < 1:
-        raise ValueError(f"need at least one replicate, got {n_replicates}")
-    for block in range((n_replicates + REPLICATE_BLOCK - 1) // REPLICATE_BLOCK):
-        start = block * REPLICATE_BLOCK
-        stop = min(start + REPLICATE_BLOCK, n_replicates)
-        yield block, slice(start, stop), stop - start
-
-
 def check_block_rows(rows: int, blocks: int = 1) -> int:
     """Raise ``ValueError`` unless ``rows`` replicates fill ``blocks``
     consecutive replicate blocks: every block but the last full, the last

@@ -25,7 +25,9 @@ import numpy as np
 from treecast.broadcast import GenerationSignals
 from treecast.budget import check_vertices
 from treecast.fk import FkEnsembleStats, _validate_fk_args
-from treecast.rng import REPLICATE_BLOCK, SeedSpec, bernoulli_bits, replicate_blocks
+from treecast.rng import REPLICATE_BLOCK, SeedSpec, bernoulli_bits
+
+from oracles import replicate_blocks
 
 
 def _vertex_id_base(level: int, r: int) -> int:

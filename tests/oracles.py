@@ -26,15 +26,20 @@ definition; they check the count-law engine against the first moment
 ``((1 - 2*eps) * r)**n`` and check ``exact.t_statistic``, which takes the gap
 between two error rates, against its minority-count sum.
 
+``bisect_critical_point`` brackets a critical error-free rate by plain
+bisection of the whole initial bracket; ``exact.critical_point_k`` narrows
+one scan cell by ITP instead and must find a bracket within ``tol`` of it.
+
 ``Vertex``, ``parent_of`` and ``children_range`` are 1-based tree
 coordinates; they check that each block of a descent scheme's partition is
 the descendant set of one ancestor.
 
-``split_blocks``, ``join_blocks``, ``root_by_blocks`` and ``step_by_blocks``
-drive the one-block sampling kernels over any number of replicates, block by
-block with each block's global index; tests use them to reach sample sizes
-beyond one replicate block, and to check that a kernel called on a run of
-blocks equals its one-block calls.
+``replicate_blocks`` cuts a replicate count into blocks of the fixed
+stream width.  ``split_blocks``, ``join_blocks``, ``root_by_blocks`` and
+``step_by_blocks`` drive the one-block sampling kernels over any number of
+replicates, block by block with each block's global index; tests use them to
+reach sample sizes beyond one replicate block, and to check that a kernel
+called on a run of blocks equals its one-block calls.
 
 ``renormalize`` projects a corrected generation to its block values after
 checking that every (surviving) block member carries that value, which
@@ -56,7 +61,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 from scipy.stats import binom
@@ -69,7 +74,7 @@ from treecast.broadcast import (
 )
 from treecast.channel import ChannelParams
 from treecast.correction import CorrectedGeneration
-from treecast.exact import count_distribution
+from treecast.exact import count_distribution, ks_condition_value
 from treecast.likelihood import (
     FiniteTree,
     _pattern_likelihoods,
@@ -82,7 +87,6 @@ from treecast.rng import (
     SeedSpec,
     _purpose_code,
     bernoulli_bits,
-    replicate_blocks,
     row_slices,
 )
 from treecast.trees import BlockPartition, RegularTreeSpec
@@ -233,6 +237,24 @@ def t_statistic_direct(k: int, r: int, eps: float, budget: int | None = None) ->
     return float(np.sum(l * (probs[size - l] - probs[l])) / size)
 
 
+def bisect_critical_point(k: int, r: int, tol: float) -> tuple[float, float]:
+    """Bracket ``f(lo) <= 0 < f(hi)`` of width at most ``tol`` around the root
+    of ``f = ks_condition_value(k, r, .)``, by plain bisection of the whole
+    bracket ``(0.75/r, 1/sqrt(r)]``, its upper end nudged up by parts in 1e9
+    while ``f`` is nonpositive there."""
+    lo, hi = 0.75 / r, 1.0 / math.sqrt(r)
+    while ks_condition_value(k, r, hi) <= 0.0:
+        hi *= 1.0 + 1e-9
+    assert ks_condition_value(k, r, lo) <= 0.0
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if ks_condition_value(k, r, mid) > 0.0:
+            hi = mid
+        else:
+            lo = mid
+    return lo, hi
+
+
 @dataclass(frozen=True)
 class Vertex:
     """A tree vertex in 1-based ``(level, index)`` coordinates."""
@@ -283,6 +305,21 @@ def ancestor_of_block(part: BlockPartition, k: int, block: int) -> Vertex:
     if not 0 <= block < part.n_blocks:
         raise ValueError(f"block {block} outside 0..{part.n_blocks - 1}")
     return Vertex(part.level - k, block + 1)
+
+
+def replicate_blocks(n_replicates: int) -> Iterator[tuple[int, slice, int]]:
+    """Yield ``(block_index, output_slice, rows_in_block)`` batches.
+
+    Every batch has the fixed stream width :data:`REPLICATE_BLOCK`; the final
+    slice may cover fewer output rows, but callers must still draw the full
+    batch width so replicate addressing stays count-independent.
+    """
+    if n_replicates < 1:
+        raise ValueError(f"need at least one replicate, got {n_replicates}")
+    for block in range((n_replicates + REPLICATE_BLOCK - 1) // REPLICATE_BLOCK):
+        start = block * REPLICATE_BLOCK
+        stop = min(start + REPLICATE_BLOCK, n_replicates)
+        yield block, slice(start, stop), stop - start
 
 
 def split_blocks(g: GenerationSignals) -> list[tuple[int, GenerationSignals]]:

@@ -108,7 +108,7 @@ def test_criterion_02_one_step_threshold_equality(critical_cases, report):
         "k=1 critical point on the binary tree",
         passed,
         f"|p_c(1,2) - 1/sqrt(2)| = {deviation:.2e} < 1e-8 "
-        f"(bisection tol 1e-9, suite {elapsed:.2f} s)",
+        f"(bracket tol 1e-9, suite {elapsed:.2f} s)",
     )
 
 

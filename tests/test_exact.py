@@ -21,7 +21,9 @@ from treecast import (
     scheme_delta,
     t_statistic,
 )
+from treecast import exact
 from treecast.exact import (
+    _itp_search,
     block_scheme_delta,
     count_distribution,
     delta_from_distribution,
@@ -30,6 +32,7 @@ from treecast.exact import (
 )
 
 from oracles import (
+    bisect_critical_point,
     level_sum_agreement_enumerated,
     log_space_count_laws,
     mean_level_sum,
@@ -218,6 +221,52 @@ def test_critical_point_sequence_r2():
     assert all(a > b for a, b in zip(points, points[1:]))
     assert all(p >= 0.5 for p in points)
     assert all(p < 1 / math.sqrt(2) for p in points[1:])
+
+
+CRITICAL_CASES = (
+    [(k, 2) for k in range(1, 9)] + [(k, 3) for k in range(1, 6)]
+    + [(k, 4) for k in range(1, 5)]
+)
+
+
+@pytest.mark.parametrize("k,r", CRITICAL_CASES)
+def test_critical_point_matches_bisection_oracle(k, r, monkeypatch):
+    calls = []
+    objective = exact.ks_condition_value
+
+    def counted(*args):
+        calls.append(args)
+        return objective(*args)
+
+    monkeypatch.setattr(exact, "ks_condition_value", counted)
+    est = critical_point_k(k, r, tol=1e-9)
+    assert est.evaluations == len(calls) <= 20
+    assert est.p_hi - est.p_lo <= 1e-9
+    assert objective(k, r, est.p_lo) <= 0 < objective(k, r, est.p_hi)
+    lo, hi = bisect_critical_point(k, r, 1e-9)
+    assert abs(est.p_lo - lo) <= 1e-9
+    assert abs(est.p_hi - hi) <= 1e-9
+
+
+def _step(root):
+    return lambda x: -1.0 if x <= root else 1.0
+
+
+def _flat_then_steep(root):
+    return lambda x: (x - root) * (1e-9 if x <= root else 1e9)
+
+
+@pytest.mark.parametrize("shape", [_step, _flat_then_steep])
+@pytest.mark.parametrize("root", [0.3 + 1e-12, 0.41, 0.5 + math.pi * 1e-3, 0.7 - 1e-12])
+@pytest.mark.parametrize("tol", [1e-3, 1e-9, 1e-12])
+def test_itp_search_needs_at_most_one_step_past_bisection(shape, root, tol):
+    f = shape(root)
+    lo, hi = 0.3, 0.7
+    steps = []
+    lo, hi = _itp_search(lambda x: steps.append(x) or f(x), lo, hi, f(lo), f(hi), tol)
+    assert hi - lo <= tol
+    assert f(lo) <= 0 < f(hi)
+    assert len(steps) <= math.ceil(math.log2(0.4 / tol)) + 1
 
 
 def test_renormalized_delta_boundary():

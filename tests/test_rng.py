@@ -6,9 +6,9 @@ from hypothesis import given, strategies as st
 
 from treecast import SeedSpec
 from treecast import rng
-from treecast.rng import REPLICATE_BLOCK, bernoulli_bits, replicate_blocks
+from treecast.rng import REPLICATE_BLOCK, bernoulli_bits
 
-from oracles import float32_bernoulli_bits, seed_sequence_generator
+from oracles import float32_bernoulli_bits, replicate_blocks, seed_sequence_generator
 
 SEED = SeedSpec(master_seed=424242)
 
