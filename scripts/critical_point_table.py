@@ -24,7 +24,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma list of branching factors",
     )
     parser.add_argument("--k-max", type=int, default=5, help="largest period")
-    parser.add_argument("--tol", type=float, default=1e-9)
+    parser.add_argument(
+        "--tol", type=float, default=1e-9,
+        help="bracket width, at least the float spacing at 1/sqrt(r) (about 1.1e-16)",
+    )
     parser.add_argument("--out", type=Path, default=None, help="CSV output path")
     parser.add_argument(
         "--reproducible",

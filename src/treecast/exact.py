@@ -50,8 +50,8 @@ from .correction import CorrectionScheme
 
 # Largest block exponent j (M = r**j) that minimal_rescuing_block_size tries.
 _MAX_BLOCK_EXPONENT = 40
-# critical_point_k: search steps at most (a guard for a tol below the float
-# spacing), and grid points of the monotonicity scan.
+# critical_point_k: search steps at most (a guard; critical_point_k refuses a
+# tol below the float spacing), and grid points of the monotonicity scan.
 _MAX_STEPS = 200
 _SCAN_POINTS = 9
 
@@ -200,12 +200,16 @@ def block_error_rate(M: int, eps: float) -> float:
         raise ValueError(f"block size must be >= 1, got {M}")
     if not 0.0 <= eps <= 0.5:
         raise ValueError(f"distortion rate must lie in [0, 0.5], got {eps}")
-    # Local: M reaches r**40, past any FFT support, and scipy.stats takes ~1 s to load.
-    from scipy.stats import binom
+    # Local: scipy.special takes ~0.3 s to load.  M reaches r**40, past any
+    # FFT support; these are the Boost kernels behind scipy.stats.binom's cdf
+    # and pmf, given the same floats and clipped to [0, 1] as binom clips them.
+    from scipy.special._ufuncs import _binom_cdf, _binom_pmf
 
-    wins = binom(M, 1.0 - eps)
-    below = float(wins.cdf((M - 1) // 2))
-    tie = 0.5 * float(wins.pmf(M // 2)) if M % 2 == 0 else 0.0
+    def law(kernel: Callable, wins: int) -> float:
+        return float(np.clip(kernel(float(wins), float(M), 1.0 - eps), 0.0, 1.0))
+
+    below = law(_binom_cdf, (M - 1) // 2)
+    tie = 0.5 * law(_binom_pmf, M // 2) if M % 2 == 0 else 0.0
     return below + tie
 
 
@@ -335,7 +339,8 @@ def _itp_search(
     ceil(log2((hi - lo) / tol)) + 1`` steps, one more than bisection.  So
     it converges superlinearly on a smooth ``f`` and never needs more than
     ``n_max`` evaluations, whatever ``f`` is.  Returns the final bracket,
-    which keeps the sign change.
+    which keeps the sign change; raises ``RuntimeError`` if ``_MAX_STEPS``
+    steps leave it wider than ``tol`` (a ``tol`` below the float spacing).
     """
     kappa1 = 0.2 / (hi - lo)
     n_max = math.ceil(math.log2((hi - lo) / tol)) + 1
@@ -360,6 +365,10 @@ def _itp_search(
             hi, f_hi = probe, value
         else:
             lo, f_lo = probe, value
+    if hi - lo > tol:
+        raise RuntimeError(
+            f"no bracket of width {tol} after {_MAX_STEPS} steps: [{lo!r}, {hi!r}]"
+        )
     return lo, hi
 
 
@@ -379,11 +388,22 @@ def critical_point_k(
     narrowed by ITP (:func:`_itp_search`) to width ``tol``: typically 13-18
     objective evaluations in all, and never more than one step past what
     bisection of the cell would take.
+
+    ``tol`` must be at least ``math.ulp(1/sqrt(r))``, the float spacing at
+    the top of the bracket and so the widest spacing in it; a smaller
+    ``tol`` may be unreachable and raises ``ValueError`` before any count
+    law is built.
     """
     if k < 1:
         raise ValueError(f"correction period must be >= 1, got {k}")
-    if tol <= 0:
-        raise ValueError(f"tolerance must be positive, got {tol}")
+    if r < 2:
+        raise ValueError(f"branching rate must be >= 2, got {r}")
+    spacing = math.ulp(1.0 / math.sqrt(r))
+    if not tol >= spacing:
+        raise ValueError(
+            f"tolerance must be at least {spacing!r}, the float spacing at "
+            f"1/sqrt({r}), got {tol}"
+        )
     check_support(r**k + 1, budget)
     evaluations = 0
 

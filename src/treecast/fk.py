@@ -85,10 +85,12 @@ def _spawn_pmf(trials: int, p: float, cache: dict[int, np.ndarray]) -> np.ndarra
     """Binomial(trials, p) pmf, normalized for multinomial draws."""
     pv = cache.get(trials)
     if pv is None:
-        # Local: its pmf bits decide the draws; scipy.stats takes ~1 s to load.
-        from scipy.stats import binom
+        # Local: scipy.special takes ~0.3 s to load.  The pmf bits decide the
+        # draws: this is the Boost kernel behind scipy.stats.binom.pmf,
+        # clipped to [0, 1] as binom.pmf clips it.
+        from scipy.special._ufuncs import _binom_pmf
 
-        pv = np.clip(binom.pmf(np.arange(trials + 1), trials, p), 0.0, None)
+        pv = np.clip(_binom_pmf(np.arange(trials + 1), trials, p), 0.0, 1.0)
         pv /= pv.sum()
         cache[trials] = pv
     return pv

@@ -29,6 +29,10 @@ between two error rates, against its minority-count sum.
 ``bisect_critical_point`` brackets a critical error-free rate by plain
 bisection of the whole initial bracket; ``exact.critical_point_k`` narrows
 one scan cell by ITP instead and must find a bracket within ``tol`` of it.
+``gaussian_critical_point`` bisects the same objective with the corrected
+channel's error-free rate ``1 - 2*eps_k`` replaced by its central-limit
+value, which is exact only as ``k`` grows; it checks how the critical rates
+approach the Ising point ``p*r = 1``.
 
 ``Vertex``, ``parent_of`` and ``children_range`` are 1-based tree
 coordinates; they check that each block of a descent scheme's partition is
@@ -245,10 +249,36 @@ def bisect_critical_point(k: int, r: int, tol: float) -> tuple[float, float]:
     lo, hi = 0.75 / r, 1.0 / math.sqrt(r)
     while ks_condition_value(k, r, hi) <= 0.0:
         hi *= 1.0 + 1e-9
-    assert ks_condition_value(k, r, lo) <= 0.0
+    return _bisect(lambda p: ks_condition_value(k, r, p), lo, hi, tol)
+
+
+def gaussian_critical_point(k: int, r: int, tol: float) -> float:
+    """Midpoint of a bracket of width at most ``tol`` around the root of the
+    Kesten-Stigum objective ``(1 - 2*eps_k)**2 * r**k - 1`` with
+    ``1 - 2*eps_k`` taken as ``2*Phi(mu/sigma) - 1 = erf(mu/(sigma*sqrt(2)))``.
+
+    With a +1 root the level-``k`` sum has mean ``mu = (r*p)**k`` and second
+    moment ``r**k * (1 + sum_{j=1..k} (r-1) * r**(j-1) * p**(2j))``: two
+    leaves whose paths meet ``j`` levels up agree in mean by ``p**(2j)``.
+    """
+
+    def objective(p: float) -> float:
+        mu = (r * p) ** k
+        pairs = sum((r - 1) * r ** (j - 1) * p ** (2 * j) for j in range(1, k + 1))
+        second = r**k * (1.0 + pairs)
+        advantage = math.erf(mu / math.sqrt(2.0 * (second - mu * mu)))
+        return advantage * advantage * r**k - 1.0
+
+    lo, hi = _bisect(objective, 0.75 / r, 1.0 / math.sqrt(r), tol)
+    return 0.5 * (lo + hi)
+
+
+def _bisect(f, lo: float, hi: float, tol: float) -> tuple[float, float]:
+    """Halve a sign change ``f(lo) <= 0 < f(hi)`` to width at most ``tol``."""
+    assert f(lo) <= 0.0 < f(hi)
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        if ks_condition_value(k, r, mid) > 0.0:
+        if f(mid) > 0.0:
             hi = mid
         else:
             lo = mid

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.stats import binom
 
 from treecast import (
     BudgetError,
@@ -193,6 +194,20 @@ def test_block_error_rate_closed_forms():
         block_error_rate(0, 0.2)
 
 
+@pytest.mark.parametrize("M", [1, 2, 3, 4, 7, 16, 255, 256, 3**12, 4**20, 2**63, 2**64 - 2])
+def test_block_error_rate_is_scipy_stats_binom_bit_for_bit(M):
+    for eps in (0.0, 1e-9, 0.1, 0.25, 1 / 3, 0.4999, 0.5):
+        wins = binom(M, 1.0 - eps)
+        tie = 0.5 * float(wins.pmf(M // 2)) if M % 2 == 0 else 0.0
+        assert block_error_rate(M, eps).hex() == (float(wins.cdf((M - 1) // 2)) + tie).hex()
+
+
+def test_rescuing_block_scan_runs_past_64_bit_block_sizes():
+    # From r**32 = 2**64 on, M fits no 64-bit integer; at eps = 0.5 no block rescues.
+    with pytest.raises(RuntimeError, match="no rescuing block size up to r\\*\\*40"):
+        minimal_rescuing_block_size(4, 0.5)
+
+
 def test_minimal_rescuing_block_size_scan():
     m_star = minimal_rescuing_block_size(2, 0.4)
     assert m_star == 32
@@ -267,6 +282,37 @@ def test_itp_search_needs_at_most_one_step_past_bisection(shape, root, tol):
     assert hi - lo <= tol
     assert f(lo) <= 0 < f(hi)
     assert len(steps) <= math.ceil(math.log2(0.4 / tol)) + 1
+
+
+def test_itp_search_raises_when_tol_is_out_of_reach():
+    f = _step(0.41)
+    steps = []
+    with pytest.raises(RuntimeError, match="no bracket of width"):
+        _itp_search(lambda x: steps.append(x) or f(x), 0.3, 0.7, f(0.3), f(0.7), 1e-20)
+    assert len(steps) == exact._MAX_STEPS
+
+
+@pytest.mark.parametrize("k,r,tol", [
+    (3, 2, 1e-16), (3, 2, 1e-20), (1, 2, 0.0), (1, 2, -1e-9), (2, 3, math.nan),
+    (1, 2, math.nextafter(math.ulp(1 / math.sqrt(2)), 0.0)),
+    (2, 4, math.nextafter(math.ulp(0.5), 0.0)),
+    (2, 5, math.nextafter(math.ulp(1 / math.sqrt(5)), 0.0)),
+])
+def test_critical_point_refuses_an_unreachable_tol(k, r, tol, monkeypatch):
+    def refused(*args):
+        raise AssertionError("an objective evaluation before the refusal")
+
+    monkeypatch.setattr(exact, "ks_condition_value", refused)
+    with pytest.raises(ValueError, match="tolerance must be at least"):
+        critical_point_k(k, r, tol=tol)
+
+
+@pytest.mark.parametrize("k,r", [(1, 2), (3, 2), (2, 3), (1, 4), (2, 4), (2, 5), (2, 16)])
+def test_critical_point_reaches_the_smallest_admitted_tol(k, r):
+    tol = math.ulp(1 / math.sqrt(r))
+    est = critical_point_k(k, r, tol=tol)
+    assert est.p_hi - est.p_lo <= tol
+    assert ks_condition_value(k, r, est.p_lo) <= 0 < ks_condition_value(k, r, est.p_hi)
 
 
 def test_renormalized_delta_boundary():

@@ -17,7 +17,9 @@ from treecast import (
 from treecast.broadcast import majority_statistic
 from treecast.cli import main
 from treecast.exact import count_distribution
-from treecast.fk import _size_histogram_chain, sample_root_cluster_chain, sample_size_ensemble
+from treecast.fk import (
+    _size_histogram_chain, _spawn_pmf, sample_root_cluster_chain, sample_size_ensemble,
+)
 
 from fk_labels import sample_cluster_ensemble, sample_fk_level_stats, sample_spin_ensemble
 
@@ -150,6 +152,16 @@ def test_fk_stats_output_matches_pinned_digest(capsys):
     assert main(argv) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == PINNED_FK_STATS
+
+
+@pytest.mark.parametrize("p", [0.0, 0.3, 0.5, 0.9, 1.0])
+def test_spawn_pmf_is_scipy_stats_binom_bit_for_bit(p):
+    # These bits decide every multinomial draw of the size-histogram chain.
+    for trials in (1, 4, 40, 400, 4000):
+        expected = np.clip(binom.pmf(np.arange(trials + 1), trials, p), 0.0, None)
+        expected /= expected.sum()
+        got = _spawn_pmf(trials, p, {})
+        assert np.array_equal(got.view(np.int64), expected.view(np.int64))
 
 
 def test_root_cluster_is_binomial_at_level_one():
