@@ -12,11 +12,11 @@ import math
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from treecast import (
     ReportRow,
     SeedSpec,
+    Z_99,
+    median_interval,
     moment_summary,
     rows_to_csv,
     sample_size_ensembles,
@@ -68,12 +68,12 @@ def main(argv=None) -> int:
     for ensemble in ensembles:
         s = moment_summary(ensemble)
         z2, z3, w = ensemble.z2_ratio, ensemble.z3_ratio, ensemble.W_k
-        w_half = 2.5758 * float(w.std(ddof=1)) / math.sqrt(w.size)
+        w_half = Z_99 * float(w.std(ddof=1)) / math.sqrt(w.size)
         params = {"p": args.p, "r": args.r, "k": s.k, "regime_ok": s.regime_ok}
         for quantity, value, lo, hi in (
             ("z2_ratio_min", s.min_z2_ratio, float(z2.min()), float(z2.max())),
-            ("z2_ratio_median", s.median_z2_ratio, *np.quantile(z2, (0.25, 0.75))),
-            ("z3_ratio_median", s.median_z3_ratio, *np.quantile(z3, (0.25, 0.75))),
+            ("z2_ratio_median", s.median_z2_ratio, *median_interval(z2)),
+            ("z3_ratio_median", s.median_z3_ratio, *median_interval(z3)),
             ("W_mean", s.mean_W, s.mean_W - w_half, s.mean_W + w_half),
         ):
             rows.append(

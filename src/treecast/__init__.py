@@ -21,9 +21,11 @@ from .budget import BudgetError
 from .channel import ChannelParams
 from .correction import CorrectionScheme
 from .estimators import (
+    Z_99,
     mc_critical_bracket,
     mc_delta,
     mc_deltas,
+    median_interval,
     wilson_interval,
 )
 from .exact import (
@@ -59,6 +61,7 @@ __all__ = [
     "ReportRow",
     "SUITE_NAMES",
     "SeedSpec",
+    "Z_99",
     "anti_concentration_check",
     "block_error_rate",
     "critical_point_k",
@@ -69,6 +72,7 @@ __all__ = [
     "mc_critical_bracket",
     "mc_delta",
     "mc_deltas",
+    "median_interval",
     "minimal_rescuing_block_size",
     "ml_delta_exact",
     "moment_summary",

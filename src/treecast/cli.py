@@ -32,12 +32,12 @@ import sys
 import typing
 from dataclasses import dataclass
 
-import numpy as np
-
-from .budget import BudgetError
-from .channel import ChannelParams
+from .budget import BudgetError, check_support
+from .channel import ChannelParams, check_epsilon
 from .correction import CorrectionScheme
-from .estimators import Z_99, check_mc_delta, mc_delta, mc_deltas, wilson_interval
+from .estimators import (
+    Z_99, check_mc_delta, mc_delta, mc_deltas, median_interval, wilson_interval,
+)
 from .exact import (
     block_error_rate,
     critical_point_k,
@@ -62,24 +62,27 @@ _K_VALUES_HINT = "expected positive integers, a range like 1..4, or a comma list
 _FORMATS = ("csv", "json")
 
 
-def parse_k_values(text: str) -> tuple[int, ...]:
-    """Parse a period list like ``"3"``, ``"1..4"``, or ``"1,3,9"``."""
-    values: list[int] = []
-    try:
-        for chunk in text.split(","):
-            chunk = chunk.strip()
-            if ".." in chunk:
-                first, _, last = chunk.partition("..")
-                lo, hi = int(first), int(last)
+def parse_k_values(value: str | int | list[int]) -> tuple[int, ...]:
+    """Parse a period list: a flag or config string like ``"3"``, ``"1..4"``
+    or ``"1,3,9"``, or a config int or list.  The one home of the period
+    rule, at least one period and each >= 1; raises ``ArgumentTypeError``."""
+    values = [value] if isinstance(value, int) else value
+    if isinstance(value, str):
+        values = []
+        try:
+            for chunk in value.split(","):
+                first, dots, last = chunk.partition("..")
+                lo = int(first)
+                hi = int(last) if dots else lo
                 if hi < lo:
                     raise ValueError
                 values.extend(range(lo, hi + 1))
-            else:
-                values.append(int(chunk))
-        if not values or min(values) < 1:
-            raise ValueError
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{_K_VALUES_HINT}, got {text!r}") from None
+        except ValueError:
+            values = []  # refused below, as an empty list is
+    if not values:
+        raise argparse.ArgumentTypeError(f"{_K_VALUES_HINT}, got {value!r}")
+    if min(values) < 1:
+        raise argparse.ArgumentTypeError(f"periods must be >= 1, got {value!r}")
     return tuple(values)
 
 
@@ -107,10 +110,8 @@ class RunConfig:
     def __post_init__(self) -> None:
         if self.epsilon is not None and self.p is not None:
             raise ValueError("give either an error rate or an error-free rate, not both")
-        if self.epsilon is not None and not 0.0 <= self.epsilon < 0.5:
-            raise ValueError(f"error rate must lie in [0, 0.5), got {self.epsilon}")
-        if self.p is not None and not 0.0 < self.p <= 1.0:
-            raise ValueError(f"error-free rate must lie in (0, 1], got {self.p}")
+        if self.epsilon is not None or self.p is not None:
+            check_epsilon(self.epsilon_value)
         if self.r is not None and self.r < 2:
             raise ValueError(f"branching rate must be >= 2, got {self.r}")
         if self.depth is not None and self.depth < 0:
@@ -127,10 +128,6 @@ class RunConfig:
             raise ValueError(f"budget must be >= 2, got {self.budget}")
         if self.fmt not in _FORMATS:
             raise ValueError(f"format must be one of {_FORMATS}, got {self.fmt!r}")
-        if self.k_values is not None and not self.k_values:
-            raise ValueError(f"{_K_VALUES_HINT}, got []")
-        if self.k_values is not None and any(k < 1 for k in self.k_values):
-            raise ValueError(f"periods must be >= 1, got {self.k_values}")
 
     @property
     def epsilon_value(self) -> float:
@@ -279,6 +276,8 @@ def cmd_critical(cfg: RunConfig) -> list[ReportRow]:
     """Critical error-free rates over periods, with diagnostic rows."""
     if cfg.r is None or cfg.k_values is None:
         raise ValueError("critical needs --r and --k")
+    for k in cfg.k_values:
+        check_support(cfg.r**k + 1, cfg.budget)
     rows = []
     for k in cfg.k_values:
         est = critical_point_k(k, cfg.r, tol=1e-9, budget=cfg.budget)
@@ -305,16 +304,6 @@ def cmd_critical(cfg: RunConfig) -> list[ReportRow]:
     return rows
 
 
-def _median_interval(values: np.ndarray) -> tuple[float, float]:
-    """Distribution-free 99% order-statistic interval for the median."""
-    ordered = np.sort(values)
-    n = ordered.size
-    half = Z_99 * math.sqrt(n * 0.25)
-    lo = max(int(math.floor(n / 2.0 - half)), 0)
-    hi = min(int(math.ceil(n / 2.0 + half)), n - 1)
-    return float(ordered[lo]), float(ordered[hi])
-
-
 def cmd_fk_stats(cfg: RunConfig) -> list[ReportRow]:
     """Cluster-moment ensemble summaries per level."""
     if cfg.r is None or cfg.k_values is None:
@@ -331,14 +320,14 @@ def cmd_fk_stats(cfg: RunConfig) -> list[ReportRow]:
                 lo=float(z2.min()), hi=float(z2.max()),
             )
         )
-        med_lo, med_hi = _median_interval(z2)
+        med_lo, med_hi = median_interval(z2)
         rows.append(
             _row(
                 cfg, "z2_ratio_median", summary.median_z2_ratio, MC, params=kp,
                 lo=med_lo, hi=med_hi,
             )
         )
-        med_lo, med_hi = _median_interval(z3)
+        med_lo, med_hi = median_interval(z3)
         rows.append(
             _row(
                 cfg, "z3_ratio_median", summary.median_z3_ratio, MC, params=kp,
@@ -402,9 +391,8 @@ def cmd_sweep(cfg: RunConfig, grid_path: str, overrides: dict[str, bool]) -> lis
     )
     parsed = [CorrectionScheme.parse(text) for text in schemes]
     channels = [ChannelParams(epsilon=eps) for eps in eps_list]
-    for scheme in parsed:
-        for depth in depths:
-            check_mc_delta(scheme, r, depth, replicates)
+    for depth in depths:
+        check_mc_delta(parsed, r, depth, replicates)
     # groups[e, d][i] is scheme i's estimate at eps e and depth d.
     groups = {}
     for e, ch in enumerate(channels):
@@ -574,15 +562,9 @@ def _pick(args: argparse.Namespace, config: dict, key: str, default):
 
 def _build_run_config(args: argparse.Namespace) -> tuple[RunConfig, dict[str, bool]]:
     config = _load_config(getattr(args, "config", None))
-    k_raw = _pick(args, config, "k", None)
-    if isinstance(k_raw, str):
-        k_values = parse_k_values(k_raw)
-    elif isinstance(k_raw, int):
-        k_values = (k_raw,)
-    elif isinstance(k_raw, (list, tuple)):
-        k_values = tuple(int(v) for v in k_raw)
-    else:
-        k_values = k_raw
+    k_values = getattr(args, "k", None)
+    if k_values is None and "k" in config:
+        k_values = parse_k_values(config["k"])
     flag_eps = getattr(args, "eps", None)
     flag_p = getattr(args, "p", None)
     if flag_eps is not None or flag_p is not None:

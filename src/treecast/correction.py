@@ -913,10 +913,13 @@ def run_corrected_trajectory(
     scheme, in order.
 
     The root is pinned to ``pin_root`` (or left a fair sign when None).  With
-    ``pin_renormalized_root`` — block schemes only, all with the same start
-    level — the run instead starts at the schemes' block-0 level with the
-    whole generation set to +1, measuring advantages relative to the
-    renormalized root rather than the true one.
+    ``pin_renormalized_root`` the run instead starts at the schemes' block-0
+    level with the whole generation set to +1, measuring advantages relative
+    to the renormalized root rather than the true one.
+
+    The caller has checked the arguments
+    (:func:`~treecast.estimators.check_mc_delta`); this function refuses only
+    a record level outside ``0..depth``.
 
     ``record_levels`` selects the levels whose statistics are kept (default:
     all).  At correction levels the record carries both the raw signed sum
@@ -929,34 +932,15 @@ def run_corrected_trajectory(
     own parents XOR that mask, so a scheme's records are those of a run of
     it alone.  Streams keep their global block index, so the result depends
     neither on the worker count, nor on the batches, nor on the other
-    schemes of the group.  Building ``tree`` has already checked its deepest
-    level against the vertex budget.
+    schemes of the group.
     """
     r, depth = tree.r, tree.depth
-    schemes = tuple(schemes)
-    if not schemes:
-        raise ValueError("a trajectory group needs at least one scheme")
-    if n_replicates < 1:
-        raise ValueError(f"need at least one replicate, got {n_replicates}")
     recorded = sorted(
         set(range(depth + 1)) if record_levels is None else set(record_levels)
     )
     if recorded and (recorded[0] < 0 or recorded[-1] > depth):
         raise ValueError(f"record levels must lie in 0..{depth}, got {recorded}")
-
-    if pin_renormalized_root:
-        if not all(scheme.block_based for scheme in schemes):
-            raise ValueError(
-                "pin_renormalized_root is only meaningful for block schemes"
-            )
-        starts = sorted({scheme.start_level(r) for scheme in schemes})
-        if len(starts) > 1:
-            raise ValueError(
-                f"a renormalized-root group needs one start level, got {starts}"
-            )
-        start = starts[0]
-    else:
-        start = 0
+    start = schemes[0].start_level(r) if pin_renormalized_root else 0
     # A renormalized-root run records nothing shallower than its start.
     recorded = [level for level in recorded if level >= start]
     plans = tuple(

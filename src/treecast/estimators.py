@@ -18,7 +18,8 @@ take explicit arguments and record only the level they read:
   threshold: grid points that cannot be called with a four-sigma margin
   widen the bracket instead of being guessed.
 
-Every interval is at the one 99% level, so the module keeps the two normal
+Every interval is at the one 99% level, :func:`wilson_interval` and
+:func:`median_interval` included, so the module keeps the two normal
 quantiles it needs as constants (:data:`Z_99`, :data:`Z_99_PER_SIGN`)
 rather than a quantile function.
 """
@@ -29,15 +30,19 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from .channel import ChannelParams
 from .correction import CorrectionScheme, run_corrected_trajectory
 from .rng import SeedSpec
 from .trees import RegularTreeSpec
 
 __all__ = [
+    "Z_99",
     "mc_critical_bracket",
     "mc_delta",
     "mc_deltas",
+    "median_interval",
     "wilson_interval",
 ]
 
@@ -84,6 +89,16 @@ def wilson_interval(successes: float, trials: int) -> tuple[float, float]:
     return _score_interval(successes, trials, Z_99)
 
 
+def median_interval(values: np.ndarray) -> tuple[float, float]:
+    """Distribution-free 99% order-statistic interval for the median."""
+    ordered = np.sort(values)
+    n = ordered.size
+    half = Z_99 * math.sqrt(n * 0.25)
+    lo = max(int(math.floor(n / 2.0 - half)), 0)
+    hi = min(int(math.ceil(n / 2.0 + half)), n - 1)
+    return float(ordered[lo]), float(ordered[hi])
+
+
 def delta_confidence_interval(plus: float, minus: float, trials: int) -> tuple[float, float]:
     """Conservative 99% interval for a frequency difference ``f(+) - f(-)``.
 
@@ -126,25 +141,36 @@ class DeltaEstimate:
 
 
 def check_mc_delta(
-    scheme: CorrectionScheme,
+    schemes: Sequence[CorrectionScheme],
     r: int,
     depth: int,
     replicates: int,
     *,
     pin_renormalized_root: bool = False,
 ) -> RegularTreeSpec:
-    """Refuse arguments :func:`mc_delta` cannot run, before anything is drawn.
-
-    Checks the replicate floor, the scheme's depth domain
+    """Refuse a group :func:`mc_deltas` cannot run, before anything is drawn:
+    the one check of a Monte Carlo run's arguments.  The group holds at least
+    one scheme, there are at least :data:`MIN_REPLICATES` replicates, each
+    scheme's depth is in its domain
     (:meth:`~treecast.correction.CorrectionScheme.check_depth`, shared with
-    the exact engine) and the vertex budget of level ``depth``.  Returns the
-    tree the run uses.
+    the exact engine; a renormalized root needs a block scheme), a
+    renormalized-root group has one start level, and level ``depth`` fits
+    the vertex budget.  Returns the tree the run uses.
     """
+    if not schemes:
+        raise ValueError("need at least one scheme")
     if replicates < MIN_REPLICATES:
         raise ValueError(
             f"need at least {MIN_REPLICATES} replicates, got {replicates}"
         )
-    scheme.check_depth(r, depth, pin_renormalized_root=pin_renormalized_root)
+    for scheme in schemes:
+        scheme.check_depth(r, depth, pin_renormalized_root=pin_renormalized_root)
+    if pin_renormalized_root:
+        starts = sorted({scheme.start_level(r) for scheme in schemes})
+        if len(starts) > 1:
+            raise ValueError(
+                f"a renormalized-root group needs one start level, got {starts}"
+            )
     return RegularTreeSpec(r=r, depth=depth)
 
 
@@ -172,20 +198,15 @@ def mc_deltas(
     the pinned block level.
 
     The group runs as one trajectory that draws each flip mask once; every
-    estimate is the one :func:`mc_delta` gives for its scheme alone.  Every
-    scheme is checked before anything is drawn.
+    estimate is the one :func:`mc_delta` gives for its scheme alone.  The
+    group is checked (:func:`check_mc_delta`) before anything is drawn.
     """
     schemes = tuple(schemes)
-    if not schemes:
-        raise ValueError("need at least one scheme")
-    trees = [
-        check_mc_delta(
-            scheme, r, depth, replicates, pin_renormalized_root=pin_renormalized_root
-        )
-        for scheme in schemes
-    ]
+    tree = check_mc_delta(
+        schemes, r, depth, replicates, pin_renormalized_root=pin_renormalized_root
+    )
     trajectories = run_corrected_trajectory(
-        trees[0],
+        tree,
         schemes,
         ch,
         seed,

@@ -33,6 +33,10 @@ default 65,537-point support budget).  Probabilities smaller than that carry
 no relative accuracy; they are round-off, and those that came out below zero
 are returned as 0.  Every quantity exposed here sums probabilities at the
 scale of the mode and inherits the absolute error.
+
+Every distortion rate given here lies in [0, 1/2), the package's one channel
+domain (:func:`~treecast.channel.check_epsilon`).  A rate the engine
+derives, a corrected block's edge, is not checked: it may round to 1/2.
 """
 
 from __future__ import annotations
@@ -45,7 +49,7 @@ from typing import Callable
 import numpy as np
 
 from .budget import check_support
-from .channel import ChannelParams
+from .channel import ChannelParams, check_epsilon
 from .correction import CorrectionScheme
 
 # Largest block exponent j (M = r**j) that minimal_rescuing_block_size tries.
@@ -71,8 +75,7 @@ __all__ = [
 def _validate_channel(r: int, eps: float) -> None:
     if r < 2:
         raise ValueError(f"branching rate must be >= 2, got {r}")
-    if not 0.0 <= eps <= 0.5:
-        raise ValueError(f"distortion rate must lie in [0, 0.5], got {eps}")
+    check_epsilon(eps)
 
 
 def _count_laws(
@@ -151,6 +154,11 @@ def delta_exact(n: int, r: int, eps: float, budget: int | None = None) -> float:
     return delta_from_distribution(count_distribution(n, r, eps, budget))
 
 
+def _derived_delta(n: int, r: int, eps: float, budget: int | None) -> float:
+    """:func:`delta_exact` on a derived rate, unchecked: it may round to 1/2."""
+    return delta_from_distribution(_count_laws(0, n, r, eps, [1], budget)[0])
+
+
 def effective_error_rate(k: int, r: int, eps: float, budget: int | None = None) -> float:
     """Error rate of the k-step descent majority.
 
@@ -176,8 +184,7 @@ def fraction_error_rate(k: int, eps: float) -> float:
     """
     if k < 1:
         raise ValueError(f"distance must be >= 1, got {k}")
-    if not 0.0 <= eps <= 0.5:
-        raise ValueError(f"distortion rate must lie in [0, 0.5], got {eps}")
+    check_epsilon(eps)
     return (1.0 - (1.0 - 2.0 * eps) ** k) / 2.0
 
 
@@ -198,8 +205,7 @@ def block_error_rate(M: int, eps: float) -> float:
     """
     if M < 1:
         raise ValueError(f"block size must be >= 1, got {M}")
-    if not 0.0 <= eps <= 0.5:
-        raise ValueError(f"distortion rate must lie in [0, 0.5], got {eps}")
+    check_epsilon(eps)
     # Local: scipy.special takes ~0.3 s to load.  M reaches r**40, past any
     # FFT support; these are the Boost kernels behind scipy.stats.binom's cdf
     # and pmf, given the same floats and clipped to [0, 1] as binom clips them.
@@ -264,7 +270,7 @@ def scheme_delta(
             eps_k = effective_error_rate(k, r, eps, budget)
         else:
             eps_k = fraction_error_rate(k, eps)
-        return (1.0 - 2.0 * eps_k) * delta_exact(depth // k - 1, r**k, eps_k, budget)
+        return (1.0 - 2.0 * eps_k) * _derived_delta(depth // k - 1, r**k, eps_k, budget)
     j = scheme.start_level(r)
     if scheme.M != r**j:
         raise ValueError(
@@ -272,7 +278,7 @@ def scheme_delta(
             f"of the branching rate; got M={scheme.M}, r={r}"
         )
     head = 1.0 if pin_renormalized_root else 1.0 - 2.0 * effective_error_rate(j, r, eps, budget)
-    return head * delta_exact(depth - j, r, block_error_rate(scheme.M, eps), budget)
+    return head * _derived_delta(depth - j, r, block_error_rate(scheme.M, eps), budget)
 
 
 def minimal_rescuing_block_size(r: int, eps: float) -> int:
@@ -294,9 +300,7 @@ def ks_condition_value(k: int, r: int, p: float, budget: int | None = None) -> f
     Positive values mean the k-step corrected channel reconstructs on the
     branching-``r**k`` renormalized tree.
     """
-    if not 0.0 < p <= 1.0:
-        raise ValueError(f"error-free rate must lie in (0, 1], got {p}")
-    eps = (1.0 - p) / 2.0
+    eps = ChannelParams.from_p(p).epsilon
     p_k = 1.0 - 2.0 * effective_error_rate(k, r, eps, budget)
     return p_k * p_k * r**k - 1.0
 

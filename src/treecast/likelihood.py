@@ -22,6 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .channel import check_epsilon
+
 __all__ = ["ml_delta_exact", "random_observation_pair"]
 
 # Hard cap on observed vertices for the pattern-table pass: 2^24 patterns is
@@ -93,11 +95,6 @@ class FiniteTree:
         return tuple(depth)
 
 
-def _validate_eps(eps: float) -> None:
-    if not 0.0 <= eps <= 0.5:
-        raise ValueError(f"distortion rate must lie in [0, 0.5], got {eps}")
-
-
 def _resolve_observed(
     tree: FiniteTree, observed: tuple[int, ...] | None
 ) -> tuple[int, ...]:
@@ -162,7 +159,7 @@ def ml_delta_exact(
     accepted, so pruning branches of the tree is expressed by dropping their
     vertices from the observation set (the pruned law is the marginal law).
     """
-    _validate_eps(eps)
+    check_epsilon(eps)
     observed = _resolve_observed(tree, observed)
     lik = _pattern_likelihoods(tree, eps, observed)
     return float(0.5 * np.abs(lik[0] - lik[1]).sum())

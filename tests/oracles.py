@@ -76,14 +76,13 @@ from treecast.broadcast import (
     sample_next_generation,
     sample_root,
 )
-from treecast.channel import ChannelParams
+from treecast.channel import ChannelParams, check_epsilon
 from treecast.correction import CorrectedGeneration
 from treecast.exact import count_distribution, ks_condition_value
 from treecast.likelihood import (
     FiniteTree,
     _pattern_likelihoods,
     _resolve_observed,
-    _validate_eps,
 )
 from treecast.rng import (
     DRAW_CHUNK_COLS,
@@ -515,7 +514,7 @@ def majority_delta_enumerated(
     count-chain value, which makes it an independent cross-check of that
     engine on small instances.
     """
-    _validate_eps(eps)
+    check_epsilon(eps)
     observed = _resolve_observed(tree, observed)
     lik = _pattern_likelihoods(tree, eps, observed)
     signs = _pattern_signs(len(observed))
@@ -533,7 +532,7 @@ def loglikelihood_pair(
     carries per-vertex likelihood pairs in log space, so it scales to far
     deeper trees than the pattern-table pass.
     """
-    _validate_eps(eps)
+    check_epsilon(eps)
     if not signs:
         raise ValueError("need at least one observed vertex")
     for v, s in signs.items():

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from treecast import ChannelParams, CorrectionScheme, SeedSpec
+from treecast import ChannelParams, CorrectionScheme, SeedSpec, mc_deltas
 from treecast.broadcast import (
     GenerationSignals,
     flip_mask,
@@ -383,14 +383,20 @@ def test_minority_trajectory_tracks_survivors():
     assert (rec.alive_block_count >= 1).all()
 
 
-def test_renormalized_root_pinning_requires_block_scheme():
-    with pytest.raises(ValueError):
-        run_corrected_trajectory(
-            RegularTreeSpec(r=2, depth=4),
+def test_renormalized_root_pinning_requires_block_scheme(monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("a block was drawn")
+
+    monkeypatch.setattr(correction, "sample_root", never)
+    monkeypatch.setattr(correction, "flip_mask", never)
+    with pytest.raises(ValueError, match="needs a block scheme"):
+        mc_deltas(
             (CorrectionScheme.parse("WithinDescentMajority{k=2}"),),
+            2,
+            4,
             ChannelParams(epsilon=0.2),
             SEED,
-            n_replicates=300,
+            300,
             pin_renormalized_root=True,
         )
 

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -41,6 +42,8 @@ from oracles import (
 )
 
 EPS_GRID = (0.05, 0.1, 0.2, 0.3, 0.45)
+# The largest distortion rate below 1/2, the edge of the channel domain.
+NEXT_TO_HALF = math.nextafter(0.5, 0.0)
 
 small_eps = st.floats(min_value=0.0, max_value=0.49)
 
@@ -75,7 +78,7 @@ def test_count_chain_matches_enumeration(r, n, eps):
     np.testing.assert_allclose(count_distribution(n, r, eps), oracle, atol=1e-12)
 
 
-@pytest.mark.parametrize("eps", [0.01, 0.1, 0.3, 0.49, 0.5])
+@pytest.mark.parametrize("eps", [0.01, 0.1, 0.3, 0.49, NEXT_TO_HALF])
 @pytest.mark.parametrize("r,n", [(2, 12), (3, 7), (4, 6)])
 def test_count_laws_match_log_space_oracle(r, n, eps):
     # Every level up to the largest support of at most 4,097 points.
@@ -112,8 +115,10 @@ def test_count_distribution_is_a_distribution(eps, r, n):
 def test_delta_boundaries():
     assert delta_exact(0, 2, 0.3) == 1.0
     assert delta_exact(5, 2, 0.0) == 1.0
-    assert abs(delta_exact(5, 2, 0.5)) < 1e-12
     assert abs(delta_exact(4, 3, 0.4999) - 0.0) < 1e-2
+    # At 1/2 the root is independent of every level: outside the domain.
+    with pytest.raises(ValueError, match=re.escape("[0, 0.5)")):
+        delta_exact(5, 2, 0.5)
 
 
 @settings(max_examples=30)
@@ -125,15 +130,15 @@ def test_delta_in_unit_interval(eps, r, n):
 
 @pytest.mark.parametrize("r,n", [(2, 4), (3, 3)])
 def test_delta_monotone_in_distortion(r, n):
-    values = [delta_exact(n, r, eps) for eps in np.linspace(0.0, 0.5, 21)]
+    grid = [*np.linspace(0.0, 0.5, 21)[:-1], NEXT_TO_HALF]
+    values = [delta_exact(n, r, eps) for eps in grid]
     assert all(a >= b - 1e-12 for a, b in zip(values, values[1:]))
 
 
 def test_delta_from_distribution_nets_ties():
-    # A two-point even level: counts {0, 1, 2} with a tie at 1.
-    probs = count_distribution(1, 2, 0.5)
-    assert math.isclose(probs[1], 0.5, rel_tol=1e-12)
-    assert abs(delta_from_distribution(probs)) < 1e-12
+    # A two-vertex level, counts {0, 1, 2}: the tie at 1 nets to zero.
+    assert delta_from_distribution(np.array([0.25, 0.5, 0.25])) == 0.0
+    assert delta_from_distribution(np.array([0.1, 0.6, 0.3])) == pytest.approx(0.2)
 
 
 def test_effective_error_rate_closed_forms():
@@ -196,16 +201,17 @@ def test_block_error_rate_closed_forms():
 
 @pytest.mark.parametrize("M", [1, 2, 3, 4, 7, 16, 255, 256, 3**12, 4**20, 2**63, 2**64 - 2])
 def test_block_error_rate_is_scipy_stats_binom_bit_for_bit(M):
-    for eps in (0.0, 1e-9, 0.1, 0.25, 1 / 3, 0.4999, 0.5):
+    for eps in (0.0, 1e-9, 0.1, 0.25, 1 / 3, 0.4999, NEXT_TO_HALF):
         wins = binom(M, 1.0 - eps)
         tie = 0.5 * float(wins.pmf(M // 2)) if M % 2 == 0 else 0.0
         assert block_error_rate(M, eps).hex() == (float(wins.cdf((M - 1) // 2)) + tie).hex()
 
 
 def test_rescuing_block_scan_runs_past_64_bit_block_sizes():
-    # From r**32 = 2**64 on, M fits no 64-bit integer; at eps = 0.5 no block rescues.
+    # From r**32 = 2**64 on, M fits no 64-bit integer; next to eps = 1/2 no
+    # block rescues.
     with pytest.raises(RuntimeError, match="no rescuing block size up to r\\*\\*40"):
-        minimal_rescuing_block_size(4, 0.5)
+        minimal_rescuing_block_size(4, NEXT_TO_HALF)
 
 
 def test_minimal_rescuing_block_size_scan():
@@ -236,6 +242,22 @@ def test_critical_point_sequence_r2():
     assert all(a > b for a, b in zip(points, points[1:]))
     assert all(p >= 0.5 for p in points)
     assert all(p < 1 / math.sqrt(2) for p in points[1:])
+
+
+def test_scheme_delta_answers_where_a_derived_rate_rounds_to_half():
+    # At p = 1e-10 a corrected block's edge rate rounds to 1/2 or just past
+    # it; the caller's own rate is in the domain, so the engine answers.
+    ch = ChannelParams.from_p(1e-10)
+    for descriptor in ("WithinDescentMajority{k=2}", "FractionIdentification{k=2}",
+                       "BlockMajorityEveryStep{M=4}"):
+        assert abs(scheme_delta(CorrectionScheme.parse(descriptor), 2, 4, ch)) < 1e-12
+
+
+def test_critical_point_k2_r2_is_the_golden_ratio_conjugate():
+    # Two corrected steps on the binary tree: p_c(2) = (sqrt(5) - 1) / 2, where
+    # the renormalized Kesten-Stigum objective vanishes to 50 digits.
+    est = critical_point_k(2, 2)
+    assert est.p_lo <= (math.sqrt(5) - 1) / 2 <= est.p_hi
 
 
 CRITICAL_CASES = (

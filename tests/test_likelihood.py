@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -103,7 +104,9 @@ def test_star_matches_binomial_tail_distance():
 def test_degenerate_channels():
     tree = FiniteTree.regular(2, 2)
     assert math.isclose(ml_delta_exact(tree, 0.0), 1.0)
-    assert abs(ml_delta_exact(tree, 0.5)) < 1e-15
+    # At 1/2 the root is independent of the leaves: outside the domain.
+    with pytest.raises(ValueError, match=re.escape("[0, 0.5)")):
+        ml_delta_exact(tree, 0.5)
 
 
 @pytest.mark.parametrize("eps", [0.1, 0.3])

@@ -9,6 +9,7 @@ import math
 import pytest
 
 from treecast import ReportRow, delta_exact, rows_to_csv, rows_to_json
+from treecast import cli
 from treecast.cli import main, parse_k_values
 from treecast.report import CSV_COLUMNS
 from treecast.verify import CheckResult
@@ -105,6 +106,13 @@ def test_parse_k_values():
     assert parse_k_values("1,3,9") == (1, 3, 9)
     for bad in ("", "0", "4..2", "a", "1,,2"):
         with pytest.raises(Exception):
+            parse_k_values(bad)
+    # A config file's int and list forms pass through the same rule.
+    assert parse_k_values(3) == (3,)
+    assert parse_k_values([1, 3]) == (1, 3)
+    for bad, message in ((0, "periods must be >= 1"), ([2, 0], "periods must be >= 1"),
+                         ([], "expected positive integers")):
+        with pytest.raises(Exception, match=message):
             parse_k_values(bad)
 
 
@@ -298,6 +306,16 @@ def test_cli_usage_error_exits_two():
 def test_cli_budget_exhaustion_exits_three(capsys):
     code = main(["critical", "--r", "2", "--k", "40"])
     assert code == 3
+
+
+def test_cli_critical_refuses_an_over_budget_period_before_any_search(capsys, monkeypatch):
+    # k = 17 needs 2**17 + 1 support points; k = 1..16 must not run first.
+    def never(*args, **kwargs):
+        raise AssertionError("a critical point was searched")
+
+    monkeypatch.setattr(cli, "critical_point_k", never)
+    assert main(["critical", "--r", "2", "--k", "1..17"]) == 3
+    assert capsys.readouterr().out == ""
 
 
 def test_cli_critical_matches_exact(capsys):

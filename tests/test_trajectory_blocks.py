@@ -12,7 +12,7 @@ import weakref
 import numpy as np
 import pytest
 
-from treecast import ChannelParams, CorrectionScheme, SeedSpec
+from treecast import ChannelParams, CorrectionScheme, SeedSpec, mc_deltas
 from treecast.trees import RegularTreeSpec
 from treecast import correction
 from treecast.correction import run_corrected_trajectory
@@ -220,6 +220,13 @@ def run_group(r, depth, schemes, **kwargs):
     )
 
 
+def mc_group(r, depth, schemes, **kwargs):
+    """The same group through its checked entry, :func:`mc_deltas`."""
+    return mc_deltas(
+        schemes, r, depth, ChannelParams(epsilon=0.2), SEED, GROUP_REPLICATES, **kwargs
+    )
+
+
 @pytest.mark.parametrize("reverse", [False, True], ids=["forward", "reversed"])
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("r", sorted(GROUPS))
@@ -282,17 +289,17 @@ def test_groups_that_cannot_share_a_run_are_refused(monkeypatch):
     monkeypatch.setattr(correction, "flip_mask", never)
     block = CorrectionScheme.parse("BlockMajorityEveryStep{M=3}")
     with pytest.raises(ValueError, match="at least one scheme"):
-        run_group(2, 6, ())
+        mc_group(2, 6, ())
     # A renormalized root is a block scheme's option: a descent scheme has no
     # block level to pin.
-    with pytest.raises(ValueError, match="block schemes"):
-        run_group(
+    with pytest.raises(ValueError, match="needs a block scheme"):
+        mc_group(
             2, 6, (block, CorrectionScheme.parse("WithinDescentMajority{k=2}")),
             pin_renormalized_root=True,
         )
     # M=3 starts at level 1 and M=4 at level 2 on r = 2.
     with pytest.raises(ValueError, match="one start level"):
-        run_group(
+        mc_group(
             2, 6, (block, CorrectionScheme.block_majority_every_step(4)),
             pin_renormalized_root=True,
         )
