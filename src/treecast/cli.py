@@ -26,10 +26,12 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import itertools
 import json
 import math
 import sys
 import typing
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .budget import BudgetError, check_support
@@ -62,13 +64,15 @@ _K_VALUES_HINT = "expected positive integers, a range like 1..4, or a comma list
 _FORMATS = ("csv", "json")
 
 
-def parse_k_values(value: str | int | list[int]) -> tuple[int, ...]:
+def parse_k_values(value: str | int | list[int]) -> tuple[range, ...]:
     """Parse a period list: a flag or config string like ``"3"``, ``"1..4"``
-    or ``"1,3,9"``, or a config int or list.  The one home of the period
+    or ``"1,3,9"``, or a config int or list, into its runs of consecutive
+    periods, in order (``"1..4,9"`` is ``(range(1, 5), range(9, 10))``).
+    A range stays unexpanded, so a rule or budget that refuses a period
+    does so before a wide range is listed.  The one home of the period
     rule, at least one period and each >= 1; raises ``ArgumentTypeError``."""
-    values = [value] if isinstance(value, int) else value
+    runs = []
     if isinstance(value, str):
-        values = []
         try:
             for chunk in value.split(","):
                 first, dots, last = chunk.partition("..")
@@ -76,14 +80,16 @@ def parse_k_values(value: str | int | list[int]) -> tuple[int, ...]:
                 hi = int(last) if dots else lo
                 if hi < lo:
                     raise ValueError
-                values.extend(range(lo, hi + 1))
+                runs.append(range(lo, hi + 1))
         except ValueError:
-            values = []  # refused below, as an empty list is
-    if not values:
+            runs = []  # refused below, as an empty list is
+    else:
+        runs = [range(k, k + 1) for k in ([value] if isinstance(value, int) else value)]
+    if not runs:
         raise argparse.ArgumentTypeError(f"{_K_VALUES_HINT}, got {value!r}")
-    if min(values) < 1:
+    if min(run.start for run in runs) < 1:
         raise argparse.ArgumentTypeError(f"periods must be >= 1, got {value!r}")
-    return tuple(values)
+    return tuple(runs)
 
 
 @dataclass(frozen=True)
@@ -98,7 +104,7 @@ class RunConfig:
     scheme: str = "Identity"
     replicates: int = 10_000
     seed: int = 0
-    k_values: tuple[int, ...] | None = None
+    k_values: tuple[range, ...] | None = None
     M: int | None = None
     samples: int = 200
     budget: int | None = None
@@ -145,6 +151,11 @@ class RunConfig:
 
     def seed_spec(self) -> SeedSpec:
         return SeedSpec(master_seed=self.seed)
+
+    def periods(self) -> Iterator[int]:
+        """The periods of ``k_values`` one by one, in order, never listed
+        all at once."""
+        return itertools.chain.from_iterable(self.k_values)
 
     def echo(self) -> dict[str, object]:
         """Resolved configuration carried in every report row."""
@@ -205,7 +216,7 @@ def cmd_eps_k(cfg: RunConfig) -> list[ReportRow]:
         raise ValueError("eps-k needs --r and --k")
     eps = cfg.epsilon_value
     rows = []
-    for k in cfg.k_values:
+    for k in cfg.periods():
         kp = {"k": k}
         eps_tilde = fraction_error_rate(k, eps)
         try:
@@ -276,10 +287,10 @@ def cmd_critical(cfg: RunConfig) -> list[ReportRow]:
     """Critical error-free rates over periods, with diagnostic rows."""
     if cfg.r is None or cfg.k_values is None:
         raise ValueError("critical needs --r and --k")
-    for k in cfg.k_values:
+    for k in cfg.periods():
         check_support(cfg.r**k + 1, cfg.budget)
     rows = []
-    for k in cfg.k_values:
+    for k in cfg.periods():
         est = critical_point_k(k, cfg.r, tol=1e-9, budget=cfg.budget)
         kp = {"k": k, "monotone": est.objective_monotone}
         rows.append(
@@ -310,7 +321,8 @@ def cmd_fk_stats(cfg: RunConfig) -> list[ReportRow]:
         raise ValueError("fk-stats needs --r and --k")
     p = cfg.p_value
     rows = []
-    for ensemble in sample_size_ensembles(p, cfg.r, cfg.k_values, cfg.seed_spec(), cfg.samples):
+    ensembles = sample_size_ensembles(p, cfg.r, cfg.periods(), cfg.seed_spec(), cfg.samples)
+    for ensemble in ensembles:
         summary = moment_summary(ensemble)
         kp = {"k": summary.k, "regime_ok": summary.regime_ok}
         z2, z3, w = ensemble.z2_ratio, ensemble.z3_ratio, ensemble.W_k

@@ -12,8 +12,20 @@ materializing ``r**k`` vertices.  Each sample's chain draws level ``l`` from
 its own ``("fk-sizes", level=l, block=sample)`` stream, so the ensemble at
 level ``k`` is the level-``k`` prefix of every sample's chain: a row does
 not depend on which other levels were requested, and one run of the chain
-to the deepest level gives every shallower one.  The explicit per-vertex
-labelling sampler that checks this chain in law lives in
+to the deepest level gives every shallower one.
+
+The samples advance a level at a time in chunks of consecutive samples
+(:func:`_descend`): a chunk derives its streams' keys in one call
+(:meth:`SeedSpec.generators`), stages its multinomial draws flat and reads
+every sample's new histogram off their nonzero slots (:func:`_step_chunk`),
+and reduces its requested levels' moments in one pass (:func:`_moments`).
+A chunk holds at most :data:`CHUNK_BYTES` of arrays, beyond what one sample
+too heavy for it needs alone; one that would hold more splits into chunks
+that fit, and each goes on down on its own.  Since every draw comes from
+its (level, sample) stream, how the samples are chunked is not part of the
+output.  The per-sample chain this replaces is kept in
+``tests/oracles.py``, which checks it array for array; the explicit
+per-vertex labelling sampler that checks the chain in law lives in
 ``tests/fk_labels.py``.
 
 The module also hosts the desk-scale probes used by the verification suites:
@@ -26,7 +38,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -96,69 +108,274 @@ def _spawn_pmf(trials: int, p: float, cache: dict[int, np.ndarray]) -> np.ndarra
     return pv
 
 
-def _size_histogram_chain(
+def _check_level(p: float, r: int, k: int) -> int:
+    """``k``, refused unless level ``k`` exists (:func:`_validate_fk_args`)
+    and its vertex count fits the int64 counts of the size histogram."""
+    _validate_fk_args(p, r, k)
+    # r >= 2, so a level of 63 or more holds at least 2**63 vertices.
+    if k >= 63 or r**k >= 2**63:
+        raise ValueError(
+            f"level {k} holds {r}**{k} vertices, past the int64 counts "
+            f"of the size histogram"
+        )
+    return k
+
+
+#: Most bytes the arrays of one chunk of samples may hold while it steps one
+#: level.  Not part of the output contract: any value gives the same arrays.
+CHUNK_BYTES = 1 << 18
+#: Arrays of one int64 per slot that a chunk may hold at once, per slot of
+#: the budget (:func:`_budget_slots`).
+_SLOT_ARRAYS = 8
+#: Slots charged for each sample and each cluster size on top of a sample's
+#: accumulator, and for each draw on top of its own: the array headers, keys,
+#: offsets and list entries they bring.
+_FIXED_SLOTS = 2
+
+
+def _budget_slots() -> int:
+    """Slots of one chunk's accumulator, or of its staged draws
+    (:data:`CHUNK_BYTES`)."""
+    return CHUNK_BYTES // (8 * _SLOT_ARRAYS)
+
+
+@dataclass
+class _Histograms:
+    """Every sample's size histogram at one level, root cluster apart:
+    sample ``i`` holds ``counts[bounds[i]:bounds[i+1]]`` clusters of the
+    ascending ``sizes`` in the same slots, and its root cluster holds
+    ``roots[i]`` of the level's vertices."""
+
+    sizes: np.ndarray
+    counts: np.ndarray
+    bounds: np.ndarray
+    roots: np.ndarray
+
+    def rooms(self, r: int) -> np.ndarray:
+        """Accumulator slots of each sample's next level: one per new size
+        ``0..r*s+1`` of its largest size ``s`` (0 when it has none)."""
+        ends = self.bounds[1:]
+        nonempty = np.minimum(np.diff(self.bounds), 1)
+        largest = np.concatenate([[0], self.sizes])[ends] * nonempty
+        return r * largest + 2
+
+    def samples(self, start: int, stop: int) -> _Histograms:
+        """Samples ``start..stop-1`` alone (views)."""
+        lo, hi = int(self.bounds[start]), int(self.bounds[stop])
+        return _Histograms(
+            self.sizes[lo:hi], self.counts[lo:hi],
+            self.bounds[start : stop + 1] - lo, self.roots[start:stop],
+        )
+
+
+def _chunk_stops(r: int, hist: _Histograms) -> list[int]:
+    """Ends of consecutive chunks of samples, in order, each as long as fits
+    :func:`_budget_slots` (and at least one sample).  A sample weighs its
+    accumulator (:meth:`_Histograms.rooms`) and its fixed slots, all known
+    before any draw is made; its draws are staged apart (:func:`_step_chunk`)."""
+    weight = np.zeros(hist.roots.size + 1, dtype=np.int64)
+    np.cumsum(hist.rooms(r) + _FIXED_SLOTS * (np.diff(hist.bounds) + 1), out=weight[1:])
+    budget, n = _budget_slots(), hist.roots.size
+    if weight[-1] <= budget:
+        return [n]
+    stops = [0]
+    while stops[-1] < n:
+        start = stops[-1]
+        stop = int(np.searchsorted(weight, weight[start] + budget, side="right")) - 1
+        stops.append(min(max(stop, start + 1), n))
+    return stops[1:]
+
+
+def _segment_sums(values: np.ndarray, owner: np.ndarray, bounds: np.ndarray) -> np.ndarray:
+    """``values[bounds[i]:bounds[i+1]].sum()`` for every segment ``i``, the
+    segments' owners in ``owner``.
+
+    One sequential ``bincount`` pass gives each sum.  Where a segment's
+    values are nonnegative whole numbers and its total is below 2**53, every
+    partial sum in any order is exact, so that total is what numpy's
+    pairwise ``.sum()`` returns too; every other segment is summed by
+    ``.sum()``."""
+    n = bounds.size - 1
+    totals = np.bincount(owner, weights=values, minlength=n).astype(np.float64)
+    inexact = set(np.flatnonzero(totals >= 2.0**53).tolist())
+    inexact.update(owner[np.flatnonzero(values != np.floor(values))].tolist())
+    for i in inexact:
+        totals[i] = values[bounds[i] : bounds[i + 1]].sum()
+    return totals
+
+
+def _read_draws(
+    acc: np.ndarray,
+    draws: list[np.ndarray],
+    first_slot: int,
+    starts: np.ndarray,
+    origin: np.ndarray,
+) -> None:
+    """Add consecutive draws, the first one at slot ``first_slot`` of the
+    chunk's run of draws, into the accumulator ``acc``: slot ``j`` of the
+    draw of an entry goes to ``acc[j + origin of the entry]``.  Only the
+    nonzero slots are read."""
+    buf = draws[0] if len(draws) == 1 else np.concatenate(draws)
+    slot = np.flatnonzero(buf)
+    counts = buf[slot]
+    del buf
+    slot += first_slot
+    slot += origin[np.searchsorted(starts, slot, side="right") - 1]
+    np.add.at(acc, slot, counts)
+
+
+def _step_chunk(
     p: float,
     r: int,
-    depth: int,
+    level: int,
     seed: SeedSpec,
-    sample_index: int,
+    first: int,
+    hist: _Histograms,
     cache: dict[int, np.ndarray],
-) -> Iterator[tuple[np.ndarray, np.ndarray, int]]:
-    """Run the size-histogram chain; yields (sizes, counts, root size) at
-    each level ``0..depth``.
+) -> _Histograms:
+    """The chunk of samples ``first, first+1, ...`` (as many as ``hist``
+    holds) one level down the size-histogram chain, to ``level``.
 
     Distinct clusters grow over disjoint edge sets, so the multiset of their
     level sizes is a Markov chain of its own: a cluster holding ``s`` of the
     level's vertices keeps ``Binomial(r*s, p)`` of its ``r*s`` potential
     children, the root cluster does the same, and every child cut off by a
-    closed edge founds a new singleton.  ``sizes``/``counts`` exclude the
-    root cluster, whose level size is yielded on its own.
+    closed edge founds a new singleton.  Sample ``i`` draws from its stream
+    ``("fk-sizes", level, i)``: one multinomial over the child counts of its
+    clusters of each size, in ascending size order, then the root's
+    binomial.
+
+    Slot ``j`` of a draw counts the clusters that kept ``j`` children, which
+    are clusters of size ``j`` now.  Sample ``i`` collects them in its own
+    run of the accumulator, ``acc[base[i] + j]`` for ``j`` up to ``r`` times
+    its largest size, as one accumulator per sample would.  The draws are
+    staged in order and added in (:func:`_read_draws`) whenever the next
+    would overfill :func:`_budget_slots`, so a heavy sample stages no more
+    than a chunk does.
     """
-    sizes = np.empty(0, dtype=np.int64)
-    counts = np.empty(0, dtype=np.int64)
-    root = 1
-    yield sizes, counts, root
-    for level in range(1, depth + 1):
-        gen = seed.generator("fk-sizes", level=level, block=sample_index)
-        high = r * int(sizes[-1]) if sizes.size else 0
-        acc = np.zeros(high + 2, dtype=np.int64)
-        for s, c in zip(sizes.tolist(), counts.tolist()):
-            acc[: r * s + 1] += gen.multinomial(c, _spawn_pmf(r * s, p, cache))
-        root = int(gen.binomial(r * root, p))
-        inherited = int((np.arange(acc.shape[0]) * acc).sum()) + root
-        acc[1] += r**level - inherited
-        acc[0] = 0
-        keep = np.nonzero(acc)[0]
-        sizes, counts = keep, acc[keep]
-        yield sizes, counts, root
+    n = hist.roots.size
+    widths = r * hist.sizes + 1
+    starts = np.cumsum(widths) - widths
+    room = hist.rooms(r)
+    base = np.cumsum(room) - room
+    origin = np.repeat(base, np.diff(hist.bounds)) - starts
+    acc = np.zeros(int(room.sum()), dtype=np.int64)
+    del room
+    roots = np.empty(n, dtype=np.int64)
+    sizes, counts = hist.sizes.tolist(), hist.counts.tolist()
+    bounds, old_roots = hist.bounds.tolist(), hist.roots.tolist()
+    pmfs = {s: _spawn_pmf(r * s, p, cache) for s in set(sizes)}
+    budget = _budget_slots()
+    staged, staged_slots, read = [], 0, 0
+    gens = seed.generators("fk-sizes", level, range(first, first + n))
+    for i, gen in enumerate(gens):
+        for s, c in zip(sizes[bounds[i] : bounds[i + 1]], counts[bounds[i] : bounds[i + 1]]):
+            draw = gen.multinomial(c, pmfs[s])
+            if staged and staged_slots + draw.size + _FIXED_SLOTS > budget:
+                _read_draws(acc, staged, int(starts[read]), starts, origin)
+                read += len(staged)
+                staged, staged_slots = [], 0
+            staged.append(draw)
+            staged_slots += draw.size + _FIXED_SLOTS
+        roots[i] = gen.binomial(r * old_roots[i], p)
+    if staged:
+        _read_draws(acc, staged, int(starts[read]), starts, origin)
+    del staged
+    acc[base] = 0  # clusters that kept no children are gone
+    # Every vertex of the level not inherited by a cluster is a singleton.
+    # Segment sums of a wrapping int64 cumsum are exact: each is < 2**63.
+    at = np.flatnonzero(acc)
+    owner = np.searchsorted(base, at, side="right") - 1
+    inherited = np.zeros(at.size + 1, dtype=np.int64)
+    np.cumsum((at - base[owner]) * acc[at], out=inherited[1:])
+    ends = inherited[np.searchsorted(owner, np.arange(n + 1))]
+    acc[base + 1] += r**level - (ends[1:] - ends[:-1]) - roots
+    at = np.flatnonzero(acc)
+    owner = np.searchsorted(base, at, side="right") - 1
+    return _Histograms(
+        at - base[owner], acc[at], np.searchsorted(owner, np.arange(n + 1)), roots
+    )
+
+
+def _moments(hist: _Histograms) -> tuple[np.ndarray, ...]:
+    """``(R_k, m_k, sum_z2, sum_z3)`` of every sample of ``hist``, each sum
+    as numpy's ``.sum()`` of the sample's own terms gives it, plus the root
+    cluster's term."""
+    n = hist.roots.size
+    owner = np.repeat(np.arange(n), np.diff(hist.bounds))
+    clusters = np.zeros(hist.counts.size + 1, dtype=np.int64)
+    np.cumsum(hist.counts, out=clusters[1:])
+    # Plus one for the root cluster while it lives.
+    m_k = clusters[hist.bounds[1:]] - clusters[hist.bounds[:-1]] + np.minimum(hist.roots, 1)
+    as_float = hist.sizes.astype(np.float64)
+    roots = [float(root) for root in hist.roots.tolist()]
+    sum_z2 = _segment_sums(hist.counts * as_float**2, owner, hist.bounds)
+    sum_z2 += np.array([root**2 for root in roots])
+    sum_z3 = _segment_sums(hist.counts * as_float**3, owner, hist.bounds)
+    sum_z3 += np.array([root**3 for root in roots])
+    return hist.roots, m_k, sum_z2, sum_z3
+
+
+def _record(out: tuple[np.ndarray, ...] | None, first: int, hist: _Histograms) -> None:
+    """Write the moments of the samples of ``hist``, ``first`` on, to their
+    slots of ``out`` (nothing when ``out`` is None)."""
+    if out is not None:
+        for column, values in zip(out, _moments(hist)):
+            column[first : first + values.size] = values
+
+
+def _descend(
+    p: float,
+    r: int,
+    level: int,
+    depth: int,
+    seed: SeedSpec,
+    first: int,
+    hist: _Histograms,
+    cache: dict[int, np.ndarray],
+    stats: dict[int, tuple[np.ndarray, ...]],
+) -> None:
+    """Carry the chunk of samples ``first, first+1, ...`` from ``level`` down
+    to ``depth``, recording the moments of every level below ``level`` that
+    ``stats`` asks for.  The chunk steps as one while its next step fits
+    :data:`CHUNK_BYTES`; otherwise it splits into chunks that fit
+    (:func:`_chunk_stops`), and each goes down on its own, depth first, so
+    only one chunk's histograms per split are held at a time."""
+    while level < depth:
+        stops = _chunk_stops(r, hist)
+        if len(stops) > 1:
+            for start, stop in itertools.pairwise([0, *stops]):
+                part = hist.samples(start, stop)
+                _descend(p, r, level, depth, seed, first + start, part, cache, stats)
+            return
+        level += 1
+        hist = _step_chunk(p, r, level, seed, first, hist, cache)
+        _record(stats.get(level), first, hist)
 
 
 def sample_size_ensembles(
-    p: float, r: int, levels: Sequence[int], seed: SeedSpec, n_samples: int
+    p: float, r: int, levels: Iterable[int], seed: SeedSpec, n_samples: int
 ) -> list[FkEnsembleStats]:
     """Moment statistics of ensembles drawn from the size-histogram chain,
     one per entry of ``levels`` (in the order given; duplicates are kept and
     share one set of arrays).
 
-    Each sample's chain runs once, to ``max(levels)``, and its statistics are
-    taken at every requested level on the way.  The ensemble at ``k`` is the
-    level-``k`` prefix of each sample's chain, so it does not depend on which
-    other levels were requested.  Deterministic in (seed, sample index) on
-    the "fk-sizes" streams; it matches the explicit labelling sampler in law,
-    not draw for draw.
+    The samples go down to ``max(levels)`` in chunks of consecutive samples
+    that step a level at a time (:func:`_descend`), and the statistics are
+    taken at every requested level on the way.  The ensemble at ``k`` is
+    the level-``k`` prefix of each sample's chain, so it does not depend on
+    which other levels were requested, nor on how the samples were
+    chunked.  Deterministic in (seed, sample index) on the "fk-sizes"
+    streams; it matches the explicit labelling sampler in law, not draw for
+    draw.  ``levels`` is read once, each level checked as it comes, so a
+    level past the int64 counts is refused before the rest are listed.
     """
-    levels = tuple(levels)
-    _validate_fk_args(p, r, min(levels, default=0))
+    _validate_fk_args(p, r, 0)
+    levels = tuple(_check_level(p, r, k) for k in levels)
     if n_samples < 1:
         raise ValueError(f"need at least one sample, got {n_samples}")
     if not levels:
         return []
-    depth = max(levels)
-    if r**depth >= 2**63:
-        raise ValueError(
-            f"level {depth} holds {r}**{depth} vertices, past the int64 counts "
-            f"of the size histogram"
-        )
     # level -> (R_k, m_k, sum_z2, sum_z3), each an array over samples
     stats = {
         k: (
@@ -169,18 +386,12 @@ def sample_size_ensembles(
         )
         for k in levels
     }
-    cache: dict[int, np.ndarray] = {}
-    for i in range(n_samples):
-        chain = _size_histogram_chain(p, r, depth, seed, i, cache)
-        for level, (sizes, counts, root) in enumerate(chain):
-            if level not in stats:
-                continue
-            R_k, m_k, sum_z2, sum_z3 = stats[level]
-            as_float = sizes.astype(np.float64)
-            R_k[i] = root
-            m_k[i] = counts.sum() + (1 if root > 0 else 0)
-            sum_z2[i] = float((counts * as_float**2).sum()) + float(root) ** 2
-            sum_z3[i] = float((counts * as_float**3).sum()) + float(root) ** 3
+    empty = np.empty(0, dtype=np.int64)
+    hist = _Histograms(
+        empty, empty, np.zeros(n_samples + 1, dtype=np.int64), np.ones(n_samples, dtype=np.int64)
+    )
+    _record(stats.get(0), 0, hist)
+    _descend(p, r, 0, max(levels), seed, 0, hist, {}, stats)
     return [FkEnsembleStats(p, r, k, n_samples, *stats[k]) for k in levels]
 
 

@@ -18,12 +18,20 @@ spawn_key=(purpose_code, level, block)).generate_state(2, np.uint64)`` gives
 (O'Neill's ``seed_seq`` mixing), computed directly in integer arithmetic:
 the mixer state after every word but the block's is cached per
 ``(master_seed, purpose, level)``, so a new stream mixes in only its block.
-``tests/`` checks the keys against numpy's own ``SeedSequence``.  Replicate
-blocks have the fixed width :data:`REPLICATE_BLOCK`; kernels always draw
-full blocks and slice, which keeps replicate ``i`` bit-identical whether the
-run asks for 300 or 300 000 replicates.  A kernel called on a run of
-consecutive blocks stacks each block's own draw (:func:`block_bits`), so how
-many blocks share one call is not part of the contract either.
+:func:`_philox_keys` is the one derivation: it mixes a whole array of blocks
+into that cached state in one pass of array arithmetic, and
+:meth:`SeedSpec.generators` builds a fresh Philox generator from each key,
+so a run of streams costs one derivation, and :meth:`SeedSpec.generator` is
+its one-block case.  A key is a pure function of its address, so deriving
+it alone or in any batch gives the same bits (Salmon et al., SC'11, on
+counter-based keyed generators).  ``tests/`` checks the keys against
+numpy's own ``SeedSequence``.
+
+Replicate blocks have the fixed width :data:`REPLICATE_BLOCK`; kernels
+always draw full blocks and slice, which keeps replicate ``i`` bit-identical
+whether the run asks for 300 or 300 000 replicates.  A kernel called on a
+run of consecutive blocks stacks each block's own draw (:func:`block_bits`),
+so how many blocks share one call is not part of the contract either.
 
 Bernoulli bits (:func:`bernoulli_bits`) are defined by float32 uniforms:
 bit = ``u < float32(p)``.  Column draws wider than :data:`DRAW_CHUNK_COLS`
@@ -119,22 +127,49 @@ def _mix(x: int, y: int) -> int:
     return result ^ (result >> 16)
 
 
-def _mix_in(pool: list[int], words: list[int], consts: Sequence[int]) -> None:
-    """Mix entropy words beyond the pool into every pool word, in place,
-    with hash steps numbered from 0 in ``consts``."""
-    t = 0
-    for word in words:
-        for i in range(_POOL_SIZE):
-            pool[i] = _mix(pool[i], _hashmix(word, consts, t))
-            t += 1
+# The mixer's operands as 0-d ``uint32`` arrays, the quickest form for
+# numpy to apply to a small array.
+_U32_16, _U32_MIX_L, _U32_MIX_R = (
+    np.array(c, dtype=np.uint32) for c in (16, _MIX_MULT_L, _MIX_MULT_R)
+)
+
+
+def _hashmix_words(values: np.ndarray, xor: np.ndarray, mult: np.ndarray) -> np.ndarray:
+    """:func:`_hashmix` on ``uint32`` arrays, whose products wrap modulo
+    2**32 by themselves; one hash step per row of ``xor``/``mult`` (its
+    constants ``t`` and ``t + 1``)."""
+    values = (values ^ xor) * mult
+    return values ^ (values >> _U32_16)
+
+
+def _mix_words(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """:func:`_mix` on ``uint32`` arrays."""
+    result = x * _U32_MIX_L - y * _U32_MIX_R
+    return result ^ (result >> _U32_16)
+
+
+def _step_consts(consts: Sequence[int], n_steps: int) -> tuple[np.ndarray, np.ndarray]:
+    """Hash steps ``0..n_steps-1`` of ``consts`` as two ``uint32`` columns of
+    shape ``(n_steps, 1)``: the constant each step xors with and the one it
+    multiplies by."""
+    xor = np.array(consts[:n_steps], dtype=np.uint32)[:, None]
+    mult = np.array(consts[1 : n_steps + 1], dtype=np.uint32)[:, None]
+    xor.flags.writeable = mult.flags.writeable = False
+    return xor, mult
+
+
+#: ``generate_state``'s output hash of the four pool words, one step each.
+_OUT_STEPS = _step_consts(_OUT_CONSTS, _POOL_SIZE)
 
 
 @functools.lru_cache(maxsize=1024)
 def _prefix(
     master_seed: int, purpose: str, level: int, block_words: int
-) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Mixer pool after every entropy word but the block's, and the hash
-    constants for mixing in a block of ``block_words`` words.
+) -> tuple[np.ndarray, tuple[tuple[np.ndarray, np.ndarray], ...]]:
+    """Mixer pool after every entropy word but the block's, as a
+    ``(_POOL_SIZE, 1)`` column, and for each word of a block of
+    ``block_words`` words the hash steps that mix it into the pool
+    (:func:`_step_consts`).
 
     The entropy is the master seed's words zero-padded to the pool size,
     then the words of the purpose code, the level and the block
@@ -154,19 +189,46 @@ def _prefix(
             if src != dst:
                 pool[dst] = _mix(pool[dst], _hashmix(pool[src], consts, t))
                 t += 1
-    _mix_in(pool, tail, consts[t:])
-    return tuple(pool), tuple(consts[t + _POOL_SIZE * len(tail) :])
+    for word in tail:
+        for i in range(_POOL_SIZE):
+            pool[i] = _mix(pool[i], _hashmix(word, consts, t))
+            t += 1
+    column = np.array(pool, dtype=np.uint32)[:, None]
+    column.flags.writeable = False
+    steps = tuple(
+        _step_consts(consts[t + _POOL_SIZE * w :], _POOL_SIZE) for w in range(block_words)
+    )
+    return column, steps
 
 
-def _philox_key(master_seed: int, purpose: str, level: int, block: int) -> np.ndarray:
-    """``SeedSequence(master_seed, spawn_key=(purpose code, level, block))
-    .generate_state(2, np.uint64)``, computed directly."""
-    words = _words(block)
-    prefix, consts = _prefix(master_seed, purpose, level, len(words))
-    pool = list(prefix)
-    _mix_in(pool, words, consts)
-    out = [_hashmix(word, _OUT_CONSTS, t) for t, word in enumerate(pool)]
-    return np.array([out[0] | out[1] << 32, out[2] | out[3] << 32], dtype=np.uint64)
+def _philox_keys(
+    master_seed: int, purpose: str, level: int, blocks: np.ndarray
+) -> np.ndarray:
+    """Philox keys of the streams ``(purpose, level, b)`` for every ``b`` of
+    the ``uint64`` array ``blocks``, shape ``(len(blocks), 2)``: row ``i`` is
+    ``SeedSequence(master_seed, spawn_key=(purpose code, level, blocks[i]))
+    .generate_state(2, np.uint64)``, computed directly.
+
+    Blocks below 2**32 are one entropy word and the rest two, so each kind
+    starts from its own cached :func:`_prefix` and mixes its words into all
+    four pool words at once, for the whole array.
+    """
+    # Little-endian words viewed as little-endian halves: low word first on
+    # any host, as ``_words`` splits a block.
+    words = blocks.astype("<u8", copy=False).view("<u4").reshape(-1, 2)
+    out = np.empty((blocks.size, _POOL_SIZE), dtype="<u4")
+    if np.count_nonzero(words[:, 1]):
+        wide = words[:, 1] != 0
+        kinds = ((1, ~wide), (2, wide))
+    else:
+        kinds = ((1, slice(None)),)
+    for n_words, rows in kinds:
+        pool, steps = _prefix(master_seed, purpose, level, n_words)
+        for w, (xor, mult) in enumerate(steps):
+            pool = _mix_words(pool, _hashmix_words(words[rows, w], xor, mult))
+        out[rows] = _hashmix_words(pool, *_OUT_STEPS).T
+    # Output words 0, 1 and 2, 3 make the two key words, low half first.
+    return out.view("<u8").astype(np.uint64, copy=False)
 
 
 class _PhiloxKey(ISeedSequence):
@@ -199,18 +261,30 @@ class SeedSpec:
             )
 
     def generator(self, purpose: str, level: int = 0, block: int = 0) -> np.random.Generator:
-        """Counter-based generator for the stream ``(purpose, level, block)``.
+        """Counter-based generator for the stream ``(purpose, level, block)``:
+        the one-block case of :meth:`generators`."""
+        return next(self.generators(purpose, level, range(block, block + 1)))
 
-        A fresh Philox generator at counter 0 whose key is numpy's
+    def generators(
+        self, purpose: str, level: int, blocks: range
+    ) -> Iterator[np.random.Generator]:
+        """Counter-based generators for the streams ``(purpose, level, b)``,
+        one per block ``b`` of the run ``blocks`` in order, their keys
+        derived in one :func:`_philox_keys` call.
+
+        Each is a fresh Philox generator at counter 0 whose key is numpy's
         ``SeedSequence(entropy=master_seed, spawn_key=(purpose code, level,
-        block)).generate_state(2, np.uint64)``, computed directly; the mixer
+        b)).generate_state(2, np.uint64)``, computed directly; the mixer
         state up to the block is cached per ``(master_seed, purpose, level)``.
         ``tests/`` checks the keys and draws against numpy's ``SeedSequence``.
         """
-        if level < 0 or block < 0:
+        if level < 0 or blocks.start < 0:
             raise ValueError("stream level and block must be >= 0")
-        key = _philox_key(self.master_seed, purpose, level, block)
-        return np.random.Generator(np.random.Philox(_PhiloxKey(key)))
+        if blocks.step != 1 or blocks.stop > 2**64:
+            raise ValueError(f"blocks must be consecutive and below 2**64, got {blocks}")
+        numbers = np.arange(blocks.start, max(blocks.start, blocks.stop), dtype=np.uint64)
+        keys = _philox_keys(self.master_seed, purpose, level, numbers)
+        return (np.random.Generator(np.random.Philox(_PhiloxKey(key))) for key in keys)
 
 
 def check_block_rows(rows: int, blocks: int = 1) -> int:
@@ -309,9 +383,7 @@ def block_bits(
     all :data:`REPLICATE_BLOCK` rows of each block's stream ``(purpose,
     level, block)`` (:func:`bernoulli_bits`), stacked in block order."""
     draws = [
-        bernoulli_bits(
-            seed.generator(purpose, level=level, block=b), prob, REPLICATE_BLOCK, cols
-        )
-        for b in range(block, block + blocks)
+        bernoulli_bits(gen, prob, REPLICATE_BLOCK, cols)
+        for gen in seed.generators(purpose, level, range(block, block + blocks))
     ]
     return draws[0] if blocks == 1 else np.concatenate(draws)

@@ -15,6 +15,12 @@ the worst case, so it is only usable on supports of a few thousand points.
 a Philox generator seeded by a ``SeedSequence`` object whose spawn key is
 the stream's address.  ``SeedSpec.generator`` computes the same key directly.
 
+``size_histogram_chain`` runs one sample's FK size-histogram chain on its
+own, level after level, one stream and one dense accumulator per level;
+``size_ensembles_by_sample`` runs it for every sample in turn and reduces
+each sample's moments with its own ``.sum()`` calls.  ``fk`` advances all
+samples a level at a time in chunks and must give the same arrays.
+
 ``float32_bernoulli_bits`` draws Bernoulli bits the way their contract
 defines them: float32 uniforms from ``gen.random``, compared with
 ``float32(prob)``.  ``rng.bernoulli_bits`` compares the raw Philox words with
@@ -79,6 +85,7 @@ from treecast.broadcast import (
 from treecast.channel import ChannelParams, check_epsilon
 from treecast.correction import CorrectedGeneration
 from treecast.exact import count_distribution, ks_condition_value
+from treecast.fk import FkEnsembleStats, _spawn_pmf
 from treecast.likelihood import (
     FiniteTree,
     _pattern_likelihoods,
@@ -199,6 +206,72 @@ def seed_sequence_generator(
         entropy=master_seed, spawn_key=(_purpose_code(purpose), level, block)
     )
     return np.random.Generator(np.random.Philox(seq))
+
+
+def size_histogram_chain(
+    p: float,
+    r: int,
+    depth: int,
+    seed: SeedSpec,
+    sample_index: int,
+    cache: dict[int, np.ndarray],
+) -> Iterator[tuple[np.ndarray, np.ndarray, int]]:
+    """Run the size-histogram chain; yields (sizes, counts, root size) at
+    each level ``0..depth``.
+
+    A cluster holding ``s`` of the level's vertices keeps ``Binomial(r*s,
+    p)`` of its ``r*s`` potential children, the root cluster does the same,
+    and every child cut off by a closed edge founds a new singleton.
+    ``sizes``/``counts`` exclude the root cluster, whose level size is
+    yielded on its own.
+    """
+    sizes = np.empty(0, dtype=np.int64)
+    counts = np.empty(0, dtype=np.int64)
+    root = 1
+    yield sizes, counts, root
+    for level in range(1, depth + 1):
+        gen = seed.generator("fk-sizes", level=level, block=sample_index)
+        high = r * int(sizes[-1]) if sizes.size else 0
+        acc = np.zeros(high + 2, dtype=np.int64)
+        for s, c in zip(sizes.tolist(), counts.tolist()):
+            acc[: r * s + 1] += gen.multinomial(c, _spawn_pmf(r * s, p, cache))
+        root = int(gen.binomial(r * root, p))
+        inherited = int((np.arange(acc.shape[0]) * acc).sum()) + root
+        acc[1] += r**level - inherited
+        acc[0] = 0
+        keep = np.nonzero(acc)[0]
+        sizes, counts = keep, acc[keep]
+        yield sizes, counts, root
+
+
+def size_ensembles_by_sample(
+    p: float, r: int, levels: Sequence[int], seed: SeedSpec, n_samples: int
+) -> list[FkEnsembleStats]:
+    """``fk.sample_size_ensembles`` one sample after another: each sample's
+    chain runs to ``max(levels)`` and its moments are summed at every
+    requested level on the way."""
+    stats = {
+        k: (
+            np.empty(n_samples, dtype=np.int64),
+            np.empty(n_samples, dtype=np.int64),
+            np.empty(n_samples, dtype=np.float64),
+            np.empty(n_samples, dtype=np.float64),
+        )
+        for k in levels
+    }
+    cache: dict[int, np.ndarray] = {}
+    for i in range(n_samples):
+        chain = size_histogram_chain(p, r, max(levels), seed, i, cache)
+        for level, (sizes, counts, root) in enumerate(chain):
+            if level not in stats:
+                continue
+            R_k, m_k, sum_z2, sum_z3 = stats[level]
+            as_float = sizes.astype(np.float64)
+            R_k[i] = root
+            m_k[i] = counts.sum() + (1 if root > 0 else 0)
+            sum_z2[i] = float((counts * as_float**2).sum()) + float(root) ** 2
+            sum_z3[i] = float((counts * as_float**3).sum()) + float(root) ** 3
+    return [FkEnsembleStats(p, r, k, n_samples, *stats[k]) for k in levels]
 
 
 def float32_bernoulli_bits(

@@ -1,7 +1,9 @@
 """Cluster representation: samplers, moment summaries, anti-concentration."""
 
+import collections
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,18 +12,19 @@ from scipy.stats import binom
 from treecast import (
     SeedSpec,
     anti_concentration_check,
+    fk,
     moment_summary,
+    rng,
     sample_size_ensembles,
     tail_probe_Rk,
 )
 from treecast.broadcast import majority_statistic
 from treecast.cli import main
 from treecast.exact import count_distribution
-from treecast.fk import (
-    _size_histogram_chain, _spawn_pmf, sample_root_cluster_chain, sample_size_ensemble,
-)
+from treecast.fk import _spawn_pmf, sample_root_cluster_chain, sample_size_ensemble
 
 from fk_labels import sample_cluster_ensemble, sample_fk_level_stats, sample_spin_ensemble
+from oracles import size_ensembles_by_sample, size_histogram_chain
 
 SEED = SeedSpec(master_seed=77001)
 
@@ -29,7 +32,7 @@ SEED = SeedSpec(master_seed=77001)
 def size_histogram(p, r, k, sample_index=0):
     """One sample of the size-histogram chain at level ``k``: (sizes, counts,
     root size), the root cluster kept out of ``sizes``/``counts``."""
-    *_, last = _size_histogram_chain(p, r, k, SEED, sample_index, {})
+    *_, last = size_histogram_chain(p, r, k, SEED, sample_index, {})
     return last
 
 
@@ -103,7 +106,7 @@ def test_size_ensemble_matches_per_index_histograms():
 
 
 def test_chain_yields_every_level_of_one_run():
-    levels = list(_size_histogram_chain(0.5, 3, 4, SEED, 2, {}))
+    levels = list(size_histogram_chain(0.5, 3, 4, SEED, 2, {}))
     assert len(levels) == 5
     sizes, counts, root = levels[0]
     assert sizes.size == counts.size == 0 and root == 1
@@ -133,12 +136,137 @@ def test_ensembles_equal_level_by_level_ensembles():
             np.testing.assert_array_equal(a, b)
 
 
-def test_no_levels_draw_nothing(monkeypatch):
-    def no_streams(*args, **kwargs):
-        raise AssertionError("a stream was drawn")
+def no_streams(*args, **kwargs):
+    raise AssertionError("a stream was keyed")
 
-    monkeypatch.setattr(SeedSpec, "generator", no_streams)
+
+def test_no_levels_draw_nothing(monkeypatch):
+    monkeypatch.setattr(rng, "_philox_keys", no_streams)
     assert sample_size_ensembles(0.3, 4, (), SEED, 300) == []
+
+
+# (p, r, levels, samples, seed): edge probabilities 0 and 1, one sample, a
+# prime sample count, unsorted and duplicate levels, a deep binary chain,
+# and p = 0.95, where some samples' sums of z**3 pass 2**53 and summing
+# them in another order than numpy's .sum() moves them by an ulp.
+ORACLE_CASES = {
+    "p-0": (0.0, 2, (3, 1), 5, SEED),
+    "p-1": (1.0, 3, (4,), 5, SEED),
+    "one-sample": (0.5, 3, (6,), 1, SEED),
+    "37-samples": (0.4, 3, (7, 2), 37, SEED),
+    "unsorted-duplicate-levels": (0.3, 4, (5, 0, 2, 5), 300, SEED),
+    "r2-depth30": (0.5, 2, (30,), 3, SEED),
+    "p-0.95": (0.95, 4, tuple(range(1, 12)), 20, SeedSpec(5)),
+}
+
+
+def assert_ensembles_equal(got, want):
+    assert [e.k for e in got] == [e.k for e in want]
+    for a, b in zip(got, want):
+        assert a.n_samples == b.n_samples
+        for name in ("R_k", "m_k", "sum_z2", "sum_z3"):
+            x, y = getattr(a, name), getattr(b, name)
+            assert x.dtype == y.dtype, name
+            assert np.array_equal(x, y), (a.k, name)
+
+
+@pytest.mark.parametrize("case", list(ORACLE_CASES))
+def test_ensembles_match_the_per_sample_chain(case):
+    p, r, levels, n, seed = ORACLE_CASES[case]
+    assert_ensembles_equal(
+        sample_size_ensembles(p, r, levels, seed, n),
+        size_ensembles_by_sample(p, r, levels, seed, n),
+    )
+
+
+@pytest.mark.parametrize("chunk_bytes", [1, 4096, 1 << 15])
+def test_chunking_is_not_part_of_the_output(monkeypatch, chunk_bytes):
+    # One sample per chunk and every draw read on its own, then chunks that
+    # do not divide the sample count, and draws read in part-way batches.
+    p, r, levels, n, seed = ORACLE_CASES["37-samples"]
+    want = size_ensembles_by_sample(p, r, levels, seed, n)
+    monkeypatch.setattr(fk, "CHUNK_BYTES", chunk_bytes)
+    assert_ensembles_equal(sample_size_ensembles(p, r, levels, seed, n), want)
+
+
+def test_keys_are_derived_once_per_level_and_chunk(monkeypatch):
+    calls = []
+    steps = []
+    derive, step = rng._philox_keys, fk._step_chunk
+
+    def counting_derive(master_seed, purpose, level, blocks):
+        calls.append((level, blocks.tolist()))
+        return derive(master_seed, purpose, level, blocks)
+
+    def counting_step(p, r, level, seed, first, hist, cache):
+        steps.append((level, first, hist.roots.size))
+        return step(p, r, level, seed, first, hist, cache)
+
+    monkeypatch.setattr(rng, "_philox_keys", counting_derive)
+    monkeypatch.setattr(fk, "_step_chunk", counting_step)
+    monkeypatch.setattr(SeedSpec, "generator", no_streams)
+    n, depth = 300, 8
+    sample_size_ensembles(0.3, 4, [depth], SEED, n)
+    # One derivation per chunk step, for that chunk's consecutive samples.
+    assert [(level, list(range(first, first + size))) for level, first, size in steps] == calls
+    for level in range(1, depth + 1):
+        # Every sample once per level.
+        covered = sorted(b for lv, blocks in calls if lv == level for b in blocks)
+        assert covered == list(range(n))
+    # Shallow levels fit one chunk; no level comes near one chunk per sample.
+    per_level = collections.Counter(level for level, _ in calls)
+    assert per_level[1] == 1
+    assert max(per_level.values()) < n / 10
+
+
+def chunk_temporaries(monkeypatch, p, r, k, n):
+    """Bytes each chunk step allocated beyond its inputs and outputs, with
+    ``(samples, accumulator slots)`` of the chunk; the binomial tables of
+    its sizes are built before the step is measured."""
+    seen = []
+    step = fk._step_chunk
+
+    def measured(p, r, level, seed, first, hist, cache):
+        for s in set(hist.sizes.tolist()):
+            _spawn_pmf(r * s, p, cache)
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        out = step(p, r, level, seed, first, hist, cache)
+        peak = tracemalloc.get_traced_memory()[1]
+        kept = sum(a.nbytes for a in (out.sizes, out.counts, out.bounds, out.roots))
+        seen.append((peak - before - kept, hist.roots.size, int(hist.rooms(r).sum())))
+        return out
+
+    monkeypatch.setattr(fk, "_step_chunk", measured)
+    tracemalloc.start()
+    try:
+        sample_size_ensembles(p, r, [k], SEED, n)
+    finally:
+        tracemalloc.stop()
+    return seen
+
+
+def test_chunk_temporaries_stay_under_the_byte_constant(monkeypatch):
+    seen = chunk_temporaries(monkeypatch, 0.3, 4, 10, 200)
+    assert max(size for size, _, _ in seen) < fk.CHUNK_BYTES
+    assert max(samples for _, samples, _ in seen) > 1
+
+
+def test_heavy_samples_hold_their_own_accumulator_only(monkeypatch):
+    # At p = 0.95 a sample's histogram outgrows the budget by level 8: such
+    # a sample steps alone, and beyond CHUNK_BYTES it holds only its own
+    # accumulator and its largest draw (each r * (largest size) + 1 slots
+    # or so), as its chain would on its own.
+    budget = fk.CHUNK_BYTES // (8 * fk._SLOT_ARRAYS)
+    heavy = 0
+    for size, samples, room in chunk_temporaries(monkeypatch, 0.95, 4, 10, 5):
+        if room <= budget:
+            assert size < fk.CHUNK_BYTES
+        else:
+            heavy += 1
+            assert samples == 1
+            assert size < fk.CHUNK_BYTES + 2 * 8 * room
+    assert heavy > 0
 
 
 # SHA-256 of the stdout of ``fk-stats --r 4 --p 0.3 --k 5,2,5 --samples 200
@@ -262,10 +390,7 @@ def test_moment_report_regime_handling():
 
 
 def test_ensembles_refuse_levels_past_int64_counts(monkeypatch):
-    def never(*args, **kwargs):
-        raise AssertionError("a stream was built")
-
-    monkeypatch.setattr(SeedSpec, "generator", never)
+    monkeypatch.setattr(rng, "_philox_keys", no_streams)
     with pytest.raises(ValueError, match="int64"):
         sample_size_ensembles(0.3, 4, [2, 32], SEED, 2)
     with pytest.raises(ValueError, match="int64"):

@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import math
+import tracemalloc
 
 import pytest
 
@@ -101,19 +102,35 @@ def test_json_is_deterministic_and_native():
 
 
 def test_parse_k_values():
-    assert parse_k_values("3") == (3,)
-    assert parse_k_values("1..4") == (1, 2, 3, 4)
-    assert parse_k_values("1,3,9") == (1, 3, 9)
+    assert parse_k_values("3") == (range(3, 4),)
+    assert parse_k_values("1..4") == (range(1, 5),)
+    assert parse_k_values("1,3,9") == (range(1, 2), range(3, 4), range(9, 10))
     for bad in ("", "0", "4..2", "a", "1,,2"):
         with pytest.raises(Exception):
             parse_k_values(bad)
     # A config file's int and list forms pass through the same rule.
-    assert parse_k_values(3) == (3,)
-    assert parse_k_values([1, 3]) == (1, 3)
+    assert parse_k_values(3) == (range(3, 4),)
+    assert parse_k_values([1, 3]) == (range(1, 2), range(3, 4))
     for bad, message in ((0, "periods must be >= 1"), ([2, 0], "periods must be >= 1"),
                          ([], "expected positive integers")):
         with pytest.raises(Exception, match=message):
             parse_k_values(bad)
+
+
+def test_wide_period_ranges_are_refused_before_they_are_listed(capsys):
+    # A period past the budget or the FK level limit is refused while the
+    # range is read, before the periods after it are listed.
+    assert parse_k_values("5..1000000000000,2") == (range(5, 1000000000001), range(2, 3))
+    tracemalloc.start()
+    try:
+        assert main(["critical", "--r", "2", "--k", "17..2000000000017"]) == 3
+        assert main(["fk-stats", "--r", "4", "--p", "0.3", "--k", "2..2000000000000"]) == 2
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    err = capsys.readouterr().err
+    assert "budget error" in err and "level 32 holds 4**32 vertices" in err
 
 
 def run_cli(capsys, *argv):

@@ -48,6 +48,48 @@ def test_keys_match_seed_sequence_oracle(master_seed):
                 )
 
 
+def seed_sequence_key(master_seed, purpose, level, block):
+    return np.random.SeedSequence(
+        entropy=master_seed, spawn_key=(rng._purpose_code(purpose), level, block)
+    ).generate_state(2, np.uint64)
+
+
+@pytest.mark.parametrize("master_seed", [0, 2**32, 2**64 - 1])
+def test_batched_keys_match_seed_sequence_oracle(master_seed):
+    # One array of one- and two-word blocks, out of order, and an empty one.
+    blocks = np.array([2**32, 0, 2**40, 255, 2**32 - 1, 7], dtype=np.uint64)
+    for purpose in PURPOSES:
+        for level in (0, 3, 2**32):
+            keys = rng._philox_keys(master_seed, purpose, level, blocks)
+            assert keys.shape == (blocks.size, 2) and keys.dtype == np.uint64
+            for key, block in zip(keys, blocks.tolist()):
+                oracle = seed_sequence_key(master_seed, purpose, level, block)
+                np.testing.assert_array_equal(key, oracle, err_msg=str(block))
+            empty = rng._philox_keys(master_seed, purpose, level, blocks[:0])
+            assert empty.shape == (0, 2) and empty.dtype == np.uint64
+
+
+@pytest.mark.parametrize("first", [0, 250, 2**32 - 2])
+def test_one_stream_draws_what_its_batch_draws(first):
+    batch = list(SEED.generators("fk-sizes", 6, range(first, first + 5)))
+    for b, gen in enumerate(batch, start=first):
+        alone = SEED.generator("fk-sizes", level=6, block=b)
+        np.testing.assert_array_equal(alone.bit_generator.random_raw(16),
+                                      gen.bit_generator.random_raw(16))
+    assert list(SEED.generators("fk-sizes", 6, range(first, first))) == []
+
+
+def test_batched_stream_addresses_are_checked():
+    for blocks in (range(-1, 2), range(0, 4, 2), range(2**64 - 1, 2**64 + 1)):
+        with pytest.raises(ValueError):
+            SEED.generators("flips", 0, blocks)
+    with pytest.raises(ValueError):
+        SEED.generators("flips", -1, range(2))
+    with pytest.raises(ValueError):
+        SEED.generator("flips", block=2**64)
+    SEED.generator("flips", block=2**64 - 1)
+
+
 def test_same_address_same_stream():
     a = SEED.generator("flips", level=3, block=7).integers(0, 2**32, size=32)
     b = SEED.generator("flips", level=3, block=7).integers(0, 2**32, size=32)

@@ -334,14 +334,14 @@ def test_group_draws_each_tie_coin_stream_once(monkeypatch):
     r, depth, n = 2, 10, 600
     n_blocks = -(-n // REPLICATE_BLOCK)
     ties = collections.Counter()
-    generator = SeedSpec.generator
+    generators = SeedSpec.generators  # every stream is built through it
 
-    def counting(self, purpose, level=0, block=0):
+    def counting(self, purpose, level, blocks):
         if purpose == "tie":
-            ties[level, block] += 1
-        return generator(self, purpose, level, block)
+            ties.update((level, block) for block in blocks)
+        return generators(self, purpose, level, blocks)
 
-    monkeypatch.setattr(SeedSpec, "generator", counting)
+    monkeypatch.setattr(SeedSpec, "generators", counting)
     run_corrected_trajectory(
         RegularTreeSpec(r=r, depth=depth), schemes, ChannelParams(epsilon=0.1), SEED, n
     )
