@@ -11,15 +11,16 @@ each build their children from their own parents and a copy of it
 given).  Majority statistics reduce rows with ``np.bitwise_count``.
 
 All randomness flows through :class:`~treecast.rng.SeedSpec` streams keyed by
-(purpose, level, replicate block).  The sampling kernels act on a run of
-``blocks`` consecutive replicate blocks of :data:`~treecast.rng.REPLICATE_BLOCK`
-rows (one block by default) and refuse rows that do not fill exactly those
-blocks; ``block`` is the first block's global index, its stream address.
-Each block's draw covers the full block width, the run's draws are stacked
-in block order, and the result is sliced, so a replicate's trajectory
-depends neither on how many other replicates run beside it nor on how many
-blocks share one call.  The trajectory loop of :mod:`treecast.correction`
-hands the kernels batches of blocks.
+(purpose, level, replicate block).  The two draws made here,
+:func:`sample_root` and :func:`flip_mask`, cover a run of ``blocks``
+consecutive replicate blocks of :data:`~treecast.rng.REPLICATE_BLOCK` rows
+(one block by default) from the global index ``block`` on, each block's
+full width from its own stream, stacked in block order, so a replicate's
+trajectory depends neither on how many other replicates run beside it nor
+on how many blocks share one call.  :func:`sample_next_generation` draws
+nothing: row ``i`` of the children is row ``i`` of the parents and of the
+mask, and the trajectory loop of :mod:`treecast.correction` picks which
+blocks' mask it gets.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ChannelParams
-from .rng import REPLICATE_BLOCK, SeedSpec, block_bits, check_block_rows, row_slices
+from .rng import SeedSpec, block_bits, check_block_rows, row_slices
 
 
 def packed_width(size: int) -> int:
@@ -70,30 +71,6 @@ class GenerationSignals:
                 f"packed array must be uint8 with shape {expected}, got "
                 f"{self.packed.dtype} {self.packed.shape}"
             )
-
-    @classmethod
-    def from_signs(cls, signs: np.ndarray, level: int) -> "GenerationSignals":
-        """Pack an array of +-1 signs; a 1-d array means a single replicate."""
-        signs = np.asarray(signs)
-        if signs.ndim == 1:
-            signs = signs[None, :]
-        if not np.isin(signs, (-1, 1)).all():
-            raise ValueError("signals must be +1 or -1")
-        packed = np.packbits((signs > 0).astype(np.uint8), axis=1)
-        return cls(
-            level=level,
-            size=signs.shape[1],
-            n_replicates=signs.shape[0],
-            packed=packed,
-        )
-
-    def bits(self) -> np.ndarray:
-        """Unpacked 0/1 bits, shape (n_replicates, size)."""
-        return np.unpackbits(self.packed, axis=1, count=self.size)
-
-    def to_signs(self) -> np.ndarray:
-        """Unpacked +-1 signs, shape (n_replicates, size), int8."""
-        return (2 * self.bits().astype(np.int8) - 1).astype(np.int8)
 
 
 def majority_statistic(
@@ -184,27 +161,26 @@ def flip_mask(
 def sample_next_generation(
     parents: GenerationSignals, r: int, flips: np.ndarray
 ) -> GenerationSignals:
-    """One broadcast step for a run of consecutive replicate blocks: each
-    parent spawns ``r`` children, each child keeping the parent's sign unless
-    its bit of the flip mask is set (child = parent XOR flip).
+    """One broadcast step: each parent spawns ``r`` children, each child
+    keeping the parent's sign unless its bit of the packed flip mask is set
+    (child = parent XOR flip).
 
-    ``flips`` is the step's mask as :func:`flip_mask` draws it for the child
-    level, with all :data:`~treecast.rng.REPLICATE_BLOCK` rows of each of its
-    blocks; the parents' rows must fill that many blocks.  The children
-    are written into it, a row slice at a time, so the step allocates no
-    level of its own: the mask is consumed, and runs that share one draw on
-    common random numbers pass a copy to all but the last of them.
+    ``flips`` holds the child level's flip bits in at least one row per
+    parent row; row ``i`` of the children is built from row ``i`` of both.
+    The children are written into it, a row slice at a time, so the step
+    allocates no level of its own: the mask is consumed, and runs that share
+    one draw on common random numbers pass a copy to all but the last of
+    them.
     """
     if r < 1:
         raise ValueError(f"branching rate must be >= 1, got {r}")
     child_size = parents.size * r
-    blocks, extra = divmod(flips.shape[0], REPLICATE_BLOCK)
-    if blocks < 1 or extra or flips.shape[1:] != (packed_width(child_size),):
+    rows = parents.n_replicates
+    if flips.shape[0] < rows or flips.shape[1:] != (packed_width(child_size),):
         raise ValueError(
-            f"flip mask shape {flips.shape} does not fit replicate blocks of "
+            f"flip mask shape {flips.shape} does not cover {rows} rows of "
             f"{child_size}-vertex levels"
         )
-    rows = check_block_rows(parents.n_replicates, blocks)
     out = flips[:rows]
     for part in row_slices(rows, out.shape[1]):
         out[part] ^= repeat_packed(parents.packed[part], parents.size, r)

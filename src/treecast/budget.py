@@ -47,24 +47,31 @@ def support_budget(override: int | None = None) -> int:
     return DEFAULT_SUPPORT_BUDGET
 
 
-def check_support(points: int, budget: int | None = None) -> int:
-    """Raise :class:`BudgetError` unless ``points`` fits the support budget."""
+def _power_exceeds(r: int, n: int, limit: int) -> bool:
+    """``r**n > limit`` for ``r, n >= 0``, without building ``r**n`` once
+    ``n`` passes the bit length of ``limit``, where ``r >= 2`` settles it."""
+    if r >= 2 and n > limit.bit_length():
+        return True
+    return r**n > limit
+
+
+def check_support(r: int, n: int, budget: int | None = None) -> None:
+    """Raise :class:`BudgetError` unless a count law on ``r**n`` vertices,
+    ``r**n + 1`` points, fits the support budget."""
     limit = support_budget(budget)
-    if points > limit:
+    if _power_exceeds(r, n, limit - 1):
         raise BudgetError(
-            f"distribution support of {points} points exceeds the budget of "
+            f"distribution support of {r}**{n} + 1 points exceeds the budget of "
             f"{limit}; raise {SUPPORT_BUDGET_ENV} or pass a larger budget "
             "explicitly if this is intentional"
         )
-    return points
 
 
-def check_vertices(count: int, budget: int | None = None) -> int:
-    """Raise :class:`BudgetError` unless a level of ``count`` vertices fits."""
+def check_vertices(r: int, n: int, budget: int | None = None) -> None:
+    """Raise :class:`BudgetError` unless a level of ``r**n`` vertices fits."""
     limit = DEFAULT_VERTEX_BUDGET if budget is None else int(budget)
-    if count > limit:
+    if _power_exceeds(r, n, limit):
         raise BudgetError(
-            f"tree level of {count} vertices exceeds the per-level budget of "
+            f"tree level of {r}**{n} vertices exceeds the per-level budget of "
             f"{limit}"
         )
-    return count

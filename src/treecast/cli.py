@@ -288,7 +288,7 @@ def cmd_critical(cfg: RunConfig) -> list[ReportRow]:
     if cfg.r is None or cfg.k_values is None:
         raise ValueError("critical needs --r and --k")
     for k in cfg.periods():
-        check_support(cfg.r**k + 1, cfg.budget)
+        check_support(cfg.r, k, cfg.budget)
     rows = []
     for k in cfg.periods():
         est = critical_point_k(k, cfg.r, tol=1e-9, budget=cfg.budget)

@@ -43,20 +43,22 @@ call per block.  The batches are a pure function of the replicate count,
 the level widths, the bound and the worker count.  Each batch writes its
 rows of every scheme's level records into arrays allocated up front.
 
-At each level a batch's flip mask is drawn once
-(:func:`~treecast.broadcast.flip_mask`) and every scheme builds its children
-from its own parents and that mask; likewise each tie-coin array is drawn
-once for every scheme that corrects the level on a partition of the same
-block count.  The kernels
-(:func:`~treecast.broadcast.sample_root`,
-:func:`~treecast.broadcast.sample_next_generation` and the three ``apply_*``
-functions here) act on a run of ``blocks`` consecutive replicate blocks from
-the global index ``block`` on (one block by default) and refuse rows that
-do not fill them.  Every block's draws come from its own streams, at their
-global ``(purpose, level, block)`` addresses, stacked by rows, so each
-scheme sees exactly the bits a run of it alone would, and neither the order
-of blocks, the number of workers, the batches nor the other schemes of a
-group change a single output bit.
+Only the loop names stream addresses.  At each level a batch's flip mask
+is drawn once (:func:`~treecast.broadcast.flip_mask`) and every scheme
+builds its children from its own parents and that mask; likewise each
+tie-coin array is drawn once for every scheme that corrects the level on a
+partition of the same block count, and each fraction-identification
+application gets fresh ``("pick", level, block)`` generators of the batch's
+blocks from one :meth:`~treecast.rng.SeedSpec.generators` call.  The
+kernels (:func:`~treecast.broadcast.sample_next_generation` and the three
+``apply_*`` functions here) are functions of the arrays they are given:
+they draw nothing, and they refuse arrays that do not fit each other (a
+partition of another level, an alive mask, flip mask or coin array of the
+wrong shape).  Row ``i`` of a batch reads row ``i`` of every draw, and a
+draw depends only on its global ``(purpose, level, block)`` address, so
+each scheme sees exactly the bits a run of it alone would, and neither the
+order of blocks, the number of workers, the batches nor the other schemes
+of a group change a single output bit.
 
 Memory is bounded per batch, not per run.  A batch holds each scheme's
 current level (and alive mask) plus one flip mask, each within
@@ -286,21 +288,16 @@ class CorrectionScheme:
 
 @dataclass(frozen=True)
 class CorrectedGeneration:
-    """A generation after one correction: corrected signals, the partition,
-    one value per block, and (for removal schemes) survivor masks."""
+    """What the trajectory loop reads of one correction: one value per
+    block, and (for removal schemes) the survivor masks."""
 
-    signals: GenerationSignals
-    partition: BlockPartition
     block_signals: GenerationSignals
-    excluded: range
     alive: np.ndarray | None = None
     block_alive: np.ndarray | None = None
 
 
-def _check_block(g: GenerationSignals, part: BlockPartition, blocks: int) -> None:
-    """``g`` fills ``blocks`` replicate blocks and ``part`` partitions its
-    level."""
-    check_block_rows(g.n_replicates, blocks)
+def _check_partition(g: GenerationSignals, part: BlockPartition) -> None:
+    """``part`` partitions ``g``'s level."""
     if part.level != g.level or part.level_size != g.size:
         raise ValueError(
             f"partition (level {part.level}, size {part.level_size}) does not "
@@ -308,32 +305,16 @@ def _check_block(g: GenerationSignals, part: BlockPartition, blocks: int) -> Non
         )
 
 
-def _tie_coins(
-    seed: SeedSpec, level: int, block: int, n_blocks: int, *, blocks: int = 1
-) -> np.ndarray:
-    """Fair tie-break coins, one per (replicate, partition block), packed, for
-    ``blocks`` replicate blocks from ``block`` on: all
-    :data:`~treecast.rng.REPLICATE_BLOCK` rows of each one's stream
-    ``("tie", level, block)``."""
-    return block_bits(seed, "tie", level, 0.5, n_blocks, block=block, blocks=blocks)
-
-
-def _given_coins(
-    coins: np.ndarray | None,
-    seed: SeedSpec,
-    g: GenerationSignals,
-    part: BlockPartition,
-    block: int,
-    blocks: int,
-) -> np.ndarray:
-    """The tie coins a kernel was given, checked against its blocks, or its
-    own draw of them when None."""
-    if coins is None:
-        return _tie_coins(seed, g.level, block, part.n_blocks, blocks=blocks)
-    expected = (blocks * REPLICATE_BLOCK, packed_width(part.n_blocks))
-    if coins.shape != expected:
-        raise ValueError(f"tie coins shape {coins.shape} does not match {expected}")
-    return coins
+def _check_coins(g: GenerationSignals, part: BlockPartition, coins: np.ndarray) -> None:
+    """``part`` partitions ``g``'s level and ``coins`` hold a packed tie coin
+    for each of its blocks in at least every row of ``g``."""
+    _check_partition(g, part)
+    width = packed_width(part.n_blocks)
+    if coins.shape[0] < g.n_replicates or coins.shape[1:] != (width,):
+        raise ValueError(
+            f"tie coins shape {coins.shape} does not cover {g.n_replicates} rows "
+            f"of {part.n_blocks} blocks"
+        )
 
 
 def _block_rows(g: GenerationSignals, part: BlockPartition) -> Iterator[slice]:
@@ -462,33 +443,21 @@ def _overwrite_blocks(
             spread |= bits & keep
         bits[...] = spread
     return CorrectedGeneration(
-        signals=g,
-        partition=part,
-        block_signals=GenerationSignals(g.level, nb, g.n_replicates, block_packed),
-        excluded=part.leftover(),
+        GenerationSignals(g.level, nb, g.n_replicates, block_packed)
     )
 
 
 def apply_block_majority(
-    g: GenerationSignals,
-    part: BlockPartition,
-    seed: SeedSpec,
-    *,
-    block: int = 0,
-    blocks: int = 1,
-    coins: np.ndarray | None = None,
+    g: GenerationSignals, part: BlockPartition, coins: np.ndarray
 ) -> CorrectedGeneration:
-    """Overwrite every block with its majority sign (fair coin on ties).
+    """Overwrite every block with its majority sign, or on a tie with its
+    coin: bit ``b`` of row ``i`` of the packed ``coins``, which are only read.
 
-    Leftover indices past the last full block pass through unchanged and are
-    flagged excluded.  The corrected bits are written into ``g.packed``:
-    ``g`` is consumed.  It fills ``blocks`` replicate blocks from ``block``
-    on; ``coins``, if given, are their tie coins as :func:`_tie_coins` draws
-    them, and are only read.
+    Leftover indices past the last full block pass through unchanged.  The
+    corrected bits are written into ``g.packed``: ``g`` is consumed.
     """
-    _check_block(g, part, blocks)
+    _check_coins(g, part, coins)
     nb = part.n_blocks
-    coins = _given_coins(coins, seed, g, part, block, blocks)
 
     def majority(rows: slice, bits: np.ndarray) -> np.ndarray:
         coin = np.unpackbits(coins[rows], axis=1, count=nb).view(bool)
@@ -509,31 +478,25 @@ def _rows_by_block(rows: slice) -> Iterator[tuple[int, int]]:
 
 
 def apply_fraction_identification(
-    g: GenerationSignals,
-    part: BlockPartition,
-    seed: SeedSpec,
-    *,
-    block: int = 0,
-    blocks: int = 1,
+    g: GenerationSignals, part: BlockPartition, picks: Sequence[np.random.Generator]
 ) -> CorrectedGeneration:
     """Overwrite every block with the value of one uniformly chosen member.
 
-    The corrected bits are written into ``g.packed``: ``g`` is consumed.
-    ``g`` fills ``blocks`` replicate blocks from ``block`` on, and each one's
-    rows draw their picks from its own stream ``("pick", level, block)``."""
-    _check_block(g, part, blocks)
+    ``picks`` holds one generator per replicate block of ``g``'s rows, in
+    order (every block but the last full), and each block's rows draw their
+    members from its generator as one ``(REPLICATE_BLOCK, n_blocks)`` integer
+    draw would.  The corrected bits are written into ``g.packed``: ``g`` is
+    consumed."""
+    check_block_rows(g.n_replicates, len(picks))
+    _check_partition(g, part)
     B, nb = part.block_size, part.n_blocks
-    gens = [
-        seed.generator("pick", level=g.level, block=b)
-        for b in range(block, block + blocks)
-    ]
     first = np.arange(nb) * B
 
     def pick(rows: slice, bits: np.ndarray) -> np.ndarray:
         # Row slices come in order, so the picks each replicate block draws
         # slice by slice are the rows of one (REPLICATE_BLOCK, nb) draw.
         position = np.concatenate([
-            gens[b].integers(0, B, size=(n, nb)) for b, n in _rows_by_block(rows)
+            picks[b].integers(0, B, size=(n, nb)) for b, n in _rows_by_block(rows)
         ])
         position += first
         byte = np.take_along_axis(bits, position >> 3, axis=1)
@@ -546,27 +509,22 @@ def apply_fraction_identification(
 def apply_minority_removal(
     g: GenerationSignals,
     part: BlockPartition,
-    seed: SeedSpec,
+    coins: np.ndarray,
     alive: np.ndarray | None = None,
-    *,
-    block: int = 0,
-    blocks: int = 1,
-    coins: np.ndarray | None = None,
 ) -> CorrectedGeneration:
     """Remove each block's minority members: survivors keep their signals,
     minority members die (no descendants, no further statistics).
 
     The majority is taken over the block's *alive* members; on an exact tie
-    a fair coin picks which sign survives, so at least half the alive members
-    always survive.  Blocks with no alive member stay dead.  Leftover indices
-    keep their incoming alive state untouched.  The new mask is written into
-    the ``alive`` given (a fresh all-alive mask when None), which is consumed
-    and returned as the result's ``alive``; the signals are left as they are.
-    ``g`` fills ``blocks`` replicate blocks from ``block`` on; ``coins``, if
-    given, are their tie coins as :func:`_tie_coins` draws them, and are only
-    read.
+    the block's coin (bit ``b`` of row ``i`` of the packed ``coins``, which
+    are only read) picks which sign survives, so at least half the alive
+    members always survive.  Blocks with no alive member stay dead.  Leftover
+    indices keep their incoming alive state untouched.  The new mask is
+    written into the ``alive`` given (a fresh all-alive mask when None),
+    which is consumed and returned as the result's ``alive``; the signals are
+    left as they are.
     """
-    _check_block(g, part, blocks)
+    _check_coins(g, part, coins)
     nb = part.n_blocks
     if alive is None:
         alive = _constant_signals(g.level, g.size, g.n_replicates).packed
@@ -577,7 +535,6 @@ def apply_minority_removal(
     keep = _leftover_mask(part)
     block_packed = np.empty((g.n_replicates, packed_width(nb)), dtype=np.uint8)
     block_alive = np.empty_like(block_packed)
-    coins = _given_coins(coins, seed, g, part, block, blocks)
     for rows in _block_rows(g, part):
         bits, live = g.packed[rows], alive[rows]
         total = _block_counts(live, part)
@@ -591,12 +548,7 @@ def apply_minority_removal(
             dissent &= ~keep
         live &= ~dissent
     return CorrectedGeneration(
-        signals=g,
-        partition=part,
-        block_signals=GenerationSignals(g.level, nb, g.n_replicates, block_packed),
-        excluded=part.leftover(),
-        alive=alive,
-        block_alive=block_alive,
+        GenerationSignals(g.level, nb, g.n_replicates, block_packed), alive, block_alive
     )
 
 
@@ -619,12 +571,6 @@ class TrajectoryResult:
 
     records: tuple[LevelRecord, ...]
 
-    def record_at(self, level: int) -> LevelRecord:
-        for rec in self.records:
-            if rec.level == level:
-                return rec
-        raise KeyError(f"level {level} was not recorded")
-
 
 def _constant_signals(level: int, size: int, n_replicates: int) -> GenerationSignals:
     """All-(+1) signals (used to pin the renormalized root)."""
@@ -645,22 +591,24 @@ def _apply_scheme(
     blocks: int,
     coins: dict[int, np.ndarray],
 ) -> CorrectedGeneration:
-    """Correct one batch's level by the scheme's kernel.
+    """Correct one batch's level by the scheme's kernel, on the draws of the
+    ``blocks`` replicate blocks from ``block`` on.
 
-    ``coins`` holds the level's tie coins by partition block count: the
-    first scheme of the group to need an array draws it, and every scheme
-    with the same block count reads it."""
+    A fraction identification gets fresh ``("pick", level, block)``
+    generators.  ``coins`` holds the level's ``("tie", level, block)`` coins
+    by partition block count: the first scheme of the group to need an array
+    draws it, and every scheme with the same block count reads it."""
     if scheme.variant == "FractionIdentification":
-        return apply_fraction_identification(g, part, seed, block=block, blocks=blocks)
+        picks = list(seed.generators("pick", g.level, range(block, block + blocks)))
+        return apply_fraction_identification(g, part, picks)
     if part.n_blocks not in coins:
-        coins[part.n_blocks] = _tie_coins(
-            seed, g.level, block, part.n_blocks, blocks=blocks
+        coins[part.n_blocks] = block_bits(
+            seed, "tie", g.level, 0.5, part.n_blocks, block=block, blocks=blocks
         )
-    kwargs = {"block": block, "blocks": blocks, "coins": coins[part.n_blocks]}
     if scheme.variant in ("BlockMajorityEveryStep", "WithinDescentMajority"):
-        return apply_block_majority(g, part, seed, **kwargs)
+        return apply_block_majority(g, part, coins[part.n_blocks])
     if scheme.removes_minority:
-        return apply_minority_removal(g, part, seed, alive, **kwargs)
+        return apply_minority_removal(g, part, coins[part.n_blocks], alive)
     raise ValueError(f"scheme {scheme.variant} applies no correction")
 
 

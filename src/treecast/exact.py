@@ -94,8 +94,8 @@ def _count_laws(
     a power of two (``k <= M/2`` only: the rest are complex conjugates), and
     one inverse real FFT per row recovers the probabilities.
     """
+    check_support(r, level + lag, budget)
     parents, size = r**level, r ** (level + lag)
-    check_support(size + 1, budget)
     m = np.asarray(plus_counts)[:, None]
     if lag == 0 or eps == 0.0:
         # Every vertex copies its ancestor: point masses.
@@ -408,7 +408,7 @@ def critical_point_k(
             f"tolerance must be at least {spacing!r}, the float spacing at "
             f"1/sqrt({r}), got {tol}"
         )
-    check_support(r**k + 1, budget)
+    check_support(r, k, budget)
     evaluations = 0
 
     def objective(p: float) -> float:

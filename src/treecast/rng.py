@@ -27,11 +27,14 @@ it alone or in any batch gives the same bits (Salmon et al., SC'11, on
 counter-based keyed generators).  ``tests/`` checks the keys against
 numpy's own ``SeedSequence``.
 
-Replicate blocks have the fixed width :data:`REPLICATE_BLOCK`; kernels
-always draw full blocks and slice, which keeps replicate ``i`` bit-identical
-whether the run asks for 300 or 300 000 replicates.  A kernel called on a
-run of consecutive blocks stacks each block's own draw (:func:`block_bits`),
-so how many blocks share one call is not part of the contract either.
+Replicate blocks have the fixed width :data:`REPLICATE_BLOCK`; every draw
+covers full blocks and is sliced to the rows that run, which keeps
+replicate ``i`` bit-identical whether the run asks for 300 or 300 000
+replicates.  A draw for a run of consecutive blocks stacks each block's own
+draw (:func:`block_bits`), so how many blocks share one call is not part of
+the contract either.  The trajectory loop of :mod:`treecast.correction`
+makes every draw of a corrected-broadcast run; the broadcast step and the
+correction kernels are handed their draws and draw nothing.
 
 Bernoulli bits (:func:`bernoulli_bits`) are defined by float32 uniforms:
 bit = ``u < float32(p)``.  Column draws wider than :data:`DRAW_CHUNK_COLS`

@@ -43,7 +43,7 @@ class RegularTreeSpec:
             raise ValueError(f"branching rate must be >= 1, got {self.r}")
         if self.depth < 0:
             raise ValueError(f"depth must be >= 0, got {self.depth}")
-        check_vertices(self.r**self.depth, self.vertex_budget)
+        check_vertices(self.r, self.depth, self.vertex_budget)
 
     def level_size(self, level: int) -> int:
         """Number of vertices at ``level`` (``r**level``)."""

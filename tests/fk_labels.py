@@ -90,7 +90,7 @@ def sample_fk_level_state(
     a closed edge starts a new cluster based at the child itself.
     """
     _validate_fk_args(p, r, k)
-    check_vertices(r**k, vertex_budget)
+    check_vertices(r, k, vertex_budget)
     labels = np.zeros(1, dtype=np.int32)
     for level in range(1, k + 1):
         size = r**level
@@ -169,7 +169,7 @@ def sample_cluster_ensemble(
     deterministic in (seed, sample index), but they are distinct ensembles.
     """
     _validate_fk_args(p, r, k)
-    check_vertices(r**k, vertex_budget)
+    check_vertices(r, k, vertex_budget)
     if n_samples < 1:
         raise ValueError(f"need at least one sample, got {n_samples}")
     id_end = _vertex_id_base(k + 1, r)
@@ -222,7 +222,7 @@ def sample_spin_ensemble(
     _validate_fk_args(p, r, k)
     if sigma0 not in (-1, 1):
         raise ValueError(f"root sign must be +1 or -1, got {sigma0}")
-    check_vertices(r**k, vertex_budget)
+    check_vertices(r, k, vertex_budget)
     id_end = _vertex_id_base(k + 1, r)
     if id_end > _BATCH_ID_LIMIT:
         raise ValueError(

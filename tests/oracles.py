@@ -55,6 +55,10 @@ called on a run of blocks equals its one-block calls.
 checking that every (surviving) block member carries that value, which
 checks the correction kernels.
 
+``from_signs`` packs an array of +-1 signs into a generation, and ``bits``
+and ``to_signs`` unpack one; ``record_at`` finds the record of one level of
+a trajectory.  Tests write and read signals with them.
+
 ``unpacked_block_majority``, ``unpacked_fraction_identification`` and
 ``unpacked_minority_removal`` are the correction kernels written the direct
 way: unpack every bit into a byte, sum each block, pick with ``np.where`` and
@@ -83,7 +87,7 @@ from treecast.broadcast import (
     sample_root,
 )
 from treecast.channel import ChannelParams, check_epsilon
-from treecast.correction import CorrectedGeneration
+from treecast.correction import CorrectedGeneration, LevelRecord, TrajectoryResult
 from treecast.exact import count_distribution, ks_condition_value
 from treecast.fk import FkEnsembleStats, _spawn_pmf
 from treecast.likelihood import (
@@ -464,18 +468,18 @@ def step_by_blocks(
     ])
 
 
-def renormalize(cg: CorrectedGeneration) -> GenerationSignals:
-    """Project a corrected generation to one value per block.
+def renormalize(
+    g: GenerationSignals, part: BlockPartition, cg: CorrectedGeneration
+) -> GenerationSignals:
+    """Project a generation ``g``, corrected on the partition ``part`` with
+    the result ``cg``, to one value per block.
 
     Verifies the defining invariant first — every block's (surviving)
     members share the block value — and raises if it fails, since a
     violation signals a scheme-ordering bug.
     """
-    g = cg.signals
-    part = cg.partition
     B, nb, covered = part.block_size, part.n_blocks, part.covered
-    bits = np.unpackbits(g.packed, axis=1, count=g.size)
-    grouped = bits[:, :covered].reshape(-1, nb, B)
+    grouped = _grouped(bits(g), part)
     values = np.unpackbits(cg.block_signals.packed, axis=1, count=nb)
     same = grouped == values[:, :, None]
     if cg.alive is not None:
@@ -487,6 +491,36 @@ def renormalize(cg: CorrectedGeneration) -> GenerationSignals:
             "was a correction skipped?"
         )
     return cg.block_signals
+
+
+def from_signs(signs: np.ndarray, level: int) -> GenerationSignals:
+    """Pack an array of +-1 signs; a 1-d array means a single replicate."""
+    signs = np.asarray(signs)
+    if signs.ndim == 1:
+        signs = signs[None, :]
+    if not np.isin(signs, (-1, 1)).all():
+        raise ValueError("signals must be +1 or -1")
+    packed = np.packbits((signs > 0).astype(np.uint8), axis=1)
+    return GenerationSignals(level, signs.shape[1], signs.shape[0], packed)
+
+
+def bits(g: GenerationSignals) -> np.ndarray:
+    """Unpacked 0/1 bits of ``g``, shape (n_replicates, size)."""
+    return np.unpackbits(g.packed, axis=1, count=g.size)
+
+
+def to_signs(g: GenerationSignals) -> np.ndarray:
+    """Unpacked +-1 signs of ``g``, shape (n_replicates, size), int8."""
+    return (2 * bits(g).astype(np.int8) - 1).astype(np.int8)
+
+
+def record_at(traj: TrajectoryResult, level: int) -> LevelRecord:
+    """The record of ``level`` in a trajectory; ``KeyError`` if it was not
+    recorded."""
+    for rec in traj.records:
+        if rec.level == level:
+            return rec
+    raise KeyError(f"level {level} was not recorded")
 
 
 def _unpacked_coins(
@@ -512,14 +546,14 @@ def unpacked_block_majority(
     g: GenerationSignals, part: BlockPartition, seed: SeedSpec, block: int = 0
 ) -> tuple[np.ndarray, np.ndarray]:
     """Packed ``(signals, block_signals)`` of block majority, on unpacked bits."""
-    bits = g.bits()
-    grouped = _grouped(bits, part)
+    unpacked = bits(g)
+    grouped = _grouped(unpacked, part)
     coins = _unpacked_coins(seed, g.level, block, part.n_blocks)[: g.n_replicates]
     majority = _unpacked_majority(
         grouped.sum(axis=2, dtype=np.int64), part.block_size, coins
     )
     grouped[...] = majority[:, :, None]
-    return np.packbits(bits, axis=1), np.packbits(majority, axis=1)
+    return np.packbits(unpacked, axis=1), np.packbits(majority, axis=1)
 
 
 def unpacked_fraction_identification(
@@ -527,13 +561,13 @@ def unpacked_fraction_identification(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Packed ``(signals, block_signals)`` of fraction identification, on
     unpacked bits."""
-    bits = g.bits()
-    grouped = _grouped(bits, part)
+    unpacked = bits(g)
+    grouped = _grouped(unpacked, part)
     gen = seed.generator("pick", level=g.level, block=block)
     member = gen.integers(0, part.block_size, size=(REPLICATE_BLOCK, part.n_blocks))
     picked = np.take_along_axis(grouped, member[: g.n_replicates, :, None], axis=2)
     grouped[...] = picked
-    return np.packbits(bits, axis=1), np.packbits(picked[:, :, 0], axis=1)
+    return np.packbits(unpacked, axis=1), np.packbits(picked[:, :, 0], axis=1)
 
 
 def unpacked_minority_removal(
@@ -545,12 +579,12 @@ def unpacked_minority_removal(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Packed ``(alive, block_signals, block_alive)`` of minority removal, on
     unpacked bits."""
-    bits = g.bits()
+    unpacked = bits(g)
     if alive is None:
-        alive_bits = np.ones_like(bits)
+        alive_bits = np.ones_like(unpacked)
     else:
         alive_bits = np.unpackbits(alive, axis=1, count=g.size)
-    grouped_bits = _grouped(bits, part)
+    grouped_bits = _grouped(unpacked, part)
     grouped_alive = _grouped(alive_bits, part)
     coins = _unpacked_coins(seed, g.level, block, part.n_blocks)[: g.n_replicates]
     total = grouped_alive.sum(axis=2, dtype=np.int64)

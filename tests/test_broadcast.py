@@ -18,7 +18,7 @@ from treecast.broadcast import (
 from treecast.rng import REPLICATE_BLOCK
 from treecast.trees import RegularTreeSpec
 
-from oracles import root_by_blocks, step_by_blocks
+from oracles import bits, from_signs, root_by_blocks, step_by_blocks, to_signs
 
 SEED = SeedSpec(master_seed=20240901)
 
@@ -33,17 +33,17 @@ def test_packed_width():
 )
 def test_pack_round_trip(signs, n_rows):
     arr = np.tile(np.array(signs, dtype=np.int8), (n_rows, 1))
-    g = GenerationSignals.from_signs(arr, level=2)
+    g = from_signs(arr, level=2)
     assert g.size == len(signs)
     assert g.n_replicates == n_rows
-    np.testing.assert_array_equal(g.to_signs(), arr)
+    np.testing.assert_array_equal(to_signs(g), arr)
     # Padding bits beyond `size` stay zero.
     assert not np.unpackbits(g.packed, axis=1)[:, g.size :].any()
 
 
 def test_from_signs_rejects_non_signs():
     with pytest.raises(ValueError):
-        GenerationSignals.from_signs(np.array([1, 0, -1]), level=0)
+        from_signs(np.array([1, 0, -1]), level=0)
 
 
 def test_packed_shape_validation():
@@ -59,14 +59,14 @@ def test_popcount_rows():
 
 
 def test_majority_statistic_counts_signs():
-    g = GenerationSignals.from_signs(
+    g = from_signs(
         np.array([[1, 1, -1, -1, -1], [1, 1, 1, 1, 1]]), level=1
     )
     np.testing.assert_array_equal(majority_statistic(g), [-1, 5])
 
 
 def test_majority_statistic_with_alive_mask():
-    g = GenerationSignals.from_signs(np.array([[1, 1, -1, -1]]), level=1)
+    g = from_signs(np.array([[1, 1, -1, -1]]), level=1)
     alive = np.packbits(np.array([[1, 0, 1, 0]], dtype=np.uint8), axis=1)
     # Alive vertices are the first and third: signs +1 and -1, sum 0.
     np.testing.assert_array_equal(majority_statistic(g, alive), [0])
@@ -100,26 +100,26 @@ def test_repeat_packed_accepts_any_layout(layout):
 def test_sample_root_pinning():
     plus = sample_root(SEED, 10, pin=+1)
     minus = sample_root(SEED, 10, pin=-1)
-    assert (plus.to_signs() == 1).all()
-    assert (minus.to_signs() == -1).all()
+    assert (to_signs(plus) == 1).all()
+    assert (to_signs(minus) == -1).all()
     with pytest.raises(ValueError):
         sample_root(SEED, 10, pin=0)
 
 
 def test_sample_root_fair_when_unpinned():
     g = root_by_blocks(SEED, 10_000, pin=None)
-    mean = g.to_signs().mean()
+    mean = to_signs(g).mean()
     assert abs(mean) < 4 / np.sqrt(10_000)
 
 
 def test_noiseless_step_copies_parent():
-    parents = GenerationSignals.from_signs(np.array([[1, -1], [-1, -1]]), level=1)
+    parents = from_signs(np.array([[1, -1], [-1, -1]]), level=1)
     flips = flip_mask(ChannelParams(epsilon=0.0), SEED, 2, 6)
     kids = sample_next_generation(parents, 3, flips)
     assert kids.level == 2
     assert kids.size == 6
     np.testing.assert_array_equal(
-        kids.to_signs(), [[1, 1, 1, -1, -1, -1], [-1, -1, -1, -1, -1, -1]]
+        to_signs(kids), [[1, 1, 1, -1, -1, -1], [-1, -1, -1, -1, -1, -1]]
     )
 
 
@@ -130,12 +130,12 @@ def test_step_writes_children_into_its_flip_mask(monkeypatch, rows):
     from treecast import rng
 
     monkeypatch.setattr(rng, "SLICE_ELEMENTS", 5 * 11)
-    parents = GenerationSignals.from_signs(
+    parents = from_signs(
         np.random.default_rng(rows).choice([-1, 1], size=(rows, 27)), level=3
     )
     flips = flip_mask(ChannelParams(epsilon=0.2), SEED, 4, 81, block=5)
     expected = np.packbits(
-        np.repeat(parents.bits(), 3, axis=1)
+        np.repeat(bits(parents), 3, axis=1)
         ^ np.unpackbits(flips[:rows], axis=1, count=81),
         axis=1,
     )
@@ -177,7 +177,7 @@ def test_spin_flip_symmetry_is_exact():
     for _ in range(4):
         g_plus = step_by_blocks(g_plus, ch, SEED, r=2)
         g_minus = step_by_blocks(g_minus, ch, SEED, r=2)
-    np.testing.assert_array_equal(g_plus.to_signs(), -g_minus.to_signs())
+    np.testing.assert_array_equal(to_signs(g_plus), -to_signs(g_minus))
 
 
 def test_one_step_child_pair_law():
@@ -195,7 +195,7 @@ def test_one_step_child_pair_law():
 def test_flip_frequency_matches_channel(eps, r):
     root = root_by_blocks(SEED, 2_000, pin=+1)
     kids = step_by_blocks(root, ChannelParams(epsilon=eps), SEED, r=r)
-    flips = (kids.to_signs() == -1).mean()
+    flips = (to_signs(kids) == -1).mean()
     sigma = np.sqrt(eps * (1 - eps) / (2_000 * r))
     assert abs(flips - eps) < 5 * sigma
 

@@ -1,5 +1,8 @@
 """Correction kernels: block majority, fraction pick, minority removal."""
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -13,32 +16,35 @@ from treecast.broadcast import (
 )
 from treecast import correction
 from treecast.correction import (
-    CorrectedGeneration,
     apply_block_majority,
     apply_fraction_identification,
     apply_minority_removal,
     run_corrected_trajectory,
 )
 from treecast import rng
-from treecast.rng import REPLICATE_BLOCK
+from treecast.rng import REPLICATE_BLOCK, block_bits
 from treecast.trees import BlockPartition, RegularTreeSpec
 
 from oracles import (
+    from_signs,
     join_blocks,
+    record_at,
     renormalize,
     root_by_blocks,
     split_blocks,
     step_by_blocks,
+    to_signs,
     unpacked_block_majority,
     unpacked_fraction_identification,
     unpacked_minority_removal,
 )
 
 SEED = SeedSpec(master_seed=555111)
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "treecast"
 
 
 def signals_from(rows, level):
-    return GenerationSignals.from_signs(np.array(rows, dtype=np.int8), level=level)
+    return from_signs(np.array(rows, dtype=np.int8), level=level)
 
 
 def copied(g):
@@ -46,35 +52,43 @@ def copied(g):
     return GenerationSignals(g.level, g.size, g.n_replicates, g.packed.copy())
 
 
+def coins_for(g, part, block=0, blocks=1):
+    """The tie coins of ``g``'s level on ``part`` for ``blocks`` replicate
+    blocks from ``block`` on, as the trajectory loop draws them."""
+    return block_bits(SEED, "tie", g.level, 0.5, part.n_blocks, block=block, blocks=blocks)
+
+
+def picks_for(g, block=0, blocks=1):
+    """The pick generators of ``g``'s level for ``blocks`` replicate blocks
+    from ``block`` on, as the trajectory loop makes them."""
+    return list(SEED.generators("pick", g.level, range(block, block + blocks)))
+
+
 def test_block_majority_overwrites_blocks():
     g = signals_from([[1, 1, -1, -1, -1, 1, 1, 1, -1]], level=2)
     part = BlockPartition(level=2, level_size=9, block_size=3)
-    cg = apply_block_majority(g, part, SEED)
-    np.testing.assert_array_equal(
-        cg.signals.to_signs(), [[1, 1, 1, -1, -1, -1, 1, 1, 1]]
-    )
-    np.testing.assert_array_equal(cg.block_signals.to_signs(), [[1, -1, 1]])
-    assert len(cg.excluded) == 0
+    cg = apply_block_majority(g, part, coins_for(g, part))
+    np.testing.assert_array_equal(to_signs(g), [[1, 1, 1, -1, -1, -1, 1, 1, 1]])
+    np.testing.assert_array_equal(to_signs(cg.block_signals), [[1, -1, 1]])
+    assert len(part.leftover()) == 0
 
 
 def test_block_majority_leaves_leftover_untouched():
     g = signals_from([[1, -1, -1, 1, 1]], level=1)
     part = BlockPartition(level=1, level_size=5, block_size=3)
-    cg = apply_block_majority(g, part, SEED)
-    corrected = cg.signals.to_signs()[0]
+    apply_block_majority(g, part, coins_for(g, part))
+    corrected = to_signs(g)[0]
     assert list(corrected[:3]) == [-1, -1, -1]
     assert list(corrected[3:]) == [1, 1]  # leftover passes through
-    assert list(cg.excluded) == [4, 5]
+    assert list(part.leftover()) == [4, 5]
 
 
 def test_block_majority_tie_coin_is_fair():
     n = 4_000
-    g = GenerationSignals.from_signs(
-        np.tile(np.array([1, -1], dtype=np.int8), (n, 1)), level=3
-    )
+    g = from_signs(np.tile(np.array([1, -1], dtype=np.int8), (n, 1)), level=3)
     part = BlockPartition(level=3, level_size=2, block_size=2)
     votes = np.concatenate([
-        apply_block_majority(g_b, part, SEED, block=b).block_signals.to_signs()[:, 0]
+        to_signs(apply_block_majority(g_b, part, coins_for(g_b, part, b)).block_signals)[:, 0]
         for b, g_b in split_blocks(g)
     ])
     mean = votes.mean()
@@ -86,32 +100,36 @@ def test_block_majority_is_idempotent():
     g = step_by_blocks(root, ChannelParams(epsilon=0.3), SEED, r=4)
     part = BlockPartition(level=1, level_size=4, block_size=2)
     for b, g_b in split_blocks(g):
-        once = apply_block_majority(g_b, part, SEED, block=b)
-        snapshot = once.signals.packed.copy()
-        twice = apply_block_majority(once.signals, part, SEED, block=b)
-        np.testing.assert_array_equal(snapshot, twice.signals.packed)
+        coins = coins_for(g_b, part, b)
+        apply_block_majority(g_b, part, coins)
+        snapshot = g_b.packed.copy()
+        apply_block_majority(g_b, part, coins)
+        np.testing.assert_array_equal(snapshot, g_b.packed)
 
 
 def test_kernels_write_into_the_arrays_they_are_given():
     g = signals_from([[1, 1, -1, -1, -1, 1, 1, 1, -1]], level=2)
     part = BlockPartition(level=2, level_size=9, block_size=3)
     # Tie coins a group shares are only read: a write would raise.
-    coins = correction._tie_coins(SEED, 2, 0, part.n_blocks)
+    coins = coins_for(g, part)
     drawn = coins.copy()
     coins.flags.writeable = False
-    cg = apply_block_majority(g, part, SEED, coins=coins)
-    assert cg.signals.packed is g.packed
-    assert apply_fraction_identification(g, part, SEED).signals.packed is g.packed
+    cg = apply_block_majority(g, part, coins)
+    np.testing.assert_array_equal(renormalize(g, part, cg).packed, cg.block_signals.packed)
+    np.testing.assert_array_equal(to_signs(g), [[1, 1, 1, -1, -1, -1, 1, 1, 1]])
+    g = signals_from([[1, 1, -1, -1, -1, 1, 1, 1, -1]], level=2)
+    cg = apply_fraction_identification(g, part, picks_for(g))
+    renormalize(g, part, cg)  # the blocks of g itself are now constant
     alive = np.packbits(np.ones((1, 9), dtype=np.uint8), axis=1)
-    assert apply_minority_removal(g, part, SEED, alive, coins=coins).alive is alive
+    assert apply_minority_removal(g, part, coins, alive).alive is alive
     np.testing.assert_array_equal(coins, drawn)
 
 
 def test_fraction_identification_copies_a_member():
     g = signals_from([[1, 1, -1, -1]], level=2)
     part = BlockPartition(level=2, level_size=4, block_size=2)
-    cg = apply_fraction_identification(g, part, SEED)
-    out = cg.signals.to_signs()[0]
+    apply_fraction_identification(g, part, picks_for(g))
+    out = to_signs(g)[0]
     # Each block is constant and equal to one of its original members.
     assert out[0] == out[1] == 1
     assert out[2] == out[3] == -1
@@ -119,12 +137,10 @@ def test_fraction_identification_copies_a_member():
 
 def test_fraction_identification_pick_is_uniform():
     n = 4_000
-    g = GenerationSignals.from_signs(
-        np.tile(np.array([1, -1, -1, -1], dtype=np.int8), (n, 1)), level=1
-    )
+    g = from_signs(np.tile(np.array([1, -1, -1, -1], dtype=np.int8), (n, 1)), level=1)
     part = BlockPartition(level=1, level_size=4, block_size=4)
     picks = np.concatenate([
-        apply_fraction_identification(g_b, part, SEED, block=b).block_signals.to_signs()
+        to_signs(apply_fraction_identification(g_b, part, picks_for(g_b, b)).block_signals)
         for b, g_b in split_blocks(g)
     ])
     freq_plus = (picks[:, 0] == 1).mean()
@@ -136,13 +152,12 @@ def test_minority_removal_survivors_agree():
     g = signals_from([[1, 1, -1, 1, -1, -1]], level=1)
     part = BlockPartition(level=1, level_size=6, block_size=3)
     before = g.packed.copy()
-    cg = apply_minority_removal(g, part, SEED)
+    cg = apply_minority_removal(g, part, coins_for(g, part))
     alive_bits = np.unpackbits(cg.alive, axis=1, count=6)[0]
     np.testing.assert_array_equal(alive_bits, [1, 1, 0, 0, 1, 1])
-    np.testing.assert_array_equal(cg.block_signals.to_signs(), [[1, -1]])
+    np.testing.assert_array_equal(to_signs(cg.block_signals), [[1, -1]])
     # Signals themselves are untouched; only the alive mask shrinks.
-    assert cg.signals is g
-    np.testing.assert_array_equal(cg.signals.packed, before)
+    np.testing.assert_array_equal(g.packed, before)
 
 
 def test_minority_removal_respects_prior_deaths():
@@ -150,8 +165,8 @@ def test_minority_removal_respects_prior_deaths():
     part = BlockPartition(level=1, level_size=4, block_size=4)
     # Kill the two -1 members beforehand: the alive majority is then +1.
     alive = np.packbits(np.array([[1, 0, 0, 1]], dtype=np.uint8), axis=1)
-    cg = apply_minority_removal(g, part, SEED, alive=alive)
-    np.testing.assert_array_equal(cg.block_signals.to_signs(), [[1]])
+    cg = apply_minority_removal(g, part, coins_for(g, part), alive=alive)
+    np.testing.assert_array_equal(to_signs(cg.block_signals), [[1]])
     np.testing.assert_array_equal(
         np.unpackbits(cg.alive, axis=1, count=4)[0], [1, 0, 0, 1]
     )
@@ -162,7 +177,7 @@ def test_minority_removal_keeps_at_least_half():
     g = step_by_blocks(root, ChannelParams(epsilon=0.4), SEED, r=4)
     part = BlockPartition(level=1, level_size=4, block_size=4)
     alive = np.concatenate([
-        apply_minority_removal(g_b, part, SEED, block=b).alive
+        apply_minority_removal(g_b, part, coins_for(g_b, part, b)).alive
         for b, g_b in split_blocks(g)
     ])
     alive_counts = np.unpackbits(alive, axis=1, count=4).sum(axis=1)
@@ -187,7 +202,7 @@ def test_packed_kernels_match_unpacked_oracle(case, rows):
     size = r**level
     part = BlockPartition(level=level, level_size=size, block_size=B)
     rng = np.random.default_rng(size * B + rows)
-    g = GenerationSignals.from_signs(rng.choice([-1, 1], size=(rows, size)), level)
+    g = from_signs(rng.choice([-1, 1], size=(rows, size)), level)
     alive_bits = (rng.random((rows, size)) < 0.6).astype(np.uint8)
     # All-dead blocks: the first block of every row, and random others.
     alive_bits[:, :B] = 0
@@ -195,27 +210,31 @@ def test_packed_kernels_match_unpacked_oracle(case, rows):
     alive_bits[:, : part.covered].reshape(rows, -1, B)[dead] = 0
     alive = np.packbits(alive_bits, axis=1)
     block = 3
+    coins = coins_for(g, part, block)
+    before = g.packed.copy()
 
-    cg = apply_block_majority(copied(g), part, SEED, block=block)
+    h = copied(g)
+    cg = apply_block_majority(h, part, coins)
     signals, block_signals = unpacked_block_majority(g, part, SEED, block)
-    np.testing.assert_array_equal(cg.signals.packed, signals)
+    np.testing.assert_array_equal(h.packed, signals)
     np.testing.assert_array_equal(cg.block_signals.packed, block_signals)
 
-    cg = apply_fraction_identification(copied(g), part, SEED, block=block)
+    h = copied(g)
+    cg = apply_fraction_identification(h, part, picks_for(g, block))
     signals, block_signals = unpacked_fraction_identification(g, part, SEED, block)
-    np.testing.assert_array_equal(cg.signals.packed, signals)
+    np.testing.assert_array_equal(h.packed, signals)
     np.testing.assert_array_equal(cg.block_signals.packed, block_signals)
 
     for mask in (None, alive):
         given = None if mask is None else mask.copy()
-        cg = apply_minority_removal(g, part, SEED, given, block=block)
+        cg = apply_minority_removal(g, part, coins, given)
         survivors, block_signals, block_alive = unpacked_minority_removal(
             g, part, SEED, mask, block
         )
         np.testing.assert_array_equal(cg.alive, survivors)
         np.testing.assert_array_equal(cg.block_signals.packed, block_signals)
         np.testing.assert_array_equal(cg.block_alive, block_alive)
-        assert cg.signals is g
+        np.testing.assert_array_equal(g.packed, before)
 
 
 @pytest.mark.parametrize("case", [(2, 5, 4), (3, 4, 5), (3, 4, 9), (2, 8, 16), (3, 5, 27)],
@@ -226,13 +245,14 @@ def test_fraction_identification_row_sliced_picks_match_oracle(monkeypatch, case
     r, level, B = case
     size = r**level
     part = BlockPartition(level=level, level_size=size, block_size=B)
-    g = GenerationSignals.from_signs(
+    g = from_signs(
         np.random.default_rng(B).choice([-1, 1], size=(REPLICATE_BLOCK - 3, size)), level
     )
     monkeypatch.setattr(rng, "SLICE_ELEMENTS", 3 * max(part.n_blocks, g.packed.shape[1]))
-    cg = apply_fraction_identification(copied(g), part, SEED, block=2)
+    h = copied(g)
+    cg = apply_fraction_identification(h, part, picks_for(g, 2))
     signals, block_signals = unpacked_fraction_identification(g, part, SEED, 2)
-    np.testing.assert_array_equal(cg.signals.packed, signals)
+    np.testing.assert_array_equal(h.packed, signals)
     np.testing.assert_array_equal(cg.block_signals.packed, block_signals)
 
 
@@ -243,40 +263,46 @@ KERNELS = (
     apply_fraction_identification,
     apply_minority_removal,
 )
+#: What each kernel names when it refuses rows beyond the draws it is given.
+REFUSALS = {
+    sample_root: "replicate block",
+    sample_next_generation: "flip mask shape",
+    apply_block_majority: "tie coins shape",
+    apply_fraction_identification: "replicate block",
+    apply_minority_removal: "tie coins shape",
+}
 
 
 def run_kernel(kernel, n):
-    """Call one of the five one-block kernels on ``n`` replicate rows."""
+    """Call one of the five kernels on ``n`` replicate rows, with the draws
+    of one replicate block."""
     if kernel is sample_root:
         return sample_root(SEED, n, pin=None)
-    g = GenerationSignals.from_signs(np.ones((n, 4), dtype=np.int8), level=2)
+    g = from_signs(np.ones((n, 4), dtype=np.int8), level=2)
     if kernel is sample_next_generation:
         flips = flip_mask(ChannelParams(epsilon=0.1), SEED, 3, 8)
         return sample_next_generation(g, 2, flips)
-    return kernel(g, BlockPartition(level=2, level_size=4, block_size=2), SEED)
+    part = BlockPartition(level=2, level_size=4, block_size=2)
+    if kernel is apply_fraction_identification:
+        return kernel(g, part, picks_for(g))
+    return kernel(g, part, coins_for(g, part))
 
 
 @pytest.mark.parametrize("kernel", KERNELS, ids=lambda kernel: kernel.__name__)
 def test_kernels_refuse_more_than_one_replicate_block(kernel):
     run_kernel(kernel, REPLICATE_BLOCK)
-    with pytest.raises(ValueError, match="replicate block"):
+    with pytest.raises(ValueError, match=REFUSALS[kernel]):
         run_kernel(kernel, REPLICATE_BLOCK + 1)
 
 
 def test_renormalize_round_trip_and_guard():
     g = signals_from([[1, 1, -1, -1]], level=2)
     part = BlockPartition(level=2, level_size=4, block_size=2)
-    cg = apply_block_majority(g, part, SEED)
-    np.testing.assert_array_equal(renormalize(cg).to_signs(), [[1, -1]])
+    cg = apply_block_majority(g, part, coins_for(g, part))
+    np.testing.assert_array_equal(to_signs(renormalize(g, part, cg)), [[1, -1]])
     # A corrupted generation that is not block-constant must be rejected.
-    broken = CorrectedGeneration(
-        signals=signals_from([[1, -1, -1, -1]], level=2),
-        partition=part,
-        block_signals=cg.block_signals,
-        excluded=cg.excluded,
-    )
     with pytest.raises(ValueError):
-        renormalize(broken)
+        renormalize(signals_from([[1, -1, -1, -1]], level=2), part, cg)
 
 
 def test_scheme_parse_round_trip():
@@ -316,7 +342,7 @@ def test_trajectory_records_requested_levels():
     assert [rec.level for rec in traj.records] == [2, 4]
     assert all(rec.statistic.shape == (300,) for rec in traj.records)
     with pytest.raises(KeyError):
-        traj.record_at(3)
+        record_at(traj, 3)
     with pytest.raises(ValueError):
         run_corrected_trajectory(
             RegularTreeSpec(r=2, depth=5),
@@ -341,7 +367,7 @@ def test_identity_trajectory_matches_plain_broadcast():
     g = root_by_blocks(SEED, 400, pin=+1)
     for level in range(5):
         np.testing.assert_array_equal(
-            traj.record_at(level).statistic, majority_statistic(g)
+            record_at(traj, level).statistic, majority_statistic(g)
         )
         if level < 4:
             g = step_by_blocks(g, ch, SEED, r=2)
@@ -356,7 +382,7 @@ def test_trajectory_is_deterministic_and_prefix_stable():
         (traj,) = run_corrected_trajectory(
             tree, (scheme,), ch, SEED, n, record_levels=(4,)
         )
-        return traj.record_at(4).statistic
+        return record_at(traj, 4).statistic
 
     a, b, wide = stat(700), stat(700), stat(1500)
     np.testing.assert_array_equal(a, b)
@@ -372,7 +398,7 @@ def test_minority_trajectory_tracks_survivors():
         SEED,
         n_replicates=500,
     )
-    rec = traj.record_at(2)
+    rec = record_at(traj, 2)
     assert rec.alive_count is not None
     assert rec.renormalized_statistic is not None
     assert rec.n_blocks == 3
@@ -402,20 +428,17 @@ def test_renormalized_root_pinning_requires_block_scheme(monkeypatch):
 
 
 def run_kernel_on_blocks(kernel, n, blocks):
-    """Call one of the five kernels on ``n`` rows of ``blocks`` replicate
-    blocks from block 1 on."""
+    """Call one of the two kernels that map rows to replicate blocks on
+    ``n`` rows of ``blocks`` replicate blocks from block 1 on."""
     if kernel is sample_root:
         return sample_root(SEED, n, pin=None, block=1, blocks=blocks)
-    g = GenerationSignals.from_signs(np.ones((n, 4), dtype=np.int8), level=2)
-    if kernel is sample_next_generation:
-        ch = ChannelParams(epsilon=0.1)
-        flips = flip_mask(ch, SEED, 3, 8, block=1, blocks=blocks)
-        return sample_next_generation(g, 2, flips)
+    g = from_signs(np.ones((n, 4), dtype=np.int8), level=2)
     part = BlockPartition(level=2, level_size=4, block_size=2)
-    return kernel(g, part, SEED, block=1, blocks=blocks)
+    return kernel(g, part, picks_for(g, 1, blocks))
 
 
-@pytest.mark.parametrize("kernel", KERNELS, ids=lambda kernel: kernel.__name__)
+@pytest.mark.parametrize("kernel", (sample_root, apply_fraction_identification),
+                         ids=lambda kernel: kernel.__name__)
 def test_kernels_refuse_rows_that_do_not_fill_their_blocks(kernel):
     # Every block of a run but the last is full, and the last holds a row.
     for n in (REPLICATE_BLOCK + 1, 2 * REPLICATE_BLOCK):
@@ -426,14 +449,99 @@ def test_kernels_refuse_rows_that_do_not_fill_their_blocks(kernel):
 
 
 def test_kernels_refuse_tie_coins_of_other_blocks():
-    g = GenerationSignals.from_signs(
-        np.ones((REPLICATE_BLOCK + 1, 4), dtype=np.int8), level=2
-    )
+    g = from_signs(np.ones((REPLICATE_BLOCK + 1, 4), dtype=np.int8), level=2)
     part = BlockPartition(level=2, level_size=4, block_size=2)
-    one_block = correction._tie_coins(SEED, 2, 1, part.n_blocks)
+    one_block = coins_for(g, part, 1)
+    # Mis-shaped coins on a narrow level of five rows: one row, a row too
+    # few, a byte too narrow or too wide, and a flat array.  numpy would
+    # broadcast or slice some of these without a word.
+    h = from_signs(np.ones((5, 32), dtype=np.int8), level=5)
+    wide = BlockPartition(level=5, level_size=32, block_size=2)
+    coins = coins_for(h, wide)
     for kernel in (apply_block_majority, apply_minority_removal):
         with pytest.raises(ValueError, match="tie coins shape"):
-            kernel(g, part, SEED, block=1, blocks=2, coins=one_block)
+            kernel(g, part, one_block)
+        kernel(copied(h), wide, coins[:5])
+        for bad in (coins[:1], coins[:4], coins[:, :1], np.pad(coins, ((0, 0), (0, 1))),
+                    coins[0]):
+            with pytest.raises(ValueError, match="tie coins shape"):
+                kernel(copied(h), wide, bad)
+        with pytest.raises(ValueError, match="does not match generation"):
+            kernel(copied(h), BlockPartition(level=4, level_size=32, block_size=2), coins)
+
+
+def test_kernels_draw_nothing(monkeypatch):
+    # Every draw comes in as an argument: with stream construction and bit
+    # draws broken, the four kernels still run.
+    ch = ChannelParams(epsilon=0.3)
+    parents = root_by_blocks(SEED, 300, pin=+1)
+    g = step_by_blocks(parents, ch, SEED, r=3)
+    part = BlockPartition(level=1, level_size=3, block_size=3)
+    flips = flip_mask(ch, SEED, 2, 9, blocks=2)
+    coins = coins_for(g, part, blocks=2)
+    picks = picks_for(g, blocks=2)
+
+    def never(*args, **kwargs):
+        raise AssertionError("a kernel drew")
+
+    monkeypatch.setattr(SeedSpec, "generators", never)
+    monkeypatch.setattr(rng, "bernoulli_bits", never)
+    sample_next_generation(g, 3, flips)
+    apply_block_majority(copied(g), part, coins)
+    apply_fraction_identification(copied(g), part, picks)
+    apply_minority_removal(g, part, coins)
+    with pytest.raises(AssertionError, match="a kernel drew"):
+        coins_for(g, part)
+
+
+#: Names that build or draw from a random stream.
+DRAWS = frozenset({"generator", "generators", "block_bits", "bernoulli_bits", "flip_mask"})
+
+
+def module_calls(path):
+    """For each top-level function of ``path``, the names it calls (a call
+    ``f(...)`` or ``x.f(...)`` names ``f``), nested functions included."""
+    calls = {}
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        if isinstance(node, ast.FunctionDef):
+            calls[node.name] = {
+                getattr(sub.func, "id", getattr(sub.func, "attr", None))
+                for sub in ast.walk(node)
+                if isinstance(sub, ast.Call)
+            }
+    return calls
+
+
+def reachable(calls, name):
+    """``name`` and every function of the same module it calls, transitively."""
+    seen, todo = set(), [name]
+    while todo:
+        current = todo.pop()
+        if current not in seen:
+            seen.add(current)
+            todo.extend(callee for callee in calls[current] if callee in calls)
+    return seen
+
+
+def test_no_kernel_names_a_stream():
+    kernels = {
+        "broadcast.py": ["sample_next_generation"],
+        "correction.py": [
+            "apply_block_majority", "apply_fraction_identification", "apply_minority_removal"
+        ],
+    }
+    for module, names in kernels.items():
+        calls = module_calls(PACKAGE / module)
+        for name in names:
+            drawn = {
+                (function, callee)
+                for function in reachable(calls, name)
+                for callee in calls[function] & DRAWS
+            }
+            assert not drawn, f"{name} draws through {sorted(drawn)}"
+    # The loop does draw, so the check sees draws where they are.
+    loop = module_calls(PACKAGE / "correction.py")
+    assert DRAWS & set().union(*(loop[f] for f in reachable(loop, "_run_task")))
 
 
 def test_draws_of_a_run_of_blocks_stack_the_blocks_draws():
@@ -443,8 +551,8 @@ def test_draws_of_a_run_of_blocks_stack_the_blocks_draws():
         np.concatenate([flip_mask(ch, SEED, 4, 81, block=b) for b in (2, 3, 4)]),
     )
     np.testing.assert_array_equal(
-        correction._tie_coins(SEED, 4, 2, 27, blocks=3),
-        np.concatenate([correction._tie_coins(SEED, 4, b, 27) for b in (2, 3, 4)]),
+        block_bits(SEED, "tie", 4, 0.5, 27, block=2, blocks=3),
+        np.concatenate([block_bits(SEED, "tie", 4, 0.5, 27, block=b) for b in (2, 3, 4)]),
     )
     rows = 2 * REPLICATE_BLOCK + 7
     np.testing.assert_array_equal(
@@ -461,14 +569,14 @@ def test_draws_of_a_run_of_blocks_stack_the_blocks_draws():
                          ids=lambda c: "r{}-level{}-B{}".format(*c))
 def test_a_run_of_blocks_equals_its_blocks_one_by_one(monkeypatch, case, slice_rows):
     # Three blocks from block 2 on, the last partial: the run's rows must be
-    # its blocks' rows, each drawn from its own streams, also when a row
-    # slice straddles a block boundary.
+    # its blocks' rows, each read from its own draws, also when a row slice
+    # straddles a block boundary.
     r, level, B = case
     size = r**level
     part = BlockPartition(level=level, level_size=size, block_size=B)
     rows = 2 * REPLICATE_BLOCK + 44
     gen = np.random.default_rng(size * B)
-    g = GenerationSignals.from_signs(gen.choice([-1, 1], size=(rows, size)), level)
+    g = from_signs(gen.choice([-1, 1], size=(rows, size)), level)
     alive = np.packbits(gen.random((rows, size)) < 0.7, axis=1)
     if slice_rows is not None:
         monkeypatch.setattr(
@@ -477,22 +585,27 @@ def test_a_run_of_blocks_equals_its_blocks_one_by_one(monkeypatch, case, slice_r
     blocks = [slice(b * REPLICATE_BLOCK, (b + 1) * REPLICATE_BLOCK) for b in range(3)]
     for kernel in (apply_block_majority, apply_fraction_identification,
                    apply_minority_removal):
-        removal = kernel is apply_minority_removal
 
-        def call(rows, **where):
+        def call(rows, block, count=1):
             packed = g.packed[rows].copy()
             given = GenerationSignals(level, size, len(packed), packed)
-            extra = (alive[rows].copy(),) if removal else ()
-            return kernel(given, part, SEED, *extra, **where)
+            if kernel is apply_fraction_identification:
+                cg = kernel(given, part, picks_for(given, block, count))
+            else:
+                extra = (alive[rows].copy(),) if kernel is apply_minority_removal else ()
+                cg = kernel(given, part, coins_for(given, part, block, count), *extra)
+            return given, cg
 
-        whole = call(slice(None), block=2, blocks=3)
-        one_by_one = [call(rows, block=2 + b) for b, rows in enumerate(blocks)]
-        for name in ("signals", "block_signals"):
+        whole = call(slice(None), 2, 3)
+        one_by_one = [call(rows, 2 + b) for b, rows in enumerate(blocks)]
+        np.testing.assert_array_equal(
+            whole[0].packed, join_blocks([given for given, _ in one_by_one]).packed
+        )
+        np.testing.assert_array_equal(
+            whole[1].block_signals.packed,
+            join_blocks([cg.block_signals for _, cg in one_by_one]).packed,
+        )
+        if kernel is apply_minority_removal:
             np.testing.assert_array_equal(
-                getattr(whole, name).packed,
-                join_blocks([getattr(cg, name) for cg in one_by_one]).packed,
-            )
-        if removal:
-            np.testing.assert_array_equal(
-                whole.alive, np.concatenate([cg.alive for cg in one_by_one])
+                whole[1].alive, np.concatenate([cg.alive for _, cg in one_by_one])
             )

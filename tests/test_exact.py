@@ -24,6 +24,7 @@ from treecast import (
     t_statistic,
 )
 from treecast import exact
+from treecast.budget import check_support
 from treecast.exact import (
     _itp_search,
     block_scheme_delta,
@@ -447,6 +448,18 @@ def test_support_budget_guard():
     with pytest.raises(BudgetError):
         count_distribution(10, 2, 0.1, budget=100)
     assert count_distribution(5, 2, 0.1, budget=33).shape == (33,)
+
+
+@pytest.mark.parametrize("n", [1, 16, 62, 63, 64, 65, 300])
+def test_support_budget_boundary_is_exact(n):
+    # 2**n + 1 points fit a budget of exactly that many and not one less,
+    # also where the check decides by bit length alone.
+    check_support(2, n, 2**n + 1)
+    with pytest.raises(BudgetError, match=rf"support of 2\*\*{n} \+ 1 points"):
+        check_support(2, n, 2**n)
+    with pytest.raises(BudgetError):
+        check_support(2, n + 1, 2**n + 1)
+    check_support(1, 10**12, 2)
 
 
 def test_support_budget_env_override(monkeypatch):

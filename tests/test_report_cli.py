@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import math
+import time
 import tracemalloc
 
 import pytest
@@ -323,6 +324,29 @@ def test_cli_usage_error_exits_two():
 def test_cli_budget_exhaustion_exits_three(capsys):
     code = main(["critical", "--r", "2", "--k", "40"])
     assert code == 3
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["critical", "--r", "3", "--k", "10000"],
+        ["eps-k", "--r", "3", "--k", "10000", "--eps", "0.1"],
+        ["delta", "--r", "3", "--depth", "10000", "--eps", "0.1", "--replicates", "200"],
+        ["critical", "--r", "3", "--k", "10000000"],
+    ],
+    ids=["critical", "eps-k", "delta", "critical-1e7"],
+)
+def test_cli_refuses_sizes_too_large_to_print_with_exit_three(capsys, argv):
+    # 3**10000 has more digits than Python prints by default, and 3**10**7
+    # takes seconds to build: the budget checks do neither.
+    start = time.perf_counter()
+    assert main(argv) == 3
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"3**{argv[4]}" in captured.err
+    if argv[4] == "10000000":
+        assert elapsed < 0.5
 
 
 def test_cli_critical_refuses_an_over_budget_period_before_any_search(capsys, monkeypatch):

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from treecast import BudgetError, CorrectionScheme
+from treecast.budget import DEFAULT_VERTEX_BUDGET, check_vertices
 from treecast.trees import BlockPartition, RegularTreeSpec
 
 from oracles import Vertex, ancestor_of_block, children_range, contains, parent_of
@@ -87,6 +88,22 @@ def test_descent_partition_blocks_are_descendant_sets():
 def test_descent_partition_rejects_misaligned_levels():
     with pytest.raises(ValueError):
         CorrectionScheme.parse("WithinDescentMajority{k=2}").partition_for(5, 2)
+
+
+def test_vertex_budget_boundary_is_exact():
+    # The default budget holds 2**26 vertices and not one more, also where
+    # the check decides by bit length alone.
+    assert DEFAULT_VERTEX_BUDGET == 2**26
+    check_vertices(2, 26)
+    check_vertices(4, 13)
+    check_vertices(2**26, 1)
+    for r, n in ((2, 27), (4, 14), (2**26 + 1, 1), (2, 28), (3, 10**7)):
+        with pytest.raises(BudgetError, match=rf"level of {r}\*\*{n} vertices"):
+            check_vertices(r, n)
+    check_vertices(1, 10**12)
+    assert RegularTreeSpec(r=2, depth=26).depth == 26
+    with pytest.raises(BudgetError):
+        RegularTreeSpec(r=2, depth=27)
 
 
 def test_vertex_budget_guard():
