@@ -59,6 +59,10 @@ checks the correction kernels.
 and ``to_signs`` unpack one; ``record_at`` finds the record of one level of
 a trajectory.  Tests write and read signals with them.
 
+``decision_statistic`` is the per-replicate statistic whose signs
+``estimators.mc_deltas`` counts for one scheme at the tree's depth, with
+whether it is the renormalized one-vote-per-block statistic.
+
 ``unpacked_block_majority``, ``unpacked_fraction_identification`` and
 ``unpacked_minority_removal`` are the correction kernels written the direct
 way: unpack every bit into a byte, sum each block, pick with ``np.where`` and
@@ -87,7 +91,13 @@ from treecast.broadcast import (
     sample_root,
 )
 from treecast.channel import ChannelParams, check_epsilon
-from treecast.correction import CorrectedGeneration, LevelRecord, TrajectoryResult
+from treecast.correction import (
+    CorrectedGeneration,
+    CorrectionScheme,
+    LevelRecord,
+    TrajectoryResult,
+    run_corrected_trajectory,
+)
 from treecast.exact import count_distribution, ks_condition_value
 from treecast.fk import FkEnsembleStats, _spawn_pmf
 from treecast.likelihood import (
@@ -521,6 +531,28 @@ def record_at(traj: TrajectoryResult, level: int) -> LevelRecord:
         if rec.level == level:
             return rec
     raise KeyError(f"level {level} was not recorded")
+
+
+def decision_statistic(
+    tree: RegularTreeSpec,
+    scheme: CorrectionScheme,
+    ch: ChannelParams,
+    seed: SeedSpec,
+    n_replicates: int,
+    pin_renormalized_root: bool = False,
+) -> tuple[np.ndarray, bool]:
+    """The statistic ``mc_deltas`` reads of one scheme at ``tree.depth``,
+    one entry per replicate, and whether it is the renormalized one."""
+    (traj,) = run_corrected_trajectory(
+        tree, (scheme,), ch, seed, n_replicates,
+        pin_root=+1, pin_renormalized_root=pin_renormalized_root,
+        record_levels=(tree.depth,),
+    )
+    rec = traj.records[0]
+    renormalized = rec.renormalized_statistic is not None and (
+        pin_renormalized_root or scheme.removes_minority
+    )
+    return (rec.renormalized_statistic if renormalized else rec.statistic), renormalized
 
 
 def _unpacked_coins(
