@@ -11,16 +11,16 @@ each build their children from their own parents and a copy of it
 given).  Majority statistics reduce rows with ``np.bitwise_count``.
 
 All randomness flows through :class:`~treecast.rng.SeedSpec` streams keyed by
-(purpose, level, replicate block).  The two draws made here,
-:func:`sample_root` and :func:`flip_mask`, cover a run of ``blocks``
-consecutive replicate blocks of :data:`~treecast.rng.REPLICATE_BLOCK` rows
-(one block by default) from the global index ``block`` on, each block's
-full width from its own stream, stacked in block order, so a replicate's
-trajectory depends neither on how many other replicates run beside it nor
-on how many blocks share one call.  :func:`sample_next_generation` draws
-nothing: row ``i`` of the children is row ``i`` of the parents and of the
-mask, and the trajectory loop of :mod:`treecast.correction` picks which
-blocks' mask it gets.
+(purpose, level, replicate block).  The one draw made here,
+:func:`flip_mask`, covers a run of ``blocks`` consecutive replicate blocks
+of :data:`~treecast.rng.REPLICATE_BLOCK` rows (one block by default) from
+the global index ``block`` on, each block's full width from its own stream,
+stacked in block order, so a replicate's trajectory depends neither on how
+many other replicates run beside it nor on how many blocks share one call.
+The root is drawn from nothing: every run starts from all-+1 signals.
+:func:`sample_next_generation` draws nothing either: row ``i`` of the
+children is row ``i`` of the parents and of the mask, and the trajectory
+loop of :mod:`treecast.correction` picks which blocks' mask it gets.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ChannelParams
-from .rng import SeedSpec, block_bits, check_block_rows, row_slices
+from .rng import SeedSpec, block_bits, row_slices
 
 
 def packed_width(size: int) -> int:
@@ -91,29 +91,6 @@ def majority_statistic(
     stat *= 2
     stat -= g.size if alive is None else popcount_rows(alive)
     return stat
-
-
-def sample_root(
-    seed: SeedSpec,
-    n_replicates: int,
-    pin: int | None = +1,
-    *,
-    block: int = 0,
-    blocks: int = 1,
-) -> GenerationSignals:
-    """Level-0 signals of ``blocks`` consecutive replicate blocks from
-    ``block`` on (one block by default): pinned to ``pin`` for
-    conditional-on-root experiments, or an independent fair sign per
-    replicate when ``pin`` is None."""
-    check_block_rows(n_replicates, blocks)
-    if pin is None:
-        bits = block_bits(seed, "root", 0, 0.5, 1, block=block, blocks=blocks)
-        packed = bits[:n_replicates]
-    elif pin in (-1, 1):
-        packed = np.full((n_replicates, 1), 0x80 if pin == 1 else 0x00, dtype=np.uint8)
-    else:
-        raise ValueError(f"pinned root must be +1 or -1, got {pin}")
-    return GenerationSignals(level=0, size=1, n_replicates=n_replicates, packed=packed)
 
 
 @functools.lru_cache(maxsize=None)

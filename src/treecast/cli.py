@@ -622,6 +622,7 @@ def _emit(cfg: RunConfig, rows: list[ReportRow]) -> None:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    passed = True
     try:
         cfg, overrides = _build_run_config(args)
         if args.command == "eps-k":
@@ -634,9 +635,6 @@ def main(argv: list[str] | None = None) -> int:
             rows = cmd_fk_stats(cfg)
         elif args.command == "verify":
             rows, passed = cmd_verify(cfg, args.suite, overrides["seed"])
-            if cfg.out or getattr(args, "format", None) is not None:
-                _emit(cfg, rows)
-            return EXIT_OK if passed else EXIT_GATE
         else:
             rows = cmd_sweep(cfg, args.grid, overrides)
     except BudgetError as exc:
@@ -647,7 +645,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     _emit(cfg, rows)
-    return EXIT_OK
+    return EXIT_OK if passed else EXIT_GATE
 
 
 if __name__ == "__main__":

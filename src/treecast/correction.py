@@ -30,8 +30,12 @@ of the alive portion is exactly the random-tree process the removal schemes
 define, and the representation keeps every kernel rectangular.
 
 :func:`run_corrected_trajectory` is the one trajectory loop, for a group
-of schemes that share the tree, channel, seed, replicate count, root options
-and recorded levels (a group of one is a single run).  It cuts the replicate
+of schemes that share the tree, channel, seed, replicate count and root
+(a group of one is a single run).  It reads one thing per scheme: the
+decision statistic at the tree's depth, whose sign is each replicate's
+guess at the +1 root (:func:`_plan` holds the rule for which statistic
+decides).  Every run starts from constant +1 signals, at level 0 or at the
+renormalized block-0 level, so no root is drawn.  It cuts the replicate
 blocks into one run of consecutive blocks per worker thread, one per usable
 CPU (Philox fills and numpy bulk operations release the GIL; a single run
 needs no pool), and carries each run down the tree in batches of consecutive
@@ -41,7 +45,7 @@ batches that do, and each runs to the depth before the next starts.  So the
 narrow top of the tree takes few large kernel calls and a wide level one
 call per block.  The batches are a pure function of the replicate count,
 the level widths, the bound and the worker count.  Each batch writes its
-rows of every scheme's level records into arrays allocated up front.
+rows of every scheme's statistic into an array allocated up front.
 
 Only the loop names stream addresses.  At each level a batch's flip mask
 is drawn once (:func:`~treecast.broadcast.flip_mask`) and every scheme
@@ -69,8 +73,8 @@ writes the children into the flip mask it is given (every scheme but the
 last gets a copy), block majority and fraction identification overwrite the
 child they are given, and minority removal writes the new alive mask into
 the one it is given; tie coins they are handed are only read.  A scheme's
-deepest level is dropped as soon as it is recorded, and the kernels and
-statistics work a bounded row slice at a time
+deepest level is dropped as soon as its statistic is read, and the kernels
+and statistics work a bounded row slice at a time
 (:func:`~treecast.rng.row_slices`).  The vertex budget is checked once, when
 the :class:`~treecast.trees.RegularTreeSpec` is built.
 
@@ -99,10 +103,8 @@ from .broadcast import (
     flip_mask,
     majority_statistic,
     packed_width,
-    popcount_rows,
     repeat_packed,
     sample_next_generation,
-    sample_root,
 )
 from .channel import ChannelParams
 from .rng import (
@@ -129,7 +131,7 @@ _VARIANTS = frozenset({"Identity"}) | _M_VARIANTS | _K_VARIANTS
 #: through as one: a batch whose next level would hold more splits into
 #: batches that fit, down to single blocks.  Larger batches make fewer,
 #: larger kernel calls and hold more scratch memory.  Not part of the
-#: contract: any value gives the same records.
+#: contract: any value gives the same statistics.
 BATCH_BYTES = 1 << 14
 
 
@@ -552,28 +554,9 @@ def apply_minority_removal(
     )
 
 
-@dataclass(frozen=True)
-class LevelRecord:
-    """Per-replicate statistics recorded at one level of a trajectory."""
-
-    level: int
-    statistic: np.ndarray
-    alive_count: np.ndarray | None = None
-    renormalized_statistic: np.ndarray | None = None
-    n_blocks: int | None = None
-    alive_block_count: np.ndarray | None = None
-    excluded_count: int = 0
-
-
-@dataclass(frozen=True)
-class TrajectoryResult:
-    """All recorded levels of one corrected-broadcast run."""
-
-    records: tuple[LevelRecord, ...]
-
-
 def _constant_signals(level: int, size: int, n_replicates: int) -> GenerationSignals:
-    """All-(+1) signals (used to pin the renormalized root)."""
+    """All-(+1) signals: the root, or the renormalized block 0 of a run
+    that starts there."""
     packed = np.full((n_replicates, packed_width(size)), 0xFF, dtype=np.uint8)
     tail = size % 8
     if tail:
@@ -615,11 +598,12 @@ def _apply_scheme(
 @dataclass(frozen=True)
 class _Plan:
     """One scheme of a trajectory group: the partition of every level it
-    corrects and its level records, allocated for all replicates."""
+    corrects, and its decision statistic at the depth for all replicates."""
 
     scheme: CorrectionScheme
     partitions: dict[int, BlockPartition]
-    records: dict[int, LevelRecord]
+    statistic: np.ndarray
+    renormalized: bool
 
 
 def _plan(
@@ -627,70 +611,29 @@ def _plan(
     r: int,
     depth: int,
     start: int,
-    recorded: Sequence[int],
     n_replicates: int,
     pin_renormalized_root: bool,
 ) -> _Plan:
     """The partitions of the levels past ``start`` that the scheme corrects
-    (the start level itself is never corrected), and one empty record per
-    recorded level with the columns the run will fill."""
+    (the start level itself is never corrected), and which statistic decides
+    at ``depth``.
+
+    When ``depth`` is a correction level of a removal scheme, or of a run
+    from the renormalized root, the statistic is one vote per surviving
+    block, taken after correction: the corrected process's vertices are the
+    blocks.  Otherwise it is the signed sum over the level's alive vertices.
+    """
     partitions = {
         level: scheme.partition_for(level, r)
         for level in scheme.correction_levels(r, depth)
         if level > start
     }
-    removal = scheme.removes_minority
-    first_removal = min(partitions, default=depth + 1) if removal else depth + 1
-
-    def column(present: bool) -> np.ndarray | None:
-        return np.empty(n_replicates, dtype=np.int64) if present else None
-
-    records = {}
-    for level in recorded:
-        part = partitions.get(level)
-        alive = level >= first_removal
-        if part is not None:
-            rec = LevelRecord(
-                level=level,
-                statistic=column(True),
-                alive_count=column(alive),
-                renormalized_statistic=column(True),
-                n_blocks=part.n_blocks,
-                alive_block_count=column(removal),
-                excluded_count=len(part.leftover()),
-            )
-        elif pin_renormalized_root and level == start:
-            rec = LevelRecord(
-                level=level,
-                statistic=column(True),
-                renormalized_statistic=np.ones(n_replicates, dtype=np.int64),
-                n_blocks=1,
-            )
-        else:
-            rec = LevelRecord(
-                level=level, statistic=column(True), alive_count=column(alive)
-            )
-        records[level] = rec
-    return _Plan(scheme, partitions, records)
-
-
-def _write_record(
-    rec: LevelRecord,
-    out: slice,
-    g: GenerationSignals,
-    alive: np.ndarray | None,
-    cg: CorrectedGeneration | None,
-) -> None:
-    """Fill one batch's rows ``out`` of a level record."""
-    rec.statistic[out] = majority_statistic(g, alive)
-    if rec.alive_count is not None:
-        rec.alive_count[out] = popcount_rows(alive)
-    if cg is not None:
-        rec.renormalized_statistic[out] = majority_statistic(
-            cg.block_signals, cg.block_alive
-        )
-        if rec.alive_block_count is not None:
-            rec.alive_block_count[out] = popcount_rows(cg.block_alive)
+    renormalized = depth in partitions and (
+        scheme.removes_minority or pin_renormalized_root
+    )
+    return _Plan(
+        scheme, partitions, np.empty(n_replicates, dtype=np.int64), renormalized
+    )
 
 
 class _Lineage:
@@ -723,8 +666,6 @@ class _Run:
     depth: int
     start: int
     n_replicates: int
-    pin_root: int | None
-    pin_renormalized_root: bool
 
 
 def _batches(block: int, blocks: int, size: int) -> list[tuple[int, int]]:
@@ -744,31 +685,35 @@ def _rows(run: _Run, block: int, blocks: int) -> slice:
 
 
 def _step(
+    run: _Run,
     plan: _Plan,
     line: _Lineage,
     flips: np.ndarray,
-    seed: SeedSpec,
-    r: int,
     block: int,
     blocks: int,
     coins: dict[int, np.ndarray],
     out: slice,
 ) -> None:
     """Advance one scheme's lineage by a level: broadcast into ``flips``
-    (consumed), correct in place at the scheme's levels, record."""
-    g = sample_next_generation(line.signals, r, flips)
+    (consumed), correct in place at the scheme's levels, and at the depth
+    write the batch's rows ``out`` of the decision statistic."""
+    g = sample_next_generation(line.signals, run.r, flips)
     # The parent goes as soon as the child exists.
     line.signals = g
     if line.alive is not None:
-        line.alive = repeat_packed(line.alive, g.size // r, r)
+        line.alive = repeat_packed(line.alive, g.size // run.r, run.r)
     cg = None
     part = plan.partitions.get(g.level)
     if part is not None:
-        cg = _apply_scheme(plan.scheme, g, part, seed, line.alive, block, blocks, coins)
+        cg = _apply_scheme(
+            plan.scheme, g, part, run.seed, line.alive, block, blocks, coins
+        )
         line.alive = cg.alive
-    rec = plan.records.get(g.level)
-    if rec is not None:
-        _write_record(rec, out, g, line.alive, cg)
+    if g.level == run.depth:
+        if plan.renormalized:
+            plan.statistic[out] = majority_statistic(cg.block_signals, cg.block_alive)
+        else:
+            plan.statistic[out] = majority_statistic(g, line.alive)
 
 
 def _step_batch(
@@ -783,11 +728,11 @@ def _step_batch(
     last = len(run.plans) - 1
     for i, plan in enumerate(run.plans):
         mask = flips if i == last else flips.copy()
-        _step(plan, lines[i], mask, run.seed, run.r, block, blocks, coins, out)
+        _step(run, plan, lines[i], mask, block, blocks, coins, out)
         del mask
         if level == run.depth:
-            # Recorded: free the deepest level before the next scheme builds
-            # its own.
+            # Read: free the deepest level before the next scheme builds its
+            # own.
             lines[i] = None
 
 
@@ -819,20 +764,14 @@ def _run_batch(
 
 
 def _run_task(run: _Run, block: int, blocks: int) -> None:
-    """Root one worker's blocks, a batch at a time that fits the first level
-    below the start, record the start level and carry each batch down."""
+    """Root one worker's blocks at the start level, a batch at a time that
+    fits the first level below it, and carry each batch down."""
     for first, count in _batches(block, blocks, run.r ** (run.start + 1)):
         out = _rows(run, first, count)
-        rows = out.stop - out.start
-        if run.pin_renormalized_root:
-            root = _constant_signals(run.start, run.r**run.start, rows)
-        else:
-            root = sample_root(
-                run.seed, rows, pin=run.pin_root, block=first, blocks=count
-            )
-        for plan in run.plans:
-            if run.start in plan.records:
-                _write_record(plan.records[run.start], out, root, None, None)
+        root = _constant_signals(run.start, run.r**run.start, out.stop - out.start)
+        if run.start == run.depth:
+            for plan in run.plans:
+                plan.statistic[out] = majority_statistic(root)
         _run_batch(run, first, count, [_Lineage(root) for _ in run.plans])
 
 
@@ -852,52 +791,36 @@ def run_corrected_trajectory(
     ch: ChannelParams,
     seed: SeedSpec,
     n_replicates: int,
-    pin_root: int | None = +1,
     pin_renormalized_root: bool = False,
-    record_levels: Sequence[int] | None = None,
-) -> tuple[TrajectoryResult, ...]:
+) -> tuple[tuple[np.ndarray, bool], ...]:
     """Run the broadcast with corrections interleaved at each scheme's
-    levels, for a group of schemes on common random numbers; one result per
-    scheme, in order.
+    levels, for a group of schemes on common random numbers, and read each
+    scheme's decision statistic at ``tree.depth``.
 
-    The root is pinned to ``pin_root`` (or left a fair sign when None).  With
-    ``pin_renormalized_root`` the run instead starts at the schemes' block-0
-    level with the whole generation set to +1, measuring advantages relative
-    to the renormalized root rather than the true one.
-
-    The caller has checked the arguments
-    (:func:`~treecast.estimators.check_mc_delta`); this function refuses only
-    a record level outside ``0..depth``.
-
-    ``record_levels`` selects the levels whose statistics are kept (default:
-    all).  At correction levels the record carries both the raw signed sum
-    and the renormalized one-vote-per-block sum, taken after correction.
+    Returns one ``(statistic, renormalized)`` pair per scheme, in order: the
+    statistic has one entry per replicate, and ``renormalized`` says whether
+    it counts one vote per surviving block (:func:`_plan` holds the rule).
+    The root is +1.  With ``pin_renormalized_root`` the run instead starts
+    at the schemes' block-0 level with the whole generation set to +1,
+    measuring advantages relative to the renormalized root rather than the
+    true one.  The caller has checked the arguments
+    (:func:`~treecast.estimators.check_mc_delta`).
 
     The replicate blocks are cut into one run of consecutive blocks per
     worker thread, and each run goes down the tree in batches of blocks
-    (:data:`BATCH_BYTES`), writing its rows of every record.  At each level
-    a batch's flip mask is drawn once and every scheme's children are its
-    own parents XOR that mask, so a scheme's records are those of a run of
-    it alone.  Streams keep their global block index, so the result depends
-    neither on the worker count, nor on the batches, nor on the other
-    schemes of the group.
+    (:data:`BATCH_BYTES`), writing its rows of every statistic.  At each
+    level a batch's flip mask is drawn once and every scheme's children are
+    its own parents XOR that mask, so a scheme's statistic is that of a run
+    of it alone.  Streams keep their global block index, so the result
+    depends neither on the worker count, nor on the batches, nor on the
+    other schemes of the group.
     """
     r, depth = tree.r, tree.depth
-    recorded = sorted(
-        set(range(depth + 1)) if record_levels is None else set(record_levels)
-    )
-    if recorded and (recorded[0] < 0 or recorded[-1] > depth):
-        raise ValueError(f"record levels must lie in 0..{depth}, got {recorded}")
     start = schemes[0].start_level(r) if pin_renormalized_root else 0
-    # A renormalized-root run records nothing shallower than its start.
-    recorded = [level for level in recorded if level >= start]
     plans = tuple(
-        _plan(s, r, depth, start, recorded, n_replicates, pin_renormalized_root)
-        for s in schemes
+        _plan(s, r, depth, start, n_replicates, pin_renormalized_root) for s in schemes
     )
-    run = _Run(
-        plans, ch, seed, r, depth, start, n_replicates, pin_root, pin_renormalized_root
-    )
+    run = _Run(plans, ch, seed, r, depth, start, n_replicates)
 
     n_blocks = -(-n_replicates // REPLICATE_BLOCK)
     workers = _worker_count(n_blocks)
@@ -910,7 +833,4 @@ def run_corrected_trajectory(
         with ThreadPoolExecutor(max_workers=workers) as pool:
             list(pool.map(_run_task, [run] * workers, firsts, counts))
 
-    return tuple(
-        TrajectoryResult(records=tuple(plan.records[level] for level in recorded))
-        for plan in plans
-    )
+    return tuple((plan.statistic, plan.renormalized) for plan in plans)

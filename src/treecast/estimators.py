@@ -5,7 +5,8 @@ corrected process reduces to a plain count chain, and takes the same
 arguments as :func:`mc_delta`.  Everything else — minority removal in
 particular, whose surviving structure is a random tree — is estimated here
 from replicated trajectories with deterministic seeding.  The estimators
-take explicit arguments and record only the level they read:
+take explicit arguments, and a trajectory returns only the one statistic
+per replicate they read:
 
 * :func:`mc_deltas` — the advantage of each of a group of schemes at one
   depth, from one trajectory run that draws every flip mask once for the
@@ -187,15 +188,13 @@ def mc_deltas(
     """Estimate the advantage at level ``depth`` of each scheme of a group,
     one estimate per scheme in order.
 
-    The root is pinned to +1 and each replicate contributes the sign of the
-    level's decision statistic; the estimate is the frequency difference
-    ``freq(> 0) - freq(< 0)`` (ties contribute zero net, matching the
-    fair-coin convention).  The statistic is the signed sum over the level's
-    vertices, with two exceptions: minority-removal schemes count one vote
-    per surviving block at correction levels (the corrected process's
-    vertices are the blocks), and renormalized-root runs (block schemes
-    only, sharing one start level) read the one-vote statistic relative to
-    the pinned block level.
+    The root is pinned to +1 (or, with ``pin_renormalized_root``, the
+    schemes' shared block-0 level) and each replicate contributes the sign
+    of the scheme's decision statistic at the level, as
+    :func:`~treecast.correction.run_corrected_trajectory` returns it (the
+    rule for which statistic decides lives in ``correction._plan``); the
+    estimate is the frequency difference ``freq(> 0) - freq(< 0)`` (ties
+    contribute zero net, matching the fair-coin convention).
 
     The group runs as one trajectory that draws each flip mask once; every
     estimate is the one :func:`mc_delta` gives for its scheme alone.  The
@@ -205,23 +204,10 @@ def mc_deltas(
     tree = check_mc_delta(
         schemes, r, depth, replicates, pin_renormalized_root=pin_renormalized_root
     )
-    trajectories = run_corrected_trajectory(
-        tree,
-        schemes,
-        ch,
-        seed,
-        replicates,
-        pin_root=+1,
-        pin_renormalized_root=pin_renormalized_root,
-        record_levels=(depth,),
-    )
     estimates = []
-    for scheme, traj in zip(schemes, trajectories):
-        rec = traj.records[0]
-        renormalized = rec.renormalized_statistic is not None and (
-            pin_renormalized_root or scheme.removes_minority
-        )
-        stat = rec.renormalized_statistic if renormalized else rec.statistic
+    for stat, renormalized in run_corrected_trajectory(
+        tree, schemes, ch, seed, replicates, pin_renormalized_root
+    ):
         plus = int((stat > 0).sum())
         minus = int((stat < 0).sum())
         estimates.append(

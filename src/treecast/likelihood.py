@@ -60,24 +60,6 @@ class FiniteTree:
         if sorted(seen) != list(range(1, n)):
             raise ValueError("every non-root vertex must be exactly one child")
 
-    @classmethod
-    def regular(cls, r: int, depth: int) -> "FiniteTree":
-        """The complete ``r``-ary tree of the given depth (``r >= 1``)."""
-        if r < 1:
-            raise ValueError(f"need r >= 1, got {r}")
-        if depth < 0:
-            raise ValueError(f"need depth >= 0, got {depth}")
-        children: list[tuple[int, ...]] = []
-        level_start, level_size = 0, 1
-        for _ in range(depth):
-            next_start = level_start + level_size
-            for i in range(level_size):
-                base = next_start + r * i
-                children.append(tuple(range(base, base + r)))
-            level_start, level_size = next_start, level_size * r
-        children.extend(() for _ in range(level_size))
-        return cls(children=tuple(children))
-
     @property
     def n_vertices(self) -> int:
         return len(self.children)
@@ -85,14 +67,6 @@ class FiniteTree:
     @property
     def leaves(self) -> tuple[int, ...]:
         return tuple(v for v, kids in enumerate(self.children) if not kids)
-
-    def depths(self) -> tuple[int, ...]:
-        """Depth of every vertex (root has depth 0)."""
-        depth = [0] * self.n_vertices
-        for v, kids in enumerate(self.children):
-            for c in kids:
-                depth[c] = depth[v] + 1
-        return tuple(depth)
 
 
 def _resolve_observed(

@@ -4,7 +4,7 @@ Every random draw in the package comes from a stream addressed by
 ``(master_seed, purpose, level, block)``:
 
 * ``purpose`` is a short string naming what the bytes are for
-  ("flips", "tie", "pick", "root", "fk-edges", ...);
+  ("flips", "tie", "pick", "fk-edges", ...);
 * ``level`` is the tree level the draw belongs to;
 * ``block`` indexes a fixed-size batch of replicates (or a single heavy
   sample).

@@ -5,7 +5,8 @@ Vertices are addressed by 1-based coordinates ``(level, index)`` with
 ``(n-1, ceil(s/r))``.  Internally the kernels use flat 0-based offsets, but
 block ranges speak 1-based indices.  The coordinate helpers that check the
 descent blocks against that parent map (``Vertex``, ``parent_of``,
-``children_range``) live in ``tests/oracles.py``.
+``children_range``) and a partition's 1-based block and leftover ranges
+live in ``tests/oracles.py``.
 
 Every correction scheme cuts a level with one :class:`BlockPartition`:
 consecutive fixed-size blocks, with an undersized trailing *leftover* that is
@@ -22,7 +23,6 @@ kernel checks it again.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator
 
 from .budget import check_vertices
 
@@ -44,12 +44,6 @@ class RegularTreeSpec:
         if self.depth < 0:
             raise ValueError(f"depth must be >= 0, got {self.depth}")
         check_vertices(self.r, self.depth, self.vertex_budget)
-
-    def level_size(self, level: int) -> int:
-        """Number of vertices at ``level`` (``r**level``)."""
-        if not 0 <= level <= self.depth:
-            raise ValueError(f"level {level} outside 0..{self.depth}")
-        return self.r**level
 
 
 @dataclass(frozen=True)
@@ -78,13 +72,3 @@ class BlockPartition:
     def covered(self) -> int:
         """Number of indices inside full blocks."""
         return self.n_blocks * self.block_size
-
-    def blocks(self) -> Iterator[range]:
-        """Iterate 1-based index ranges of the full blocks."""
-        m = self.block_size
-        for b in range(self.n_blocks):
-            yield range(b * m + 1, (b + 1) * m + 1)
-
-    def leftover(self) -> range:
-        """1-based indices of the discarded trailing block (possibly empty)."""
-        return range(self.covered + 1, self.level_size + 1)

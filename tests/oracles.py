@@ -42,22 +42,27 @@ approach the Ising point ``p*r = 1``.
 
 ``Vertex``, ``parent_of`` and ``children_range`` are 1-based tree
 coordinates; they check that each block of a descent scheme's partition is
-the descendant set of one ancestor.
+the descendant set of one ancestor, whose 1-based index ranges
+``partition_blocks`` and ``leftover`` list.  ``level_size`` is a level's
+vertex count, ``regular_tree`` the complete tree as an explicit
+``FiniteTree`` and ``vertex_depths`` the depth of each of its vertices;
+``channel_p`` and ``channel_beta`` are a channel's error-free rate and its
+inverse temperature ``tanh(beta) = p``.
 
 ``replicate_blocks`` cuts a replicate count into blocks of the fixed
-stream width.  ``split_blocks``, ``join_blocks``, ``root_by_blocks`` and
-``step_by_blocks`` drive the one-block sampling kernels over any number of
-replicates, block by block with each block's global index; tests use them to
-reach sample sizes beyond one replicate block, and to check that a kernel
-called on a run of blocks equals its one-block calls.
+stream width.  ``split_blocks``, ``join_blocks`` and ``step_by_blocks``
+drive the one-block sampling kernels over any number of replicates, block by
+block with each block's global index; tests use them, from the constant
+root rows of ``pinned_root``, to reach sample sizes beyond one replicate
+block, and to check that a kernel called on a run of blocks equals its
+one-block calls.
 
 ``renormalize`` projects a corrected generation to its block values after
 checking that every (surviving) block member carries that value, which
 checks the correction kernels.
 
 ``from_signs`` packs an array of +-1 signs into a generation, and ``bits``
-and ``to_signs`` unpack one; ``record_at`` finds the record of one level of
-a trajectory.  Tests write and read signals with them.
+and ``to_signs`` unpack one.  Tests write and read signals with them.
 
 ``decision_statistic`` is the per-replicate statistic whose signs
 ``estimators.mc_deltas`` counts for one scheme at the tree's depth, with
@@ -84,18 +89,11 @@ from typing import Iterator, Sequence
 import numpy as np
 from scipy.stats import binom
 
-from treecast.broadcast import (
-    GenerationSignals,
-    flip_mask,
-    sample_next_generation,
-    sample_root,
-)
+from treecast.broadcast import GenerationSignals, flip_mask, sample_next_generation
 from treecast.channel import ChannelParams, check_epsilon
 from treecast.correction import (
     CorrectedGeneration,
     CorrectionScheme,
-    LevelRecord,
-    TrajectoryResult,
     run_corrected_trajectory,
 )
 from treecast.exact import count_distribution, ks_condition_value
@@ -423,6 +421,65 @@ def ancestor_of_block(part: BlockPartition, k: int, block: int) -> Vertex:
     return Vertex(part.level - k, block + 1)
 
 
+def partition_blocks(part: BlockPartition) -> Iterator[range]:
+    """The 1-based index ranges of a partition's full blocks."""
+    m = part.block_size
+    for b in range(part.n_blocks):
+        yield range(b * m + 1, (b + 1) * m + 1)
+
+
+def leftover(part: BlockPartition) -> range:
+    """1-based indices of a partition's trailing leftover (possibly empty)."""
+    return range(part.covered + 1, part.level_size + 1)
+
+
+def level_size(spec: RegularTreeSpec, level: int) -> int:
+    """Number of vertices at ``level`` of the tree ``spec`` (``r**level``)."""
+    if not 0 <= level <= spec.depth:
+        raise ValueError(f"level {level} outside 0..{spec.depth}")
+    return spec.r**level
+
+
+def regular_tree(r: int, depth: int) -> FiniteTree:
+    """The complete ``r``-ary tree of the given depth (``r >= 1``), with
+    vertices numbered level by level."""
+    if r < 1:
+        raise ValueError(f"need r >= 1, got {r}")
+    if depth < 0:
+        raise ValueError(f"need depth >= 0, got {depth}")
+    children: list[tuple[int, ...]] = []
+    level_start, size = 0, 1
+    for _ in range(depth):
+        next_start = level_start + size
+        for i in range(size):
+            base = next_start + r * i
+            children.append(tuple(range(base, base + r)))
+        level_start, size = next_start, size * r
+    children.extend(() for _ in range(size))
+    return FiniteTree(children=tuple(children))
+
+
+def vertex_depths(tree: FiniteTree) -> tuple[int, ...]:
+    """Depth of every vertex of ``tree`` (the root has depth 0)."""
+    depth = [0] * tree.n_vertices
+    for v, kids in enumerate(tree.children):
+        for c in kids:
+            depth[c] = depth[v] + 1
+    return tuple(depth)
+
+
+def channel_p(ch: ChannelParams) -> float:
+    """Error-free rate ``1 - 2*epsilon`` of a channel."""
+    return 1.0 - 2.0 * ch.epsilon
+
+
+def channel_beta(ch: ChannelParams) -> float:
+    """Inverse temperature with ``tanh(beta) = p`` (inf when epsilon = 0)."""
+    if ch.epsilon == 0.0:
+        return math.inf
+    return math.atanh(channel_p(ch))
+
+
 def replicate_blocks(n_replicates: int) -> Iterator[tuple[int, slice, int]]:
     """Yield ``(block_index, output_slice, rows_in_block)`` batches.
 
@@ -457,12 +514,9 @@ def join_blocks(parts: Sequence[GenerationSignals]) -> GenerationSignals:
     )
 
 
-def root_by_blocks(seed: SeedSpec, n_replicates: int, pin: int | None) -> GenerationSignals:
-    """``sample_root`` over ``n_replicates`` rows, one call per block."""
-    return join_blocks([
-        sample_root(seed, rows, pin=pin, block=block)
-        for block, _, rows in replicate_blocks(n_replicates)
-    ])
+def pinned_root(n_replicates: int, pin: int = +1) -> GenerationSignals:
+    """Level-0 signals of ``n_replicates`` rows, every root set to ``pin``."""
+    return from_signs(np.full((n_replicates, 1), pin, dtype=np.int8), level=0)
 
 
 def step_by_blocks(
@@ -524,15 +578,6 @@ def to_signs(g: GenerationSignals) -> np.ndarray:
     return (2 * bits(g).astype(np.int8) - 1).astype(np.int8)
 
 
-def record_at(traj: TrajectoryResult, level: int) -> LevelRecord:
-    """The record of ``level`` in a trajectory; ``KeyError`` if it was not
-    recorded."""
-    for rec in traj.records:
-        if rec.level == level:
-            return rec
-    raise KeyError(f"level {level} was not recorded")
-
-
 def decision_statistic(
     tree: RegularTreeSpec,
     scheme: CorrectionScheme,
@@ -543,16 +588,10 @@ def decision_statistic(
 ) -> tuple[np.ndarray, bool]:
     """The statistic ``mc_deltas`` reads of one scheme at ``tree.depth``,
     one entry per replicate, and whether it is the renormalized one."""
-    (traj,) = run_corrected_trajectory(
-        tree, (scheme,), ch, seed, n_replicates,
-        pin_root=+1, pin_renormalized_root=pin_renormalized_root,
-        record_levels=(tree.depth,),
+    (pair,) = run_corrected_trajectory(
+        tree, (scheme,), ch, seed, n_replicates, pin_renormalized_root
     )
-    rec = traj.records[0]
-    renormalized = rec.renormalized_statistic is not None and (
-        pin_renormalized_root or scheme.removes_minority
-    )
-    return (rec.renormalized_statistic if renormalized else rec.statistic), renormalized
+    return pair
 
 
 def _unpacked_coins(

@@ -13,12 +13,11 @@ from treecast.broadcast import (
     popcount_rows,
     repeat_packed,
     sample_next_generation,
-    sample_root,
 )
 from treecast.rng import REPLICATE_BLOCK
 from treecast.trees import RegularTreeSpec
 
-from oracles import bits, from_signs, root_by_blocks, step_by_blocks, to_signs
+from oracles import bits, from_signs, pinned_root, step_by_blocks, to_signs
 
 SEED = SeedSpec(master_seed=20240901)
 
@@ -97,21 +96,6 @@ def test_repeat_packed_accepts_any_layout(layout):
     )
 
 
-def test_sample_root_pinning():
-    plus = sample_root(SEED, 10, pin=+1)
-    minus = sample_root(SEED, 10, pin=-1)
-    assert (to_signs(plus) == 1).all()
-    assert (to_signs(minus) == -1).all()
-    with pytest.raises(ValueError):
-        sample_root(SEED, 10, pin=0)
-
-
-def test_sample_root_fair_when_unpinned():
-    g = root_by_blocks(SEED, 10_000, pin=None)
-    mean = to_signs(g).mean()
-    assert abs(mean) < 4 / np.sqrt(10_000)
-
-
 def test_noiseless_step_copies_parent():
     parents = from_signs(np.array([[1, -1], [-1, -1]]), level=1)
     flips = flip_mask(ChannelParams(epsilon=0.0), SEED, 2, 6)
@@ -162,7 +146,7 @@ def test_popcounts_are_row_slice_independent(monkeypatch):
 
 
 def test_step_is_deterministic():
-    parents = root_by_blocks(SEED, 500, pin=+1)
+    parents = pinned_root(500)
     a = step_by_blocks(parents, ChannelParams(epsilon=0.2), SEED, r=2)
     b = step_by_blocks(parents, ChannelParams(epsilon=0.2), SEED, r=2)
     np.testing.assert_array_equal(a.packed, b.packed)
@@ -172,8 +156,8 @@ def test_spin_flip_symmetry_is_exact():
     # Flip errors are drawn independently of the parent values, so running the
     # same streams from the opposite root complements every signal bit.
     ch = ChannelParams(epsilon=0.3)
-    g_plus = root_by_blocks(SEED, 300, pin=+1)
-    g_minus = root_by_blocks(SEED, 300, pin=-1)
+    g_plus = pinned_root(300)
+    g_minus = pinned_root(300, pin=-1)
     for _ in range(4):
         g_plus = step_by_blocks(g_plus, ch, SEED, r=2)
         g_minus = step_by_blocks(g_minus, ch, SEED, r=2)
@@ -183,7 +167,7 @@ def test_spin_flip_symmetry_is_exact():
 def test_one_step_child_pair_law():
     # From a +1 root with eps=0.1, both children are +1 with probability 0.81.
     n = 10_000
-    root = root_by_blocks(SEED, n, pin=+1)
+    root = pinned_root(n)
     kids = step_by_blocks(root, ChannelParams(epsilon=0.1), SEED, r=2)
     freq = (majority_statistic(kids) == 2).mean()
     sigma = np.sqrt(0.81 * 0.19 / n)
@@ -193,7 +177,7 @@ def test_one_step_child_pair_law():
 @settings(max_examples=20)
 @given(eps=st.floats(min_value=0.01, max_value=0.49), r=st.integers(2, 4))
 def test_flip_frequency_matches_channel(eps, r):
-    root = root_by_blocks(SEED, 2_000, pin=+1)
+    root = pinned_root(2_000)
     kids = step_by_blocks(root, ChannelParams(epsilon=eps), SEED, r=r)
     flips = (to_signs(kids) == -1).mean()
     sigma = np.sqrt(eps * (1 - eps) / (2_000 * r))

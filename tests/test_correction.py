@@ -11,8 +11,9 @@ from treecast.broadcast import (
     GenerationSignals,
     flip_mask,
     majority_statistic,
+    popcount_rows,
+    repeat_packed,
     sample_next_generation,
-    sample_root,
 )
 from treecast import correction
 from treecast.correction import (
@@ -28,9 +29,9 @@ from treecast.trees import BlockPartition, RegularTreeSpec
 from oracles import (
     from_signs,
     join_blocks,
-    record_at,
+    leftover,
+    pinned_root,
     renormalize,
-    root_by_blocks,
     split_blocks,
     step_by_blocks,
     to_signs,
@@ -70,7 +71,7 @@ def test_block_majority_overwrites_blocks():
     cg = apply_block_majority(g, part, coins_for(g, part))
     np.testing.assert_array_equal(to_signs(g), [[1, 1, 1, -1, -1, -1, 1, 1, 1]])
     np.testing.assert_array_equal(to_signs(cg.block_signals), [[1, -1, 1]])
-    assert len(part.leftover()) == 0
+    assert len(leftover(part)) == 0
 
 
 def test_block_majority_leaves_leftover_untouched():
@@ -80,7 +81,7 @@ def test_block_majority_leaves_leftover_untouched():
     corrected = to_signs(g)[0]
     assert list(corrected[:3]) == [-1, -1, -1]
     assert list(corrected[3:]) == [1, 1]  # leftover passes through
-    assert list(part.leftover()) == [4, 5]
+    assert list(leftover(part)) == [4, 5]
 
 
 def test_block_majority_tie_coin_is_fair():
@@ -96,7 +97,7 @@ def test_block_majority_tie_coin_is_fair():
 
 
 def test_block_majority_is_idempotent():
-    root = root_by_blocks(SEED, 300, pin=+1)
+    root = pinned_root(300)
     g = step_by_blocks(root, ChannelParams(epsilon=0.3), SEED, r=4)
     part = BlockPartition(level=1, level_size=4, block_size=2)
     for b, g_b in split_blocks(g):
@@ -173,7 +174,7 @@ def test_minority_removal_respects_prior_deaths():
 
 
 def test_minority_removal_keeps_at_least_half():
-    root = root_by_blocks(SEED, 500, pin=+1)
+    root = pinned_root(500)
     g = step_by_blocks(root, ChannelParams(epsilon=0.4), SEED, r=4)
     part = BlockPartition(level=1, level_size=4, block_size=4)
     alive = np.concatenate([
@@ -257,7 +258,6 @@ def test_fraction_identification_row_sliced_picks_match_oracle(monkeypatch, case
 
 
 KERNELS = (
-    sample_root,
     sample_next_generation,
     apply_block_majority,
     apply_fraction_identification,
@@ -265,7 +265,6 @@ KERNELS = (
 )
 #: What each kernel names when it refuses rows beyond the draws it is given.
 REFUSALS = {
-    sample_root: "replicate block",
     sample_next_generation: "flip mask shape",
     apply_block_majority: "tie coins shape",
     apply_fraction_identification: "replicate block",
@@ -274,10 +273,8 @@ REFUSALS = {
 
 
 def run_kernel(kernel, n):
-    """Call one of the five kernels on ``n`` replicate rows, with the draws
+    """Call one of the four kernels on ``n`` replicate rows, with the draws
     of one replicate block."""
-    if kernel is sample_root:
-        return sample_root(SEED, n, pin=None)
     g = from_signs(np.ones((n, 4), dtype=np.int8), level=2)
     if kernel is sample_next_generation:
         flips = flip_mask(ChannelParams(epsilon=0.1), SEED, 3, 8)
@@ -330,45 +327,20 @@ def test_scheme_levels():
     assert CorrectionScheme.identity().correction_levels(2, 9) == ()
 
 
-def test_trajectory_records_requested_levels():
-    (traj,) = run_corrected_trajectory(
-        RegularTreeSpec(r=2, depth=5),
-        (CorrectionScheme.parse("WithinDescentMajority{k=2}"),),
-        ChannelParams(epsilon=0.2),
-        SEED,
-        n_replicates=300,
-        record_levels=(2, 4),
-    )
-    assert [rec.level for rec in traj.records] == [2, 4]
-    assert all(rec.statistic.shape == (300,) for rec in traj.records)
-    with pytest.raises(KeyError):
-        record_at(traj, 3)
-    with pytest.raises(ValueError):
-        run_corrected_trajectory(
-            RegularTreeSpec(r=2, depth=5),
-            (CorrectionScheme.identity(),),
-            ChannelParams(epsilon=0.2),
-            SEED,
-            n_replicates=300,
-            record_levels=(6,),
-        )
-
-
 def test_identity_trajectory_matches_plain_broadcast():
     # With no corrections the trajectory is exactly the broadcast kernel run.
     ch = ChannelParams(epsilon=0.25)
-    (traj,) = run_corrected_trajectory(
-        RegularTreeSpec(r=2, depth=4),
-        (CorrectionScheme.identity(),),
-        ch,
-        SEED,
-        n_replicates=400,
-    )
-    g = root_by_blocks(SEED, 400, pin=+1)
+    g = pinned_root(400)
     for level in range(5):
-        np.testing.assert_array_equal(
-            record_at(traj, level).statistic, majority_statistic(g)
+        ((stat, renormalized),) = run_corrected_trajectory(
+            RegularTreeSpec(r=2, depth=level),
+            (CorrectionScheme.identity(),),
+            ch,
+            SEED,
+            n_replicates=400,
         )
+        assert not renormalized
+        np.testing.assert_array_equal(stat, majority_statistic(g))
         if level < 4:
             g = step_by_blocks(g, ch, SEED, r=2)
 
@@ -379,10 +351,8 @@ def test_trajectory_is_deterministic_and_prefix_stable():
     ch = ChannelParams(epsilon=0.2)
 
     def stat(n):
-        (traj,) = run_corrected_trajectory(
-            tree, (scheme,), ch, SEED, n, record_levels=(4,)
-        )
-        return record_at(traj, 4).statistic
+        ((statistic, _),) = run_corrected_trajectory(tree, (scheme,), ch, SEED, n)
+        return statistic
 
     a, b, wide = stat(700), stat(700), stat(1500)
     np.testing.assert_array_equal(a, b)
@@ -391,29 +361,36 @@ def test_trajectory_is_deterministic_and_prefix_stable():
 
 
 def test_minority_trajectory_tracks_survivors():
-    (traj,) = run_corrected_trajectory(
-        RegularTreeSpec(r=3, depth=2),
-        (CorrectionScheme.within_descent_minority_removal(1),),
-        ChannelParams(epsilon=0.3),
-        SEED,
-        n_replicates=500,
-    )
-    rec = record_at(traj, 2)
-    assert rec.alive_count is not None
-    assert rec.renormalized_statistic is not None
-    assert rec.n_blocks == 3
+    # WithinDescentMinorityRemoval{k=1} at r = 3, two levels through the
+    # kernels: the second removal sees only the first one's survivors.
+    scheme = CorrectionScheme.within_descent_minority_removal(1)
+    ch = ChannelParams(epsilon=0.3)
+    g, alive = pinned_root(500), None
+    for level in (1, 2):
+        g = step_by_blocks(g, ch, SEED, r=3)
+        if alive is not None:
+            parents = alive
+            alive = repeat_packed(parents, g.size // 3, 3)
+        part = scheme.partition_for(level, 3)
+        cg = apply_minority_removal(g, part, coins_for(g, part, blocks=2), alive)
+        alive = cg.alive
+    assert part.n_blocks == cg.block_signals.size == 3
+    # The dead keep no descendants, and survivors share their block's sign.
+    assert not (alive & ~repeat_packed(parents, 3, 3)).any()
+    renormalize(g, part, cg)
     # Statistics over alive vertices never exceed the alive count.
-    assert (np.abs(rec.statistic) <= rec.alive_count).all()
+    assert (np.abs(majority_statistic(g, alive)) <= popcount_rows(alive)).all()
     # Each alive block contributes one renormalized vote.
-    assert (np.abs(rec.renormalized_statistic) <= rec.alive_block_count).all()
-    assert (rec.alive_block_count >= 1).all()
+    alive_blocks = popcount_rows(cg.block_alive)
+    block_votes = majority_statistic(cg.block_signals, cg.block_alive)
+    assert (np.abs(block_votes) <= alive_blocks).all()
+    assert (alive_blocks >= 1).all()
 
 
 def test_renormalized_root_pinning_requires_block_scheme(monkeypatch):
     def never(*args, **kwargs):
         raise AssertionError("a block was drawn")
 
-    monkeypatch.setattr(correction, "sample_root", never)
     monkeypatch.setattr(correction, "flip_mask", never)
     with pytest.raises(ValueError, match="needs a block scheme"):
         mc_deltas(
@@ -428,16 +405,14 @@ def test_renormalized_root_pinning_requires_block_scheme(monkeypatch):
 
 
 def run_kernel_on_blocks(kernel, n, blocks):
-    """Call one of the two kernels that map rows to replicate blocks on
-    ``n`` rows of ``blocks`` replicate blocks from block 1 on."""
-    if kernel is sample_root:
-        return sample_root(SEED, n, pin=None, block=1, blocks=blocks)
+    """Call the kernel that maps rows to replicate blocks on ``n`` rows of
+    ``blocks`` replicate blocks from block 1 on."""
     g = from_signs(np.ones((n, 4), dtype=np.int8), level=2)
     part = BlockPartition(level=2, level_size=4, block_size=2)
     return kernel(g, part, picks_for(g, 1, blocks))
 
 
-@pytest.mark.parametrize("kernel", (sample_root, apply_fraction_identification),
+@pytest.mark.parametrize("kernel", (apply_fraction_identification,),
                          ids=lambda kernel: kernel.__name__)
 def test_kernels_refuse_rows_that_do_not_fill_their_blocks(kernel):
     # Every block of a run but the last is full, and the last holds a row.
@@ -474,7 +449,7 @@ def test_kernels_draw_nothing(monkeypatch):
     # Every draw comes in as an argument: with stream construction and bit
     # draws broken, the four kernels still run.
     ch = ChannelParams(epsilon=0.3)
-    parents = root_by_blocks(SEED, 300, pin=+1)
+    parents = pinned_root(300)
     g = step_by_blocks(parents, ch, SEED, r=3)
     part = BlockPartition(level=1, level_size=3, block_size=3)
     flips = flip_mask(ch, SEED, 2, 9, blocks=2)
@@ -553,14 +528,6 @@ def test_draws_of_a_run_of_blocks_stack_the_blocks_draws():
     np.testing.assert_array_equal(
         block_bits(SEED, "tie", 4, 0.5, 27, block=2, blocks=3),
         np.concatenate([block_bits(SEED, "tie", 4, 0.5, 27, block=b) for b in (2, 3, 4)]),
-    )
-    rows = 2 * REPLICATE_BLOCK + 7
-    np.testing.assert_array_equal(
-        sample_root(SEED, rows, pin=None, block=2, blocks=3).packed,
-        np.concatenate([
-            sample_root(SEED, n, pin=None, block=2 + b).packed
-            for b, n in ((0, REPLICATE_BLOCK), (1, REPLICATE_BLOCK), (2, 7))
-        ]),
     )
 
 

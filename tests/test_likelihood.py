@@ -16,7 +16,12 @@ from treecast.likelihood import (
     random_observation_pair,
 )
 
-from oracles import loglikelihood_pair, majority_delta_enumerated
+from oracles import (
+    loglikelihood_pair,
+    majority_delta_enumerated,
+    regular_tree,
+    vertex_depths,
+)
 
 SINGLE_EDGE = FiniteTree(children=((1,), ()))
 ORACLE_TREES_SEED = 7
@@ -53,7 +58,7 @@ def small_oracle_trees():
     rng = np.random.default_rng(ORACLE_TREES_SEED)
     trees = [
         SINGLE_EDGE,
-        FiniteTree.regular(2, 2),
+        regular_tree(2, 2),
         FiniteTree(children=((1, 2), (3, 4, 5), (), (), (), ())),
     ]
     while len(trees) < 8:
@@ -75,11 +80,11 @@ def test_tree_validation():
 
 
 def test_regular_tree_shape():
-    tree = FiniteTree.regular(2, 2)
+    tree = regular_tree(2, 2)
     assert tree.n_vertices == 7
     assert tree.leaves == (3, 4, 5, 6)
-    assert tree.depths() == (0, 1, 1, 2, 2, 2, 2)
-    assert FiniteTree.regular(3, 0).n_vertices == 1
+    assert vertex_depths(tree) == (0, 1, 1, 2, 2, 2, 2)
+    assert regular_tree(3, 0).n_vertices == 1
 
 
 def test_single_edge_closed_form():
@@ -91,7 +96,7 @@ def test_star_matches_binomial_tail_distance():
     # On a star the likelihood ratio is monotone in the leaf sum, so the
     # optimal rule is the majority and both advantages equal the
     # total-variation distance between two binomial count laws.
-    star = FiniteTree.regular(8, 1)
+    star = regular_tree(8, 1)
     for eps in (0.1, 0.3):
         counts = np.arange(9)
         tv = 0.5 * np.abs(
@@ -102,7 +107,7 @@ def test_star_matches_binomial_tail_distance():
 
 
 def test_degenerate_channels():
-    tree = FiniteTree.regular(2, 2)
+    tree = regular_tree(2, 2)
     assert math.isclose(ml_delta_exact(tree, 0.0), 1.0)
     # At 1/2 the root is independent of the leaves: outside the domain.
     with pytest.raises(ValueError, match=re.escape("[0, 0.5)")):
@@ -129,7 +134,7 @@ def test_optimal_rule_dominates_majority(eps):
 @pytest.mark.parametrize("r,depth", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2)])
 @pytest.mark.parametrize("eps", [0.1, 0.3])
 def test_majority_enumeration_matches_count_chain(r, depth, eps):
-    tree = FiniteTree.regular(r, depth)
+    tree = regular_tree(r, depth)
     assert math.isclose(
         majority_delta_enumerated(tree, eps), delta_exact(depth, r, eps), abs_tol=1e-12
     )
@@ -150,7 +155,7 @@ def test_loglikelihood_pair_matches_assignment_oracle():
 
 
 def test_loglikelihood_pair_flip_symmetry():
-    tree = FiniteTree.regular(2, 2)
+    tree = regular_tree(2, 2)
     signs = {3: 1, 4: -1, 5: -1, 6: 1}
     flipped = {v: -s for v, s in signs.items()}
     a = loglikelihood_pair(tree, 0.3, signs)
@@ -170,7 +175,7 @@ def test_observing_more_never_hurts():
 
 
 def test_observed_set_validation():
-    tree = FiniteTree.regular(2, 2)
+    tree = regular_tree(2, 2)
     with pytest.raises(ValueError):
         ml_delta_exact(tree, 0.1, observed=(0, 3))  # the root is never observed
     with pytest.raises(ValueError):
@@ -178,12 +183,12 @@ def test_observed_set_validation():
     with pytest.raises(ValueError):
         ml_delta_exact(tree, 0.1, observed=())
     with pytest.raises(ValueError):
-        ml_delta_exact(FiniteTree.regular(2, 5), 0.1)  # 32 leaves > exhaustive cap
+        ml_delta_exact(regular_tree(2, 5), 0.1)  # 32 leaves > exhaustive cap
     assert MAX_OBSERVED == 24
 
 
 def test_loglikelihood_pair_validation():
-    tree = FiniteTree.regular(2, 1)
+    tree = regular_tree(2, 1)
     with pytest.raises(ValueError):
         loglikelihood_pair(tree, 0.1, {})
     with pytest.raises(ValueError):
@@ -197,7 +202,7 @@ def test_random_leafed_tree_is_leafed():
     for _ in range(20):
         depth = int(rng.integers(1, 5))
         tree = random_leafed_tree(rng, depth, max_leaves=12)
-        depths = tree.depths()
+        depths = vertex_depths(tree)
         assert len(tree.leaves) <= 12
         assert all(depths[v] == depth for v in tree.leaves)
 

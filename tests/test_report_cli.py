@@ -411,6 +411,25 @@ def test_cli_verify_csv_stdout_holds_only_rows(capsys):
     assert "[PASS]" in captured.err and "all gates passed" in captured.err
 
 
+def test_cli_verify_writes_rows_by_default(capsys, tmp_path):
+    # Without --format the rows go to stdout as CSV, and a config file's
+    # "format" is honoured like the flag.
+    code, default = run_cli(capsys, "verify", "lemma33", "--reproducible")
+    assert code == 0 and default.startswith(",".join(CSV_COLUMNS))
+    code, csv_out = run_cli(
+        capsys, "verify", "lemma33", "--format", "csv", "--reproducible"
+    )
+    assert code == 0 and csv_out == default
+    config_path = tmp_path / "run.json"
+    config_path.write_text(json.dumps({"format": "json"}))
+    code, json_out = run_cli(
+        capsys, "verify", "lemma33", "--config", str(config_path), "--reproducible"
+    )
+    assert code == 0
+    rows = json.loads(json_out)
+    assert rows and all(row["experiment"] == "verify:lemma33" for row in rows)
+
+
 def test_cli_sweep_grid(capsys, tmp_path):
     grid = {
         "r": 2,

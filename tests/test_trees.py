@@ -7,15 +7,24 @@ from treecast import BudgetError, CorrectionScheme
 from treecast.budget import DEFAULT_VERTEX_BUDGET, check_vertices
 from treecast.trees import BlockPartition, RegularTreeSpec
 
-from oracles import Vertex, ancestor_of_block, children_range, contains, parent_of
+from oracles import (
+    Vertex,
+    ancestor_of_block,
+    children_range,
+    contains,
+    leftover,
+    level_size,
+    parent_of,
+    partition_blocks,
+)
 
 SMALL_TREE = RegularTreeSpec(r=3, depth=4)
 
 
 def test_level_sizes_are_powers_of_r():
-    assert [SMALL_TREE.level_size(n) for n in range(5)] == [1, 3, 9, 27, 81]
+    assert [level_size(SMALL_TREE, n) for n in range(5)] == [1, 3, 9, 27, 81]
     with pytest.raises(ValueError):
-        SMALL_TREE.level_size(5)
+        level_size(SMALL_TREE, 5)
 
 
 def test_vertex_validation():
@@ -50,11 +59,11 @@ def test_parent_child_round_trip(r, level, data):
 
 def test_children_of_distinct_vertices_are_disjoint():
     seen = set()
-    for index in range(1, SMALL_TREE.level_size(2) + 1):
+    for index in range(1, level_size(SMALL_TREE, 2) + 1):
         kids = set(children_range(Vertex(2, index), SMALL_TREE))
         assert not kids & seen
         seen |= kids
-    assert seen == set(range(1, SMALL_TREE.level_size(3) + 1))
+    assert seen == set(range(1, level_size(SMALL_TREE, 3) + 1))
 
 
 @given(
@@ -63,12 +72,12 @@ def test_children_of_distinct_vertices_are_disjoint():
 )
 def test_consecutive_partition_covers_level_once(level_size, block_size):
     part = BlockPartition(level=0, level_size=level_size, block_size=block_size)
-    covered = [s for block in part.blocks() for s in block]
+    covered = [s for block in partition_blocks(part) for s in block]
     assert len(covered) == part.covered == part.n_blocks * block_size
-    assert covered + list(part.leftover()) == list(range(1, level_size + 1))
-    for block in part.blocks():
+    assert covered + list(leftover(part)) == list(range(1, level_size + 1))
+    for block in partition_blocks(part):
         assert len(block) == block_size
-    assert len(part.leftover()) == level_size % block_size
+    assert len(leftover(part)) == level_size % block_size
 
 
 def test_descent_partition_blocks_are_descendant_sets():
@@ -76,8 +85,8 @@ def test_descent_partition_blocks_are_descendant_sets():
     part = CorrectionScheme.parse("WithinDescentMajority{k=2}").partition_for(4, spec.r)
     assert part.block_size == 4
     assert part.n_blocks == 4
-    assert len(part.leftover()) == 0
-    for b, block in enumerate(part.blocks()):
+    assert len(leftover(part)) == 0
+    for b, block in enumerate(partition_blocks(part)):
         ancestor = ancestor_of_block(part, 2, b)
         assert ancestor.level == 2
         for s in block:
