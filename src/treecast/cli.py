@@ -16,10 +16,14 @@ Subcommands
 
 Every command is deterministic given its arguments and seed.  Exit codes:
 0 success, 2 argument/domain error, 3 budget error, 4 verification-gate
-failure.  A JSON config file (``--config``) supplies defaults; explicit
-flags win, and a value of the wrong JSON type, there or in a sweep grid,
-is an argument error.  The resolved configuration is echoed into every
-report row.
+failure.  Each option is declared once, in ``OPTIONS``; the parser, the
+config check, the defaults, the domain checks and the row echo are built
+from it.  A JSON config file (``--config``) supplies defaults and explicit
+flags win.  A key that names no option, or a value of the wrong JSON type,
+there or in a sweep grid, is an argument error; a key of an option this
+command does not take is ignored, so one file may serve several commands.
+An ``--out`` whose directory is missing or not writable is refused before
+any work.  Every report row echoes the resolved options its command takes.
 """
 
 from __future__ import annotations
@@ -29,6 +33,7 @@ import dataclasses
 import itertools
 import json
 import math
+import os
 import sys
 import typing
 from collections.abc import Iterator
@@ -61,7 +66,6 @@ EXIT_GATE = 4
 
 _EXACT_TOL = 1e-12
 _K_VALUES_HINT = "expected positive integers, a range like 1..4, or a comma list"
-_FORMATS = ("csv", "json")
 
 
 def parse_k_values(value: str | int | list[int]) -> tuple[range, ...]:
@@ -93,52 +97,111 @@ def parse_k_values(value: str | int | list[int]) -> tuple[range, ...]:
 
 
 @dataclass(frozen=True)
+class Option:
+    """One option, declared once.  ``key`` is both its flag (``--key``) and
+    its config key; ``types`` are the JSON types a config may give it
+    (``list[t]`` is a list of ``t``); ``commands`` take it; ``minimum`` is
+    its least admitted value; ``echo`` puts it in every report row; ``flag``
+    holds the rest of its ``add_argument`` keywords, whose ``type`` also
+    converts a config value and whose ``choices`` also bound one."""
+
+    key: str
+    types: tuple[object, ...]
+    commands: tuple[str, ...]
+    default: object = None
+    minimum: int | None = None
+    echo: bool = False
+    flag: dict[str, object] = dataclasses.field(default_factory=dict)
+
+
+_COMMANDS = {
+    "eps-k": "error-rate table over correction periods",
+    "delta": "reconstruction advantage at one depth",
+    "critical": "exact critical-rate table",
+    "fk-stats": "cluster-moment ensemble summaries",
+    "verify": "run one verification suite",
+    "sweep": "advantage over a JSON-described grid",
+}
+_CHANNEL = ("eps-k", "delta", "fk-stats")
+
+# In table order, which is the order of --help and of the echo in each row.
+OPTIONS = (
+    Option("r", (int,), ("eps-k", "delta", "critical", "fk-stats"), minimum=2, echo=True,
+           flag={"type": int, "help": "branching rate"}),
+    Option("k", (str, int, list[int]), ("eps-k", "critical", "fk-stats"),
+           flag={"type": parse_k_values, "help": "periods, e.g. 3, 1..4 or 1,3,9"}),
+    Option("eps", (int, float), _CHANNEL, echo=True,
+           flag={"type": float, "help": "edge error rate in [0, 0.5)"}),
+    Option("p", (int, float), _CHANNEL, echo=True,
+           flag={"type": float, "help": "edge error-free rate in (0, 1]"}),
+    Option("depth", (int,), ("delta",), minimum=0, echo=True,
+           flag={"type": int, "help": "level whose advantage is reported"}),
+    Option("scheme", (str,), ("delta",), "Identity", echo=True,
+           flag={"help": 'descriptor like Identity or "WithinDescentMajority{k=2}"'}),
+    Option("M", (int,), ("eps-k", "delta"), minimum=1,
+           flag={"type": int, "help": "block size: delta runs BlockMajorityEveryStep{M=...}, "
+                                      "eps-k also reports its block-majority error"}),
+    Option("replicates", (int,), ("eps-k", "delta", "sweep"), 10_000, minimum=1, echo=True,
+           flag={"type": int, "help": "Monte Carlo replicate count (default: a sweep "
+                                      "grid's, else 10000)"}),
+    Option("samples", (int,), ("fk-stats",), 200, minimum=2, echo=True,
+           flag={"type": int, "help": "ensemble samples per level (default 200)"}),
+    Option("seed", (int,), ("eps-k", "delta", "fk-stats", "verify", "sweep"), 0, minimum=0,
+           echo=True, flag={"type": int, "help": "master seed (default: a sweep grid's, "
+                                                 "verify's pinned seed, else 0)"}),
+    Option("budget", (int,), ("eps-k", "delta", "critical"), minimum=2, echo=True,
+           flag={"type": int, "help": "support budget override"}),
+    Option("exact", (bool,), ("delta",), False,
+           flag={"action": "store_true", "help": "use the exact engine instead of Monte Carlo"}),
+    Option("format", (str,), tuple(_COMMANDS), "csv",
+           flag={"choices": ("csv", "json"), "help": "output format (default csv)"}),
+    Option("out", (str,), tuple(_COMMANDS), flag={"help": "write the report to this path"}),
+    Option("reproducible", (bool,), tuple(_COMMANDS), False,
+           flag={"action": "store_true",
+                 "help": "suppress the timestamp header for byte-identical output"}),
+)
+
+
+@dataclass(frozen=True)
 class RunConfig:
-    """Fully resolved arguments of one CLI run, validated before compute."""
+    """Fully resolved arguments of one CLI run, validated before compute.
+    Options the command does not take stay ``None``."""
 
     command: str
     r: int | None = None
-    depth: int | None = None
-    epsilon: float | None = None
+    k: tuple[range, ...] | None = None
+    eps: float | None = None
     p: float | None = None
-    scheme: str = "Identity"
-    replicates: int = 10_000
-    seed: int = 0
-    k_values: tuple[range, ...] | None = None
+    depth: int | None = None
+    scheme: str | None = None
     M: int | None = None
-    samples: int = 200
+    replicates: int | None = None
+    samples: int | None = None
+    seed: int | None = None
     budget: int | None = None
+    exact: bool | None = None
+    format: str | None = None
     out: str | None = None
-    fmt: str = "csv"
-    reproducible: bool = False
-    exact: bool = False
+    reproducible: bool | None = None
 
     def __post_init__(self) -> None:
-        if self.epsilon is not None and self.p is not None:
+        if self.eps is not None and self.p is not None:
             raise ValueError("give either an error rate or an error-free rate, not both")
-        if self.epsilon is not None or self.p is not None:
+        if self.eps is not None or self.p is not None:
             check_epsilon(self.epsilon_value)
-        if self.r is not None and self.r < 2:
-            raise ValueError(f"branching rate must be >= 2, got {self.r}")
-        if self.depth is not None and self.depth < 0:
-            raise ValueError(f"depth must be >= 0, got {self.depth}")
-        if self.replicates < 1:
-            raise ValueError(f"replicates must be >= 1, got {self.replicates}")
-        if self.samples < 2:
-            raise ValueError(f"samples must be >= 2, got {self.samples}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
-        if self.M is not None and self.M < 1:
-            raise ValueError(f"block size must be >= 1, got {self.M}")
-        if self.budget is not None and self.budget < 2:
-            raise ValueError(f"budget must be >= 2, got {self.budget}")
-        if self.fmt not in _FORMATS:
-            raise ValueError(f"format must be one of {_FORMATS}, got {self.fmt!r}")
+        for opt in OPTIONS:
+            value, choices = getattr(self, opt.key), opt.flag.get("choices")
+            if value is None:
+                continue
+            if opt.minimum is not None and value < opt.minimum:
+                raise ValueError(f"{opt.key} must be >= {opt.minimum}, got {value}")
+            if choices is not None and value not in choices:
+                raise ValueError(f"{opt.key} must be one of {choices}, got {value!r}")
 
     @property
     def epsilon_value(self) -> float:
-        if self.epsilon is not None:
-            return self.epsilon
+        if self.eps is not None:
+            return self.eps
         if self.p is not None:
             return (1.0 - self.p) / 2.0
         raise ValueError("this command needs an error rate (--eps or --p)")
@@ -153,56 +216,35 @@ class RunConfig:
         return SeedSpec(master_seed=self.seed)
 
     def periods(self) -> Iterator[int]:
-        """The periods of ``k_values`` one by one, in order, never listed
-        all at once."""
-        return itertools.chain.from_iterable(self.k_values)
+        """The periods of ``k`` one by one, in order, never listed all at
+        once."""
+        return itertools.chain.from_iterable(self.k)
 
     def echo(self) -> dict[str, object]:
-        """Resolved configuration carried in every report row."""
+        """Resolved configuration carried in every report row: each echoed
+        option that is set, in table order.  A channel is echoed as both
+        its rates, and an exact run, which draws nothing, echoes no
+        replicate count."""
+        channel = {}
+        if self.eps is not None or self.p is not None:
+            channel = {"eps": self.epsilon_value, "p": self.p_value}
         out: dict[str, object] = {"command": self.command}
-        if self.r is not None:
-            out["r"] = self.r
-        if self.epsilon is not None or self.p is not None:
-            out["eps"] = self.epsilon_value
-            out["p"] = self.p_value
-        if self.depth is not None:
-            out["depth"] = self.depth
-        if self.command in ("delta", "sweep"):
-            out["scheme"] = self.scheme
-        if self.command in ("delta", "eps-k", "sweep") and not self.exact:
-            out["replicates"] = self.replicates
-        if self.command == "fk-stats":
-            out["samples"] = self.samples
-        if self.command in ("delta", "eps-k", "fk-stats", "sweep"):
-            out["seed"] = self.seed
-        if self.budget is not None:
-            out["budget"] = self.budget
+        for opt in OPTIONS:
+            value = channel.get(opt.key, getattr(self, opt.key))
+            if opt.echo and value is not None and not (opt.key == "replicates" and self.exact):
+                out[opt.key] = value
         return out
 
 
-def _row(
-    cfg: RunConfig,
-    quantity: str,
-    value: float,
-    provenance: str,
-    *,
-    params: dict[str, object] | None = None,
-    lo: float | None = None,
-    hi: float | None = None,
-    tolerance: float | None = None,
-) -> ReportRow:
-    merged = cfg.echo()
-    if params:
-        merged.update(params)
+def _row(cfg: RunConfig, quantity: str, value: float, provenance: str, *,
+         params: dict[str, object] | None = None, lo: float | None = None,
+         hi: float | None = None, tolerance: float | None = None) -> ReportRow:
+    """A report row of ``cfg``'s command: its params are ``cfg``'s echo,
+    then ``params``."""
     return ReportRow(
-        experiment=cfg.command,
-        params=merged,
-        quantity=quantity,
-        value=float(value),
-        provenance=provenance,
-        lo=lo,
-        hi=hi,
-        tolerance=tolerance,
+        experiment=cfg.command, params={**cfg.echo(), **(params or {})},
+        quantity=quantity, value=float(value), provenance=provenance,
+        lo=lo, hi=hi, tolerance=tolerance,
     )
 
 
@@ -212,9 +254,14 @@ def _row(
 def cmd_eps_k(cfg: RunConfig) -> list[ReportRow]:
     """Error-rate table over periods: exact under the support budget, Monte
     Carlo (flagged) when only sampling fits."""
-    if cfg.r is None or cfg.k_values is None:
+    if cfg.r is None or cfg.k is None:
         raise ValueError("eps-k needs --r and --k")
     eps = cfg.epsilon_value
+    for k in cfg.periods():  # refuse a fallback that cannot run before any period runs
+        try:
+            check_support(cfg.r, k, cfg.budget)
+        except BudgetError:
+            check_mc_delta([CorrectionScheme.identity()], cfg.r, k, cfg.replicates)
     rows = []
     for k in cfg.periods():
         kp = {"k": k}
@@ -285,7 +332,7 @@ def cmd_delta(cfg: RunConfig) -> list[ReportRow]:
 
 def cmd_critical(cfg: RunConfig) -> list[ReportRow]:
     """Critical error-free rates over periods, with diagnostic rows."""
-    if cfg.r is None or cfg.k_values is None:
+    if cfg.r is None or cfg.k is None:
         raise ValueError("critical needs --r and --k")
     for k in cfg.periods():
         check_support(cfg.r, k, cfg.budget)
@@ -317,7 +364,7 @@ def cmd_critical(cfg: RunConfig) -> list[ReportRow]:
 
 def cmd_fk_stats(cfg: RunConfig) -> list[ReportRow]:
     """Cluster-moment ensemble summaries per level."""
-    if cfg.r is None or cfg.k_values is None:
+    if cfg.r is None or cfg.k is None:
         raise ValueError("fk-stats needs --r and --k")
     p = cfg.p_value
     rows = []
@@ -361,12 +408,10 @@ def cmd_fk_stats(cfg: RunConfig) -> list[ReportRow]:
     return rows
 
 
-def cmd_verify(cfg: RunConfig, suite: str, seed_given: bool) -> tuple[list[ReportRow], bool]:
+def cmd_verify(cfg: RunConfig, suite: str) -> tuple[list[ReportRow], bool]:
     """Run one verification suite; returns its rows and overall pass."""
-    results = run_suite(suite, seed=cfg.seed if seed_given else None)
+    results = run_suite(suite, seed=cfg.seed)
     base = cfg.echo()
-    if seed_given:
-        base["seed"] = cfg.seed
     rows = []
     for row in results_to_rows(results):
         rows.append(dataclasses.replace(row, params={**base, **row.params}))
@@ -380,7 +425,7 @@ def cmd_verify(cfg: RunConfig, suite: str, seed_given: bool) -> tuple[list[Repor
     return rows, passed
 
 
-def cmd_sweep(cfg: RunConfig, grid_path: str, overrides: dict[str, bool]) -> list[ReportRow]:
+def cmd_sweep(cfg: RunConfig, grid_path: str, flags: set[str]) -> list[ReportRow]:
     """Monte Carlo advantage over a (scheme, eps, depth) grid, one row per cell.
 
     The schemes of each (eps, depth) pair run as one :func:`mc_deltas` group,
@@ -394,13 +439,12 @@ def cmd_sweep(cfg: RunConfig, grid_path: str, overrides: dict[str, bool]) -> lis
     eps_list = [float(e) for e in grid["eps"]]
     if not schemes or not eps_list or not depths:
         raise ValueError("sweep grid axes must be non-empty")
-    replicates = cfg.replicates if overrides["replicates"] else grid.get(
-        "replicates", cfg.replicates
-    )
-    seed = cfg.seed if overrides["seed"] else grid.get("seed", cfg.seed)
-    base = dataclasses.replace(
-        cfg, r=r, replicates=replicates, seed=seed, scheme="grid"
-    )
+    # Unlike any other option, a sweep's replicates and seed come from the
+    # flag, then the grid, then the config, then the default.
+    base = dataclasses.replace(cfg, r=r, scheme="grid", **{
+        key: grid[key] for key in ("replicates", "seed") if key in grid and key not in flags
+    })
+    replicates = base.replicates
     parsed = [CorrectionScheme.parse(text) for text in schemes]
     channels = [ChannelParams(epsilon=eps) for eps in eps_list]
     for depth in depths:
@@ -433,22 +477,6 @@ def cmd_sweep(cfg: RunConfig, grid_path: str, overrides: dict[str, bool]) -> lis
 # --- argument parsing and dispatch -------------------------------------------
 
 
-def _add_output_flags(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--format", choices=_FORMATS, default=None,
-                    help="output format (default csv)")
-    sp.add_argument("--out", default=None, help="write the report to this path")
-    sp.add_argument("--reproducible", action="store_true",
-                    help="suppress the timestamp header for byte-identical output")
-    sp.add_argument("--config", default=None,
-                    help="JSON file of defaults; explicit flags win")
-
-
-def _add_channel_flags(sp: argparse.ArgumentParser) -> None:
-    group = sp.add_mutually_exclusive_group()
-    group.add_argument("--eps", type=float, default=None, help="edge error rate in [0, 0.5)")
-    group.add_argument("--p", type=float, default=None, help="edge error-free rate in (0, 1]")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="treecast",
@@ -456,81 +484,28 @@ def build_parser() -> argparse.ArgumentParser:
                     "self-correction schemes, and Monte Carlo estimators.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser("eps-k", help="error-rate table over correction periods")
-    sp.add_argument("--r", type=int, default=None, help="branching rate")
-    sp.add_argument("--k", type=parse_k_values, default=None,
-                    help="period or range, e.g. 3 or 1..4")
-    sp.add_argument("--M", type=int, default=None,
-                    help="also report the block-majority error for this block size")
-    sp.add_argument("--replicates", type=int, default=None,
-                    help="Monte Carlo fallback sample count")
-    sp.add_argument("--seed", type=int, default=None)
-    sp.add_argument("--budget", type=int, default=None, help="support budget override")
-    _add_channel_flags(sp)
-    _add_output_flags(sp)
-
-    sp = sub.add_parser("delta", help="reconstruction advantage at one depth")
-    sp.add_argument("--r", type=int, default=None)
-    sp.add_argument("--depth", type=int, default=None)
-    sp.add_argument("--scheme", default=None,
-                    help='descriptor like Identity or "WithinDescentMajority{k=2}"')
-    sp.add_argument("--M", type=int, default=None,
-                    help="shorthand for BlockMajorityEveryStep{M=...}")
-    sp.add_argument("--replicates", type=int, default=None)
-    sp.add_argument("--seed", type=int, default=None)
-    sp.add_argument("--budget", type=int, default=None)
-    sp.add_argument("--exact", action="store_true",
-                    help="use the exact engine instead of Monte Carlo")
-    _add_channel_flags(sp)
-    _add_output_flags(sp)
-
-    sp = sub.add_parser("critical", help="exact critical-rate table")
-    sp.add_argument("--r", type=int, default=None)
-    sp.add_argument("--k", type=parse_k_values, default=None)
-    sp.add_argument("--budget", type=int, default=None)
-    _add_output_flags(sp)
-
-    sp = sub.add_parser("fk-stats", help="cluster-moment ensemble summaries")
-    sp.add_argument("--r", type=int, default=None)
-    sp.add_argument("--k", type=parse_k_values, default=None)
-    sp.add_argument("--samples", type=int, default=None)
-    sp.add_argument("--seed", type=int, default=None)
-    _add_channel_flags(sp)
-    _add_output_flags(sp)
-
-    sp = sub.add_parser("verify", help="run one verification suite")
-    sp.add_argument("suite", choices=SUITE_NAMES)
-    sp.add_argument("--seed", type=int, default=None,
-                    help="override the suite's pinned seed")
-    _add_output_flags(sp)
-
-    sp = sub.add_parser("sweep", help="advantage over a JSON-described grid")
-    sp.add_argument("grid", help="JSON file with r, schemes, eps, depths")
-    sp.add_argument("--replicates", type=int, default=None)
-    sp.add_argument("--seed", type=int, default=None)
-    _add_output_flags(sp)
-
+    for command, help_text in _COMMANDS.items():
+        sp = sub.add_parser(command, help=help_text)
+        if command == "verify":
+            sp.add_argument("suite", choices=SUITE_NAMES)
+        if command == "sweep":
+            sp.add_argument("grid", help="JSON file with r, schemes, eps, depths "
+                                           "and optionally replicates, seed")
+        channel = sp.add_mutually_exclusive_group() if command in _CHANNEL else None
+        for opt in OPTIONS:
+            if command in opt.commands:
+                target = channel if opt.key in ("eps", "p") else sp
+                target.add_argument(f"--{opt.key}", default=None, **opt.flag)
+        sp.add_argument("--config", default=None,
+                        help="JSON file of defaults; explicit flags win")
     return parser
 
 
-# The JSON types a config file may give each key it sets; ``list[t]`` is a
-# list of ``t``.
-_CONFIG_TYPES: dict[str, tuple[object, ...]] = {
-    **dict.fromkeys(("r", "depth", "M", "budget", "replicates", "seed", "samples"), (int,)),
-    **dict.fromkeys(("eps", "p"), (int, float)),
-    "k": (str, int, list[int]),
-    **dict.fromkeys(("scheme", "out", "format"), (str,)),
-    **dict.fromkeys(("reproducible", "exact"), (bool,)),
-}
+_CONFIG_TYPES = {opt.key: opt.types for opt in OPTIONS}
 
 # The JSON types of a sweep grid file's keys, in the same notation.
-_GRID_TYPES: dict[str, tuple[object, ...]] = {
-    **dict.fromkeys(("r", "replicates", "seed"), (int,)),
-    "schemes": (list[str],),
-    "eps": (list[int | float],),
-    "depths": (list[int],),
-}
+_GRID_TYPES = {"r": (int,), "schemes": (list[str],), "eps": (list[int | float],),
+               "depths": (list[int],), "replicates": (int,), "seed": (int,)}
 
 
 def _json_type_ok(value: object, kinds: tuple[object, ...]) -> bool:
@@ -548,69 +523,54 @@ def _json_type_ok(value: object, kinds: tuple[object, ...]) -> bool:
 def _load_json_object(
     path: str, what: str, types: dict[str, tuple[object, ...]]
 ) -> dict[str, object]:
-    """Read a JSON object and check the JSON type of each key ``types`` names."""
+    """Read a JSON object whose keys ``types`` all names, and check the JSON
+    type of each."""
     with open(path, encoding="utf-8") as fh:
         loaded = json.load(fh)
     if not isinstance(loaded, dict):
         raise ValueError(f"{what} file must hold a JSON object")
+    for key in sorted(loaded.keys() - types.keys()):
+        raise ValueError(f"unknown {what} key {key!r}; expected one of {', '.join(types)}")
     for key, kinds in types.items():
         if key in loaded and not _json_type_ok(loaded[key], kinds):
             raise ValueError(f"{what} key {key!r} has the wrong JSON type: {loaded[key]!r}")
     return loaded
 
 
-def _load_config(path: str | None) -> dict[str, object]:
-    return {} if path is None else _load_json_object(path, "config", _CONFIG_TYPES)
-
-
-def _pick(args: argparse.Namespace, config: dict, key: str, default):
-    value = getattr(args, key.replace("-", "_"), None)
-    if value is not None:
-        return value
-    if key in config:
-        return config[key]
-    return default
-
-
-def _build_run_config(args: argparse.Namespace) -> tuple[RunConfig, dict[str, bool]]:
-    config = _load_config(getattr(args, "config", None))
-    k_values = getattr(args, "k", None)
-    if k_values is None and "k" in config:
-        k_values = parse_k_values(config["k"])
-    flag_eps = getattr(args, "eps", None)
-    flag_p = getattr(args, "p", None)
-    if flag_eps is not None or flag_p is not None:
-        eps, p = flag_eps, flag_p
-    else:
-        eps, p = config.get("eps"), config.get("p")
-    cfg = RunConfig(
-        command=args.command,
-        r=_pick(args, config, "r", None),
-        depth=_pick(args, config, "depth", None),
-        epsilon=None if eps is None else float(eps),
-        p=None if p is None else float(p),
-        scheme=str(_pick(args, config, "scheme", "Identity")),
-        replicates=int(_pick(args, config, "replicates", 10_000)),
-        seed=int(_pick(args, config, "seed", 0)),
-        k_values=k_values,
-        M=_pick(args, config, "M", None),
-        samples=int(_pick(args, config, "samples", 200)),
-        budget=_pick(args, config, "budget", None),
-        out=_pick(args, config, "out", None),
-        fmt=str(_pick(args, config, "format", "csv")),
-        reproducible=bool(getattr(args, "reproducible", False)
-                          or config.get("reproducible", False)),
-        exact=bool(getattr(args, "exact", False) or config.get("exact", False)),
+def _build_run_config(args: argparse.Namespace) -> tuple[RunConfig, set[str]]:
+    """Resolve each option the command takes from its flag, else the config
+    file, else its default, and refuse an ``--out`` that cannot be written;
+    returns the config and the keys given as flags.  Two rules are not
+    uniform: ``verify``'s seed defaults to the suite's pinned seed, and
+    ``sweep`` ranks its grid between flags and config (:func:`cmd_sweep`)."""
+    config = {} if args.config is None else _load_json_object(
+        args.config, "config", _CONFIG_TYPES
     )
-    overrides = {
-        "replicates": getattr(args, "replicates", None) is not None,
-        "seed": getattr(args, "seed", None) is not None,
-    }
-    return cfg, overrides
+    taken = [opt for opt in OPTIONS if args.command in opt.commands]
+    flags = {opt.key for opt in taken if getattr(args, opt.key) is not None}
+    if flags & {"eps", "p"}:  # a channel flag replaces the config's channel
+        config = {key: v for key, v in config.items() if key not in ("eps", "p")}
+    values = {}
+    for opt in taken:
+        if opt.key in flags:
+            values[opt.key] = getattr(args, opt.key)
+        elif opt.key in config:
+            convert = opt.flag.get("type")
+            values[opt.key] = convert(config[opt.key]) if convert else config[opt.key]
+        elif (args.command, opt.key) == ("verify", "seed"):
+            values[opt.key] = None
+        else:
+            values[opt.key] = opt.default
+    cfg = RunConfig(command=args.command, **values)
+    if cfg.out is not None:
+        folder = os.path.dirname(cfg.out) or "."
+        if os.path.isdir(cfg.out) or not (os.path.isdir(folder) and os.access(folder, os.W_OK)):
+            raise ValueError(f"cannot write {cfg.out!r}: not a file in a writable directory")
+    return cfg, flags
 
 
 def _emit(cfg: RunConfig, rows: list[ReportRow]) -> None:
-    text = rows_to_csv(rows, cfg.reproducible) if cfg.fmt == "csv" else rows_to_json(rows)
+    text = rows_to_csv(rows, cfg.reproducible) if cfg.format == "csv" else rows_to_json(rows)
     if cfg.out:
         with open(cfg.out, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -620,31 +580,25 @@ def _emit(cfg: RunConfig, rows: list[ReportRow]) -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     passed = True
     try:
-        cfg, overrides = _build_run_config(args)
-        if args.command == "eps-k":
-            rows = cmd_eps_k(cfg)
-        elif args.command == "delta":
-            rows = cmd_delta(cfg)
-        elif args.command == "critical":
-            rows = cmd_critical(cfg)
-        elif args.command == "fk-stats":
-            rows = cmd_fk_stats(cfg)
-        elif args.command == "verify":
-            rows, passed = cmd_verify(cfg, args.suite, overrides["seed"])
+        cfg, flags = _build_run_config(args)
+        if args.command == "verify":
+            rows, passed = cmd_verify(cfg, args.suite)
+        elif args.command == "sweep":
+            rows = cmd_sweep(cfg, args.grid, flags)
         else:
-            rows = cmd_sweep(cfg, args.grid, overrides)
+            run = {"eps-k": cmd_eps_k, "delta": cmd_delta, "critical": cmd_critical,
+                   "fk-stats": cmd_fk_stats}[args.command]
+            rows = run(cfg)
+        _emit(cfg, rows)
     except BudgetError as exc:
         print(f"budget error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except (ValueError, KeyError, OSError, json.JSONDecodeError,
-            argparse.ArgumentTypeError) as exc:
+    except (ValueError, KeyError, OSError, argparse.ArgumentTypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    _emit(cfg, rows)
     return EXIT_OK if passed else EXIT_GATE
 
 

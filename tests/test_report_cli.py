@@ -597,3 +597,113 @@ def test_cli_json_output(capsys):
     assert isinstance(data, list)
     assert data[0]["provenance"] == "exact"
     assert math.isclose(data[0]["value"], delta_exact(3, 2, 0.2), abs_tol=1e-12)
+
+
+def never_work(monkeypatch):
+    """Make every draw and every count law raise."""
+    from treecast import exact, rng
+
+    def never(*args, **kwargs):
+        raise AssertionError("the command drew or built a count law before refusing")
+
+    monkeypatch.setattr(rng, "_philox_keys", never)
+    monkeypatch.setattr(exact, "_count_laws", never)
+
+
+@pytest.mark.parametrize(
+    ("argv", "name", "content", "key"),
+    [
+        (["delta", "--r", "2", "--depth", "4", "--eps", "0.1"], "run.json",
+         {"replicate": 100}, "replicate"),
+        (["critical", "--r", "2", "--k", "1"], "run.json", {"config": "other.json"}, "config"),
+        (["sweep", "GRID"], "grid.json",
+         {"r": 2, "schemes": ["Identity"], "eps": [0.1], "depths": [2], "depth": [4]}, "depth"),
+    ],
+    ids=["config-misspelt", "config-nested", "grid-depth"],
+)
+def test_cli_refuses_an_unknown_key_before_any_work(
+    capsys, tmp_path, monkeypatch, argv, name, content, key
+):
+    path = tmp_path / name
+    path.write_text(json.dumps(content))
+    never_work(monkeypatch)
+    argv = [str(path) if a == "GRID" else a for a in argv]
+    if name == "run.json":
+        argv += ["--config", str(path)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith("error: unknown ") and f"key {key!r}" in line
+
+
+def test_cli_config_key_of_another_command_is_left_out_of_the_echo(capsys, tmp_path):
+    # One config file may serve several commands: critical takes no channel
+    # and no depth, so it neither refuses them nor echoes them.
+    config_path = tmp_path / "run.json"
+    config_path.write_text(json.dumps({"eps": 0.2, "depth": 5}))
+    code, out = run_cli(
+        capsys, "critical", "--r", "2", "--k", "1", "--config", str(config_path),
+        "--reproducible",
+    )
+    assert code == 0
+    code, plain = run_cli(capsys, "critical", "--r", "2", "--k", "1", "--reproducible")
+    assert code == 0 and out == plain
+    params = [row["params"].split() for row in csv.DictReader(io.StringIO(out))]
+    assert params and all(not p.startswith(("eps=", "p=", "depth=")) for row in params
+                          for p in row)
+
+
+def test_cli_refuses_an_unwritable_out_before_any_work(capsys, tmp_path, monkeypatch):
+    never_work(monkeypatch)
+    for out in (tmp_path / "missing" / "x.csv", tmp_path):
+        assert main(["critical", "--r", "2", "--k", "1", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err and captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith("error: cannot write ")
+
+
+def test_cli_write_that_fails_exits_two(capsys, tmp_path):
+    # A name too long for the file system passes the directory check, then
+    # fails to open.
+    out = tmp_path / ("x" * 300)
+    assert main(["critical", "--r", "2", "--k", "1", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    assert captured.err.splitlines()[-1].startswith("error: ")
+
+
+def test_cli_verify_takes_its_seed_from_a_config_as_from_the_flag(capsys, tmp_path):
+    config_path = tmp_path / "run.json"
+    config_path.write_text(json.dumps({"seed": 5}))
+    code, from_config = run_cli(
+        capsys, "verify", "lemma51", "--config", str(config_path), "--reproducible"
+    )
+    assert code == 0
+    code, from_flag = run_cli(capsys, "verify", "lemma51", "--seed", "5", "--reproducible")
+    assert code == 0 and from_config == from_flag
+    code, pinned = run_cli(capsys, "verify", "lemma51", "--reproducible")
+    assert code == 0 and "seed=" not in pinned
+    rows = list(csv.DictReader(io.StringIO(from_config)))
+    assert rows and all(row["params"].startswith("command=verify seed=5 ") for row in rows)
+
+
+@pytest.mark.parametrize(
+    ("argv", "code", "message"),
+    [
+        (["--k", "1..2", "--budget", "3", "--replicates", "50"], 2,
+         "need at least 100 replicates"),
+        (["--k", "1..1000000000000"], 3, "tree level of 2**27 vertices"),
+    ],
+    ids=["too-few-replicates", "level-past-vertex-budget"],
+)
+def test_cli_eps_k_refuses_a_fallback_before_any_period_runs(
+    capsys, monkeypatch, argv, code, message
+):
+    # k = 1 fits a budget of 3 support points and k = 2 does not, so only
+    # k = 2 falls back to Monte Carlo; its refusal comes before k = 1 runs.
+    never_work(monkeypatch)
+    assert main(["eps-k", "--r", "2", "--eps", "0.1", *argv]) == code
+    captured = capsys.readouterr()
+    assert captured.out == "" and message in captured.err
