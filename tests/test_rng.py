@@ -69,6 +69,27 @@ def test_batched_keys_match_seed_sequence_oracle(master_seed):
             assert empty.shape == (0, 2) and empty.dtype == np.uint64
 
 
+def test_keys_match_seed_sequence_oracle_at_word_boundaries(monkeypatch):
+    # Purpose codes and levels of one, two and three 32-bit words, which no
+    # real purpose reaches, with one- and two-word blocks up to 2**64 - 1.
+    codes = {"code-0": 0, "code-1": 1, "code-max32": 2**32 - 1, "code-2**32": 2**32}
+    real_code = rng._purpose_code
+    monkeypatch.setattr(rng, "_purpose_code", lambda p: codes.get(p, real_code(p)))
+    blocks = np.array([0, 2**32, 1, 2**64 - 1, 2**32 - 1, 2**48 + 5], dtype=np.uint64)
+    rng._prefix.cache_clear()
+    try:
+        for master_seed in (0, 2**64 - 1):
+            for purpose in (*codes, "flips"):
+                for level in (0, 2**32 - 1, 2**32, 2**64, 2**64 + 3):
+                    keys = rng._philox_keys(master_seed, purpose, level, blocks)
+                    for key, block in zip(keys, blocks.tolist()):
+                        oracle = seed_sequence_key(master_seed, purpose, level, block)
+                        address = (master_seed, purpose, level, block)
+                        np.testing.assert_array_equal(key, oracle, err_msg=str(address))
+    finally:
+        rng._prefix.cache_clear()
+
+
 @pytest.mark.parametrize("first", [0, 250, 2**32 - 2])
 def test_one_stream_draws_what_its_batch_draws(first):
     batch = list(SEED.generators("fk-sizes", 6, range(first, first + 5)))
