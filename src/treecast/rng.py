@@ -15,11 +15,12 @@ generator, so the bytes a replicate sees depend only on its address and not
 on scheduling, worker count, or how many other replicates run.  The key is
 exactly the one numpy's ``SeedSequence(entropy=master_seed,
 spawn_key=(purpose_code, level, block)).generate_state(2, np.uint64)`` gives
-(O'Neill's ``seed_seq`` mixing), computed directly in integer arithmetic:
-the mixer state after every word but the block's is cached per
-``(master_seed, purpose, level)``, so a new stream mixes in only its block.
-:func:`_philox_keys` is the one derivation: it mixes a whole array of blocks
-into that cached state in one pass of array arithmetic, and
+(O'Neill's ``seed_seq`` mixing).  The mixer pool before the block is
+numpy's own, ``SeedSequence(master_seed, spawn_key=(purpose_code,
+level)).pool``, cached per ``(master_seed, purpose, level)``; only the
+block's words and the output hash are mixed by hand.  :func:`_philox_keys`
+is the one derivation: it mixes a whole array of blocks into that cached
+pool in one pass of array arithmetic, and
 :meth:`SeedSpec.generators` builds a fresh Philox generator from each key,
 so a run of streams costs one derivation, and :meth:`SeedSpec.generator` is
 its one-block case.  A key is a pure function of its address, so deriving
@@ -65,7 +66,7 @@ import functools
 import hashlib
 import math
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterator
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
@@ -90,118 +91,70 @@ def _purpose_code(purpose: str) -> int:
 # numpy's SeedSequence constants (numpy/random/bit_generator.pyx, after
 # M. O'Neill, "Developing a seed_seq alternative", 2015).  All arithmetic is
 # on 32-bit words.
-_MASK32 = 0xFFFFFFFF
 _POOL_SIZE = 4
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-
-
-def _words(n: int) -> list[int]:
-    """32-bit words of ``n >= 0``, least significant first (``[0]`` for 0),
-    as ``SeedSequence`` splits an integer entropy or spawn-key entry."""
-    words = [n & _MASK32]
-    n >>= 32
-    while n:
-        words.append(n & _MASK32)
-        n >>= 32
-    return words
-
-
-def _hash_consts(init: int, mult: int, n_steps: int) -> list[int]:
-    """Hash constants of ``n_steps`` hash steps: step ``t`` xors with entry
-    ``t`` and multiplies by entry ``t + 1``."""
-    return [(init * pow(mult, t, 1 << 32)) & _MASK32 for t in range(n_steps + 1)]
-
-
-#: ``generate_state``'s constants for the four 32-bit words of a two-word
-#: ``uint64`` key; the pool is exactly that long, so it is read once.
-_OUT_CONSTS = tuple(_hash_consts(_INIT_B, _MULT_B, _POOL_SIZE))
-
-
-def _hashmix(value: int, consts: Sequence[int], t: int) -> int:
-    """``SeedSequence``'s ``hashmix`` (and output hash) as hash step ``t``."""
-    value = ((value ^ consts[t]) * consts[t + 1]) & _MASK32
-    return value ^ (value >> 16)
-
-
-def _mix(x: int, y: int) -> int:
-    result = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
-    return result ^ (result >> 16)
-
 
 # The mixer's operands as 0-d ``uint32`` arrays, the quickest form for
 # numpy to apply to a small array.
 _U32_16, _U32_MIX_L, _U32_MIX_R = (
-    np.array(c, dtype=np.uint32) for c in (16, _MIX_MULT_L, _MIX_MULT_R)
+    np.array(c, dtype=np.uint32) for c in (16, 0xCA01F9DD, 0x4973F715)
 )
 
 
+def _hash_steps(init: int, mult: int, first: int, n_steps: int) -> tuple[np.ndarray, np.ndarray]:
+    """Hash steps ``first..first + n_steps - 1`` of the hash constants
+    ``init * mult**t`` (mod 2**32) as two ``uint32`` columns of shape
+    ``(n_steps, 1)``: step ``t`` xors with constant ``t`` and multiplies by
+    constant ``t + 1``."""
+    consts = [init * pow(mult, t, 1 << 32) % (1 << 32) for t in range(first, first + n_steps + 1)]
+    xor = np.array(consts[:-1], dtype=np.uint32)[:, None]
+    times = np.array(consts[1:], dtype=np.uint32)[:, None]
+    xor.flags.writeable = times.flags.writeable = False
+    return xor, times
+
+
 def _hashmix_words(values: np.ndarray, xor: np.ndarray, mult: np.ndarray) -> np.ndarray:
-    """:func:`_hashmix` on ``uint32`` arrays, whose products wrap modulo
-    2**32 by themselves; one hash step per row of ``xor``/``mult`` (its
-    constants ``t`` and ``t + 1``)."""
+    """``SeedSequence``'s ``hashmix`` (and output hash) on ``uint32`` arrays,
+    whose products wrap modulo 2**32 by themselves; one hash step per row of
+    ``xor``/``mult`` (:func:`_hash_steps`)."""
     values = (values ^ xor) * mult
     return values ^ (values >> _U32_16)
 
 
 def _mix_words(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """:func:`_mix` on ``uint32`` arrays."""
+    """``SeedSequence``'s ``mix`` on ``uint32`` arrays."""
     result = x * _U32_MIX_L - y * _U32_MIX_R
     return result ^ (result >> _U32_16)
 
 
-def _step_consts(consts: Sequence[int], n_steps: int) -> tuple[np.ndarray, np.ndarray]:
-    """Hash steps ``0..n_steps-1`` of ``consts`` as two ``uint32`` columns of
-    shape ``(n_steps, 1)``: the constant each step xors with and the one it
-    multiplies by."""
-    xor = np.array(consts[:n_steps], dtype=np.uint32)[:, None]
-    mult = np.array(consts[1 : n_steps + 1], dtype=np.uint32)[:, None]
-    xor.flags.writeable = mult.flags.writeable = False
-    return xor, mult
-
-
-#: ``generate_state``'s output hash of the four pool words, one step each.
-_OUT_STEPS = _step_consts(_OUT_CONSTS, _POOL_SIZE)
+#: ``generate_state``'s output hash of the four pool words, one step each;
+#: a two-word ``uint64`` key is exactly that long, so the pool is read once.
+_OUT_STEPS = _hash_steps(_INIT_B, _MULT_B, 0, _POOL_SIZE)
 
 
 @functools.lru_cache(maxsize=1024)
 def _prefix(
-    master_seed: int, purpose: str, level: int, block_words: int
-) -> tuple[np.ndarray, tuple[tuple[np.ndarray, np.ndarray], ...]]:
-    """Mixer pool after every entropy word but the block's, as a
-    ``(_POOL_SIZE, 1)`` column, and for each word of a block of
-    ``block_words`` words the hash steps that mix it into the pool
-    (:func:`_step_consts`).
+    master_seed: int, purpose: str, level: int
+) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
+    """Mixer pool of ``SeedSequence(master_seed, spawn_key=(purpose code,
+    level))`` as a ``(_POOL_SIZE, 1)`` column, and the hash steps that mix a
+    block's words into it: rows ``0..3`` of the ``(xor, mult)`` columns
+    (:func:`_hash_steps`) for its first word, rows ``4..7`` for its second.
 
-    The entropy is the master seed's words zero-padded to the pool size,
-    then the words of the purpose code, the level and the block
-    (``SeedSequence``'s assembled entropy for a non-empty spawn key).  The
-    constants depend only on how many words come before and after.
+    A stream's entropy is the master seed's words zero-padded to the pool
+    size, then the words of the purpose code, the level and the block, mixed
+    in that order, so its pool before the block is numpy's own for the
+    shorter spawn key.  The block's words take the hash steps after the
+    ``16 + 4 * (words(code) + words(level))`` that came before, whether or
+    not a second word follows.
     """
-    seed_words = _words(master_seed)
-    tail = _words(_purpose_code(purpose)) + _words(level)
-    consts = _hash_consts(
-        _INIT_A, _MULT_A, _POOL_SIZE**2 + _POOL_SIZE * (len(tail) + block_words)
-    )
-    padded = seed_words + [0] * (_POOL_SIZE - len(seed_words))
-    pool = [_hashmix(word, consts, t) for t, word in enumerate(padded)]
-    t = _POOL_SIZE
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], _hashmix(pool[src], consts, t))
-                t += 1
-    for word in tail:
-        for i in range(_POOL_SIZE):
-            pool[i] = _mix(pool[i], _hashmix(word, consts, t))
-            t += 1
-    column = np.array(pool, dtype=np.uint32)[:, None]
+    code = _purpose_code(purpose)
+    column = np.random.SeedSequence(master_seed, spawn_key=(code, level)).pool[:, None]
     column.flags.writeable = False
-    steps = tuple(
-        _step_consts(consts[t + _POOL_SIZE * w :], _POOL_SIZE) for w in range(block_words)
-    )
-    return column, steps
+    n_words = sum((n.bit_length() + 31) // 32 or 1 for n in (code, level))
+    first = _POOL_SIZE**2 + _POOL_SIZE * n_words
+    return column, _hash_steps(_INIT_A, _MULT_A, first, 2 * _POOL_SIZE)
 
 
 def _philox_keys(
@@ -210,27 +163,25 @@ def _philox_keys(
     """Philox keys of the streams ``(purpose, level, b)`` for every ``b`` of
     the ``uint64`` array ``blocks``, shape ``(len(blocks), 2)``: row ``i`` is
     ``SeedSequence(master_seed, spawn_key=(purpose code, level, blocks[i]))
-    .generate_state(2, np.uint64)``, computed directly.
+    .generate_state(2, np.uint64)``.
 
-    Blocks below 2**32 are one entropy word and the rest two, so each kind
-    starts from its own cached :func:`_prefix` and mixes its words into all
-    four pool words at once, for the whole array.
+    Every block's first 32-bit word is mixed into the cached :func:`_prefix`
+    pool, and the second word of a block at or above 2**32 into its rows
+    alone, all four pool words at once, for the whole array.
     """
     # Little-endian words viewed as little-endian halves: low word first on
-    # any host, as ``_words`` splits a block.
+    # any host, as ``SeedSequence`` splits a block.
     words = blocks.astype("<u8", copy=False).view("<u4").reshape(-1, 2)
-    out = np.empty((blocks.size, _POOL_SIZE), dtype="<u4")
-    if np.count_nonzero(words[:, 1]):
-        wide = words[:, 1] != 0
-        kinds = ((1, ~wide), (2, wide))
-    else:
-        kinds = ((1, slice(None)),)
-    for n_words, rows in kinds:
-        pool, steps = _prefix(master_seed, purpose, level, n_words)
-        for w, (xor, mult) in enumerate(steps):
-            pool = _mix_words(pool, _hashmix_words(words[rows, w], xor, mult))
-        out[rows] = _hashmix_words(pool, *_OUT_STEPS).T
+    pool, (xor, mult) = _prefix(master_seed, purpose, level)
+    low, high = slice(None, _POOL_SIZE), slice(_POOL_SIZE, None)
+    pool = _mix_words(pool, _hashmix_words(words[:, 0], xor[low], mult[low]))
+    wide = np.flatnonzero(words[:, 1])
+    if wide.size:
+        pool[:, wide] = _mix_words(
+            pool[:, wide], _hashmix_words(words[wide, 1], xor[high], mult[high])
+        )
     # Output words 0, 1 and 2, 3 make the two key words, low half first.
+    out = _hashmix_words(pool, *_OUT_STEPS).T.astype("<u4", order="C")
     return out.view("<u8").astype(np.uint64, copy=False)
 
 
@@ -277,8 +228,8 @@ class SeedSpec:
 
         Each is a fresh Philox generator at counter 0 whose key is numpy's
         ``SeedSequence(entropy=master_seed, spawn_key=(purpose code, level,
-        b)).generate_state(2, np.uint64)``, computed directly; the mixer
-        state up to the block is cached per ``(master_seed, purpose, level)``.
+        b)).generate_state(2, np.uint64)``; numpy's mixer pool up to the
+        block is cached per ``(master_seed, purpose, level)``.
         ``tests/`` checks the keys and draws against numpy's ``SeedSequence``.
         """
         if level < 0 or blocks.start < 0:
