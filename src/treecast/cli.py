@@ -564,14 +564,15 @@ def _build_run_config(args: argparse.Namespace) -> tuple[RunConfig, set[str]]:
     cfg = RunConfig(command=args.command, **values)
     if cfg.out is not None:
         folder = os.path.dirname(cfg.out) or "."
-        if os.path.isdir(cfg.out) or not (os.path.isdir(folder) and os.access(folder, os.W_OK)):
+        writable = os.path.isdir(folder) and os.access(folder, os.W_OK)
+        if not cfg.out or os.path.isdir(cfg.out) or not writable:
             raise ValueError(f"cannot write {cfg.out!r}: not a file in a writable directory")
     return cfg, flags
 
 
 def _emit(cfg: RunConfig, rows: list[ReportRow]) -> None:
     text = rows_to_csv(rows, cfg.reproducible) if cfg.format == "csv" else rows_to_json(rows)
-    if cfg.out:
+    if cfg.out is not None:
         with open(cfg.out, "w", encoding="utf-8") as fh:
             fh.write(text)
         print(f"wrote {len(rows)} rows to {cfg.out}", file=sys.stderr)

@@ -49,7 +49,7 @@ FLAG_VALUES = {
     "seed": (("0", "7"), ("-1",)),
     "budget": (("3", "100"), ("1",)),
     "format": (("csv", "json"), ("xml",)),
-    "out": (("OUT",), ("MISSING", "DIR")),
+    "out": (("OUT",), ("MISSING", "DIR", "")),
 }
 # Config values: (good, bad), the bad ones out of their domain or of the
 # wrong JSON type; "replicate" and "config" name no option.
@@ -66,7 +66,7 @@ CONFIG_VALUES = {
     "seed": ((0, 7), (-1, None)),
     "budget": ((3, 100), (1, "100")),
     "format": (("csv", "json"), ("xml", 1)),
-    "out": (("OUT",), ("MISSING", "DIR", 0)),
+    "out": (("OUT",), ("MISSING", "DIR", 0, "")),
     "reproducible": ((True, False), (1,)),
     "exact": ((True, False), ("yes",)),
     "replicate": ((), (100,)),

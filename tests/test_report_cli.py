@@ -664,6 +664,21 @@ def test_cli_refuses_an_unwritable_out_before_any_work(capsys, tmp_path, monkeyp
         assert line.startswith("error: cannot write ")
 
 
+def test_cli_refuses_an_empty_out(capsys, tmp_path, monkeypatch):
+    # An empty path names no file: from the flag or from a config, it is
+    # refused, not taken as "write to stdout".
+    never_work(monkeypatch)
+    config_path = tmp_path / "run.json"
+    config_path.write_text(json.dumps({"out": ""}))
+    for argv in (["--out", ""], ["--config", str(config_path)]):
+        assert main(["critical", "--r", "2", "--k", "1", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "error: cannot write '': not a file in a writable directory"
+        ]
+
+
 def test_cli_write_that_fails_exits_two(capsys, tmp_path):
     # A name too long for the file system passes the directory check, then
     # fails to open.
