@@ -318,6 +318,19 @@ def test_normalized_root_weight_mean_one():
     assert abs(w.mean() - 1.0) < 4 * sigma
 
 
+@pytest.mark.parametrize(("r", "p"), [(4, 0.3), (2, 0.6), (3, 0.45)])
+def test_second_moment_matches_its_exact_value(r, p):
+    # Two level-k vertices whose common ancestor is j levels up lie in one
+    # cluster with probability p**(2j), and each vertex has (r-1)*r**(j-1)
+    # such partners: E[sum z**2] / r**k = 1 + sum_j (r-1) r**(j-1) p**(2j).
+    n, levels = 4_000, range(1, 9)
+    for ens in sample_size_ensembles(p, r, levels, SEED, n):
+        exact = 1 + sum((r - 1) * r ** (j - 1) * p ** (2 * j) for j in range(1, ens.k + 1))
+        ratio = ens.z2_ratio
+        sigma = ratio.std(ddof=1) / math.sqrt(n)
+        assert abs(ratio.mean() - exact) < 5 * sigma, (ens.k, ratio.mean(), exact)
+
+
 def test_cluster_count_matches_survival_oracle():
     p, r, k, n = 0.5, 3, 4, 4_000
     expected = expected_cluster_count(p, r, k)
