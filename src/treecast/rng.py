@@ -134,13 +134,11 @@ _OUT_STEPS = _hash_steps(_INIT_B, _MULT_B, 0, _POOL_SIZE)
 
 
 @functools.lru_cache(maxsize=1024)
-def _prefix(
-    master_seed: int, purpose: str, level: int
-) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
+def _prefix(master_seed: int, purpose: str, level: int) -> tuple[np.ndarray, ...]:
     """Mixer pool of ``SeedSequence(master_seed, spawn_key=(purpose code,
-    level))`` as a ``(_POOL_SIZE, 1)`` column, and the hash steps that mix a
-    block's words into it: rows ``0..3`` of the ``(xor, mult)`` columns
-    (:func:`_hash_steps`) for its first word, rows ``4..7`` for its second.
+    level))`` as a ``(_POOL_SIZE, 1)`` column, then the hash steps
+    (:func:`_hash_steps`) that mix a block's first word into it and those
+    that mix its second.
 
     A stream's entropy is the master seed's words zero-padded to the pool
     size, then the words of the purpose code, the level and the block, mixed
@@ -154,7 +152,11 @@ def _prefix(
     column.flags.writeable = False
     n_words = sum((n.bit_length() + 31) // 32 or 1 for n in (code, level))
     first = _POOL_SIZE**2 + _POOL_SIZE * n_words
-    return column, _hash_steps(_INIT_A, _MULT_A, first, 2 * _POOL_SIZE)
+    return (
+        column,
+        _hash_steps(_INIT_A, _MULT_A, first, _POOL_SIZE),
+        _hash_steps(_INIT_A, _MULT_A, first + _POOL_SIZE, _POOL_SIZE),
+    )
 
 
 def _philox_keys(
@@ -172,14 +174,11 @@ def _philox_keys(
     # Little-endian words viewed as little-endian halves: low word first on
     # any host, as ``SeedSequence`` splits a block.
     words = blocks.astype("<u8", copy=False).view("<u4").reshape(-1, 2)
-    pool, (xor, mult) = _prefix(master_seed, purpose, level)
-    low, high = slice(None, _POOL_SIZE), slice(_POOL_SIZE, None)
-    pool = _mix_words(pool, _hashmix_words(words[:, 0], xor[low], mult[low]))
+    pool, low_steps, high_steps = _prefix(master_seed, purpose, level)
+    pool = _mix_words(pool, _hashmix_words(words[:, 0], *low_steps))
     wide = np.flatnonzero(words[:, 1])
     if wide.size:
-        pool[:, wide] = _mix_words(
-            pool[:, wide], _hashmix_words(words[wide, 1], xor[high], mult[high])
-        )
+        pool[:, wide] = _mix_words(pool[:, wide], _hashmix_words(words[wide, 1], *high_steps))
     # Output words 0, 1 and 2, 3 make the two key words, low half first.
     out = _hashmix_words(pool, *_OUT_STEPS).T.astype("<u4", order="C")
     return out.view("<u8").astype(np.uint64, copy=False)
