@@ -3,25 +3,18 @@
 For every (scheme, distortion rate) pair the script reports the Monte Carlo
 advantage at the target depth with its confidence interval, next to the
 exact plain-broadcast value at the same depth as a reference column.  The
-schemes of one distortion rate run as one trajectory group, which draws each
-flip mask once for all of them.  Results go to stdout as an aligned table
-and, with ``--out``, to CSV with the same schema as the ``treecast`` CLI.
+rows are those of ``treecast sweep`` on the same grid, whose schemes of one
+distortion rate run as one trajectory group, drawing each flip mask once
+for all of them.  Results go to stdout as an aligned table and, with
+``--out``, to CSV.
 """
 
 import argparse
 import math
 import sys
-from pathlib import Path
 
-from treecast import (
-    ChannelParams,
-    CorrectionScheme,
-    ReportRow,
-    SeedSpec,
-    delta_exact,
-    mc_deltas,
-    rows_to_csv,
-)
+from treecast import delta_exact
+from treecast.cli import RunConfig, emit, run_or_refuse, sweep_grid
 
 DEFAULT_SCHEMES = (
     "Identity",
@@ -49,7 +42,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--replicates", type=int, default=4000)
     parser.add_argument("--seed", type=int, default=7)
-    parser.add_argument("--out", type=Path, default=None, help="CSV output path")
+    parser.add_argument("--out", default=None, help="CSV output path")
     parser.add_argument(
         "--reproducible",
         action="store_true",
@@ -58,12 +51,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    schemes = [CorrectionScheme.parse(text) for text in args.schemes]
-    seed = SeedSpec(master_seed=args.seed)
+def run(args: argparse.Namespace) -> int:
+    cfg = RunConfig(
+        "sweep", replicates=args.replicates, seed=args.seed, format="csv", out=args.out,
+        reproducible=args.reproducible,
+    )
+    rows = sweep_grid(cfg, args.r, args.schemes, args.eps, [args.depth])
+    if args.out is not None:
+        emit(cfg, rows)
 
-    rows: list[ReportRow] = []
     print(
         f"r={args.r} depth={args.depth} replicates={args.replicates} "
         f"seed={args.seed}"
@@ -71,45 +67,22 @@ def main(argv=None) -> int:
     header = f"{'scheme':34s} {'eps':>5s} {'delta_hat':>9s} {'99% ci':>17s} {'plain exact':>11s}"
     print(header)
     print("-" * len(header))
-    by_eps = {
-        eps: mc_deltas(
-            schemes, args.r, args.depth, ChannelParams(epsilon=eps), seed,
-            args.replicates,
+    for row in rows:
+        eps = row.params["cell_eps"]
+        reference = delta_exact(args.depth, args.r, eps)
+        print(
+            f"{row.params['scheme']:34s} {eps:5.2f} {row.value:9.4f} "
+            f"[{row.lo:7.4f}, {row.hi:7.4f}] {reference:11.4f}"
         )
-        for eps in args.eps
-    }
-    for i, scheme in enumerate(schemes):
-        for eps in args.eps:
-            est = by_eps[eps][i]
-            reference = delta_exact(args.depth, args.r, eps)
-            rows.append(
-                ReportRow(
-                    experiment="correction-sweep",
-                    params={
-                        "scheme": scheme.descriptor(),
-                        "r": args.r,
-                        "eps": eps,
-                        "level": args.depth,
-                        "renormalized": est.renormalized,
-                    },
-                    quantity="delta_n",
-                    value=est.delta_hat,
-                    provenance="mc",
-                    lo=est.ci[0],
-                    hi=est.ci[1],
-                )
-            )
-            print(
-                f"{scheme.descriptor():34s} {eps:5.2f} {est.delta_hat:9.4f} "
-                f"[{est.ci[0]:7.4f}, {est.ci[1]:7.4f}] {reference:11.4f}"
-            )
 
     threshold = (1.0 - 1.0 / math.sqrt(args.r)) / 2.0
     print(f"\nplain-channel critical distortion rate: {threshold:.4f}")
-    if args.out is not None:
-        args.out.write_text(rows_to_csv(rows, reproducible=args.reproducible))
-        print(f"wrote {len(rows)} rows to {args.out}")
     return 0
+
+
+def main(argv=None) -> int:
+    args = build_parser().parse_args(argv)
+    return run_or_refuse(lambda: run(args))
 
 
 if __name__ == "__main__":

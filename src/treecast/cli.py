@@ -24,6 +24,11 @@ there or in a sweep grid, is an argument error; a key of an option this
 command does not take is ignored, so one file may serve several commands.
 An ``--out`` whose directory is missing or not writable is refused before
 any work.  Every report row echoes the resolved options its command takes.
+
+The experiment scripts under ``scripts/`` build a :class:`RunConfig` too and
+take their rows from the command they copy (:func:`cmd_critical`,
+:func:`cmd_fk_stats`, :func:`sweep_grid`); they write them with
+:func:`emit` and exit through :func:`run_or_refuse`, as :func:`main` does.
 """
 
 from __future__ import annotations
@@ -36,7 +41,7 @@ import math
 import os
 import sys
 import typing
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 
 from .budget import BudgetError, check_support
@@ -57,7 +62,9 @@ from .report import EXACT, MC, ReportRow, rows_to_csv, rows_to_json
 from .rng import SeedSpec
 from .verify import SUITE_NAMES, results_to_rows, run_suite
 
-__all__ = ["RunConfig", "build_parser", "main"]
+# The entry point, its parser, and what scripts/ takes from the CLI.
+__all__ = ["RunConfig", "build_parser", "cmd_critical", "cmd_fk_stats", "emit", "main",
+           "parse_k_values", "run_or_refuse", "sweep_grid"]
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -165,7 +172,8 @@ OPTIONS = (
 @dataclass(frozen=True)
 class RunConfig:
     """Fully resolved arguments of one CLI run, validated before compute.
-    Options the command does not take stay ``None``."""
+    Options the command does not take stay ``None``.  An ``out`` must name
+    a file in an existing, writable directory."""
 
     command: str
     r: int | None = None
@@ -197,6 +205,11 @@ class RunConfig:
                 raise ValueError(f"{opt.key} must be >= {opt.minimum}, got {value}")
             if choices is not None and value not in choices:
                 raise ValueError(f"{opt.key} must be one of {choices}, got {value!r}")
+        if self.out is not None:
+            folder = os.path.dirname(self.out) or "."
+            writable = os.path.isdir(folder) and os.access(folder, os.W_OK)
+            if not self.out or os.path.isdir(self.out) or not writable:
+                raise ValueError(f"cannot write {self.out!r}: not a file in a writable directory")
 
     @property
     def epsilon_value(self) -> float:
@@ -426,24 +439,32 @@ def cmd_verify(cfg: RunConfig, suite: str) -> tuple[list[ReportRow], bool]:
 
 
 def cmd_sweep(cfg: RunConfig, grid_path: str, flags: set[str]) -> list[ReportRow]:
-    """Monte Carlo advantage over a (scheme, eps, depth) grid, one row per cell.
-
-    The schemes of each (eps, depth) pair run as one :func:`mc_deltas` group,
-    which draws every flip mask once for all of them; the rows keep the
-    grid's (scheme, eps, depth) order."""
+    """:func:`sweep_grid` on the grid of a JSON file."""
     grid = _load_json_object(grid_path, "sweep grid", _GRID_TYPES)
     for key in ("r", "schemes", "eps", "depths"):
         if key not in grid:
             raise ValueError(f"sweep grid file is missing {key!r}")
-    r, schemes, depths = grid["r"], grid["schemes"], grid["depths"]
-    eps_list = [float(e) for e in grid["eps"]]
-    if not schemes or not eps_list or not depths:
-        raise ValueError("sweep grid axes must be non-empty")
     # Unlike any other option, a sweep's replicates and seed come from the
     # flag, then the grid, then the config, then the default.
-    base = dataclasses.replace(cfg, r=r, scheme="grid", **{
+    cfg = dataclasses.replace(cfg, **{
         key: grid[key] for key in ("replicates", "seed") if key in grid and key not in flags
     })
+    return sweep_grid(cfg, grid["r"], grid["schemes"], grid["eps"], grid["depths"])
+
+
+def sweep_grid(
+    cfg: RunConfig, r: int, schemes: list[str], eps: list[float], depths: list[int]
+) -> list[ReportRow]:
+    """Monte Carlo advantage over a (scheme, eps, depth) grid at rate ``r``,
+    one row per cell, with ``cfg``'s replicates and seed.
+
+    The schemes of each (eps, depth) pair run as one :func:`mc_deltas` group,
+    which draws every flip mask once for all of them; the rows keep the
+    grid's (scheme, eps, depth) order."""
+    eps_list = [float(e) for e in eps]
+    if not schemes or not eps_list or not depths:
+        raise ValueError("sweep grid axes must be non-empty")
+    base = dataclasses.replace(cfg, r=r, scheme="grid")
     replicates = base.replicates
     parsed = [CorrectionScheme.parse(text) for text in schemes]
     channels = [ChannelParams(epsilon=eps) for eps in eps_list]
@@ -539,8 +560,7 @@ def _load_json_object(
 
 def _build_run_config(args: argparse.Namespace) -> tuple[RunConfig, set[str]]:
     """Resolve each option the command takes from its flag, else the config
-    file, else its default, and refuse an ``--out`` that cannot be written;
-    returns the config and the keys given as flags.  Two rules are not
+    file, else its default; returns the config and the keys given as flags.  Two rules are not
     uniform: ``verify``'s seed defaults to the suite's pinned seed, and
     ``sweep`` ranks its grid between flags and config (:func:`cmd_sweep`)."""
     config = {} if args.config is None else _load_json_object(
@@ -561,16 +581,11 @@ def _build_run_config(args: argparse.Namespace) -> tuple[RunConfig, set[str]]:
             values[opt.key] = None
         else:
             values[opt.key] = opt.default
-    cfg = RunConfig(command=args.command, **values)
-    if cfg.out is not None:
-        folder = os.path.dirname(cfg.out) or "."
-        writable = os.path.isdir(folder) and os.access(folder, os.W_OK)
-        if not cfg.out or os.path.isdir(cfg.out) or not writable:
-            raise ValueError(f"cannot write {cfg.out!r}: not a file in a writable directory")
-    return cfg, flags
+    return RunConfig(command=args.command, **values), flags
 
 
-def _emit(cfg: RunConfig, rows: list[ReportRow]) -> None:
+def emit(cfg: RunConfig, rows: list[ReportRow]) -> None:
+    """Write ``rows`` in ``cfg``'s format to its ``out``, else to stdout."""
     text = rows_to_csv(rows, cfg.reproducible) if cfg.format == "csv" else rows_to_json(rows)
     if cfg.out is not None:
         with open(cfg.out, "w", encoding="utf-8") as fh:
@@ -580,27 +595,38 @@ def _emit(cfg: RunConfig, rows: list[ReportRow]) -> None:
         sys.stdout.write(text)
 
 
-def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    passed = True
+def run_or_refuse(work: Callable[[], int]) -> int:
+    """The exit code ``work()`` returns, or that of its refusal: 3 for a
+    budget error, 2 for any other argument or domain error, each with one
+    line on stderr."""
     try:
-        cfg, flags = _build_run_config(args)
-        if args.command == "verify":
-            rows, passed = cmd_verify(cfg, args.suite)
-        elif args.command == "sweep":
-            rows = cmd_sweep(cfg, args.grid, flags)
-        else:
-            run = {"eps-k": cmd_eps_k, "delta": cmd_delta, "critical": cmd_critical,
-                   "fk-stats": cmd_fk_stats}[args.command]
-            rows = run(cfg)
-        _emit(cfg, rows)
+        return work()
     except BudgetError as exc:
         print(f"budget error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
     except (ValueError, KeyError, OSError, argparse.ArgumentTypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+
+
+def _run(args: argparse.Namespace) -> int:
+    cfg, flags = _build_run_config(args)
+    passed = True
+    if args.command == "verify":
+        rows, passed = cmd_verify(cfg, args.suite)
+    elif args.command == "sweep":
+        rows = cmd_sweep(cfg, args.grid, flags)
+    else:
+        run = {"eps-k": cmd_eps_k, "delta": cmd_delta, "critical": cmd_critical,
+               "fk-stats": cmd_fk_stats}[args.command]
+        rows = run(cfg)
+    emit(cfg, rows)
     return EXIT_OK if passed else EXIT_GATE
+
+
+def main(argv: list[str] | None = None) -> int:
+    args = build_parser().parse_args(argv)
+    return run_or_refuse(lambda: _run(args))
 
 
 if __name__ == "__main__":

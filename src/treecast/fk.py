@@ -28,10 +28,12 @@ output.  The per-sample chain this replaces is kept in
 per-vertex labelling sampler that checks the chain in law lives in
 ``tests/fk_labels.py``.
 
-The module also hosts the desk-scale probes used by the verification suites:
-cluster-size moment summaries (second-moment floor, third-moment decay), the
-root-cluster tail probe, and the exhaustive anti-concentration check for
-sums of independent symmetric two-point variables.
+The module also hosts the desk-scale probes: the cluster-size moment
+summaries (second-moment floor, third-moment decay) behind ``fk-stats`` and
+the ``fk-moments`` suite, the exhaustive anti-concentration check for sums of
+independent symmetric two-point variables behind the ``lemma48`` suite, and
+the root-cluster tail probe, which only ``scripts/fk_moment_summary.py``
+runs.
 """
 
 from __future__ import annotations

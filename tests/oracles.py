@@ -21,6 +21,12 @@ own, level after level, one stream and one dense accumulator per level;
 each sample's moments with its own ``.sum()`` calls.  ``fk`` advances all
 samples a level at a time in chunks and must give the same arrays.
 
+``root_cluster_law`` is the exact law of the root cluster's size at level
+``k``, a Galton-Watson process with ``Binomial(r, p)`` offspring: its
+generating function, ``(1 - p + p*s)**r`` composed ``k`` times, evaluated
+on roots of unity and inverted with one ``irfft``.  It checks the root
+column of the size-histogram chain and ``fk.sample_root_cluster_chain``.
+
 ``float32_bernoulli_bits`` draws Bernoulli bits the way their contract
 defines them: float32 uniforms from ``gen.random``, compared with
 ``float32(prob)``.  ``rng.bernoulli_bits`` compares the raw Philox words with
@@ -284,6 +290,19 @@ def size_ensembles_by_sample(
             sum_z2[i] = float((counts * as_float**2).sum()) + float(root) ** 2
             sum_z3[i] = float((counts * as_float**3).sum()) + float(root) ** 3
     return [FkEnsembleStats(p, r, k, n_samples, *stats[k]) for k in levels]
+
+
+def root_cluster_law(p: float, r: int, k: int) -> np.ndarray:
+    """``P(R_k = n)`` for ``n = 0..r**k``.  The generating function is
+    evaluated at the ``M``-th roots of unity ``exp(-2*pi*i*j/M)``, ``M`` the
+    least power of two above ``r**k``, so its values are the DFT of the law
+    and one ``irfft`` of the ``j <= M/2`` half returns it."""
+    size = r**k
+    m = 1 << size.bit_length()
+    g = np.exp(-2j * np.pi * np.arange(m // 2 + 1) / m)
+    for _ in range(k):
+        g = (1.0 - p + p * g) ** r
+    return np.fft.irfft(g, n=m)[: size + 1]
 
 
 def float32_bernoulli_bits(

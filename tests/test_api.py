@@ -2,7 +2,9 @@
 
 ``treecast.__all__`` and each module's ``__all__`` may list only names that
 ``cli.py``, ``verify.py`` or ``scripts/*.py`` import; everything else is
-imported from its own module.  The scripts run end to end at tiny sizes.
+imported from its own module.  The scripts import from ``treecast`` and
+``treecast.cli`` alone, and only names their ``__all__`` lists.  The scripts
+run end to end at tiny sizes.
 """
 
 import ast
@@ -17,6 +19,7 @@ from pathlib import Path
 import pytest
 
 import treecast
+from treecast import cli
 
 PACKAGE = Path(treecast.__file__).resolve().parent
 SCRIPTS = PACKAGE.parent.parent / "scripts"
@@ -68,11 +71,32 @@ def test_module_exports_only_used_names():
         assert not extra, f"treecast.{info.name}.__all__ lists unused {sorted(extra)}"
 
 
+def package_imports(path):
+    """The ``treecast`` modules ``path`` imports, as ``("import", module)``
+    or ``("from", module)``; a relative import counts as the package's."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            found.update(("import", alias.name) for alias in node.names
+                         if alias.name.split(".")[0] == "treecast")
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level or module.split(".")[0] == "treecast":
+                found.add(("from", "." * node.level + module))
+    return found
+
+
 def test_scripts_import_only_exported_names():
     for script, names in script_names().items():
-        assert names, f"{script} imports nothing from treecast"
+        path = SCRIPTS / script
+        imports = package_imports(path)
+        assert imports <= {("from", "treecast"), ("from", "treecast.cli")}, (script, imports)
+        cli_names = imported_names(path, "treecast.cli")
+        assert names | cli_names, f"{script} imports nothing from treecast"
         missing = names - set(treecast.__all__)
         assert not missing, f"{script} imports {sorted(missing)} outside treecast.__all__"
+        missing = cli_names - set(cli.__all__)
+        assert not missing, f"{script} imports {sorted(missing)} outside treecast.cli.__all__"
 
 
 SCRIPT_RUNS = {

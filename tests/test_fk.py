@@ -24,7 +24,7 @@ from treecast.exact import count_distribution
 from treecast.fk import _spawn_pmf, sample_root_cluster_chain, sample_size_ensemble
 
 from fk_labels import sample_cluster_ensemble, sample_fk_level_stats, sample_spin_ensemble
-from oracles import size_ensembles_by_sample, size_histogram_chain
+from oracles import root_cluster_law, size_ensembles_by_sample, size_histogram_chain
 
 SEED = SeedSpec(master_seed=77001)
 
@@ -329,6 +329,25 @@ def test_second_moment_matches_its_exact_value(r, p):
         ratio = ens.z2_ratio
         sigma = ratio.std(ddof=1) / math.sqrt(n)
         assert abs(ratio.mean() - exact) < 5 * sigma, (ens.k, ratio.mean(), exact)
+
+
+@pytest.mark.parametrize(("p", "r", "k"), [(0.3, 4, 6), (0.6, 2, 8), (0.45, 3, 5), (0.95, 4, 4)])
+def test_root_cluster_sizes_follow_their_exact_law(p, r, k):
+    # Both samplers of the root cluster's level-k size, cell by cell, against
+    # the Galton-Watson law: within 5 sigma of the expected count wherever
+    # that count is at least 20.
+    n = 4_000
+    law = root_cluster_law(p, r, k)
+    assert abs(law.sum() - 1.0) < 1e-14
+    cells = np.flatnonzero(n * law >= 20)
+    expected = n * law[cells]
+    sigma = np.sqrt(expected * (1.0 - law[cells]))
+    for sizes in (
+        sample_size_ensemble(p, r, k, SEED, n).R_k,
+        sample_root_cluster_chain(p, r, k, SEED, n),
+    ):
+        z = (np.bincount(sizes, minlength=law.size)[cells] - expected) / sigma
+        assert np.abs(z).max() < 5, (cells[np.abs(z).argmax()], z)
 
 
 def test_cluster_count_matches_survival_oracle():
