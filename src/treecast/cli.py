@@ -453,7 +453,7 @@ def cmd_sweep(cfg: RunConfig, grid_path: str, flags: set[str]) -> list[ReportRow
 
 
 def sweep_grid(
-    cfg: RunConfig, r: int, schemes: list[str], eps: list[float], depths: list[int]
+    cfg: RunConfig, r: int, schemes: list[str], eps_list: list[float], depths: list[int]
 ) -> list[ReportRow]:
     """Monte Carlo advantage over a (scheme, eps, depth) grid at rate ``r``,
     one row per cell, with ``cfg``'s replicates and seed.
@@ -461,13 +461,12 @@ def sweep_grid(
     The schemes of each (eps, depth) pair run as one :func:`mc_deltas` group,
     which draws every flip mask once for all of them; the rows keep the
     grid's (scheme, eps, depth) order."""
-    eps_list = [float(e) for e in eps]
     if not schemes or not eps_list or not depths:
         raise ValueError("sweep grid axes must be non-empty")
     base = dataclasses.replace(cfg, r=r, scheme="grid")
     replicates = base.replicates
     parsed = [CorrectionScheme.parse(text) for text in schemes]
-    channels = [ChannelParams(epsilon=eps) for eps in eps_list]
+    channels = [ChannelParams(epsilon=float(eps)) for eps in eps_list]
     for depth in depths:
         check_mc_delta(parsed, r, depth, replicates)
     # groups[e, d][i] is scheme i's estimate at eps e and depth d.
@@ -560,9 +559,10 @@ def _load_json_object(
 
 def _build_run_config(args: argparse.Namespace) -> tuple[RunConfig, set[str]]:
     """Resolve each option the command takes from its flag, else the config
-    file, else its default; returns the config and the keys given as flags.  Two rules are not
-    uniform: ``verify``'s seed defaults to the suite's pinned seed, and
-    ``sweep`` ranks its grid between flags and config (:func:`cmd_sweep`)."""
+    file, else its default; returns the config and the keys given as flags.
+    Two rules are not uniform: ``verify``'s seed defaults to the suite's
+    pinned seed, and ``sweep`` ranks its grid between flags and config
+    (:func:`cmd_sweep`)."""
     config = {} if args.config is None else _load_json_object(
         args.config, "config", _CONFIG_TYPES
     )
