@@ -1,7 +1,9 @@
 """The CLI's accepted invocations, pinned byte for byte.
 
 Each case runs ``treecast`` in-process at a small size with
-``--reproducible`` and pins the SHA-256 of its stdout and its exit code.
+``--reproducible`` and pins the SHA-256 of its stdout and its exit code;
+a ``verify`` case pins its stderr too, which holds the suite's
+``[PASS]``/``[FAIL]`` line per gate and its closing status line.
 The cases cover every subcommand, a config file supplying each option its
 command takes, JSON output, ``--eps`` against ``--p``, ``--M`` against
 ``--scheme``, an exact ``delta`` from a config, and the sweep's precedence
@@ -110,6 +112,9 @@ CASES = {
     "verify-seed": (["verify", "lemma51", "--seed", "5"], None, None),
     "verify-json": (["verify", "lemma22", "--format", "json"], None, None),
     "verify-config-format": (["verify", "thm32", "--config", "CONFIG"], {"format": "json"}, None),
+    "verify-lemma48": (["verify", "lemma48"], None, None),
+    "verify-thm21": (["verify", "thm21"], None, None),
+    "verify-fk-moments": (["verify", "fk-moments", "--format", "json"], None, None),
     "sweep": (["sweep", "GRID"], None, {**SWEEP_GRID, "replicates": 200, "seed": 5}),
     "sweep-json": (
         ["sweep", "GRID", "--format", "json"], None, {**SWEEP_GRID, "replicates": 100},
@@ -191,6 +196,12 @@ PINNED = {
         (0, "b53735687934dd4535fd0408d9410e66614a166ac48dd67b2a18e6317ceaccf1"),
     "verify-config-format":
         (0, "d487abe450960bb7f54c4297ac250adf9d62ffbfb14f4f8079eb5a4c3f3b13c2"),
+    "verify-lemma48":
+        (0, "353ebff70f70519caf4ffce6852a5fa1f6e72a850a52b6f9940d9dd2e0199aa2"),
+    "verify-thm21":
+        (0, "d7eee54de67bc7894baad235c309f08bf9fc9d9e564c8a6a70d62ec5e12d4184"),
+    "verify-fk-moments":
+        (0, "bcbc164b0e9d2e3c39a5e2bd69de79e0619e0da0da19c1292f0a8f2179c87a01"),
     "sweep":
         (0, "7e5bb096f99e46151fb4030c1763f512cc8d928c0ff9ae61e587b97ef3502d95"),
     "sweep-json":
@@ -203,6 +214,17 @@ PINNED = {
         (0, "0c1d70556535799f33dae89539595be9f99c6643dbf2529f5247fa4d3a7f6de9"),
 }
 
+# verify id -> SHA-256 of stderr.
+PINNED_STDERR = {
+    "verify": "cb4434f1754d965aad9bab939a96b1ba379355c865160844d29cb264c31e561b",
+    "verify-seed": "93b9f0046d9a1b4f4e8f5753e3e11edd6cef68aa107ff33d10d6be128b44ab16",
+    "verify-json": "1a1150a1d20fa7465b0223ddceaf2077a9b0966538636d39a873a4f4f944b633",
+    "verify-config-format": "41e03122dc23410d1cb47c1b1bec6085f891406485e06ec7a2dbd6791a8261a9",
+    "verify-lemma48": "50fee7d395b3638f4a7dc8013cddb3f2ec07a9c483abfcf1064fd161aafda236",
+    "verify-thm21": "51d17cdebfa0158e7123487f165c75c69423f65e8898b5327f092234175d56fa",
+    "verify-fk-moments": "4566ee9959bc428bae112872817b6b6bc7fcf8cfad8feebf35192ccd3b950398",
+}
+
 
 def run(tmp_path, argv, config, grid):
     paths = {"CONFIG": tmp_path / "config.json", "GRID": tmp_path / "grid.json"}
@@ -210,12 +232,15 @@ def run(tmp_path, argv, config, grid):
         if content is not None:
             paths[name].write_text(json.dumps(content))
     argv = [str(paths.get(arg, arg)) for arg in argv]
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main([*argv, "--reproducible"])
-    return code, hashlib.sha256(out.getvalue().encode()).hexdigest()
+    return code, *(hashlib.sha256(f.getvalue().encode()).hexdigest() for f in (out, err))
 
 
 @pytest.mark.parametrize("case", list(CASES))
 def test_cli_output_matches_pinned_digest(tmp_path, case):
-    assert run(tmp_path, *CASES[case]) == PINNED[case]
+    code, out, err = run(tmp_path, *CASES[case])
+    assert (code, out) == PINNED[case]
+    if CASES[case][0][0] == "verify":
+        assert err == PINNED_STDERR[case]
