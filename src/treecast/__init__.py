@@ -39,12 +39,7 @@ from .exact import (
     scheme_delta,
     t_statistic,
 )
-from .fk import (
-    anti_concentration_check,
-    moment_summary,
-    sample_size_ensembles,
-    tail_probe_Rk,
-)
+from .fk import anti_concentration_check, sample_size_ensembles, tail_probe_Rk
 from .likelihood import ml_delta_exact, random_observation_pair
 from .report import ReportRow, rows_to_csv, rows_to_json
 from .rng import SeedSpec
@@ -75,7 +70,6 @@ __all__ = [
     "median_interval",
     "minimal_rescuing_block_size",
     "ml_delta_exact",
-    "moment_summary",
     "random_observation_pair",
     "rows_to_csv",
     "rows_to_json",

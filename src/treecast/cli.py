@@ -9,8 +9,11 @@ Subcommands
               (``--exact``) or Monte Carlo.
 ``critical``  exact critical-rate brackets over a range of periods, with
               diagnostic rows relating them to the plain threshold.
-``fk-stats``  cluster-moment ensemble summaries at chosen levels.
-``verify``    run one named verification suite; exit 4 on any failed gate.
+``fk-stats``  cluster-moment summaries at chosen levels: the minimum,
+              medians and mean of each level's ensemble arrays.
+``verify``    run one named verification suite, whose gates come back as
+              report rows; one status line per gate goes to stderr, and
+              any failed gate exits 4.
 ``sweep``     fan a Monte Carlo advantage run over a (scheme, eps, depth)
               grid described by a JSON file, one row per cell.
 
@@ -44,6 +47,8 @@ import typing
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 
+import numpy as np
+
 from .budget import BudgetError, check_support
 from .channel import ChannelParams, check_epsilon
 from .correction import CorrectionScheme
@@ -57,10 +62,10 @@ from .exact import (
     fraction_error_rate,
     scheme_delta,
 )
-from .fk import moment_summary, sample_size_ensembles
+from .fk import sample_size_ensembles
 from .report import EXACT, MC, ReportRow, rows_to_csv, rows_to_json
 from .rng import SeedSpec
-from .verify import SUITE_NAMES, results_to_rows, run_suite
+from .verify import SUITE_NAMES, run_suite
 
 # The entry point, its parser, and what scripts/ takes from the CLI.
 __all__ = ["RunConfig", "build_parser", "cmd_critical", "cmd_fk_stats", "emit", "main",
@@ -376,63 +381,47 @@ def cmd_critical(cfg: RunConfig) -> list[ReportRow]:
 
 
 def cmd_fk_stats(cfg: RunConfig) -> list[ReportRow]:
-    """Cluster-moment ensemble summaries per level."""
+    """Cluster-moment ensemble summaries per level, each read off the
+    ensemble's per-sample arrays."""
     if cfg.r is None or cfg.k is None:
         raise ValueError("fk-stats needs --r and --k")
-    p = cfg.p_value
     rows = []
-    ensembles = sample_size_ensembles(p, cfg.r, cfg.periods(), cfg.seed_spec(), cfg.samples)
+    ensembles = sample_size_ensembles(
+        cfg.p_value, cfg.r, cfg.periods(), cfg.seed_spec(), cfg.samples
+    )
     for ensemble in ensembles:
-        summary = moment_summary(ensemble)
-        kp = {"k": summary.k, "regime_ok": summary.regime_ok}
-        z2, z3, w = ensemble.z2_ratio, ensemble.z3_ratio, ensemble.W_k
+        kp = {"k": ensemble.k, "regime_ok": ensemble.regime_ok}
+        z2, w = ensemble.z2_ratio, ensemble.W_k
         rows.append(
-            _row(
-                cfg, "z2_ratio_min", summary.min_z2_ratio, MC, params=kp,
-                lo=float(z2.min()), hi=float(z2.max()),
-            )
+            _row(cfg, "z2_ratio_min", z2.min(), MC, params=kp, lo=z2.min(), hi=z2.max())
         )
-        med_lo, med_hi = median_interval(z2)
-        rows.append(
-            _row(
-                cfg, "z2_ratio_median", summary.median_z2_ratio, MC, params=kp,
-                lo=med_lo, hi=med_hi,
-            )
-        )
-        med_lo, med_hi = median_interval(z3)
-        rows.append(
-            _row(
-                cfg, "z3_ratio_median", summary.median_z3_ratio, MC, params=kp,
-                lo=med_lo, hi=med_hi,
-            )
-        )
+        for quantity, ratio in (("z2_ratio_median", z2), ("z3_ratio_median", ensemble.z3_ratio)):
+            lo, hi = median_interval(ratio)
+            rows.append(_row(cfg, quantity, np.median(ratio), MC, params=kp, lo=lo, hi=hi))
+        mean = float(w.mean())
         spread = Z_99 * float(w.std(ddof=1)) / math.sqrt(w.size)
         rows.append(
-            _row(
-                cfg, "W_mean", summary.mean_W, MC, params=kp,
-                lo=summary.mean_W - spread, hi=summary.mean_W + spread,
-            )
+            _row(cfg, "W_mean", mean, MC, params=kp, lo=mean - spread, hi=mean + spread)
         )
         rows.append(
-            _row(
-                cfg, "z2_floor", summary.z2_floor, EXACT, params=kp, tolerance=0.0
-            )
+            _row(cfg, "z2_floor", ensemble.z2_floor, EXACT, params=kp, tolerance=0.0)
         )
     return rows
 
 
 def cmd_verify(cfg: RunConfig, suite: str) -> tuple[list[ReportRow], bool]:
-    """Run one verification suite; returns its rows and overall pass."""
-    results = run_suite(suite, seed=cfg.seed)
-    base = cfg.echo()
-    rows = []
-    for row in results_to_rows(results):
-        rows.append(dataclasses.replace(row, params={**base, **row.params}))
-    for res in results:
-        status = "PASS" if res.passed else "FAIL"
-        print(f"[{status}] {res.suite}:{res.name}  measured={res.measured:.6g}  "
-              f"required: {res.requirement}", file=sys.stderr)
-    passed = all(res.passed for res in results)
+    """Run one verification suite; returns its rows, each with ``cfg``'s
+    echo before its own params, and whether every gate passed.  One status
+    line per row, then the suite's, goes to stderr."""
+    rows = [
+        dataclasses.replace(row, params={**cfg.echo(), **row.params})
+        for row in run_suite(suite, seed=cfg.seed)
+    ]
+    for row in rows:
+        status = "PASS" if row.params["passed"] else "FAIL"
+        print(f"[{status}] {suite}:{row.quantity}  measured={row.value:.6g}  "
+              f"required: {row.params['requirement']}", file=sys.stderr)
+    passed = all(row.params["passed"] for row in rows)
     print(f"suite {suite}: {'all gates passed' if passed else 'GATE FAILURE'}",
           file=sys.stderr)
     return rows, passed

@@ -28,12 +28,14 @@ output.  The per-sample chain this replaces is kept in
 per-vertex labelling sampler that checks the chain in law lives in
 ``tests/fk_labels.py``.
 
-The module also hosts the desk-scale probes: the cluster-size moment
-summaries (second-moment floor, third-moment decay) behind ``fk-stats`` and
-the ``fk-moments`` suite, the exhaustive anti-concentration check for sums of
-independent symmetric two-point variables behind the ``lemma48`` suite, and
-the root-cluster tail probe, which only ``scripts/fk_moment_summary.py``
-runs.
+An ensemble (:class:`FkEnsembleStats`) holds each sample's moment ratios,
+the second-moment floor they are held to and whether its ``(p, r)`` lies in
+the regime of the moment bounds; ``fk-stats`` and the ``fk-moments`` suite
+take their minima, medians and means from those arrays.  The module also
+hosts the desk-scale probes: the exhaustive anti-concentration check for
+sums of independent symmetric two-point variables behind the ``lemma48``
+suite, and the root-cluster tail probe, which only
+``scripts/fk_moment_summary.py`` runs.
 """
 
 from __future__ import annotations
@@ -47,12 +49,7 @@ import numpy as np
 
 from .rng import SeedSpec
 
-__all__ = [
-    "anti_concentration_check",
-    "moment_summary",
-    "sample_size_ensembles",
-    "tail_probe_Rk",
-]
+__all__ = ["anti_concentration_check", "sample_size_ensembles", "tail_probe_Rk"]
 
 
 def _validate_fk_args(p: float, r: int, k: int) -> None:
@@ -93,6 +90,16 @@ class FkEnsembleStats:
     def z3_ratio(self) -> np.ndarray:
         """``sum(z_i**3) / (p*r**2)**k`` per sample."""
         return self.sum_z3 / (self.p * self.r**2) ** self.k
+
+    @property
+    def z2_floor(self) -> float:
+        """``(1-p)/2``, the floor every sample's ``z2_ratio`` is held to."""
+        return (1.0 - self.p) / 2.0
+
+    @property
+    def regime_ok(self) -> bool:
+        """Whether ``p**2 * r < 1 < p * r``, the regime of the moment bounds."""
+        return self.p * self.p * self.r < 1.0 < self.p * self.r
 
 
 def _spawn_pmf(trials: int, p: float, cache: dict[int, np.ndarray]) -> np.ndarray:
@@ -423,36 +430,6 @@ def sample_root_cluster_chain(
     for _ in range(k):
         root = gen.binomial(root * r, p)
     return root
-
-
-@dataclass(frozen=True)
-class MomentSummary:
-    """Ensemble summary of cluster-size moments at one level."""
-
-    k: int
-    n_samples: int
-    z2_floor: float
-    min_z2_ratio: float
-    median_z2_ratio: float
-    median_z3_ratio: float
-    mean_W: float
-    regime_ok: bool
-
-
-def moment_summary(stats: FkEnsembleStats) -> MomentSummary:
-    """Moment summary of one ensemble; ``regime_ok`` records whether
-    ``p**2 * r < 1 < p * r``."""
-    p, r = stats.p, stats.r
-    return MomentSummary(
-        k=stats.k,
-        n_samples=stats.n_samples,
-        z2_floor=(1.0 - p) / 2.0,
-        min_z2_ratio=float(stats.z2_ratio.min()),
-        median_z2_ratio=float(np.median(stats.z2_ratio)),
-        median_z3_ratio=float(np.median(stats.z3_ratio)),
-        mean_W=float(stats.W_k.mean()),
-        regime_ok=p * p * r < 1.0 < p * r,
-    )
 
 
 @dataclass(frozen=True)

@@ -3,9 +3,10 @@
 Each suite checks one family of claims — exact identities, equality and
 strict-inequality cases of the critical point, cluster-moment behavior,
 anti-concentration, observation monotonicity of the optimal rule, and the
-Monte Carlo rescue/bracket experiments — and returns a flat list of
-:class:`CheckResult` rows with the measured value next to the gate it must
-clear.  Suite keys are part of the CLI surface and stay stable.
+Monte Carlo rescue/bracket experiments — and returns one report row per
+gate (:func:`_gate`): the measured value, with the requirement it must
+clear and whether it did in its params.  Suite keys are part of the CLI
+surface and stay stable.
 
 Monte Carlo suites run on pinned seeds so their outcomes are reproducible;
 gates on random quantities are set with at least four standard errors of
@@ -14,8 +15,8 @@ headroom at the pinned replicate counts.
 
 from __future__ import annotations
 
+import dataclasses
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -33,73 +34,42 @@ from .exact import (
     scheme_delta,
     t_statistic,
 )
-from .fk import anti_concentration_check, moment_summary, sample_size_ensembles
+from .fk import anti_concentration_check, sample_size_ensembles
 from .likelihood import ml_delta_exact, random_observation_pair
 from .report import EXACT, MC, ReportRow
 from .rng import SeedSpec
 
-__all__ = ["SUITE_NAMES", "results_to_rows", "run_suite"]
+__all__ = ["SUITE_NAMES", "run_suite"]
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    """One verification gate: the measured value and what it must satisfy."""
-
-    suite: str
-    name: str
-    passed: bool
-    measured: float
-    requirement: str
-    provenance: str = EXACT
-    lo: float | None = None
-    hi: float | None = None
-    tolerance: float | None = None
-
-
-def _exact(
-    suite: str,
-    name: str,
+def _gate(
+    quantity: str,
     passed: bool,
-    measured: float,
+    value: float,
     requirement: str,
-    tolerance: float,
-) -> CheckResult:
-    return CheckResult(
-        suite=suite,
-        name=name,
-        passed=passed,
-        measured=measured,
-        requirement=requirement,
-        provenance=EXACT,
-        tolerance=tolerance,
-    )
-
-
-def _mc(
-    suite: str,
-    name: str,
-    passed: bool,
-    measured: float,
-    requirement: str,
-    lo: float,
-    hi: float,
-) -> CheckResult:
-    return CheckResult(
-        suite=suite,
-        name=name,
-        passed=passed,
-        measured=measured,
-        requirement=requirement,
-        provenance=MC,
+    *,
+    tolerance: float | None = None,
+    lo: float | None = None,
+    hi: float | None = None,
+) -> ReportRow:
+    """One gate as a report row: exact with its ``tolerance``, or Monte Carlo
+    with its interval ``lo..hi``.  :func:`run_suite` names the suite."""
+    return ReportRow(
+        experiment="verify",
+        params={"requirement": requirement, "passed": bool(passed)},
+        quantity=quantity,
+        value=float(value),
+        provenance=MC if tolerance is None else EXACT,
         lo=lo,
         hi=hi,
+        tolerance=tolerance,
     )
 
 
 # --- fraction-pick error identity ------------------------------------------
 
 
-def _suite_fraction_identity(seed: SeedSpec) -> list[CheckResult]:
+def _suite_fraction_identity(seed: SeedSpec) -> list[ReportRow]:
     """1 - 2*fraction_error_rate(k, eps) == (1 - 2*eps)**k on a dense grid."""
     del seed
     grid = np.linspace(0.0, 0.495, 101)[1:-1]
@@ -111,13 +81,12 @@ def _suite_fraction_identity(seed: SeedSpec) -> list[CheckResult]:
         ]
         worst = max(residuals)
         out.append(
-            _exact(
-                "lemma33",
+            _gate(
                 f"identity_residual_k{k}",
                 worst < 1e-12,
                 worst,
                 "< 1e-12 over 99 grid points",
-                1e-12,
+                tolerance=1e-12,
             )
         )
     return out
@@ -128,7 +97,7 @@ def _suite_fraction_identity(seed: SeedSpec) -> list[CheckResult]:
 _STRICT_CASES = ((1, 3), (2, 2), (3, 2), (2, 3))
 
 
-def _suite_critical_cases(seed: SeedSpec) -> list[CheckResult]:
+def _suite_critical_cases(seed: SeedSpec) -> list[ReportRow]:
     """k=1, r=2 sits exactly at 1/sqrt(2); other small (k, r) lie strictly
     below 1/sqrt(r) while the scheme-vs-fraction gap stays positive at the
     plain critical noise level."""
@@ -137,38 +106,35 @@ def _suite_critical_cases(seed: SeedSpec) -> list[CheckResult]:
     est = critical_point_k(1, 2, tol=1e-9)
     deviation = abs(est.midpoint - 1.0 / math.sqrt(2.0))
     out.append(
-        _exact(
-            "thm32",
+        _gate(
             "equality_point_k1_r2",
             deviation < 1e-8,
             est.midpoint,
             "within 1e-8 of 1/sqrt(2)",
-            1e-8,
+            tolerance=1e-8,
         )
     )
     for k, r in _STRICT_CASES:
         bound = 1.0 / math.sqrt(r)
         p_c = critical_point_k(k, r, tol=1e-9).midpoint
         out.append(
-            _exact(
-                "thm32",
+            _gate(
                 f"strict_gap_k{k}_r{r}",
                 p_c < bound - 1e-4,
                 p_c,
                 f"< 1/sqrt({r}) - 1e-4",
-                1e-9,
+                tolerance=1e-9,
             )
         )
         eps_bar = (math.sqrt(r) - 1.0) / (2.0 * math.sqrt(r))
         gap = t_statistic(k, r, eps_bar)
         out.append(
-            _exact(
-                "thm32",
+            _gate(
                 f"advantage_gap_k{k}_r{r}",
                 gap > 1e-8,
                 gap,
                 "> 1e-8 at the plain critical noise",
-                1e-12,
+                tolerance=1e-12,
             )
         )
     return out
@@ -177,7 +143,7 @@ def _suite_critical_cases(seed: SeedSpec) -> list[CheckResult]:
 # --- cluster moments, critical trend, and growth rate -----------------------
 
 
-def _suite_cluster_moments(seed: SeedSpec) -> list[CheckResult]:
+def _suite_cluster_moments(seed: SeedSpec) -> list[ReportRow]:
     """Critical-point trend toward 1/r, effective-rate growth, and the
     cluster-moment floor/decay gates in the p**2*r < 1 < p*r regime."""
     out = []
@@ -187,34 +153,31 @@ def _suite_cluster_moments(seed: SeedSpec) -> list[CheckResult]:
     p_c = [critical_point_k(k, 2, tol=1e-9).midpoint for k in range(1, 10)]
     diffs = [a - b for a, b in zip(p_c, p_c[1:])]
     out.append(
-        _exact(
-            "fk-moments",
+        _gate(
             "critical_trend_decreasing",
             min(diffs) > 0.0,
             min(diffs),
             "consecutive p_c(k) differences all > 0 (r=2, k=1..9)",
-            1e-9,
+            tolerance=1e-9,
         )
     )
     out.append(
-        _exact(
-            "fk-moments",
+        _gate(
             "critical_trend_floor",
             min(p_c) >= 0.5,
             min(p_c),
             ">= 1/r = 0.5",
-            1e-9,
+            tolerance=1e-9,
         )
     )
     ratio = (p_c[0] - 0.5) / (p_c[-1] - 0.5)
     out.append(
-        _exact(
-            "fk-moments",
+        _gate(
             "critical_trend_contraction",
             ratio >= 3.0,
             ratio,
             "(p_c(1)-1/2) / (p_c(9)-1/2) >= 3",
-            1e-9,
+            tolerance=1e-9,
         )
     )
 
@@ -223,44 +186,41 @@ def _suite_cluster_moments(seed: SeedSpec) -> list[CheckResult]:
     p_k = 1.0 - 2.0 * effective_error_rate(k, r, (1.0 - p) / 2.0)
     deviation = abs(p_k ** (1.0 / k) - p * math.sqrt(r))
     out.append(
-        _exact(
-            "fk-moments",
+        _gate(
             "growth_rate_deviation",
             deviation <= 0.05,
             deviation,
             "|p(6)**(1/6) - p*sqrt(r)| <= 0.05 at r=4, p=0.3",
-            1e-12,
+            tolerance=1e-12,
         )
     )
 
     # One ensemble run to k=12 gives every level the two gates below read.
-    at6, at10, at12 = (
-        moment_summary(e) for e in sample_size_ensembles(0.3, 4, [6, 10, 12], seed, 200)
-    )
+    at6, at10, at12 = sample_size_ensembles(0.3, 4, [6, 10, 12], seed, 200)
 
     # Second-moment floor: every one of 200 samples at k=10 clears (1-p)/2.
+    least = at10.z2_ratio.min()
     out.append(
-        _mc(
-            "fk-moments",
+        _gate(
             "z2_floor_min_ratio",
-            at10.min_z2_ratio >= at10.z2_floor,
-            at10.min_z2_ratio,
+            least >= at10.z2_floor,
+            least,
             f">= {at10.z2_floor} on every of 200 samples (r=4, p=0.3, k=10)",
-            lo=at10.min_z2_ratio,
-            hi=at10.median_z2_ratio,
+            lo=least,
+            hi=np.median(at10.z2_ratio),
         )
     )
 
     # Third-moment decay: the median normalized sum shrinks from k=6 to k=12.
+    median6, median12 = np.median(at6.z3_ratio), np.median(at12.z3_ratio)
     out.append(
-        _mc(
-            "fk-moments",
+        _gate(
             "z3_decay_median",
-            at12.median_z3_ratio < at6.median_z3_ratio,
-            at12.median_z3_ratio,
-            f"median at k=12 < median at k=6 = {at6.median_z3_ratio:.4f}",
+            median12 < median6,
+            median12,
+            f"median at k=12 < median at k=6 = {median6:.4f}",
             lo=0.0,
-            hi=at6.median_z3_ratio,
+            hi=median6,
         )
     )
     return out
@@ -269,27 +229,25 @@ def _suite_cluster_moments(seed: SeedSpec) -> list[CheckResult]:
 # --- anti-concentration enumeration -----------------------------------------
 
 
-def _suite_anti_concentration(seed: SeedSpec) -> list[CheckResult]:
+def _suite_anti_concentration(seed: SeedSpec) -> list[ReportRow]:
     """Window mass of a symmetric two-point sum never beats the best window
     of its unit-variable prefix: exhaustive enumeration, zero violations."""
     del seed
     report = anti_concentration_check(8, 3, (0.0, 1.0, 2.0, 3.0))
     return [
-        _exact(
-            "lemma48",
+        _gate(
             "enumeration_violations",
             report.passed,
             float(len(report.failures)),
             f"0 violations over {report.cases_checked} cases",
-            0.0,
+            tolerance=0.0,
         ),
-        _exact(
-            "lemma48",
+        _gate(
             "worst_margin",
             report.worst_margin >= 0.0,
             report.worst_margin,
             ">= 0 (comparison never overshoots)",
-            0.0,
+            tolerance=0.0,
         ),
     ]
 
@@ -297,7 +255,7 @@ def _suite_anti_concentration(seed: SeedSpec) -> list[CheckResult]:
 # --- level-sum agreement conditionals ----------------------------------------
 
 
-def _suite_level_agreement(seed: SeedSpec) -> list[CheckResult]:
+def _suite_level_agreement(seed: SeedSpec) -> list[ReportRow]:
     """All agreement conditionals between level sums stay strictly positive
     on small trees across channel strengths."""
     del seed
@@ -311,13 +269,12 @@ def _suite_level_agreement(seed: SeedSpec) -> list[CheckResult]:
                     worst = value
                     where = f"r={r} n={n} eps={eps}"
     return [
-        _exact(
-            "lemma22",
+        _gate(
             "conditional_positivity",
             worst > 1e-12,
             worst,
             f"> 1e-12 everywhere (minimum at {where})",
-            1e-12,
+            tolerance=1e-12,
         )
     ]
 
@@ -325,7 +282,7 @@ def _suite_level_agreement(seed: SeedSpec) -> list[CheckResult]:
 # --- observation monotonicity of the optimal rule ---------------------------
 
 
-def _suite_observation_monotone(seed: SeedSpec) -> list[CheckResult]:
+def _suite_observation_monotone(seed: SeedSpec) -> list[ReportRow]:
     """Watching every leaf is never worse for the optimal root rule than
     watching a subset, on randomly drawn small trees."""
     rng = np.random.default_rng(seed.master_seed)
@@ -342,14 +299,13 @@ def _suite_observation_monotone(seed: SeedSpec) -> list[CheckResult]:
             if abs(margin) <= 1e-12:
                 equalities += 1
     return [
-        _exact(
-            "lemma51",
+        _gate(
             "full_view_never_worse",
             worst >= -1e-12,
             worst,
             "full-tree advantage minus subset advantage >= -1e-12 "
             f"on 40 comparisons ({equalities} exact ties)",
-            1e-12,
+            tolerance=1e-12,
         )
     ]
 
@@ -357,7 +313,7 @@ def _suite_observation_monotone(seed: SeedSpec) -> list[CheckResult]:
 # --- block-majority rescue above the plain threshold -------------------------
 
 
-def _suite_block_rescue(seed: SeedSpec) -> list[CheckResult]:
+def _suite_block_rescue(seed: SeedSpec) -> list[ReportRow]:
     """At eps=0.4 on the binary tree the plain process is far above its
     threshold, yet every-step block majority with a scanned block size
     restores a solid advantage; Monte Carlo confirms with wide separation."""
@@ -365,14 +321,13 @@ def _suite_block_rescue(seed: SeedSpec) -> list[CheckResult]:
     m_star = minimal_rescuing_block_size(r, eps)
     ks_value = (1.0 - 2.0 * block_error_rate(m_star, eps)) ** 2 * r
     out = [
-        _exact(
-            "thm21",
+        _gate(
             "rescuing_block_size",
             ks_value > 1.0,
             float(m_star),
             f"scanned minimal power of {r} with renormalized condition "
             f"(1-2*err)**2*r > 1 (got {ks_value:.4f})",
-            0.0,
+            tolerance=0.0,
         )
     ]
 
@@ -388,8 +343,7 @@ def _suite_block_rescue(seed: SeedSpec) -> list[CheckResult]:
     )
     exact_reference = scheme_delta(scheme, r, depth, ch, pin_renormalized_root=True)
     out.append(
-        _mc(
-            "thm21",
+        _gate(
             "corrected_advantage",
             corrected.delta_hat > 0.2,
             corrected.delta_hat,
@@ -404,8 +358,7 @@ def _suite_block_rescue(seed: SeedSpec) -> list[CheckResult]:
     separation = corrected.delta_hat - plain.delta_hat
     sigma = math.hypot(corrected.sigma, plain.sigma)
     out.append(
-        _mc(
-            "thm21",
+        _gate(
             "separation_from_identity",
             separation > 4.0 * sigma,
             separation,
@@ -421,7 +374,7 @@ def _suite_block_rescue(seed: SeedSpec) -> list[CheckResult]:
 # --- minority-removal critical bracket ---------------------------------------
 
 
-def _suite_minority_bracket(seed: SeedSpec) -> list[CheckResult]:
+def _suite_minority_bracket(seed: SeedSpec) -> list[ReportRow]:
     """Minority removal over two-generation descents on the 4-ary tree keeps
     its critical error-free rate at or above 1/r, and holds a clear advantage
     at p=0.45 where the plain two-step majority scheme is already subcritical."""
@@ -438,8 +391,7 @@ def _suite_minority_bracket(seed: SeedSpec) -> list[CheckResult]:
         floor=0.20,
     )
     out = [
-        _mc(
-            "thm52",
+        _gate(
             "bracket_lower_edge",
             bracket.p_lo >= 0.25,
             bracket.p_lo,
@@ -447,19 +399,17 @@ def _suite_minority_bracket(seed: SeedSpec) -> list[CheckResult]:
             lo=bracket.p_lo,
             hi=bracket.p_hi,
         ),
-        _exact(
-            "thm52",
+        _gate(
             "comparison_point_supercritical",
             0.45 > majority_critical,
             majority_critical,
             "plain two-step majority critical point < 0.45",
-            1e-9,
+            tolerance=1e-9,
         ),
     ]
     top = bracket.points[-1].estimate
     out.append(
-        _mc(
-            "thm52",
+        _gate(
             "advantage_at_p045",
             top.delta_hat > 4.0 * top.sigma,
             top.delta_hat,
@@ -471,7 +421,7 @@ def _suite_minority_bracket(seed: SeedSpec) -> list[CheckResult]:
     return out
 
 
-_SUITES: dict[str, Callable[[SeedSpec], list[CheckResult]]] = {
+_SUITES: dict[str, Callable[[SeedSpec], list[ReportRow]]] = {
     "lemma22": _suite_level_agreement,
     "lemma33": _suite_fraction_identity,
     "thm32": _suite_critical_cases,
@@ -492,8 +442,9 @@ _DEFAULT_SEEDS = {
 }
 
 
-def run_suite(name: str, seed: SeedSpec | int | None = None) -> list[CheckResult]:
-    """Run one verification suite and return its gate results.
+def run_suite(name: str, seed: SeedSpec | int | None = None) -> list[ReportRow]:
+    """Run one verification suite and return its gates' report rows, the
+    experiment of each ``verify:<name>``.
 
     Suites with Monte Carlo content default to pinned per-suite seeds so a
     bare run is reproducible; pass ``seed`` to probe other streams.
@@ -506,21 +457,5 @@ def run_suite(name: str, seed: SeedSpec | int | None = None) -> list[CheckResult
         seed = SeedSpec(master_seed=_DEFAULT_SEEDS.get(name, 0))
     elif isinstance(seed, int):
         seed = SeedSpec(master_seed=seed)
-    return _SUITES[name](seed)
+    return [dataclasses.replace(row, experiment=f"verify:{name}") for row in _SUITES[name](seed)]
 
-
-def results_to_rows(results: list[CheckResult]) -> list[ReportRow]:
-    """Report rows for a suite run, one row per gate."""
-    return [
-        ReportRow(
-            experiment=f"verify:{res.suite}",
-            params={"requirement": res.requirement, "passed": bool(res.passed)},
-            quantity=res.name,
-            value=float(res.measured),
-            provenance=res.provenance,
-            lo=res.lo,
-            hi=res.hi,
-            tolerance=res.tolerance,
-        )
-        for res in results
-    ]

@@ -14,7 +14,6 @@ from treecast import ReportRow, delta_exact, rows_to_csv, rows_to_json
 from treecast import cli
 from treecast.cli import main, parse_k_values
 from treecast.report import CSV_COLUMNS
-from treecast.verify import CheckResult
 
 MC_ROW = ReportRow(
     experiment="delta",
@@ -385,9 +384,9 @@ def test_cli_verify_passing_suite(capsys, tmp_path):
 def test_cli_verify_gate_failure_exits_four(capsys, monkeypatch):
     def fake_run_suite(name, seed=None):
         return [
-            CheckResult(
-                suite=name, name="forced", passed=False,
-                measured=1.0, requirement="must be < 0", tolerance=0.0,
+            ReportRow(
+                experiment=f"verify:{name}", params={"requirement": "must be < 0", "passed": False},
+                quantity="forced", value=1.0, provenance="exact", tolerance=0.0,
             )
         ]
 
