@@ -30,6 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import rng
 from .channel import ChannelParams
 from .rng import SeedSpec, block_bits, row_slices
 
@@ -106,14 +107,24 @@ def _repeat_table(r: int) -> np.ndarray:
 def repeat_packed(packed: np.ndarray, size: int, r: int) -> np.ndarray:
     """Repeat each of ``size`` bits ``r`` times within every row, repacked.
 
-    Used both to seed children with their parent's sign and to propagate
-    alive masks (children of a dead vertex are dead).  Zero padding bits
-    repeat into zero bits, so the bytes past the result's width are dropped.
-    ``packed`` may have any memory layout.
+    Used to seed children with their parent's sign, to propagate alive
+    masks (children of a dead vertex are dead) and to spread each block's
+    corrected bit over its members.  While its ``256*r`` bytes fit
+    :data:`~treecast.rng.SLICE_ELEMENTS`, a table maps each byte to its
+    ``r`` repeated bytes; a larger ``r`` repeats unpacked bits a row slice
+    at a time.  Zero padding bits repeat into zero bits, so the bytes past
+    the result's width are dropped.  ``packed`` may have any memory layout.
     """
-    packed = np.ascontiguousarray(packed)
-    out = _repeat_table(r)[packed].view(np.uint8).reshape(packed.shape[0], -1)
-    return np.ascontiguousarray(out[:, : packed_width(size * r)])
+    width = packed_width(size * r)
+    if 256 * r <= rng.SLICE_ELEMENTS:
+        packed = np.ascontiguousarray(packed)
+        out = _repeat_table(r)[packed].view(np.uint8).reshape(packed.shape[0], -1)
+        return np.ascontiguousarray(out[:, :width])
+    out = np.empty((packed.shape[0], width), dtype=np.uint8)
+    for rows in row_slices(packed.shape[0], size * r):
+        bits = np.unpackbits(packed[rows], axis=1, count=size)
+        out[rows] = np.packbits(np.repeat(bits, r, axis=1), axis=1)
+    return out
 
 
 def flip_mask(

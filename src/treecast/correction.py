@@ -376,36 +376,10 @@ def _majority(plus: np.ndarray, total: np.ndarray | int, coins: np.ndarray) -> n
     return (plus > minus) | ((plus == minus) & coins)
 
 
-def _spread_masks(B: int, covered: int) -> tuple[np.ndarray, np.ndarray]:
-    """For each byte of the first ``covered`` bits, the blocks it overlaps and
-    the mask of its bits in each: arrays ``(T, bytes)`` of block indices and
-    uint8 masks, ``T`` the most blocks one byte can overlap."""
-    n_blocks = covered // B
-    first = np.arange(packed_width(covered)) * 8
-    blocks = first // B + np.arange((B + 6) // B + 1)[:, None]
-    # Bit offsets, within each byte, of the part of each block it holds.
-    start = np.clip(blocks * B - first, 0, 8)
-    stop = np.clip(np.minimum(blocks + 1, n_blocks) * B - first, start, 8)
-    masks = ((0xFF >> start) & ~(0xFF >> stop)).astype(np.uint8)
-    return np.minimum(blocks, n_blocks - 1), masks
-
-
-def _spread(
-    chosen: np.ndarray, block_packed: np.ndarray, part: BlockPartition
-) -> np.ndarray:
-    """Each block's chosen bit over all its members, packed to the level's
-    width; bits past the full blocks are zero."""
-    B, nb = part.block_size, part.n_blocks
-    if B in (1, 2, 4):
-        spread = repeat_packed(block_packed, nb, B)
-    elif B % 8 == 0:
-        spread = np.repeat(chosen.view(np.uint8) * np.uint8(0xFF), B // 8, axis=1)
-    else:
-        blocks, masks = _spread_masks(B, part.covered)
-        ones = chosen.view(np.uint8) * np.uint8(0xFF)
-        spread = np.bitwise_and(ones[:, blocks[0]], masks[0])
-        for idx, mask in zip(blocks[1:], masks[1:]):
-            spread |= ones[:, idx] & mask
+def _spread(block_packed: np.ndarray, part: BlockPartition) -> np.ndarray:
+    """Each block's bit of the packed ``block_packed`` over all its members,
+    packed to the level's width; bits past the full blocks are zero."""
+    spread = repeat_packed(block_packed, part.n_blocks, part.block_size)
     width = packed_width(part.level_size)
     if spread.shape[1] < width:
         spread = np.pad(spread, ((0, 0), (0, width - spread.shape[1])))
@@ -440,7 +414,7 @@ def _overwrite_blocks(
         bits = g.packed[rows]
         chosen = choose(rows, bits)
         block_packed[rows] = np.packbits(chosen, axis=1)
-        spread = _spread(chosen, block_packed[rows], part)
+        spread = _spread(block_packed[rows], part)
         if keep is not None:
             spread |= bits & keep
         bits[...] = spread
@@ -545,7 +519,7 @@ def apply_minority_removal(
         block_packed[rows] = np.packbits(chosen, axis=1)
         block_alive[rows] = np.packbits(total > 0, axis=1)
         # Survivors are the alive members whose bit is the chosen sign.
-        dissent = bits ^ _spread(chosen, block_packed[rows], part)
+        dissent = bits ^ _spread(block_packed[rows], part)
         if keep is not None:
             dissent &= ~keep
         live &= ~dissent

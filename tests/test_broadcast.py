@@ -1,5 +1,7 @@
 """Bit-packed broadcast kernel: packing, statistics, and the one-step law."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -94,6 +96,28 @@ def test_repeat_packed_accepts_any_layout(layout):
     np.testing.assert_array_equal(
         repeat_packed(odd, size=36, r=3), repeat_packed(packed, size=36, r=3)
     )
+
+
+# Table lookups up to r = 256, unpacked row slices past it.
+@pytest.mark.parametrize("r", [2, 3, 16, 255, 256, 257, 300, 1000, 4096])
+@pytest.mark.parametrize("size", [1, 3, 7, 8, 13, 40])
+def test_repeat_packed_matches_unpacked_repeat(size, r):
+    bits = np.random.default_rng(size * r).integers(0, 2, size=(5, size), dtype=np.uint8)
+    expected = np.packbits(np.repeat(bits, r, axis=1), axis=1)
+    np.testing.assert_array_equal(repeat_packed(np.packbits(bits, axis=1), size, r), expected)
+
+
+def test_repeat_packed_builds_no_table_past_a_slice():
+    # A 256*r-byte table at r = 2**20 would take gigabytes to build.
+    r = 1 << 20
+    tracemalloc.start()
+    try:
+        out = repeat_packed(np.array([[0x80]], dtype=np.uint8), 1, r)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 << 20
+    assert out.shape == (1, r // 8) and (out == 0xFF).all()
 
 
 def test_noiseless_step_copies_parent():

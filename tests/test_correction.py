@@ -186,11 +186,12 @@ def test_minority_removal_keeps_at_least_half():
 
 
 # (r, level, block size): descent blocks r**k, and M-blocks with a leftover
-# (r=2 M=3, r=3 M=5, and B = 2, 4, 16 on r=3 levels).
+# (r=2 M=3, r=3 M=5, and B = 2, 4, 16 on r=3 levels).  B = 4**5 = 1024 is
+# past the largest block spread by table lookup (256).
 PACKED_CASES = [
     (2, 4, 2), (2, 5, 4), (2, 6, 8), (2, 8, 16), (2, 5, 3),
     (3, 4, 3), (3, 4, 9), (3, 5, 27), (3, 4, 5), (3, 4, 2), (3, 3, 4), (3, 4, 16),
-    (4, 3, 4), (4, 4, 16),
+    (4, 3, 4), (4, 4, 16), (4, 5, 1024),
 ]
 
 
