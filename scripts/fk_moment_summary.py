@@ -47,10 +47,12 @@ def run(args: argparse.Namespace) -> int:
         "fk-stats", r=args.r, k=args.k, p=args.p, samples=args.samples, seed=args.seed,
         format="csv", out=args.out, reproducible=args.reproducible,
     )
-    rows = cmd_fk_stats(cfg)
+    # The probe checks its own rules before its draws, and it draws only
+    # from its own stream, so running it first moves no value.
     probe = tail_probe_Rk(
         args.p, args.r, max(cfg.periods()), args.tail_factor, args.samples, cfg.seed_spec()
     )
+    rows = cmd_fk_stats(cfg)
     tail_lo, tail_hi = wilson_interval(
         probe.frequency * probe.n_samples, probe.n_samples
     )

@@ -453,15 +453,19 @@ def tail_probe_Rk(
 ) -> TailProbe:
     """Frequency of ``R_k >= (threshold_factor * p * r)**k``.
 
-    Requires supercritical root growth ``p*r > 1``.  Near the boundary the
-    decay in ``k`` is expected to be slow; the probe flags that and still
-    runs.  Only the qualitative decay is probed — no constants are claimed.
+    Requires supercritical root growth ``p*r > 1``, a finite positive
+    factor and a level within the int64 counts (:func:`_check_level`), all
+    checked before any draw.  Near the boundary the decay in ``k`` is
+    expected to be slow; the probe flags that and still runs.  Only the
+    qualitative decay is probed — no constants are claimed.
     """
-    _validate_fk_args(p, r, k)
+    _check_level(p, r, k)
     if p * r <= 1.0:
         raise ValueError(f"tail probe needs p*r > 1, got p*r={p * r:.4f}")
-    if threshold_factor <= 0:
-        raise ValueError(f"threshold factor must be positive, got {threshold_factor}")
+    if not 0 < threshold_factor < math.inf:
+        raise ValueError(
+            f"threshold factor must be a finite positive number, got {threshold_factor}"
+        )
     root_sizes = sample_root_cluster_chain(p, r, k, seed, samples)
     threshold = (threshold_factor * p * r) ** k
     frequency = float((root_sizes >= threshold).mean())

@@ -91,6 +91,10 @@ MISUSES = [
     ("fk_moment_summary.py", ["--r", "1"], 2),
     ("fk_moment_summary.py", ["--out", "MISSING"], 2),
     ("fk_moment_summary.py", ["--out", ""], 2),
+    ("fk_moment_summary.py", ["--p", "0.2"], 2),
+    ("fk_moment_summary.py", ["--tail-factor", "0"], 2),
+    ("fk_moment_summary.py", ["--tail-factor", "nan"], 2),
+    ("fk_moment_summary.py", ["--k", "32"], 2),
     ("critical_point_table.py", ["--r", "2", "--k-max", "17"], 3),
     ("critical_point_table.py", ["--r", "2,4", "--k-max", "9"], 3),
     ("critical_point_table.py", ["--out", "MISSING"], 2),
